@@ -221,8 +221,7 @@ void BM_MilPlanCandidateEngine(benchmark::State& state) {
   mil::Program prog = SelectionHeavyProgram(state.range(0));
   mil::ExecutionEngine engine(
       &catalog,
-      mil::ExecOptions{.num_threads = static_cast<int>(state.range(1)),
-                       .use_candidates = true});
+      mil::ExecOptions{.num_threads = static_cast<int>(state.range(1))});
   mil::ExecutionContext session;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.Run(prog, &session));

@@ -20,8 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <memory>
 #include <thread>
@@ -30,6 +28,7 @@
 #include "base/logging.h"
 #include "base/str_util.h"
 #include "base/table_printer.h"
+#include "bench_json.h"
 #include "daemon/query_server.h"
 #include "daemon/wire.h"
 #include "daemon/wire_client.h"
@@ -139,56 +138,6 @@ void Reap(pid_t child) {
   ::kill(child, SIGKILL);
   int status = 0;
   ::waitpid(child, &status, 0);
-}
-
-/// Merges one pre-rendered `"key": {...}` entry into BENCH_retrieval.json
-/// in the current directory (created if the retrieval bench has not run).
-void MergeIntoBenchJson(const std::string& entry) {
-  std::string body;
-  {
-    std::ifstream in("BENCH_retrieval.json");
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      body = buf.str();
-    }
-  }
-  // Drop a stale copy of the entry (repeated standalone runs must not
-  // stack duplicate keys). The entry object is flat: no nested braces.
-  for (;;) {
-    size_t key = body.find("\"instant_recovery_e6\"");
-    if (key == std::string::npos) break;
-    size_t open = body.find('{', key);
-    size_t close = body.find('}', open);
-    if (open == std::string::npos || close == std::string::npos) break;
-    size_t start = body.rfind(',', key);
-    size_t end = close + 1;
-    if (start == std::string::npos || body.rfind('{', key) > start) {
-      start = body.find('{') + 1;  // entry is first: swallow the comma after
-      size_t after = body.find_first_not_of(" \n\t", end);
-      if (after != std::string::npos && body[after] == ',') end = after + 1;
-    }
-    body.erase(start, end - start);
-  }
-  auto rstrip = [&] {
-    while (!body.empty() &&
-           (body.back() == '\n' || body.back() == ' ' || body.back() == '\t')) {
-      body.pop_back();
-    }
-  };
-  rstrip();
-  if (body.empty() || body.back() != '}') {
-    body = "{";
-  } else {
-    body.pop_back();
-    rstrip();
-    if (!body.empty() && body.back() != '{') body += ",";
-  }
-  body += "\n" + entry + "\n}\n";
-  std::ofstream out("BENCH_retrieval.json", std::ios::trunc);
-  out << body;
-  MIRROR_CHECK(out.good()) << "could not write BENCH_retrieval.json";
-  std::printf("merged instant_recovery_e6 into BENCH_retrieval.json\n");
 }
 
 }  // namespace
@@ -339,8 +288,8 @@ int main() {
         static_cast<unsigned long long>(truncated),
         static_cast<unsigned long long>(lazy_loads), speedup);
 
-    MergeIntoBenchJson(base::StrFormat(
-        "  \"instant_recovery_e6\": {\n"
+    bench::MergeIntoBenchJson("instant_recovery_e6", base::StrFormat(
+        "{\n"
         "    \"sets\": %d,\n"
         "    \"acked_appends\": %d,\n"
         "    \"lost_acked_writes\": %lld,\n"

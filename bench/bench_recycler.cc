@@ -15,11 +15,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +26,7 @@
 #include "base/rng.h"
 #include "base/str_util.h"
 #include "base/table_printer.h"
+#include "bench_json.h"
 #include "daemon/query_server.h"
 #include "daemon/wire.h"
 #include "daemon/wire_client.h"
@@ -143,54 +142,6 @@ PhaseResult RunMix(daemon::QueryServer* server) {
   return r;
 }
 
-/// Merges one pre-rendered `"key": {...}` entry into BENCH_retrieval.json
-/// in the current directory (same idiom as bench_overload).
-void MergeIntoBenchJson(const std::string& entry) {
-  std::string body;
-  {
-    std::ifstream in("BENCH_retrieval.json");
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      body = buf.str();
-    }
-  }
-  for (;;) {
-    size_t key = body.find("\"result_reuse_e8\"");
-    if (key == std::string::npos) break;
-    size_t open = body.find('{', key);
-    size_t close = body.find('}', open);
-    if (open == std::string::npos || close == std::string::npos) break;
-    size_t start = body.rfind(',', key);
-    size_t end = close + 1;
-    if (start == std::string::npos || body.rfind('{', key) > start) {
-      start = body.find('{') + 1;
-      size_t after = body.find_first_not_of(" \n\t", end);
-      if (after != std::string::npos && body[after] == ',') end = after + 1;
-    }
-    body.erase(start, end - start);
-  }
-  auto rstrip = [&] {
-    while (!body.empty() &&
-           (body.back() == '\n' || body.back() == ' ' || body.back() == '\t')) {
-      body.pop_back();
-    }
-  };
-  rstrip();
-  if (body.empty() || body.back() != '}') {
-    body = "{";
-  } else {
-    body.pop_back();
-    rstrip();
-    if (!body.empty() && body.back() != '{') body += ",";
-  }
-  body += "\n" + entry + "\n}\n";
-  std::ofstream out("BENCH_retrieval.json", std::ios::trunc);
-  out << body;
-  MIRROR_CHECK(out.good()) << "could not write BENCH_retrieval.json";
-  std::printf("merged result_reuse_e8 into BENCH_retrieval.json\n");
-}
-
 }  // namespace
 
 int main() {
@@ -258,8 +209,8 @@ int main() {
       static_cast<unsigned long long>(stats.recycler_admissions_rejected),
       identical ? "yes" : "NO");
 
-  MergeIntoBenchJson(base::StrFormat(
-      "  \"result_reuse_e8\": {\n"
+  bench::MergeIntoBenchJson("result_reuse_e8", base::StrFormat(
+      "{\n"
       "    \"clients\": %d,\n"
       "    \"rounds_per_client\": %d,\n"
       "    \"query_pool\": %d,\n"

@@ -6,8 +6,8 @@
 // ExecutionEngine (1 and 4 worker threads, with the session plan cache),
 // emitting BENCH_retrieval.json for CI. E3d gates the morsel +
 // fused-aggregation work: a select→SumPerHead plan over the 400k-row
-// catalog must run with zero Materialize() calls and beat the pre-fusion
-// engine@1T by >= 1.5x at 4 threads.
+// catalog must run with zero Materialize() calls and beat the sequential
+// Executor by >= 1.5x at 4 threads.
 
 #include <cstdio>
 #include <cstdint>
@@ -114,6 +114,21 @@ double TimeQuery(const db::MirrorDb& database, const std::string& query,
   return best;
 }
 
+/// Best-of-5 latency of `plan` on the materializing sequential
+/// mil::Executor: the E3d/E3e baseline.
+double TimeSequential(const monet::Catalog* catalog,
+                      const monet::mil::Program& plan) {
+  monet::mil::Executor executor(catalog);
+  double best = 1e100;
+  for (int r = 0; r < 5; ++r) {
+    base::Stopwatch sw;
+    auto result = executor.Run(plan);
+    MIRROR_CHECK(result.ok()) << result.status().ToString();
+    best = std::min(best, sw.ElapsedMillis());
+  }
+  return best;
+}
+
 struct EngineComparison {
   double sequential_ms = 0;
   double engine1_ms = 0;
@@ -121,28 +136,39 @@ struct EngineComparison {
   double engine4_cached_ms = 0;
 };
 
-EngineComparison CompareEngines(const db::MirrorDb& database,
-                                const char* label, const std::string& query,
+EngineComparison CompareEngines(db::MirrorDb* database, const char* label,
+                                const std::string& query,
                                 const moa::QueryContext& ctx) {
   EngineComparison out;
-  db::QueryOptions sequential;
-  sequential.use_engine = false;
   db::QueryOptions engine1;
   engine1.exec.num_threads = 1;
   db::QueryOptions engine4;
   engine4.exec.num_threads = 4;
 
+  // The baseline does the same parse → flatten → optimize work as the
+  // plan-cache-invalidated engine rows below, then runs the plan on the
+  // sequential Executor.
+  out.sequential_ms = 1e100;
+  for (int r = 0; r < 5; ++r) {
+    base::Stopwatch sw;
+    auto prepared = database->Prepare(query, ctx, engine1);
+    MIRROR_CHECK(prepared.ok()) << prepared.status().ToString();
+    auto run = monet::mil::Executor(database->catalog())
+                   .Run(prepared.value().program);
+    MIRROR_CHECK(run.ok()) << run.status().ToString();
+    out.sequential_ms = std::min(out.sequential_ms, sw.ElapsedMillis());
+  }
   monet::mil::ExecutionContext session;
-  out.sequential_ms =
-      TimeQuery(database, query, ctx, sequential, &session, 5, true);
-  out.engine1_ms = TimeQuery(database, query, ctx, engine1, &session, 5, true);
-  out.engine4_ms = TimeQuery(database, query, ctx, engine4, &session, 5, true);
+  out.engine1_ms =
+      TimeQuery(*database, query, ctx, engine1, &session, 5, true);
+  out.engine4_ms =
+      TimeQuery(*database, query, ctx, engine4, &session, 5, true);
   // Warm once, then time the plan-cache fast path (no parse/flatten).
   session.InvalidatePlans();
-  auto warm = database.Query(query, ctx, engine4, &session);
+  auto warm = database->Query(query, ctx, engine4, &session);
   MIRROR_CHECK(warm.ok());
   out.engine4_cached_ms =
-      TimeQuery(database, query, ctx, engine4, &session, 5, false);
+      TimeQuery(*database, query, ctx, engine4, &session, 5, false);
   MIRROR_CHECK(session.plan_cache_hits() > 0);
 
   std::printf("%s\n\n", label);
@@ -151,7 +177,7 @@ EngineComparison CompareEngines(const db::MirrorDb& database,
     table.AddRow({name, base::StrFormat("%.3f", ms),
                   base::StrFormat("%.2fx", out.sequential_ms / ms)});
   };
-  row("sequential materializing", out.sequential_ms);
+  row("sequential materializing Executor", out.sequential_ms);
   row("engine 1 thread, candidates", out.engine1_ms);
   row("engine 4 threads, candidates", out.engine4_ms);
   row("engine 4 threads + plan cache", out.engine4_cached_ms);
@@ -162,13 +188,13 @@ EngineComparison CompareEngines(const db::MirrorDb& database,
 
 // E3d: the select→SumPerHead 400k-row plan, engine-only (the MIL is
 // built directly so the measured work is exactly one candidate pipeline
-// feeding one aggregate). The baseline is the pre-fusion engine at one
-// thread (fuse_aggregates = false): it materializes the candidate view
-// — 400k-ish tuple copies whose gathered oid head then forces a hash
-// group-by — while the fused path aggregates over the view, where the
-// still-void head makes every group a provable singleton.
+// feeding one aggregate). The baseline is the sequential Executor on the
+// same plan: it materializes every intermediate — 400k-ish tuple copies
+// whose gathered oid head then forces a hash group-by — while the fused
+// path aggregates over the view, where the still-void head makes every
+// group a provable singleton.
 struct AggComparison {
-  double engine1_nofuse_ms = 0;
+  double sequential_ms = 0;
   double engine1_fused_ms = 0;
   double engine4_fused_ms = 0;
   uint64_t fused_materialize_calls = 0;
@@ -213,9 +239,9 @@ monet::mil::Program BuildSelectSumPerHeadPlan() {
 AggComparison RunE3d(db::MirrorDb* database) {
   namespace mil = monet::mil;
   std::printf(
-      "\nE3d: select→SumPerHead over the 400k-row catalog — pre-fusion\n"
-      "engine@1T (materialize + hash group-by) vs morsel + fused\n"
-      "candidate-aware aggregation.\n\n");
+      "\nE3d: select→SumPerHead over the 400k-row catalog — the\n"
+      "sequential Executor (materialize + hash group-by) vs morsel +\n"
+      "fused candidate-aware aggregation.\n\n");
   mil::Program plan = BuildSelectSumPerHeadPlan();
   auto run_once = [&](const mil::ExecOptions& options,
                       mil::ExecutionContext* session) {
@@ -235,27 +261,25 @@ AggComparison RunE3d(db::MirrorDb* database) {
     }
     return best;
   };
-  mil::ExecOptions nofuse1{.num_threads = 1, .use_candidates = true,
-                           .morsel_size = 0, .fuse_aggregates = false};
   mil::ExecOptions fused1{.num_threads = 1};
   mil::ExecOptions fused4{.num_threads = 4};
 
   // Equivalence spot-check: the fused plan must reproduce the baseline.
   {
+    auto baseline = mil::Executor(database->catalog()).Run(plan);
+    MIRROR_CHECK(baseline.ok()) << baseline.status().ToString();
+    const monet::Bat& want = *baseline.value().bat;
     mil::ExecutionContext session;
-    auto baseline = run_once(nofuse1, &session);
     auto fused = run_once(fused4, &session);
-    MIRROR_CHECK(baseline.bat->size() == fused.bat->size());
-    for (size_t i = 0; i < baseline.bat->size(); i += 1001) {
-      MIRROR_CHECK(baseline.bat->head().OidAt(i) ==
-                   fused.bat->head().OidAt(i));
-      MIRROR_CHECK(baseline.bat->tail().NumAt(i) ==
-                   fused.bat->tail().NumAt(i));
+    MIRROR_CHECK(want.size() == fused.bat->size());
+    for (size_t i = 0; i < want.size(); i += 1001) {
+      MIRROR_CHECK(want.head().OidAt(i) == fused.bat->head().OidAt(i));
+      MIRROR_CHECK(want.tail().NumAt(i) == fused.bat->tail().NumAt(i));
     }
   }
 
   AggComparison out;
-  out.engine1_nofuse_ms = time_engine(nofuse1);
+  out.sequential_ms = TimeSequential(database->catalog(), plan);
   out.engine1_fused_ms = time_engine(fused1);
   out.engine4_fused_ms = time_engine(fused4);
 
@@ -273,12 +297,12 @@ AggComparison RunE3d(db::MirrorDb* database) {
         << "select→agg plan still materializes";
   }
 
-  base::TablePrinter table({"path", "ms", "vs engine@1T (pre-fusion)"});
+  base::TablePrinter table({"path", "ms", "vs sequential"});
   auto row = [&](const char* name, double ms) {
     table.AddRow({name, base::StrFormat("%.3f", ms),
-                  base::StrFormat("%.2fx", out.engine1_nofuse_ms / ms)});
+                  base::StrFormat("%.2fx", out.sequential_ms / ms)});
   };
-  row("engine 1 thread, no fused agg (PR-1 baseline)", out.engine1_nofuse_ms);
+  row("sequential materializing Executor", out.sequential_ms);
   row("engine 1 thread, fused agg", out.engine1_fused_ms);
   row("engine 4 threads, fused agg + morsels", out.engine4_fused_ms);
   table.Print();
@@ -291,13 +315,12 @@ AggComparison RunE3d(db::MirrorDb* database) {
 // (oid-aligned semijoin, position intersection) and the surviving view
 // joins a 400k-row shuffled dimension BAT (int key -> dbl weight) whose
 // build side is far larger than L2, so the radix cluster genuinely
-// partitions. The baseline is the engine as it stood before this change
-// (morsel_joins = false): the candidate view materializes and the
-// pre-radix single-threaded JoinLegacy builds an unordered_map over the
-// 400k keys. The radix path at 4 threads must be >= 2x and perform zero
-// Materialize() calls.
+// partitions. The baseline is the sequential Executor on the same plan:
+// every intermediate materializes and the pre-radix single-threaded
+// JoinLegacy builds an unordered_map over the 400k keys. The radix path
+// at 4 threads must be >= 2x and perform zero Materialize() calls.
 struct JoinComparison {
-  double legacy1_ms = 0;
+  double sequential_ms = 0;
   double radix1_ms = 0;
   double radix4_ms = 0;
   uint64_t radix_materialize_calls = 0;
@@ -368,9 +391,9 @@ JoinComparison RunE3e(db::MirrorDb* database, int catalog_rows) {
   namespace mil = monet::mil;
   std::printf(
       "\nE3e: select→join→SumPerHead over the 400k-row catalog against a\n"
-      "400k-row shuffled dimension — pre-radix engine (materialize +\n"
-      "single-threaded JoinLegacy) vs the radix-partitioned morsel-\n"
-      "parallel JoinCand pipeline.\n\n");
+      "400k-row shuffled dimension — the sequential Executor\n"
+      "(materialize + single-threaded JoinLegacy) vs the radix-\n"
+      "partitioned morsel-parallel JoinCand pipeline.\n\n");
   mil::Program plan = BuildSelectJoinSumPlan(catalog_rows, /*seed=*/17);
   auto run_once = [&](const mil::ExecOptions& options,
                       mil::ExecutionContext* session) {
@@ -390,9 +413,6 @@ JoinComparison RunE3e(db::MirrorDb* database, int catalog_rows) {
     }
     return best;
   };
-  mil::ExecOptions legacy1;
-  legacy1.num_threads = 1;
-  legacy1.morsel_joins = false;
   // Partition count pinned: on a host whose detected L2 swallows the
   // whole 400k-row build side the derived count would be 1 and the
   // radix_builds gate below would trip on perfectly good code. 16 is
@@ -406,20 +426,20 @@ JoinComparison RunE3e(db::MirrorDb* database, int catalog_rows) {
 
   // Equivalence spot-check: the radix plan must reproduce the baseline.
   {
+    auto baseline = mil::Executor(database->catalog()).Run(plan);
+    MIRROR_CHECK(baseline.ok()) << baseline.status().ToString();
+    const monet::Bat& want = *baseline.value().bat;
     mil::ExecutionContext session;
-    auto baseline = run_once(legacy1, &session);
     auto radix = run_once(radix4, &session);
-    MIRROR_CHECK(baseline.bat->size() == radix.bat->size());
-    for (size_t i = 0; i < baseline.bat->size(); i += 617) {
-      MIRROR_CHECK(baseline.bat->head().OidAt(i) ==
-                   radix.bat->head().OidAt(i));
-      MIRROR_CHECK(baseline.bat->tail().NumAt(i) ==
-                   radix.bat->tail().NumAt(i));
+    MIRROR_CHECK(want.size() == radix.bat->size());
+    for (size_t i = 0; i < want.size(); i += 617) {
+      MIRROR_CHECK(want.head().OidAt(i) == radix.bat->head().OidAt(i));
+      MIRROR_CHECK(want.tail().NumAt(i) == radix.bat->tail().NumAt(i));
     }
   }
 
   JoinComparison out;
-  out.legacy1_ms = time_engine(legacy1);
+  out.sequential_ms = TimeSequential(database->catalog(), plan);
   out.radix1_ms = time_engine(radix1);
   out.radix4_ms = time_engine(radix4);
 
@@ -440,12 +460,12 @@ JoinComparison RunE3e(db::MirrorDb* database, int catalog_rows) {
         << "join build side was not radix-partitioned";
   }
 
-  base::TablePrinter table({"path", "ms", "vs legacy join @1T"});
+  base::TablePrinter table({"path", "ms", "vs sequential"});
   auto row = [&](const char* name, double ms) {
     table.AddRow({name, base::StrFormat("%.3f", ms),
-                  base::StrFormat("%.2fx", out.legacy1_ms / ms)});
+                  base::StrFormat("%.2fx", out.sequential_ms / ms)});
   };
-  row("engine 1 thread, legacy join (PR-2 baseline)", out.legacy1_ms);
+  row("sequential materializing Executor", out.sequential_ms);
   row("engine 1 thread, radix join", out.radix1_ms);
   row("engine 4 threads, radix join + morsels", out.radix4_ms);
   table.Print();
@@ -1101,29 +1121,29 @@ void WriteBenchJson(const EngineComparison& selection,
   std::fprintf(
       f,
       "  \"select_sumperhead_400k\": {\n"
-      "    \"engine_1_thread_nofuse_ms\": %.4f,\n"
+      "    \"sequential_materializing_ms\": %.4f,\n"
       "    \"engine_1_thread_fused_ms\": %.4f,\n"
       "    \"engine_4_threads_fused_ms\": %.4f,\n"
-      "    \"speedup_fused4_vs_engine1\": %.3f,\n"
+      "    \"speedup_fused4_vs_sequential\": %.3f,\n"
       "    \"materialize_calls_fused\": %llu,\n"
       "    \"fused_agg_ops\": %llu\n"
       "  },\n",
-      agg.engine1_nofuse_ms, agg.engine1_fused_ms, agg.engine4_fused_ms,
-      agg.engine1_nofuse_ms / agg.engine4_fused_ms,
+      agg.sequential_ms, agg.engine1_fused_ms, agg.engine4_fused_ms,
+      agg.sequential_ms / agg.engine4_fused_ms,
       static_cast<unsigned long long>(agg.fused_materialize_calls),
       static_cast<unsigned long long>(agg.fused_agg_ops));
   std::fprintf(
       f,
       "  \"select_join_sumperhead_400k\": {\n"
-      "    \"legacy_join_1_thread_ms\": %.4f,\n"
+      "    \"sequential_materializing_ms\": %.4f,\n"
       "    \"radix_join_1_thread_ms\": %.4f,\n"
       "    \"radix_join_4_threads_ms\": %.4f,\n"
-      "    \"speedup_radix4_vs_legacy1\": %.3f,\n"
+      "    \"speedup_radix4_vs_sequential\": %.3f,\n"
       "    \"materialize_calls_radix\": %llu,\n"
       "    \"radix_partitions\": %llu\n"
       "  },\n",
-      join.legacy1_ms, join.radix1_ms, join.radix4_ms,
-      join.legacy1_ms / join.radix4_ms,
+      join.sequential_ms, join.radix1_ms, join.radix4_ms,
+      join.sequential_ms / join.radix4_ms,
       static_cast<unsigned long long>(join.radix_materialize_calls),
       static_cast<unsigned long long>(join.radix_partitions));
   std::fprintf(
@@ -1208,7 +1228,7 @@ void WriteBenchJson(const EngineComparison& selection,
 }
 
 std::pair<EngineComparison, EngineComparison> RunE3c(
-    const db::MirrorDb& database) {
+    db::MirrorDb* database) {
   EngineComparison selection;
   EngineComparison ranking;
   std::printf(
@@ -1292,7 +1312,7 @@ int main() {
   db::MirrorDb database;
   constexpr int kCatalogRows = 400000;
   BuildRetrievalDb(&database, 16000, kCatalogRows, /*seed=*/42);
-  auto [selection, ranking] = RunE3c(database);
+  auto [selection, ranking] = RunE3c(&database);
   AggComparison agg = RunE3d(&database);
   JoinComparison join = RunE3e(&database, kCatalogRows);
   ShardComparison shard = RunE3f(&database, kCatalogRows, /*num_shards=*/8);

@@ -1,11 +1,22 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (configure, build, ctest) plus a smoke run
-# of the kernel and retrieval benchmarks, emitting BENCH_*.json artifacts
-# and gating on the vectorized-engine speedup.
+# CI entry point: tier-1 verify (configure, build, ctest), a smoke run of
+# the kernel and retrieval benchmarks gated on the ratios they write to
+# BENCH_retrieval.json, the end-to-end benchmark's self-test and quick
+# run, and a TSan job over the concurrent daemon tests.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="$(nproc)"
+BENCH_JSON=build/BENCH_retrieval.json
+
+# bench_val SECTION.KEY prints one value from BENCH_retrieval.json; a
+# missing key is named on stderr and fails the run.
+bench_val() {
+  jq -er ".$1" "${BENCH_JSON}" || {
+    echo "FAIL: ${BENCH_JSON} has no $1" >&2
+    exit 1
+  }
+}
 
 echo "== tier-1 verify =="
 cmake -B build -S .
@@ -22,25 +33,24 @@ echo "== bench smoke: BAT kernel =="
 echo "== bench smoke: retrieval (E3a/E3b/E3c) =="
 (cd build && ./bench_retrieval)
 
-echo "== speedup gate =="
-SPEEDUP=$(grep -m1 '"speedup_engine4_vs_sequential"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-echo "candidate-vector engine at 4 threads vs materializing sequential: ${SPEEDUP}x"
+echo "== speedup gate (E3c selection-heavy plan, 400k rows) =="
+# Baseline is the materializing sequential mil::Executor on the same
+# plan, parse → flatten → optimize included on both sides.
+SPEEDUP=$(bench_val selection_heavy_400k_rows.speedup_engine4_vs_sequential)
+echo "candidate-vector engine at 4 threads vs the sequential Executor: ${SPEEDUP}x"
 awk -v s="${SPEEDUP}" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
   echo "FAIL: selection-heavy speedup ${SPEEDUP}x is below the 2x floor"
   exit 1
 }
 
 echo "== fused-aggregation gate (E3d select→SumPerHead, 400k rows) =="
-# Baseline is the engine@1T as it stood before fused aggregation
-# (fuse_aggregates off): the candidate view materialized ahead of every
-# aggregate. The fused path at 4 threads must be >= 1.5x and perform zero
+# Baseline is the sequential mil::Executor on the same MIL plan: every
+# intermediate materializes and the group-by hashes a gathered oid head.
+# The fused path at 4 threads must be >= 1.5x and perform zero
 # Materialize() calls (bench_retrieval itself aborts if mat != 0).
-AGG_SPEEDUP=$(grep -m1 '"speedup_fused4_vs_engine1"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-AGG_MAT=$(grep -m1 '"materialize_calls_fused"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-echo "fused agg at 4 threads vs pre-fusion engine@1T: ${AGG_SPEEDUP}x (materialize calls: ${AGG_MAT})"
+AGG_SPEEDUP=$(bench_val select_sumperhead_400k.speedup_fused4_vs_sequential)
+AGG_MAT=$(bench_val select_sumperhead_400k.materialize_calls_fused)
+echo "fused agg at 4 threads vs the sequential Executor: ${AGG_SPEEDUP}x (materialize calls: ${AGG_MAT})"
 awk -v s="${AGG_SPEEDUP}" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' || {
   echo "FAIL: select→agg fused speedup ${AGG_SPEEDUP}x is below the 1.5x floor"
   exit 1
@@ -51,17 +61,15 @@ awk -v s="${AGG_SPEEDUP}" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' || {
 }
 
 echo "== radix-join gate (E3e select→join→SumPerHead, 400k rows) =="
-# Baseline is the engine as it stood before the radix join
-# (morsel_joins off): the candidate view materializes and the pre-radix
-# single-threaded JoinLegacy builds an unordered_map over the 400k-key
-# dimension. The radix-partitioned morsel-parallel path at 4 threads must
-# be >= 2x with zero Materialize() calls (bench_retrieval itself aborts
-# if mat != 0 or the build was never partitioned).
-JOIN_SPEEDUP=$(grep -m1 '"speedup_radix4_vs_legacy1"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-JOIN_MAT=$(grep -m1 '"materialize_calls_radix"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-echo "radix join at 4 threads vs legacy join@1T: ${JOIN_SPEEDUP}x (materialize calls: ${JOIN_MAT})"
+# Baseline is the sequential mil::Executor on the same MIL plan: every
+# intermediate materializes and the pre-radix single-threaded JoinLegacy
+# builds an unordered_map over the 400k-key dimension. The
+# radix-partitioned morsel-parallel path at 4 threads must be >= 2x with
+# zero Materialize() calls (bench_retrieval itself aborts if mat != 0 or
+# the build was never partitioned).
+JOIN_SPEEDUP=$(bench_val select_join_sumperhead_400k.speedup_radix4_vs_sequential)
+JOIN_MAT=$(bench_val select_join_sumperhead_400k.materialize_calls_radix)
+echo "radix join at 4 threads vs the sequential Executor: ${JOIN_SPEEDUP}x (materialize calls: ${JOIN_MAT})"
 awk -v s="${JOIN_SPEEDUP}" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
   echo "FAIL: select→join→agg radix speedup ${JOIN_SPEEDUP}x is below the 2x floor"
   exit 1
@@ -77,10 +85,8 @@ echo "== sharded-catalog gate (E3f select→join→SumPerHead, 400k rows, sharde
 # range-hinted dense per-shard aggregation) must be >= 1.5x with zero
 # Materialize() calls (bench_retrieval itself aborts if mat != 0 or the
 # plan never fanned out across shards).
-SHARD_SPEEDUP=$(grep -m1 '"speedup_sharded4_vs_1shard4"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-SHARD_MAT=$(grep -m1 '"materialize_calls_sharded"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
+SHARD_SPEEDUP=$(bench_val select_join_sumperhead_400k_sharded.speedup_sharded4_vs_1shard4)
+SHARD_MAT=$(bench_val select_join_sumperhead_400k_sharded.materialize_calls_sharded)
 echo "sharded engine at 4 threads vs 1-shard engine at 4 threads: ${SHARD_SPEEDUP}x (materialize calls: ${SHARD_MAT})"
 awk -v s="${SHARD_SPEEDUP}" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' || {
   echo "FAIL: sharded select→join→agg speedup ${SHARD_SPEEDUP}x is below the 1.5x floor"
@@ -99,10 +105,8 @@ echo "== multi-client serving gate (E4, 4 concurrent sessions vs 1 serial sessio
 # in-flight requests coalesce onto one leader execution + one marshalled
 # result frame (bench_retrieval itself aborts if no request coalesced or
 # any wire result deviates from direct MirrorDb execution).
-E4_SPEEDUP=$(grep -m1 '"speedup_concurrent4_vs_serial1"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E4_COALESCED=$(grep -m1 '"coalesced_requests"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
+E4_SPEEDUP=$(bench_val multi_client_serving_e4.speedup_concurrent4_vs_serial1)
+E4_COALESCED=$(bench_val multi_client_serving_e4.coalesced_requests)
 echo "4 concurrent sessions vs serial through one session: ${E4_SPEEDUP}x (coalesced requests: ${E4_COALESCED})"
 awk -v s="${E4_SPEEDUP}" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
   echo "FAIL: multi-client aggregate throughput ${E4_SPEEDUP}x is below the 2x floor"
@@ -120,12 +124,9 @@ echo "== top-k pruning gate (E5, zipfian ranking, 262k-row belief columns) =="
 # would mean the WAND threshold never pruned and the speedup is noise.
 # bench_retrieval itself aborts unless every pruned ranking is
 # bit-identical to the naive sequential executor (recall@10 == 1.0).
-E5_SPEEDUP=$(grep -m1 '"speedup_pruned_vs_unpruned"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E5_SKIPS=$(grep -m1 '"zone_blocks_skipped"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E5_RECALL=$(grep -m1 '"recall_at_k"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
+E5_SPEEDUP=$(bench_val ranking_topk_e5.speedup_pruned_vs_unpruned)
+E5_SKIPS=$(bench_val ranking_topk_e5.zone_blocks_skipped)
+E5_RECALL=$(bench_val ranking_topk_e5.recall_at_k)
 echo "pruned top-k vs pruning off: ${E5_SPEEDUP}x (zone blocks skipped: ${E5_SKIPS}, recall@k: ${E5_RECALL})"
 awk -v s="${E5_SPEEDUP}" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
   echo "FAIL: top-k pruning speedup ${E5_SPEEDUP}x is below the 2x floor"
@@ -149,10 +150,8 @@ echo "== instant-recovery gate (E6, crash-kill + MM-DIRECT lazy restart) =="
 # before replay (lazy, on-demand fragment replay) reaches the first
 # result >= 3x faster than the classic full-replay restart.
 (cd build && ./bench_recovery)
-E6_LOST=$(grep -m1 '"lost_acked_writes"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E6_SPEEDUP=$(grep -m1 '"ttfr_speedup_lazy_vs_full"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
+E6_LOST=$(bench_val instant_recovery_e6.lost_acked_writes)
+E6_SPEEDUP=$(bench_val instant_recovery_e6.ttfr_speedup_lazy_vs_full)
 echo "crash-kill: ${E6_LOST} acknowledged writes lost; lazy vs full-replay TTFR: ${E6_SPEEDUP}x"
 [ "${E6_LOST}" = "0" ] || {
   echo "FAIL: crash-kill lost ${E6_LOST} acknowledged writes (want 0)"
@@ -172,12 +171,9 @@ echo "== overload-goodput gate (E7, 64-client storm vs uncontended) =="
 # ERROR (admission control actually engaged), and the healthy p99 under
 # the storm stays bounded.
 (cd build && ./bench_overload)
-E7_RATIO=$(grep -m1 '"goodput_ratio"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E7_SHED=$(grep -m1 '"requests_shed"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E7_P99=$(grep -m1 '"storm_p99_ms"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
+E7_RATIO=$(bench_val overload_serving_e7.goodput_ratio)
+E7_SHED=$(bench_val overload_serving_e7.requests_shed)
+E7_P99=$(bench_val overload_serving_e7.storm_p99_ms)
 echo "healthy goodput under storm: ${E7_RATIO} of uncontended (sheds: ${E7_SHED}, storm p99: ${E7_P99} ms)"
 awk -v r="${E7_RATIO}" 'BEGIN { exit (r >= 0.7) ? 0 : 1 }' || {
   echo "FAIL: healthy goodput ratio ${E7_RATIO} under the storm is below the 0.7 floor"
@@ -200,16 +196,11 @@ echo "== result-reuse gate (E8, zipfian multi-tenant mix, recycler on vs off) ==
 # the bytes held stay within the memory budget, and every distinct
 # query's reply agrees value-for-value across the phases.
 (cd build && ./bench_recycler)
-E8_SPEEDUP=$(grep -m1 '"speedup"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E8_HITS=$(grep -m1 '"result_cache_hits"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E8_HELD=$(grep -m1 '"bytes_held"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E8_BUDGET=$(grep -m1 '"budget_bytes"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E8_IDENTICAL=$(grep -m1 '"replies_identical"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
+E8_SPEEDUP=$(bench_val result_reuse_e8.speedup)
+E8_HITS=$(bench_val result_reuse_e8.result_cache_hits)
+E8_HELD=$(bench_val result_reuse_e8.bytes_held)
+E8_BUDGET=$(bench_val result_reuse_e8.budget_bytes)
+E8_IDENTICAL=$(bench_val result_reuse_e8.replies_identical)
 echo "recycler on vs off: ${E8_SPEEDUP}x (hits: ${E8_HITS}, held: ${E8_HELD}/${E8_BUDGET} bytes, identical: ${E8_IDENTICAL})"
 awk -v s="${E8_SPEEDUP}" 'BEGIN { exit (s >= 3.0) ? 0 : 1 }' || {
   echo "FAIL: result-reuse speedup ${E8_SPEEDUP}x is below the 3x floor"
@@ -230,16 +221,13 @@ awk -v h="${E8_HELD}" -v b="${E8_BUDGET}" 'BEGIN { exit (h <= b) ? 0 : 1 }' || {
 
 echo "== trace-overhead gate (E9, exec.trace on/off on the E3c ranking plan) =="
 # bench_retrieval times the warmed 4-thread ranking plan three times:
-# trace off, trace on, trace off again (min-of-9 each). The gates: the
+# trace off, trace on, trace off again (min-of-21 each). The gates: the
 # two knob-off passes agree within 2% (the knob must cost one untaken
 # branch — this A/A ratio is also the noise floor of the measurement),
 # and the traced pass stays within 15% of the faster untraced pass.
-E9_AA=$(grep -m1 '"trace_off_aa_ratio"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E9_ON=$(grep -m1 '"traced_vs_off"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
-E9_SPANS=$(grep -m1 '"spans_per_query"' build/BENCH_retrieval.json \
-            | awk -F': ' '{gsub(/[,[:space:]]/, "", $2); print $2}')
+E9_AA=$(bench_val trace_overhead_e9.trace_off_aa_ratio)
+E9_ON=$(bench_val trace_overhead_e9.traced_vs_off)
+E9_SPANS=$(bench_val trace_overhead_e9.spans_per_query)
 echo "trace off A/A: ${E9_AA}x, traced vs off: ${E9_ON}x (${E9_SPANS} spans/query)"
 awk -v r="${E9_AA}" 'BEGIN { exit (r <= 1.02) ? 0 : 1 }' || {
   echo "FAIL: knob-off A/A ratio ${E9_AA}x exceeds the 1.02 bound"
@@ -253,6 +241,13 @@ awk -v r="${E9_ON}" 'BEGIN { exit (r <= 1.15) ? 0 : 1 }' || {
   echo "FAIL: the traced pass recorded no spans"
   exit 1
 }
+
+echo "== end-to-end benchmark: self-test and quick run =="
+# mirror_bench exits 1 when any answer differs from the 1-thread
+# unsharded engine or the naive oracle, so the quick run checks the one
+# engine path end to end through the daemon on all four workloads.
+bash bench/e2e/run.sh --selftest
+bash bench/e2e/run.sh --quick
 
 echo "== TSan: daemon concurrency (event loop, worker pool, chaos storm) =="
 # The event-driven connection layer is lock-order sensitive (loop_mu_ ->
@@ -279,4 +274,4 @@ else
   echo "libtsan unavailable: skipping the TSan job"
 fi
 
-echo "CI OK — artifacts: build/BENCH_bat_kernel.json build/BENCH_retrieval.json"
+echo "CI OK — artifacts: build/BENCH_bat_kernel.json build/BENCH_retrieval.json build/e2e/results.json"

@@ -83,6 +83,14 @@ void PrintLatencyLine(const char* label,
       static_cast<unsigned long long>(lat.queue_wait.p99_micros));
 }
 
+/// Every knob's effective value, as SET_OK and STATS echo them.
+void PrintKnobs(const daemon::wire::KnobValues& knobs) {
+  for (const auto& [key, value] : knobs) {
+    std::printf(" %s=%lld", key.c_str(), static_cast<long long>(value));
+  }
+  std::printf("\n");
+}
+
 /// Server statistics grouped by subsystem, in a stable order: kernel,
 /// serving, durability, recycler, latency, then per-session lines.
 void PrintStats(const daemon::wire::StatsReply& stats) {
@@ -129,16 +137,15 @@ void PrintStats(const daemon::wire::StatsReply& stats) {
   for (const auto& s : stats.sessions) {
     std::printf(
         "  session %llu (%s): %llu requests, %llu errors, plan cache "
-        "%llu entries (%llu/%llu hits), shards=%llu threads=%lld\n",
+        "%llu entries (%llu/%llu hits), knobs:",
         static_cast<unsigned long long>(s.session_id),
         s.client_name.c_str(),
         static_cast<unsigned long long>(s.requests),
         static_cast<unsigned long long>(s.errors),
         static_cast<unsigned long long>(s.plan_cache_size),
         static_cast<unsigned long long>(s.plan_cache_hits),
-        static_cast<unsigned long long>(s.plan_cache_lookups),
-        static_cast<unsigned long long>(s.options.num_shards),
-        static_cast<long long>(s.options.num_threads));
+        static_cast<unsigned long long>(s.plan_cache_lookups));
+    PrintKnobs(s.options);
   }
 }
 
@@ -243,13 +250,8 @@ int RunCommandLoop(daemon::wire::WireClient* client, std::istream& in,
       if (!reply.ok()) {
         std::printf("error: %s\n", reply.status().ToString().c_str());
       } else {
-        std::printf(
-            "session options: shards=%llu threads=%lld morsel_joins=%d "
-            "fuse_aggregates=%d\n",
-            static_cast<unsigned long long>(reply.value().num_shards),
-            static_cast<long long>(reply.value().num_threads),
-            reply.value().morsel_joins ? 1 : 0,
-            reply.value().fuse_aggregates ? 1 : 0);
+        std::printf("session options:");
+        PrintKnobs(reply.value().options);
       }
     } else if (cmd == "stats") {
       std::string arg;

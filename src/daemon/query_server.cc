@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <string_view>
+#include <type_traits>
 
 #include "base/str_util.h"
 #include "monet/profiler.h"
@@ -18,12 +20,67 @@ namespace mil = monet::mil;
 
 namespace {
 
-/// SET keys name ExecOptions fields; the canonical spelling may carry an
-/// "exec." prefix ("exec.zone_maps" == "zone_maps").
-std::string StripExecPrefix(const std::string& key) {
+/// Reads / writes one ExecOptions field as a SET value. Booleans read as
+/// 0/1 and turn on for any nonzero value.
+template <auto kField>
+int64_t GetKnob(const mil::ExecOptions& options) {
+  return static_cast<int64_t>(options.*kField);
+}
+
+template <auto kField>
+void SetKnob(mil::ExecOptions& options, int64_t value) {
+  using Field = std::remove_reference_t<decltype(options.*kField)>;
+  if constexpr (std::is_same_v<Field, bool>) {
+    options.*kField = value != 0;
+  } else {
+    options.*kField = static_cast<Field>(value);
+  }
+}
+
+/// One per-session SET knob: its key, the values it accepts, and how it
+/// reads and writes the session's ExecOptions.
+struct Knob {
+  const char* name;
+  int64_t min;
+  int64_t max;
+  int64_t (*get)(const mil::ExecOptions&);
+  void (*set)(mil::ExecOptions&, int64_t);
+};
+
+template <auto kField>
+constexpr Knob MakeKnob(const char* name, int64_t min, int64_t max) {
+  return Knob{name, min, max, &GetKnob<kField>, &SetKnob<kField>};
+}
+
+constexpr int64_t kAnyMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kAnyMax = std::numeric_limits<int64_t>::max();
+
+/// Every per-session SET knob, in echo order. Validation, application
+/// and the SET_OK / STATS echo all loop over this table, so a knob is
+/// one row.
+constexpr Knob kKnobs[] = {
+    MakeKnob<&mil::ExecOptions::num_shards>("num_shards", 0, 1 << 20),
+    MakeKnob<&mil::ExecOptions::num_threads>("num_threads", 0, 1024),
+    MakeKnob<&mil::ExecOptions::zone_maps>("zone_maps", kAnyMin, kAnyMax),
+    MakeKnob<&mil::ExecOptions::topk_prune>("topk_prune", kAnyMin, kAnyMax),
+    MakeKnob<&mil::ExecOptions::recycle>("recycle", kAnyMin, kAnyMax),
+    MakeKnob<&mil::ExecOptions::trace>("trace", kAnyMin, kAnyMax),
+    MakeKnob<&mil::ExecOptions::query_deadline_ms>(  // a day is plenty
+        "query_deadline_ms", 0, 86'400'000),
+    MakeKnob<&mil::ExecOptions::memory_budget_bytes>("memory_budget_bytes",
+                                                     0, kAnyMax),
+};
+
+/// The knob a SET key names, or null; keys may carry an "exec." prefix.
+const Knob* FindKnob(std::string_view key) {
   constexpr std::string_view kPrefix = "exec.";
-  if (key.rfind(kPrefix, 0) == 0) return key.substr(kPrefix.size());
-  return key;
+  if (key.substr(0, kPrefix.size()) == kPrefix) {
+    key.remove_prefix(kPrefix.size());
+  }
+  for (const Knob& knob : kKnobs) {
+    if (key == knob.name) return &knob;
+  }
+  return nullptr;
 }
 
 /// The shared recycler/coalescing key of one query request: the same
@@ -46,7 +103,7 @@ std::string QueryCacheKey(const wire::QueryRequest& request) {
 /// (true for every engine config by the equivalence guarantee, but the
 /// naive interpreter path is kept out of the cache on both ends).
 bool SessionUsesRecycler(const db::QueryOptions& options) {
-  return options.exec.recycle && options.flattened && options.use_engine;
+  return options.exec.recycle && options.flattened;
 }
 
 }  // namespace
@@ -56,36 +113,14 @@ bool SessionUsesRecycler(const db::QueryOptions& options) {
 
 base::Status ServerSession::ValidateOverride(const std::string& key,
                                              int64_t value) {
-  std::string k = StripExecPrefix(key);
-  if (k == "num_shards") {
-    if (value < 0 || value > (1 << 20)) {
-      return base::Status::InvalidArgument(
-          base::StrFormat("num_shards %lld out of range",
-                          static_cast<long long>(value)));
-    }
-  } else if (k == "num_threads") {
-    if (value < 0 || value > 1024) {
-      return base::Status::InvalidArgument(
-          base::StrFormat("num_threads %lld out of range",
-                          static_cast<long long>(value)));
-    }
-  } else if (k == "query_deadline_ms") {
-    if (value < 0 || value > 86'400'000) {  // a day is plenty
-      return base::Status::InvalidArgument(
-          base::StrFormat("query_deadline_ms %lld out of range",
-                          static_cast<long long>(value)));
-    }
-  } else if (k == "memory_budget_bytes") {
-    if (value < 0) {
-      return base::Status::InvalidArgument(
-          base::StrFormat("memory_budget_bytes %lld out of range",
-                          static_cast<long long>(value)));
-    }
-  } else if (k != "morsel_joins" && k != "fuse_aggregates" &&
-             k != "zone_maps" && k != "topk_prune" && k != "recycle" &&
-             k != "trace") {
+  const Knob* knob = FindKnob(key);
+  if (knob == nullptr) {
     return base::Status::InvalidArgument(
         base::StrFormat("unknown SET key \"%s\"", key.c_str()));
+  }
+  if (value < knob->min || value > knob->max) {
+    return base::Status::InvalidArgument(base::StrFormat(
+        "%s %lld out of range", knob->name, static_cast<long long>(value)));
   }
   return base::Status::Ok();
 }
@@ -94,29 +129,8 @@ base::Status ServerSession::ApplyOverride(const std::string& key,
                                           int64_t value) {
   base::Status valid = ValidateOverride(key, value);
   if (!valid.ok()) return valid;
-  std::string k = StripExecPrefix(key);
   std::lock_guard<std::mutex> lock(mu_);
-  if (k == "num_shards") {
-    options_.exec.num_shards = static_cast<size_t>(value);
-  } else if (k == "num_threads") {
-    options_.exec.num_threads = static_cast<int>(value);
-  } else if (k == "morsel_joins") {
-    options_.exec.morsel_joins = value != 0;
-  } else if (k == "zone_maps") {
-    options_.exec.zone_maps = value != 0;
-  } else if (k == "topk_prune") {
-    options_.exec.topk_prune = value != 0;
-  } else if (k == "recycle") {
-    options_.exec.recycle = value != 0;
-  } else if (k == "trace") {
-    options_.exec.trace = value != 0;
-  } else if (k == "query_deadline_ms") {
-    options_.exec.query_deadline_ms = static_cast<uint64_t>(value);
-  } else if (k == "memory_budget_bytes") {
-    options_.exec.memory_budget_bytes = static_cast<uint64_t>(value);
-  } else {
-    options_.exec.fuse_aggregates = value != 0;
-  }
+  FindKnob(key)->set(options_.exec, value);
   return base::Status::Ok();
 }
 
@@ -130,16 +144,9 @@ wire::SessionStatsEntry ServerSession::StatsEntry() const {
   entry.plan_cache_hits = exec_.plan_cache_hits();
   entry.plan_cache_lookups = exec_.plan_cache_lookups();
   std::lock_guard<std::mutex> lock(mu_);
-  entry.options.num_shards = options_.exec.num_shards;
-  entry.options.num_threads = options_.exec.num_threads;
-  entry.options.morsel_joins = options_.exec.morsel_joins;
-  entry.options.fuse_aggregates = options_.exec.fuse_aggregates;
-  entry.options.zone_maps = options_.exec.zone_maps;
-  entry.options.topk_prune = options_.exec.topk_prune;
-  entry.options.query_deadline_ms = options_.exec.query_deadline_ms;
-  entry.options.memory_budget_bytes = options_.exec.memory_budget_bytes;
-  entry.options.recycle = options_.exec.recycle;
-  entry.options.trace = options_.exec.trace;
+  for (const Knob& knob : kKnobs) {
+    entry.options.emplace_back(knob.name, knob.get(options_.exec));
+  }
   return entry;
 }
 
@@ -679,8 +686,8 @@ void QueryServer::HandleInlineLocked(Conn* c, wire::FrameType type,
       if (!applied.ok()) {
         EnqueueErrorLocked(c, applied);
       } else {
-        wire::SessionStatsEntry entry = c->session->StatsEntry();
-        std::vector<uint8_t> rp = wire::EncodeSetReply(entry.options);
+        wire::SetReply reply{c->session->StatsEntry().options};
+        std::vector<uint8_t> rp = wire::EncodeSetRequest(reply);
         EnqueueFrameLocked(c, wire::FrameType::kSetOk, rp.data(), rp.size());
       }
       break;

@@ -495,6 +495,31 @@ base::Status Malformed(const char* what) {
       base::StrFormat("malformed %s payload", what));
 }
 
+/// The knob list of SET, SET_OK and the STATS session entries: a u32
+/// count, then (key, i64) pairs.
+void WriteKnobs(Writer* w, const KnobValues& knobs) {
+  w->U32(static_cast<uint32_t>(knobs.size()));
+  for (const auto& [key, value] : knobs) {
+    w->Str(key);
+    w->I64(value);
+  }
+}
+
+bool ReadKnobs(Reader* r, KnobValues* knobs) {
+  uint32_t n = 0;
+  if (!r->U32(&n)) return false;
+  // Reserve only what the remaining payload could hold (>= 12 bytes per
+  // pair): a hostile count in a tiny frame must fail below, not allocate.
+  knobs->reserve(std::min<size_t>(n, r->remaining() / 12 + 1));
+  for (uint32_t i = 0; i < n; ++i) {
+    std::string key;
+    int64_t value = 0;
+    if (!r->Str(&key) || !r->I64(&value)) return false;
+    knobs->emplace_back(std::move(key), value);
+  }
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -575,65 +600,14 @@ base::Result<QueryRequest> DecodeQueryRequest(const std::vector<uint8_t>& p) {
 
 std::vector<uint8_t> EncodeSetRequest(const SetRequest& m) {
   Writer w;
-  w.U32(static_cast<uint32_t>(m.options.size()));
-  for (const auto& [key, value] : m.options) {
-    w.Str(key);
-    w.I64(value);
-  }
+  WriteKnobs(&w, m.options);
   return w.Take();
 }
 
 base::Result<SetRequest> DecodeSetRequest(const std::vector<uint8_t>& p) {
   Reader r(p);
   SetRequest m;
-  uint32_t n = 0;
-  if (!r.U32(&n)) return Malformed("SET");
-  m.options.reserve(std::min<size_t>(n, r.remaining() / 12 + 1));
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string key;
-    int64_t value = 0;
-    if (!r.Str(&key) || !r.I64(&value)) return Malformed("SET");
-    m.options.emplace_back(std::move(key), value);
-  }
-  return m;
-}
-
-std::vector<uint8_t> EncodeSetReply(const SetReply& m) {
-  Writer w;
-  w.U64(m.num_shards);
-  w.I64(m.num_threads);
-  w.U8(m.morsel_joins ? 1 : 0);
-  w.U8(m.fuse_aggregates ? 1 : 0);
-  w.U8(m.zone_maps ? 1 : 0);
-  w.U8(m.topk_prune ? 1 : 0);
-  w.U64(m.query_deadline_ms);
-  w.U64(m.memory_budget_bytes);
-  w.U8(m.recycle ? 1 : 0);
-  w.U8(m.trace ? 1 : 0);
-  return w.Take();
-}
-
-base::Result<SetReply> DecodeSetReply(const std::vector<uint8_t>& p) {
-  Reader r(p);
-  SetReply m;
-  uint8_t morsel = 0;
-  uint8_t fuse = 0;
-  uint8_t zones = 0;
-  uint8_t topk = 0;
-  uint8_t recycle = 0;
-  uint8_t trace = 0;
-  if (!r.U64(&m.num_shards) || !r.I64(&m.num_threads) || !r.U8(&morsel) ||
-      !r.U8(&fuse) || !r.U8(&zones) || !r.U8(&topk) ||
-      !r.U64(&m.query_deadline_ms) || !r.U64(&m.memory_budget_bytes) ||
-      !r.U8(&recycle) || !r.U8(&trace)) {
-    return Malformed("SET reply");
-  }
-  m.morsel_joins = morsel != 0;
-  m.fuse_aggregates = fuse != 0;
-  m.zone_maps = zones != 0;
-  m.topk_prune = topk != 0;
-  m.recycle = recycle != 0;
-  m.trace = trace != 0;
+  if (!ReadKnobs(&r, &m.options)) return Malformed("SET");
   return m;
 }
 
@@ -884,8 +858,7 @@ std::vector<uint8_t> EncodeStatsReply(const StatsReply& m) {
     w.U64(s.plan_cache_size);
     w.U64(s.plan_cache_hits);
     w.U64(s.plan_cache_lookups);
-    std::vector<uint8_t> options = EncodeSetReply(s.options);
-    w.buffer()->insert(w.buffer()->end(), options.begin(), options.end());
+    WriteKnobs(&w, s.options);
   }
   WriteClassLatency(&w, m.server.latency_query);
   WriteClassLatency(&w, m.server.latency_append);
@@ -991,32 +964,15 @@ base::Result<StatsReply> DecodeStatsReply(const std::vector<uint8_t>& p) {
     return Malformed("STATS reply");
   }
   m.sessions.reserve(
-      std::min<size_t>(num_sessions, r.remaining() / 70 + 1));
+      std::min<size_t>(num_sessions, r.remaining() / 56 + 1));
   for (uint32_t i = 0; i < num_sessions; ++i) {
     SessionStatsEntry s;
-    uint8_t morsel = 0;
-    uint8_t fuse = 0;
-    uint8_t zones = 0;
-    uint8_t topk = 0;
-    uint8_t recycle = 0;
-    uint8_t trace = 0;
     if (!r.U64(&s.session_id) || !r.Str(&s.client_name) ||
         !r.U64(&s.requests) || !r.U64(&s.errors) ||
         !r.U64(&s.plan_cache_size) || !r.U64(&s.plan_cache_hits) ||
-        !r.U64(&s.plan_cache_lookups) || !r.U64(&s.options.num_shards) ||
-        !r.I64(&s.options.num_threads) || !r.U8(&morsel) || !r.U8(&fuse) ||
-        !r.U8(&zones) || !r.U8(&topk) ||
-        !r.U64(&s.options.query_deadline_ms) ||
-        !r.U64(&s.options.memory_budget_bytes) || !r.U8(&recycle) ||
-        !r.U8(&trace)) {
+        !r.U64(&s.plan_cache_lookups) || !ReadKnobs(&r, &s.options)) {
       return Malformed("STATS reply");
     }
-    s.options.morsel_joins = morsel != 0;
-    s.options.fuse_aggregates = fuse != 0;
-    s.options.zone_maps = zones != 0;
-    s.options.topk_prune = topk != 0;
-    s.options.recycle = recycle != 0;
-    s.options.trace = trace != 0;
     m.sessions.push_back(std::move(s));
   }
   // Latency histograms and the slow-query ring ride after the session

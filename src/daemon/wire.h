@@ -157,8 +157,9 @@ enum class FrameType : uint8_t {
 /// 4 GB request).
 constexpr uint32_t kMaxFramePayload = 1u << 28;  // 256 MiB
 
-/// Protocol revision, negotiated in HELLO.
-constexpr uint32_t kProtocolVersion = 1;
+/// Protocol revision, negotiated in HELLO. Revision 2 carries SET_OK and
+/// the STATS session entries as knob lists.
+constexpr uint32_t kProtocolVersion = 2;
 
 struct Frame {
   FrameType type = FrameType::kError;
@@ -226,33 +227,23 @@ struct DeleteReply {
   uint64_t deleted = 0;  // rows newly deleted (idempotent re-deletes: 0)
 };
 
+/// Per-session execution knobs as (key, value) pairs; booleans are 0/1.
+using KnobValues = std::vector<std::pair<std::string, int64_t>>;
+
 /// SET: integer-valued per-session execution overrides, applied to the
-/// session's ExecOptions (booleans are 0/1). Known keys: "num_shards",
-/// "num_threads", "morsel_joins", "fuse_aggregates", "zone_maps",
-/// "topk_prune", "recycle" (cross-request result/candidate reuse),
-/// "trace" (per-query instruction tracing; fetch with TRACE),
-/// "query_deadline_ms" (0 = no deadline), "memory_budget_bytes" (0 = no
-/// budget); each also accepts an "exec." prefix ("exec.zone_maps").
-/// A SET frame is validated as a whole before any key applies — one bad
-/// key leaves the session's options untouched.
+/// session's ExecOptions. The server's knob table (daemon/query_server.cc)
+/// defines the keys and their ranges; every key also accepts an "exec."
+/// prefix, and booleans turn on for any nonzero value. A SET frame is
+/// validated as a whole before any key applies — one bad key leaves the
+/// session's options untouched.
 struct SetRequest {
-  std::vector<std::pair<std::string, int64_t>> options;
+  KnobValues options;
 };
 
-/// SET ack echoes the session's effective overrides, so clients (and the
-/// isolation tests) can observe exactly what their session runs with.
-struct SetReply {
-  uint64_t num_shards = 0;  // 0 = inherit the database default
-  int64_t num_threads = 0;  // 0 = auto
-  bool morsel_joins = true;
-  bool fuse_aggregates = true;
-  bool zone_maps = true;
-  bool topk_prune = true;
-  uint64_t query_deadline_ms = 0;     // 0 = no deadline
-  uint64_t memory_budget_bytes = 0;   // 0 = no per-query memory budget
-  bool recycle = true;                // cross-request result/candidate reuse
-  bool trace = false;                 // per-query MIL instruction tracing
-};
+/// SET ack: every knob's effective value for the session, in knob-table
+/// order and encoded exactly like a SetRequest, so clients (and the
+/// isolation tests) observe what their session runs with.
+using SetReply = SetRequest;
 
 /// A query result: a serialized result table (element oid -> value) or a
 /// scalar, exactly mirroring moa::EvalOutput.
@@ -396,7 +387,7 @@ struct SessionStatsEntry {
   uint64_t plan_cache_size = 0;
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_lookups = 0;
-  SetReply options;  // the session's effective overrides
+  KnobValues options;  // the session's effective knobs, as in SET_OK
 };
 
 struct StatsReply {
@@ -416,6 +407,7 @@ base::Result<HelloReply> DecodeHelloReply(const std::vector<uint8_t>& p);
 std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& m);
 base::Result<QueryRequest> DecodeQueryRequest(const std::vector<uint8_t>& p);
 
+// SET and SET_OK (a SetReply) share one payload layout.
 std::vector<uint8_t> EncodeSetRequest(const SetRequest& m);
 base::Result<SetRequest> DecodeSetRequest(const std::vector<uint8_t>& p);
 
@@ -430,9 +422,6 @@ base::Result<DeleteRequest> DecodeDeleteRequest(const std::vector<uint8_t>& p);
 
 std::vector<uint8_t> EncodeDeleteReply(const DeleteReply& m);
 base::Result<DeleteReply> DecodeDeleteReply(const std::vector<uint8_t>& p);
-
-std::vector<uint8_t> EncodeSetReply(const SetReply& m);
-base::Result<SetReply> DecodeSetReply(const std::vector<uint8_t>& p);
 
 std::vector<uint8_t> EncodeResultReply(const moa::EvalOutput& out);
 base::Result<ResultReply> DecodeResultReply(const std::vector<uint8_t>& p);

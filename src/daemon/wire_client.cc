@@ -104,14 +104,11 @@ base::Result<ResultReply> WireClient::Query(
   }
 }
 
-base::Result<SetReply> WireClient::Set(
-    const std::vector<std::pair<std::string, int64_t>>& options) {
-  SetRequest req;
-  req.options = options;
-  auto reply =
-      RoundTrip(FrameType::kSet, EncodeSetRequest(req), FrameType::kSetOk);
+base::Result<SetReply> WireClient::Set(const KnobValues& options) {
+  auto reply = RoundTrip(FrameType::kSet, EncodeSetRequest({options}),
+                         FrameType::kSetOk);
   if (!reply.ok()) return reply.status();
-  return DecodeSetReply(reply.value().payload);
+  return DecodeSetRequest(reply.value().payload);
 }
 
 base::Result<AppendReply> WireClient::Append(const std::string& bat_name,

@@ -39,10 +39,9 @@ class WireClient {
   base::Result<ResultReply> Query(const std::string& text,
                                   const moa::QueryContext& bindings);
 
-  /// Applies per-session execution overrides; returns the session's
-  /// effective overrides after the change.
-  base::Result<SetReply> Set(
-      const std::vector<std::pair<std::string, int64_t>>& options);
+  /// Applies per-session execution overrides; returns every knob's
+  /// effective value after the change.
+  base::Result<SetReply> Set(const KnobValues& options);
 
   /// Durably appends values to one named BAT (kAppendOk arrives only
   /// after the server's WAL fsync).

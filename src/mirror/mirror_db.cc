@@ -434,26 +434,21 @@ base::Result<moa::EvalOutput> MirrorDb::ExecuteProgramLocked(
     }
     MIRROR_RETURN_IF_ERROR(EnsureRecovered(names));
   }
-  base::Result<mil::RunResult> run = base::Status::Internal("unreachable");
-  if (options.use_engine) {
-    // num_shards == 0 inherits the database default (LoadSharded), so
-    // callers that never heard of sharding run sharded transparently;
-    // an explicit 1 pins the unsharded engine.
-    mil::ExecOptions exec = options.exec;
-    if (exec.num_shards == 0) exec.num_shards = default_shards_;
-    if (exec.recycle) {
-      // Arm the server-wide recycler, capturing the generation BEFORE
-      // the engine reads any catalog state: a mutation landing after
-      // this point advances the generation twice (double fence), so
-      // whatever this execution computes is refused on insert.
-      exec.recycler = &recycler_;
-      exec.recycler_generation = recycler_.generation();
-    }
-    mil::ExecutionEngine engine(&logical_.catalog(), exec);
-    run = engine.Run(program, session);
-  } else {
-    run = mil::Executor(&logical_.catalog()).Run(program);
+  // num_shards == 0 inherits the database default (LoadSharded), so
+  // callers that never heard of sharding run sharded transparently; an
+  // explicit 1 pins the unsharded engine.
+  mil::ExecOptions exec = options.exec;
+  if (exec.num_shards == 0) exec.num_shards = default_shards_;
+  if (exec.recycle) {
+    // Arm the server-wide recycler, capturing the generation BEFORE the
+    // engine reads any catalog state: a mutation landing after this
+    // point advances the generation twice (double fence), so whatever
+    // this execution computes is refused on insert.
+    exec.recycler = &recycler_;
+    exec.recycler_generation = recycler_.generation();
   }
+  base::Result<mil::RunResult> run =
+      mil::ExecutionEngine(&logical_.catalog(), exec).Run(program, session);
   if (!run.ok()) return run.status();
   moa::EvalOutput out;
   if (run.value().is_scalar) {

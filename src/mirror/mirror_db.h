@@ -33,11 +33,8 @@ struct QueryOptions {
   bool flattened = true;
   /// Algebraic rewriting + optimized physical translation + MIL peephole.
   bool optimize = true;
-  /// Vectorized engine knobs: worker threads and candidate pipelines.
+  /// Vectorized engine knobs: threads, shards, pruning, recycling.
   monet::mil::ExecOptions exec;
-  /// When false, runs the legacy materializing sequential Executor
-  /// instead of the ExecutionEngine (the E-series baseline).
-  bool use_engine = true;
 };
 
 /// Acknowledgement of a durable write: the WAL position that covers it
@@ -215,8 +212,7 @@ class MirrorDb {
       const QueryOptions& options = QueryOptions(),
       monet::mil::ExecutionContext* session = nullptr) const;
 
-  /// Runs an already-prepared query on the vectorized engine (or the
-  /// legacy sequential Executor when options.use_engine is false).
+  /// Runs an already-prepared query on the vectorized engine.
   base::Result<moa::EvalOutput> Execute(
       const PreparedQuery& prepared,
       const QueryOptions& options = QueryOptions(),

@@ -22,8 +22,8 @@ struct OptimizerReport {
   /// vectors without materializing (diagnostic).
   int candidate_chain_links = 0;
   /// Join inputs fed by candidate-pipeline producers: joins the radix
-  /// engine (ExecOptions.morsel_joins) will probe/build directly over
-  /// candidate views instead of materializing them (diagnostic).
+  /// engine will probe/build directly over candidate views instead of
+  /// materializing them (diagnostic).
   int join_input_fusions = 0;
   /// scalar.sum(topn(x, 1)) detours rewritten into dedicated scalar.fold
   /// instructions (max/min skip the bounded sort; the fold opcode is also

@@ -240,8 +240,8 @@ Bat JoinCand(const Bat& l, const CandidateList* lcands, const Bat& r,
              const CandidateList* rcands, const MorselExec& mx = {});
 
 /// The pre-radix single-threaded build/probe hash join, kept verbatim as
-/// the sequential Executor's implementation and the perf baseline behind
-/// ExecOptions.morsel_joins = false.
+/// the sequential Executor's join and the output-order reference the
+/// join tests compare the radix pipeline against.
 Bat JoinLegacy(const Bat& l, const Bat& r);
 
 /// A reusable join build side: the radix-clustered table over `r` (at the

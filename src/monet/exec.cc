@@ -171,9 +171,6 @@ TopKPlan BuildTopKPlan(const Program& program) {
 /// resources into the kernels (null pool when running single-threaded).
 struct RunState {
   const Catalog* catalog;
-  bool use_candidates;
-  bool fuse_aggregates;
-  bool morsel_joins;
   bool zone_maps;
   bool topk_prune;
   const TopKPlan* topk;
@@ -550,8 +547,9 @@ bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
 }
 
 /// Executes one instruction against the register file. The selection
-/// family produces candidate views; everything else is a pipeline breaker
-/// that materializes its inputs.
+/// family produces candidate views, which joins and aggregates consume
+/// directly; everything else is a pipeline breaker that materializes its
+/// inputs.
 base::Status ExecInstr(RunState& st, const Instr& i) {
   // Instruction boundaries are the engine-level abort checkpoints
   // (morsel drivers check between morsels below the kernel layer); an
@@ -565,7 +563,7 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
       OpCodeName(i.op), st.trace_shard);
   auto mat1 = [&]() { return MatInput(st, i.src1); };
 
-  if (st.use_candidates && IsCandidatePipelineOp(i.op)) {
+  if (IsCandidatePipelineOp(i.op)) {
     BatPtr base;
     std::shared_ptr<const CandidateList> cands;
     MIRROR_RETURN_IF_ERROR(CandInput(st, i.src0, &base, &cands));
@@ -656,9 +654,8 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
 
   // Radix joins consume candidate views on both sides directly (probing
   // the base BATs at the candidate positions), so select→join plans
-  // never call Materialize(). With the knob off, the join materializes
-  // its inputs and runs the pre-radix JoinLegacy below.
-  if (st.use_candidates && st.morsel_joins && i.op == OpCode::kJoin) {
+  // never call Materialize().
+  if (i.op == OpCode::kJoin) {
     BatPtr lbase;
     std::shared_ptr<const CandidateList> lcands;
     MIRROR_RETURN_IF_ERROR(CandInput(st, i.src0, &lbase, &lcands));
@@ -673,9 +670,9 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
   // Fused aggregation: when the source register still holds a candidate
   // view, group-by / topN / scalar aggregates read the base BAT at the
   // candidate positions directly, so select→agg plans never call
-  // Materialize(). Registers already collapsed to a BAT (or with
-  // candidates disabled) fall through to the materializing path below.
-  if (st.use_candidates && st.fuse_aggregates && IsFusableAggOp(i.op)) {
+  // Materialize(). Registers already collapsed to a BAT fall through to
+  // the materializing path below.
+  if (IsFusableAggOp(i.op)) {
     BatPtr base;
     std::shared_ptr<const CandidateList> cands;
     MIRROR_RETURN_IF_ERROR(CandInput(st, i.src0, &base, &cands));
@@ -719,45 +716,6 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
   if (!l.ok()) return l.status();
   const Bat& b0 = *l.value();
   switch (i.op) {
-    case OpCode::kSelectEq:
-      PutBat(st, i.dst, SelectEq(b0, i.imm0));
-      break;
-    case OpCode::kSelectNeq:
-      PutBat(st, i.dst, SelectNeq(b0, i.imm0));
-      break;
-    case OpCode::kSelectCmp:
-      PutBat(st, i.dst, SelectCmp(b0, i.cmp_op, i.imm0));
-      break;
-    case OpCode::kSelectRange:
-      PutBat(st, i.dst, SelectRange(b0, i.imm0, i.imm1, i.flag0, i.flag1));
-      break;
-    case OpCode::kJoin: {
-      auto r = mat1();
-      if (!r.ok()) return r.status();
-      // Reached only with morsel_joins (or candidates) off: the
-      // materializing baseline runs the pre-radix join.
-      PutBat(st, i.dst, st.morsel_joins ? Join(b0, *r.value(), st.mx)
-                                        : JoinLegacy(b0, *r.value()));
-      break;
-    }
-    case OpCode::kSemiJoinHead: {
-      auto r = mat1();
-      if (!r.ok()) return r.status();
-      PutBat(st, i.dst, SemiJoinHead(b0, *r.value()));
-      break;
-    }
-    case OpCode::kAntiJoinHead: {
-      auto r = mat1();
-      if (!r.ok()) return r.status();
-      PutBat(st, i.dst, AntiJoinHead(b0, *r.value()));
-      break;
-    }
-    case OpCode::kSemiJoinTail: {
-      auto r = mat1();
-      if (!r.ok()) return r.status();
-      PutBat(st, i.dst, SemiJoinTail(b0, *r.value()));
-      break;
-    }
     case OpCode::kReverse:
       PutBat(st, i.dst, Reverse(b0));
       break;
@@ -785,18 +743,11 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
       }
       break;
     }
-    case OpCode::kScalarBin:
-      MIRROR_UNREACHABLE();  // handled above (scalar sources)
-      break;
     case OpCode::kUniqueTail:
       PutBat(st, i.dst, UniqueTail(b0));
       break;
     case OpCode::kUniqueHead:
       PutBat(st, i.dst, UniqueHead(b0));
-      break;
-    case OpCode::kSlice:
-      PutBat(st, i.dst, Slice(b0, static_cast<size_t>(i.n),
-                              static_cast<size_t>(i.n2)));
       break;
     case OpCode::kConcat: {
       auto r = mat1();
@@ -858,8 +809,19 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
     case OpCode::kScalarFold:
       PutScalar(st, i.dst, ScalarFold(b0, i.fold_op));
       break;
+    // Handled above: candidate producers, joins, loads and scalar math.
+    case OpCode::kSelectEq:
+    case OpCode::kSelectNeq:
+    case OpCode::kSelectCmp:
+    case OpCode::kSelectRange:
+    case OpCode::kSemiJoinHead:
+    case OpCode::kAntiJoinHead:
+    case OpCode::kSemiJoinTail:
+    case OpCode::kSlice:
+    case OpCode::kJoin:
     case OpCode::kLoadNamed:
     case OpCode::kConstBat:
+    case OpCode::kScalarBin:
       MIRROR_UNREACHABLE();
       break;
   }
@@ -940,16 +902,16 @@ int DagWidth(const Dag& dag) {
   return width;
 }
 
-/// True when some instruction can split its input into morsels under
-/// these options (the select/semijoin/slice family, aggregates, and the
-/// Materialize() at pipeline breakers, which only exists with candidate
-/// pipelines on).
+/// True when some instruction can split its input into morsels: the
+/// select/semijoin/slice family (and the Materialize() of its views at
+/// pipeline breakers), radix joins, and aggregates.
 bool HasMorselEligibleOp(const Program& program, const ExecOptions& options) {
   if (options.morsel_size == 0) return false;
   for (const Instr& i : program.instrs()) {
-    if (options.use_candidates && IsCandidatePipelineOp(i.op)) return true;
-    if (options.morsel_joins && i.op == OpCode::kJoin) return true;
-    if (IsFusableAggOp(i.op)) return true;
+    if (IsCandidatePipelineOp(i.op) || i.op == OpCode::kJoin ||
+        IsFusableAggOp(i.op)) {
+      return true;
+    }
   }
   return false;
 }
@@ -1189,8 +1151,7 @@ base::Status RunSharded(ShardRunState& sst, const Program& program) {
          i.op == OpCode::kMaxPerHead || i.op == OpCode::kMinPerHead ||
          i.op == OpCode::kAvgPerHead) &&
         shape_of(i.src0) == RegShape::kSharded &&
-        domain_of(i.src0) != nullptr && g.use_candidates &&
-        g.fuse_aggregates) {
+        domain_of(i.src0) != nullptr) {
       const std::vector<ShardRange>* dom = domain_of(i.src0);
       MIRROR_RETURN_IF_ERROR(ExecShardFanout(
           sst, i, dom, [&](RunState& st, size_t s) {
@@ -1282,8 +1243,7 @@ base::Status RunSharded(ShardRunState& sst, const Program& program) {
     // build table. A sharded build side is broadcast (gathered) first —
     // the cross-shard join case; a build fed by a bare load broadcasts
     // for free off the base catalog.
-    if (i.op == OpCode::kJoin && g.use_candidates && g.morsel_joins &&
-        shape_of(i.src0) == RegShape::kSharded) {
+    if (i.op == OpCode::kJoin && shape_of(i.src0) == RegShape::kSharded) {
       MIRROR_RETURN_IF_ERROR(GatherReg(sst, i.src1));
       BatPtr rbase;
       std::shared_ptr<const CandidateList> rcands;
@@ -1423,9 +1383,6 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
   if (options_.topk_prune) topk_plan = BuildTopKPlan(program);
 
   RunState st{catalog_,
-              options_.use_candidates,
-              options_.fuse_aggregates,
-              options_.morsel_joins,
               options_.zone_maps,
               options_.topk_prune,
               &topk_plan,
@@ -1510,9 +1467,8 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
     sst.shard.reserve(S);
     for (size_t s = 0; s < S; ++s) {
       sst.shard.emplace_back(new RunState{
-          &shard_layout->shard(s), options_.use_candidates,
-          options_.fuse_aggregates, options_.morsel_joins, options_.zone_maps,
-          options_.topk_prune, &topk_plan, st.mx, &shard_regs[s]});
+          &shard_layout->shard(s), options_.zone_maps, options_.topk_prune,
+          &topk_plan, st.mx, &shard_regs[s]});
       // Shard states record no instruction spans themselves (trace stays
       // null; ExecShardFanout attributes per shard), but their morsel
       // drivers tag morsel spans with the owning shard.
@@ -1537,8 +1493,7 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
     // of its sole kLoadNamed writer, so selects over base BATs can key
     // predicate cache entries. Multi-writer registers (non-SSA programs)
     // stay unmapped and bypass the cache.
-    if (options_.recycle && options_.recycler != nullptr &&
-        options_.use_candidates) {
+    if (options_.recycle && options_.recycler != nullptr) {
       const size_t num_regs = static_cast<size_t>(program.num_regs());
       reg_load_names.assign(num_regs, std::string());
       std::vector<int> writers(num_regs, 0);

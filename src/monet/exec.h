@@ -23,8 +23,7 @@ class QueryTrace;  // monet/trace.h
 namespace mirror::monet::mil {
 
 /// Tuning knobs of the vectorized execution engine. Defaults adapt to
-/// the host (see num_threads) with candidate pipelines, morsel splitting
-/// and fused aggregation enabled.
+/// the host (see num_threads).
 struct ExecOptions {
   /// Worker threads scheduling MIL instructions AND morsels within one
   /// instruction. 0 means "auto": std::thread::hardware_concurrency(),
@@ -33,11 +32,6 @@ struct ExecOptions {
   /// plans on small hosts skip the scheduling overhead entirely.
   /// 1 executes in program order on the calling thread (no pool).
   int num_threads = 0;
-  /// When true, the selection/semijoin/slice family runs over candidate
-  /// lists and tuples are copied only at pipeline breakers. When false,
-  /// every operator materializes its result — the classic `Executor`
-  /// behavior, kept as the experiment baseline.
-  bool use_candidates = true;
   /// Morsel granularity for intra-operator parallelism: a hot kernel
   /// (select family, semijoin probes, join clustering and probes,
   /// materializing gathers, candidate-aware aggregates) whose input
@@ -47,19 +41,6 @@ struct ExecOptions {
   /// set stays cache-resident. 0 disables morsel splitting. Only
   /// effective when more than one worker thread is in play.
   size_t morsel_size = DefaultMorselSize();
-  /// When true, aggregates over a candidate view (group-by, prob
-  /// combinators, topN, scalar sum/count) read the base BAT at the
-  /// candidate positions directly instead of Materialize()-ing first:
-  /// the last pipeline breaker of select→aggregate plans disappears.
-  /// When false, aggregates materialize their input — the pre-fusion
-  /// engine, kept as the benchmark baseline.
-  bool fuse_aggregates = true;
-  /// When true, the general hash Join runs as the radix-partitioned,
-  /// morsel-parallel pipeline and consumes candidate views directly
-  /// (JoinCand — select→join plans keep zero Materialize() calls). When
-  /// false, joins materialize both inputs and run the pre-radix
-  /// single-threaded JoinLegacy — the benchmark baseline.
-  bool morsel_joins = true;
   /// Radix partition count for join build sides: 0 derives it from the
   /// estimated L2 budget; an explicit power of two forces it (tests use
   /// this to exercise multi-partition clustering on small inputs).
@@ -221,12 +202,12 @@ bool IsShardLocalUnaryOp(OpCode op);
 /// within an instruction, hot kernels split large inputs into morsels on
 /// the same pool. The selection family runs over candidate vectors, and
 /// aggregates fuse onto candidate views, leaving explicit
-/// materialization only at the true pipeline breakers (sort, join
-/// sides, map arithmetic, result delivery).
+/// materialization only at the true pipeline breakers (sort, map
+/// arithmetic, result delivery).
 ///
-/// Replaces the stateless sequential `Executor` as the production path;
-/// the old interpreter remains as the E-series baseline and the fuzz
-/// suite's second oracle.
+/// The only production interpreter. The stateless sequential `Executor`
+/// (monet/mil.h) is reached by no production path or knob: it stays as
+/// the MIL-level test oracle and the E3 benchmark baseline.
 class ExecutionEngine {
  public:
   /// The catalog must outlive the engine. May be null if programs use no

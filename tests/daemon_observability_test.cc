@@ -179,7 +179,7 @@ TEST(ObservabilityCodecTest, StatsReplyCarriesHistogramsAndSlowQueries) {
   wire::SessionStatsEntry session;
   session.session_id = 4;
   session.client_name = "c";
-  session.options.trace = true;
+  session.options = {{"trace", 1}, {"num_shards", 4}};
   reply.sessions.push_back(session);
 
   auto decoded = wire::DecodeStatsReply(wire::EncodeStatsReply(reply));
@@ -193,7 +193,7 @@ TEST(ObservabilityCodecTest, StatsReplyCarriesHistogramsAndSlowQueries) {
   EXPECT_EQ(decoded.value().server.slow_queries[0].bindings_key, "q=sun");
   EXPECT_EQ(decoded.value().server.slow_queries[0].total_micros, 120000u);
   ASSERT_EQ(decoded.value().sessions.size(), 1u);
-  EXPECT_TRUE(decoded.value().sessions[0].options.trace);
+  EXPECT_EQ(decoded.value().sessions[0].options, session.options);
 }
 
 TEST(ObservabilityCodecTest, TraceReplyRoundTrip) {
@@ -256,7 +256,10 @@ TEST(TraceWireTest, ShardedTracedQueryReturnsFullInstructionCoverage) {
   auto set = client.Set({{"exec.trace", 1}, {"exec.recycle", 0},
                          {"num_shards", 2}, {"num_threads", 2}});
   ASSERT_TRUE(set.ok()) << set.status().ToString();
-  EXPECT_TRUE(set.value().trace);
+  const wire::KnobValues& echo = set.value().options;
+  EXPECT_EQ((std::map<std::string, int64_t>(echo.begin(), echo.end())
+                 .at("trace")),
+            1);
 
   moa::QueryContext ctx;
   auto result =

@@ -1,6 +1,7 @@
 // The recycler observed through the daemon: a hot query is answered
 // from the result cache bit-identically to direct execution, the
-// exec.recycle knob gates it per session (both SET spellings), every
+// exec.recycle knob gates it per session (both SET spellings; every knob
+// the SET_OK echo lists takes both and rejects atomically), every
 // catalog mutation path — APPEND, DELETE, Load, Recover — bumps the
 // load generation and drops cached state, and no session ever reads a
 // stale reply, including coalesced followers racing a concurrent
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +47,11 @@ void BuildDb(db::MirrorDb* database, uint64_t seed, int rows) {
          moa::MoaValue::Int(rng.UniformInt(0, 1000))}));
   }
   ASSERT_TRUE(database->Load("Cat", std::move(tuples)).ok());
+}
+
+/// A SET_OK echo or STATS session entry's knobs, by key.
+std::map<std::string, int64_t> Knobs(const wire::KnobValues& knobs) {
+  return {knobs.begin(), knobs.end()};
 }
 
 /// Scalar replies compared exactly; BAT replies row by row.
@@ -113,27 +120,16 @@ TEST(DaemonRecyclerTest, RecycleKnobAcceptsBothSpellingsAndGatesTheCache) {
   wire::WireClient client(std::move(client_end));
   ASSERT_TRUE(client.Hello("knobs").ok());
 
-  // Every SET knob accepts the bare and the exec.-prefixed spelling.
-  for (const char* key :
-       {"num_shards", "num_threads", "query_deadline_ms",
-        "memory_budget_bytes", "morsel_joins", "fuse_aggregates",
-        "zone_maps", "topk_prune", "recycle"}) {
-    auto bare = client.Set({{key, 0}});
-    ASSERT_TRUE(bare.ok()) << key << ": " << bare.status().ToString();
-    auto prefixed = client.Set({{std::string("exec.") + key, 0}});
-    ASSERT_TRUE(prefixed.ok())
-        << "exec." << key << ": " << prefixed.status().ToString();
-  }
   // The SET reply echoes the knob; a bad key still fails atomically.
   auto off = client.Set({{"exec.recycle", 0}});
   ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off.value().recycle);
+  EXPECT_EQ(Knobs(off.value().options).at("recycle"), 0);
   auto bad = client.Set({{"recycle", 1}, {"no_such_knob", 1}});
   ASSERT_FALSE(bad.ok());
   auto echo = client.Stats();
   ASSERT_TRUE(echo.ok());
   ASSERT_EQ(echo.value().sessions.size(), 1u);
-  EXPECT_FALSE(echo.value().sessions[0].options.recycle)
+  EXPECT_EQ(Knobs(echo.value().sessions[0].options).at("recycle"), 0)
       << "failed SET must not have flipped the knob back on";
 
   // With recycle off, a repeated query never creates or serves entries.
@@ -147,12 +143,76 @@ TEST(DaemonRecyclerTest, RecycleKnobAcceptsBothSpellingsAndGatesTheCache) {
   // Back on: the same query now populates and replays.
   auto on = client.Set({{"recycle", 1}});
   ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(on.value().recycle);
+  EXPECT_EQ(Knobs(on.value().options).at("recycle"), 1);
   ASSERT_TRUE(client.Query("count(select[THIS.rating >= 0](Cat));", ctx).ok());
   ASSERT_TRUE(client.Query("count(select[THIS.rating >= 0](Cat));", ctx).ok());
   rs = database.recycler()->stats();
   EXPECT_EQ(rs.result_entries, 1u);
   EXPECT_GE(rs.result_hits, 1u);
+  ASSERT_TRUE(client.Close().ok());
+  server.Shutdown();
+}
+
+TEST(DaemonRecyclerTest, EveryEchoedKnobTakesBothSpellingsAndRejectsAtomically) {
+  db::MirrorDb database;
+  BuildDb(&database, /*seed=*/10, /*rows=*/200);
+  QueryServer server(&database);
+  auto [client_end, server_end] = wire::CreateChannelPair();
+  server.Serve(std::move(server_end));
+  wire::WireClient client(std::move(client_end));
+  ASSERT_TRUE(client.Hello("knob-table").ok());
+
+  // The key names come from the server's own echo, so every knob in its
+  // table is covered, including knobs added later.
+  auto initial = client.Set({});
+  ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+  const wire::KnobValues defaults = initial.value().options;
+  ASSERT_FALSE(defaults.empty());
+  auto session_entry = [&client]() -> wire::KnobValues {
+    auto stats = client.Stats();
+    if (!stats.ok() || stats.value().sessions.size() != 1) {
+      ADD_FAILURE() << "STATS did not return exactly this session";
+      return {};
+    }
+    return stats.value().sessions[0].options;
+  };
+  EXPECT_EQ(session_entry(), defaults);
+
+  for (const auto& [key, value] : defaults) {
+    auto bare = client.Set({{key, 1}});
+    ASSERT_TRUE(bare.ok()) << key << ": " << bare.status().ToString();
+    EXPECT_EQ(Knobs(bare.value().options).at(key), 1) << key;
+    EXPECT_EQ(bare.value().options, session_entry()) << key;
+    auto prefixed = client.Set({{"exec." + key, value}});
+    ASSERT_TRUE(prefixed.ok())
+        << "exec." << key << ": " << prefixed.status().ToString();
+    EXPECT_EQ(prefixed.value().options, defaults) << "exec." << key;
+    EXPECT_EQ(prefixed.value().options, session_entry()) << "exec." << key;
+  }
+
+  // An out-of-range value fails the whole SET, valid keys beside it
+  // included.
+  const std::pair<std::string, int64_t> out_of_range[] = {
+      {"num_shards", -1},        {"num_shards", (1 << 20) + 1},
+      {"num_threads", -1},       {"num_threads", 1025},
+      {"query_deadline_ms", -1}, {"query_deadline_ms", 86'400'001},
+      {"memory_budget_bytes", -1}};
+  for (const auto& [key, value] : out_of_range) {
+    auto bad = client.Set({{"zone_maps", 0}, {key, value}});
+    ASSERT_FALSE(bad.ok()) << key << "=" << value;
+    EXPECT_EQ(bad.status().code(), base::StatusCode::kInvalidArgument);
+    EXPECT_EQ(session_entry(), defaults)
+        << key << "=" << value << " partially applied";
+  }
+
+  // A removed knob is an unknown key, and nothing in its SET applies.
+  auto removed = client.Set({{"num_threads", 3}, {"morsel_joins", 1}});
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.status().code(), base::StatusCode::kInvalidArgument);
+  EXPECT_NE(removed.status().message().find("unknown SET key"),
+            std::string::npos)
+      << removed.status().ToString();
+  EXPECT_EQ(session_entry(), defaults);
   ASSERT_TRUE(client.Close().ok());
   server.Shutdown();
 }

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -137,6 +138,11 @@ bool EventuallyTrue(Pred pred) {
   return pred();
 }
 
+/// A SET_OK echo or STATS session entry's knobs, by key.
+std::map<std::string, int64_t> Knobs(const wire::KnobValues& knobs) {
+  return {knobs.begin(), knobs.end()};
+}
+
 // ---------------------------------------------------------------------------
 // Wire codec units.
 
@@ -172,6 +178,52 @@ TEST(WireCodecTest, TruncatedBatFailsCleanly) {
     auto decoded = monet::DecodeBat(trunc, &pos);
     EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
   }
+}
+
+TEST(WireCodecTest, KnobListsRoundTripAndRejectEveryTruncation) {
+  // SET, SET_OK and the STATS session entries carry one (key, i64) list.
+  wire::SetReply set;
+  set.options = {{"num_shards", 4},
+                 {"exec.trace", 1},
+                 {"num_threads", -7},
+                 {"memory_budget_bytes", INT64_MAX}};
+  std::vector<uint8_t> bytes = wire::EncodeSetRequest(set);
+  auto decoded = wire::DecodeSetRequest(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().options, set.options);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::vector<uint8_t> trunc(bytes.begin(),
+                               bytes.begin() + static_cast<ptrdiff_t>(cut));
+    EXPECT_FALSE(wire::DecodeSetRequest(trunc).ok()) << "cut at " << cut;
+  }
+
+  wire::StatsReply stats;
+  wire::SessionStatsEntry session;
+  session.session_id = 3;
+  session.client_name = "tenant";
+  session.requests = 9;
+  session.options = set.options;
+  stats.sessions.push_back(session);
+  bytes = wire::EncodeStatsReply(stats);
+  auto round = wire::DecodeStatsReply(bytes);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  ASSERT_EQ(round.value().sessions.size(), 1u);
+  EXPECT_EQ(round.value().sessions[0].client_name, "tenant");
+  EXPECT_EQ(round.value().sessions[0].requests, 9u);
+  EXPECT_EQ(round.value().sessions[0].options, set.options);
+  // Exactly one proper prefix decodes: the pre-histogram layout, which
+  // ends right after the session entries.
+  int decodable = 0;
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::vector<uint8_t> trunc(bytes.begin(),
+                               bytes.begin() + static_cast<ptrdiff_t>(cut));
+    auto partial = wire::DecodeStatsReply(trunc);
+    if (!partial.ok()) continue;
+    ++decodable;
+    ASSERT_EQ(partial.value().sessions.size(), 1u) << "cut at " << cut;
+    EXPECT_EQ(partial.value().sessions[0].options, set.options);
+  }
+  EXPECT_EQ(decodable, 1);
 }
 
 TEST(WireCodecTest, QueryRequestRoundTripsBindings) {
@@ -643,19 +695,20 @@ TEST(QueryServerTest, SetOverridesAreIsolatedPerSession) {
   // the defaults.
   auto set_a = a.Set({{"num_shards", 2}, {"num_threads", 1}});
   ASSERT_TRUE(set_a.ok()) << set_a.status().ToString();
-  EXPECT_EQ(set_a.value().num_shards, 2u);
-  EXPECT_EQ(set_a.value().num_threads, 1);
+  EXPECT_EQ(Knobs(set_a.value().options).at("num_shards"), 2);
+  EXPECT_EQ(Knobs(set_a.value().options).at("num_threads"), 1);
 
   auto stats = b.Stats();
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats.value().sessions.size(), 2u);
   for (const auto& s : stats.value().sessions) {
+    const std::map<std::string, int64_t> knobs = Knobs(s.options);
     if (s.client_name == "tenant-a") {
-      EXPECT_EQ(s.options.num_shards, 2u);
-      EXPECT_EQ(s.options.num_threads, 1);
+      EXPECT_EQ(knobs.at("num_shards"), 2);
+      EXPECT_EQ(knobs.at("num_threads"), 1);
     } else {
-      EXPECT_EQ(s.options.num_shards, 0u);  // inherits the db default
-      EXPECT_EQ(s.options.num_threads, 0);  // auto
+      EXPECT_EQ(knobs.at("num_shards"), 0);   // inherits the db default
+      EXPECT_EQ(knobs.at("num_threads"), 0);  // auto
     }
   }
 
@@ -688,9 +741,10 @@ TEST(QueryServerTest, SetOverridesAreIsolatedPerSession) {
   auto bad = a.Set({{"num_threads", 4}, {"warp_drive", 1}});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), base::StatusCode::kInvalidArgument);
-  auto echo = a.Set({{"morsel_joins", 1}});
+  auto echo = a.Set({{"zone_maps", 1}});
   ASSERT_TRUE(echo.ok());
-  EXPECT_EQ(echo.value().num_threads, 1) << "rejected SET partially applied";
+  EXPECT_EQ(Knobs(echo.value().options).at("num_threads"), 1)
+      << "rejected SET partially applied";
   server.Shutdown();
 }
 
@@ -906,7 +960,7 @@ TEST(QueryServerTest, QueryDeadlineKnobValidatesAndEchoes) {
 
   auto set = client.Set({{"query_deadline_ms", 5000}});
   ASSERT_TRUE(set.ok()) << set.status().ToString();
-  EXPECT_EQ(set.value().query_deadline_ms, 5000u);
+  EXPECT_EQ(Knobs(set.value().options).at("query_deadline_ms"), 5000);
 
   // Out-of-range values reject the whole batch atomically.
   auto bad = client.Set({{"query_deadline_ms", -1}});
@@ -914,16 +968,18 @@ TEST(QueryServerTest, QueryDeadlineKnobValidatesAndEchoes) {
   EXPECT_EQ(bad.status().code(), base::StatusCode::kInvalidArgument);
   auto too_big = client.Set({{"num_threads", 2}, {"query_deadline_ms", 86'400'001}});
   ASSERT_FALSE(too_big.ok());
-  auto echo = client.Set({{"morsel_joins", 1}});
+  auto echo = client.Set({{"topk_prune", 1}});
   ASSERT_TRUE(echo.ok());
-  EXPECT_EQ(echo.value().query_deadline_ms, 5000u);
-  EXPECT_EQ(echo.value().num_threads, 0) << "rejected SET partially applied";
+  EXPECT_EQ(Knobs(echo.value().options).at("query_deadline_ms"), 5000);
+  EXPECT_EQ(Knobs(echo.value().options).at("num_threads"), 0)
+      << "rejected SET partially applied";
 
   // STATS echoes the knob per session.
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats.value().sessions.size(), 1u);
-  EXPECT_EQ(stats.value().sessions[0].options.query_deadline_ms, 5000u);
+  EXPECT_EQ(Knobs(stats.value().sessions[0].options).at("query_deadline_ms"),
+            5000);
 
   // A generous deadline does not perturb results.
   const std::string query = "count(select[THIS.year >= 2000](Cat));";

@@ -1,14 +1,14 @@
 // Randomized equivalence testing: generates random databases and random
 // queries from the supported grammar and checks that the naive
-// interpreter, the legacy sequential executor and the candidate-vector
-// ExecutionEngine — at 1 and 4 worker threads, with morsel splitting
-// forced on via a tiny morsel size, with fused aggregation switched
-// off, with the pre-radix legacy join, with radix joins forced onto
-// multiple partitions, with the program fanned out over 2- and
-// 4-way oid-range shardings of the catalog, with zone-map +
-// top-k pruning switched off, and with the recycler's candidate cache
-// on (every query re-run hot, interleaved with catalog mutations that
-// fence it) — all produce identical results (an 11-way check): the
+// interpreter, the sequential MIL Executor (materializing, with the
+// pre-radix JoinLegacy) and the candidate-vector ExecutionEngine — at 1
+// and 4 worker threads, with morsel splitting forced on via a tiny
+// morsel size, with radix joins forced onto multiple partitions, with
+// the program fanned out over 2- and 4-way oid-range shardings of the
+// catalog, with zone-map + top-k pruning switched off, and with the
+// recycler's candidate cache on (every query re-run hot, interleaved
+// with catalog mutations that fence it) — all produce identical results
+// (9 modes, each checked against the naive interpreter): the
 // architecture's central theorem, probed far beyond the hand-written
 // cases. The getBL ranking patterns flatten
 // to join-heavy MIL, so the join and shard modes run over genuine
@@ -235,11 +235,9 @@ std::map<Oid, double> RunNaive(const Database& db, const QueryContext& ctx,
 /// How to run the flattened program.
 struct EngineMode {
   const char* label;
-  bool use_engine;  // false = legacy sequential Executor
+  bool engine;  // false = the sequential mil::Executor, the MIL oracle
   int num_threads = 1;
   size_t morsel_size = 64 * 1024;
-  bool fuse_aggregates = true;
-  bool morsel_joins = true;
   size_t radix_partitions = 0;
   size_t num_shards = 0;
   bool zone_maps = true;
@@ -256,38 +254,29 @@ constexpr EngineMode kEngineModes[] = {
     // into several pool-dispatched morsels, exercising fragment concat
     // and partial-aggregate merging on every query.
     {"engine-4-threads-morsel-257", true, 4, 257},
-    // Fused aggregation off: aggregates materialize their candidate
-    // views, isolating the fused path as the only remaining variable.
-    {"engine-1-thread-unfused", true, 1, 64 * 1024, false},
-    // Pre-radix joins: kJoin materializes its inputs and runs the
-    // single-threaded legacy build/probe — the PR 2 engine, kept as a
-    // code-path-independent join oracle.
-    {"engine-4-threads-legacy-join", true, 4, 64 * 1024, true, false},
     // Radix joins forced onto 8 partitions with tiny morsels: the
     // multi-partition cluster/build/probe pipeline runs even over the
     // few-hundred-row bases of these databases.
-    {"engine-4-threads-radix-parts-8", true, 4, 257, true, true, 8},
+    {"engine-4-threads-radix-parts-8", true, 4, 257, 8},
     // Shard-parallel scatter/gather over the catalog's oid-range
     // sharding: 2 shards under a real pool with tiny morsels (shard and
     // morsel fan-out nest), and 4 shards single-threaded (deterministic
     // sequential shard execution, with several empty or tiny fragments
     // on the smallest databases).
-    {"engine-4-threads-2-shards", true, 4, 257, true, true, 0, 2},
-    {"engine-1-thread-4-shards", true, 1, 64 * 1024, true, true, 0, 4},
+    {"engine-4-threads-2-shards", true, 4, 257, 0, 2},
+    {"engine-1-thread-4-shards", true, 1, 64 * 1024, 0, 4},
     // Statistics pruning off: zone maps and the top-k threshold are the
     // only difference from the default modes above, so any disagreement
     // pins the blame on the pruning layer.
     // (The default-flag modes above all run pruned — zone maps and the
     // top-k threshold default on — including the sharded ones, where
     // threshold offers race across shards.)
-    {"engine-4-threads-unpruned", true, 4, 257, true, true, 0, 0, false,
-     false},
+    {"engine-4-threads-unpruned", true, 4, 257, 0, 0, false, false},
     // The recycler's candidate cache on, with tiny morsels: selects
     // replay or get seeded from previously cached candidate lists (the
     // main loop runs this mode hot — every query twice — and fences the
     // recycler around the mid-run catalog mutation).
-    {"engine-4-threads-recycler", true, 4, 257, true, true, 0, 0, true,
-     true, true},
+    {"engine-4-threads-recycler", true, 4, 257, 0, 0, true, true, true},
 };
 
 std::map<Oid, double> RunFlat(const Database& db, const QueryContext& ctx,
@@ -314,14 +303,11 @@ std::map<Oid, double> RunFlat(const Database& db, const QueryContext& ctx,
   }
   base::Result<monet::mil::RunResult> run =
       base::Status::Internal("unreachable");
-  if (mode.use_engine) {
+  if (mode.engine) {
     monet::mil::ExecutionEngine engine(
         &db.catalog(),
         monet::mil::ExecOptions{.num_threads = mode.num_threads,
-                                .use_candidates = true,
                                 .morsel_size = mode.morsel_size,
-                                .fuse_aggregates = mode.fuse_aggregates,
-                                .morsel_joins = mode.morsel_joins,
                                 .radix_partitions = mode.radix_partitions,
                                 .num_shards = mode.num_shards,
                                 .zone_maps = mode.zone_maps,

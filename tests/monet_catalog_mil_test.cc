@@ -243,14 +243,11 @@ TEST(ExecutionEngineTest, CandidatePipelineMatchesSequentialExecutor) {
   auto baseline = mil::Executor(&catalog).Run(prog);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   for (int threads : {1, 4}) {
-    for (bool cands : {false, true}) {
-      mil::ExecutionEngine engine(
-          &catalog, mil::ExecOptions{.num_threads = threads,
-                                     .use_candidates = cands});
-      auto run = engine.Run(prog);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      ExpectSameBat(*baseline.value().bat, *run.value().bat);
-    }
+    mil::ExecutionEngine engine(&catalog,
+                                mil::ExecOptions{.num_threads = threads});
+    auto run = engine.Run(prog);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ExpectSameBat(*baseline.value().bat, *run.value().bat);
   }
 }
 
@@ -258,8 +255,7 @@ TEST(ExecutionEngineTest, CandidatePipelineAvoidsIntermediateCopies) {
   Catalog catalog = MakeCatalog(3000, 12);
   mil::Program prog = SelectionPipelineProgram();
   ResetKernelStats();
-  mil::ExecutionEngine engine(&catalog, mil::ExecOptions{.num_threads = 1,
-                                                         .use_candidates = true});
+  mil::ExecutionEngine engine(&catalog, mil::ExecOptions{.num_threads = 1});
   ASSERT_TRUE(engine.Run(prog).ok());
   KernelStats with_cands = SnapshotKernelStats();
   // The whole select->select->semijoin->slice chain materializes exactly
@@ -268,13 +264,11 @@ TEST(ExecutionEngineTest, CandidatePipelineAvoidsIntermediateCopies) {
   EXPECT_GE(with_cands.candidate_ops, 4u);
 
   ResetKernelStats();
-  mil::ExecutionEngine eager(&catalog, mil::ExecOptions{.num_threads = 1,
-                                                        .use_candidates = false});
-  ASSERT_TRUE(eager.Run(prog).ok());
+  ASSERT_TRUE(mil::Executor(&catalog).Run(prog).ok());
   KernelStats without_cands = SnapshotKernelStats();
   EXPECT_EQ(without_cands.materializations, 0u);
   // Late materialization copies strictly fewer tuples: only the final
-  // result, vs. every intermediate the eager path gathers.
+  // result, vs. every intermediate the sequential Executor gathers.
   EXPECT_LT(with_cands.materialized_tuples, without_cands.tuples_out);
 }
 

@@ -391,9 +391,10 @@ TEST(ProbAggTest, VoidHeadSingletonFastPathMatchesOracle) {
   }
 }
 
-// The engine-level contract of this change: a select→join→SumPerHead
-// plan over candidate views runs with zero Materialize() calls under the
-// radix path, and the legacy knob reproduces identical output.
+// The engine-level contract: a select→join→SumPerHead plan over
+// candidate views runs with zero Materialize() calls under the radix
+// path, and the sequential Executor (materializing, JoinLegacy)
+// reproduces identical output.
 TEST(EngineJoinTest, SelectJoinAggPlanFusesWithZeroMaterializations) {
   namespace mil = monet::mil;
   Catalog catalog;
@@ -465,9 +466,6 @@ TEST(EngineJoinTest, SelectJoinAggPlanFusesWithZeroMaterializations) {
   radix.num_threads = 4;
   radix.morsel_size = 257;
   radix.radix_partitions = 8;
-  mil::ExecOptions legacy;
-  legacy.num_threads = 1;
-  legacy.morsel_joins = false;
 
   ResetKernelStats();
   auto fused = mil::ExecutionEngine(&catalog, radix).Run(p, &session);
@@ -477,10 +475,10 @@ TEST(EngineJoinTest, SelectJoinAggPlanFusesWithZeroMaterializations) {
       << "select→join→agg plan still materializes";
   EXPECT_GE(stats.radix_builds, 1u);
 
-  auto baseline = mil::ExecutionEngine(&catalog, legacy).Run(p, &session);
+  auto baseline = mil::Executor(&catalog).Run(p);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ExpectBatsEqual(*baseline.value().bat, *fused.value().bat,
-                  "radix vs legacy engine");
+                  "radix engine vs sequential Executor");
 }
 
 }  // namespace

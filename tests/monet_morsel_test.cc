@@ -236,10 +236,7 @@ TEST(FusedAggTest, EngineSelectAggPlanFusesWithZeroMaterializations) {
   for (int threads : {1, 4}) {
     mil::ExecutionContext session;
     mil::ExecutionEngine engine(
-        &catalog, mil::ExecOptions{.num_threads = threads,
-                                   .use_candidates = true,
-                                   .morsel_size = 128,
-                                   .fuse_aggregates = true});
+        &catalog, mil::ExecOptions{.num_threads = threads, .morsel_size = 128});
     ResetKernelStats();
     auto run = engine.Run(p, &session);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
