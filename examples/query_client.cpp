@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,35 +92,23 @@ void PrintKnobs(const daemon::wire::KnobValues& knobs) {
   std::printf("\n");
 }
 
-/// Server statistics grouped by subsystem, in a stable order: kernel,
-/// serving, durability, recycler, latency, then per-session lines.
+/// Server statistics grouped by subsystem, in a stable order: one
+/// `group: name=value ...` line per counter group (kernel, serving,
+/// durability, recycler; rows in table order), then latency and
+/// per-session lines.
 void PrintStats(const daemon::wire::StatsReply& stats) {
+  namespace wire = daemon::wire;
   const auto& s = stats.server;
   auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
-  std::printf(
-      "kernel: zone blocks skipped %llu, top-k pruned %llu morsels / "
-      "%llu shards, probe partitions %llu\n",
-      u(s.zone_blocks_skipped), u(s.topk_morsels_pruned),
-      u(s.topk_shards_pruned), u(s.probe_partitions));
-  std::printf(
-      "serving: requests %llu (coalesced %llu, shed %llu), errors %llu, "
-      "frames in/out %llu/%llu, bytes in/out %llu/%llu, sessions %llu "
-      "opened / %llu closed, queue high-water %llu, chunks streamed %llu\n",
-      u(s.requests), u(s.coalesced_requests), u(s.requests_shed),
-      u(s.errors), u(s.frames_in), u(s.frames_out), u(s.bytes_in),
-      u(s.bytes_out), u(s.sessions_opened), u(s.sessions_closed),
-      u(s.queue_depth_high_water), u(s.result_chunks_streamed));
-  std::printf(
-      "durability: WAL appends %llu, replayed %llu, truncated %llu bytes, "
-      "lazy loads %llu, recovery pending %llu, load generation %llu\n",
-      u(s.wal_appends), u(s.wal_replayed_records), u(s.wal_truncated_bytes),
-      u(s.recovery_lazy_loads), u(s.recovery_pending), u(s.load_generation));
-  std::printf(
-      "recycler: result cache %llu/%llu hits/misses, candidate cache "
-      "%llu hits (%llu subsuming), %llu bytes held, %llu evictions\n",
-      u(s.result_cache_hits), u(s.result_cache_misses),
-      u(s.candidate_cache_hits), u(s.candidate_subsumption_hits),
-      u(s.recycler_bytes_held), u(s.recycler_evictions));
+  for (size_t g = 0; g < std::size(wire::kCounterGroupNames); ++g) {
+    std::printf("%s:", wire::kCounterGroupNames[g]);
+    for (const wire::ServerCounter& c : wire::kServerCounters) {
+      if (static_cast<size_t>(c.group) == g) {
+        std::printf(" %s=%llu", c.name, u(s.*c.field));
+      }
+    }
+    std::printf("\n");
+  }
   std::printf("latency:\n");
   PrintLatencyLine("query", s.latency_query);
   PrintLatencyLine("append", s.latency_append);

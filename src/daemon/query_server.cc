@@ -256,7 +256,7 @@ void QueryServer::CountOut(wire::FrameType type, size_t frame_bytes) {
 
 wire::ServerWireStats QueryServer::stats() const {
   // Kernel counters are process-wide profiler state, snapshotted outside
-  // the server lock (the profiler has its own mutex).
+  // the server lock (the fold reads relaxed atomics, no lock).
   monet::KernelStats kernels = monet::SnapshotKernelStats();
   db::RecoveryStats recovery = db_->recovery_stats();
   monet::RecyclerStats recycler = db_->recycler()->stats();
@@ -286,8 +286,8 @@ wire::ServerWireStats QueryServer::stats() const {
   out.recycler_admissions_rejected = recycler.admissions_rejected;
   out.recycler_evictions = recycler.evictions;
   out.recycler_bytes_held = recycler.bytes_held;
-  out.candidate_cache_hits = kernels.candidate_cache_hits;
-  out.candidate_subsumption_hits = kernels.candidate_subsumption_hits;
+  out.candidate_cache_hits = recycler.candidate_hits;
+  out.candidate_subsumption_hits = recycler.candidate_subsumption_hits;
   out.latency_query = latency_query_.Snapshot();
   out.latency_append = latency_append_.Snapshot();
   out.latency_delete = latency_delete_.Snapshot();
@@ -704,8 +704,10 @@ void QueryServer::HandleInlineLocked(Conn* c, wire::FrameType type,
       if (req.value().reset) {
         // Read-and-clear: the reply above carries the pre-reset numbers;
         // the latency histograms, the slow-query ring and the
-        // process-wide kernel counters start a fresh epoch here. Wire
-        // frame/byte counters are monotonic by design and stay.
+        // process-wide kernel counters (the kernel group) start a fresh
+        // epoch here. Wire frame/byte counters are monotonic by design
+        // and stay, and so does the whole recycler group: it reads the
+        // recycler's own stats, which only a restart clears.
         latency_query_.Reset();
         latency_append_.Reset();
         latency_delete_.Reset();

@@ -817,38 +817,7 @@ bool ReadClassLatency(Reader* r, RequestClassLatency* c) {
 
 std::vector<uint8_t> EncodeStatsReply(const StatsReply& m) {
   Writer w;
-  w.U64(m.server.frames_in);
-  w.U64(m.server.frames_out);
-  w.U64(m.server.bytes_in);
-  w.U64(m.server.bytes_out);
-  w.U64(m.server.requests);
-  w.U64(m.server.errors);
-  w.U64(m.server.coalesced_requests);
-  w.U64(m.server.sessions_opened);
-  w.U64(m.server.sessions_closed);
-  w.U64(m.server.load_generation);
-  w.U64(m.server.zone_blocks_skipped);
-  w.U64(m.server.topk_morsels_pruned);
-  w.U64(m.server.topk_shards_pruned);
-  w.U64(m.server.probe_partitions);
-  w.U64(m.server.wal_appends);
-  w.U64(m.server.wal_replayed_records);
-  w.U64(m.server.wal_truncated_bytes);
-  w.U64(m.server.recovery_lazy_loads);
-  w.U64(m.server.recovery_pending);
-  w.U64(m.server.requests_shed);
-  w.U64(m.server.queue_depth_high_water);
-  w.U64(m.server.active_workers);
-  w.U64(m.server.result_chunks_streamed);
-  w.U64(m.server.slow_client_disconnects);
-  w.U64(m.server.peak_query_bytes);
-  w.U64(m.server.result_cache_hits);
-  w.U64(m.server.result_cache_misses);
-  w.U64(m.server.recycler_admissions_rejected);
-  w.U64(m.server.recycler_evictions);
-  w.U64(m.server.recycler_bytes_held);
-  w.U64(m.server.candidate_cache_hits);
-  w.U64(m.server.candidate_subsumption_hits);
+  for (const ServerCounter& c : kServerCounters) w.U64(m.server.*c.field);
   w.U32(static_cast<uint32_t>(m.sessions.size()));
   for (const SessionStatsEntry& s : m.sessions) {
     w.U64(s.session_id);
@@ -932,37 +901,10 @@ base::Result<StatsReply> DecodeStatsReply(const std::vector<uint8_t>& p) {
   Reader r(p);
   StatsReply m;
   uint32_t num_sessions = 0;
-  if (!r.U64(&m.server.frames_in) || !r.U64(&m.server.frames_out) ||
-      !r.U64(&m.server.bytes_in) || !r.U64(&m.server.bytes_out) ||
-      !r.U64(&m.server.requests) || !r.U64(&m.server.errors) ||
-      !r.U64(&m.server.coalesced_requests) ||
-      !r.U64(&m.server.sessions_opened) ||
-      !r.U64(&m.server.sessions_closed) ||
-      !r.U64(&m.server.load_generation) ||
-      !r.U64(&m.server.zone_blocks_skipped) ||
-      !r.U64(&m.server.topk_morsels_pruned) ||
-      !r.U64(&m.server.topk_shards_pruned) ||
-      !r.U64(&m.server.probe_partitions) ||
-      !r.U64(&m.server.wal_appends) ||
-      !r.U64(&m.server.wal_replayed_records) ||
-      !r.U64(&m.server.wal_truncated_bytes) ||
-      !r.U64(&m.server.recovery_lazy_loads) ||
-      !r.U64(&m.server.recovery_pending) ||
-      !r.U64(&m.server.requests_shed) ||
-      !r.U64(&m.server.queue_depth_high_water) ||
-      !r.U64(&m.server.active_workers) ||
-      !r.U64(&m.server.result_chunks_streamed) ||
-      !r.U64(&m.server.slow_client_disconnects) ||
-      !r.U64(&m.server.peak_query_bytes) ||
-      !r.U64(&m.server.result_cache_hits) ||
-      !r.U64(&m.server.result_cache_misses) ||
-      !r.U64(&m.server.recycler_admissions_rejected) ||
-      !r.U64(&m.server.recycler_evictions) ||
-      !r.U64(&m.server.recycler_bytes_held) ||
-      !r.U64(&m.server.candidate_cache_hits) ||
-      !r.U64(&m.server.candidate_subsumption_hits) || !r.U32(&num_sessions)) {
-    return Malformed("STATS reply");
+  for (const ServerCounter& c : kServerCounters) {
+    if (!r.U64(&(m.server.*c.field))) return Malformed("STATS reply");
   }
+  if (!r.U32(&num_sessions)) return Malformed("STATS reply");
   m.sessions.reserve(
       std::min<size_t>(num_sessions, r.remaining() / 56 + 1));
   for (uint32_t i = 0; i < num_sessions; ++i) {
@@ -1092,21 +1034,14 @@ void RenderClassText(const char* cls, const RequestClassLatency& c,
 
 std::string RenderPrometheusText(const StatsReply& m) {
   std::string out;
-  auto counter = [&out](const char* name, uint64_t v) {
-    out.append(base::StrFormat("# TYPE %s counter\n%s %llu\n", name, name,
-                               static_cast<unsigned long long>(v)));
-  };
-  counter("mirror_requests_total", m.server.requests);
-  counter("mirror_errors_total", m.server.errors);
-  counter("mirror_requests_shed_total", m.server.requests_shed);
-  counter("mirror_coalesced_requests_total", m.server.coalesced_requests);
-  counter("mirror_sessions_opened_total", m.server.sessions_opened);
-  counter("mirror_frames_in_total", m.server.frames_in);
-  counter("mirror_frames_out_total", m.server.frames_out);
-  counter("mirror_bytes_in_total", m.server.bytes_in);
-  counter("mirror_bytes_out_total", m.server.bytes_out);
-  counter("mirror_zone_blocks_skipped_total", m.server.zone_blocks_skipped);
-  counter("mirror_result_cache_hits_total", m.server.result_cache_hits);
+  for (const ServerCounter& c : kServerCounters) {
+    const bool gauge = c.kind == CounterKind::kGauge;
+    const std::string name =
+        base::StrFormat("mirror_%s%s", c.name, gauge ? "" : "_total");
+    out.append(base::StrFormat(
+        "# TYPE %s %s\n%s %llu\n", name.c_str(), gauge ? "gauge" : "counter",
+        name.c_str(), static_cast<unsigned long long>(m.server.*c.field)));
+  }
   out.append(
       "# TYPE mirror_request_latency_microseconds histogram\n");
   RenderClassText("query", m.server.latency_query, &out);

@@ -322,60 +322,97 @@ struct SlowQueryEntry {
   std::string counters;       // kernel-counter delta summary
 };
 
-/// Server-wide wire accounting (OrbStats-style: every frame in either
-/// direction is counted and its marshalled bytes accumulated).
+/// Kind of a STATS counter: a counter only grows (between restarts or,
+/// for the kernel group, `STATS reset=1`); a gauge is a level or
+/// high-water mark read at STATS time.
+enum class CounterKind : uint8_t { kCounter, kGauge };
+
+/// The subsystem a STATS counter reports on (one client printout line
+/// each, in this order).
+enum class CounterGroup : uint8_t { kKernel, kServing, kDurability, kRecycler };
+inline constexpr const char* kCounterGroupNames[] = {"kernel", "serving",
+                                                     "durability", "recycler"};
+
+/// The server-wide STATS counters, one row each: X(name, kind, group).
+/// Row order is the wire order of the u64 counter prefix of STATS_RESULT,
+/// so a new row changes the layout (bump kProtocolVersion with it). The
+/// table generates the ServerWireStats fields, that prefix's encoder and
+/// decoder, the Prometheus lines and the client printout; a new counter
+/// is one row here plus its source line in QueryServer::stats() (or its
+/// increment in the serving loop).
+///
+/// Sources: serving rows are the server's own wire accounting (every
+/// frame in either direction counted, its marshalled bytes accumulated)
+/// and overload control; kernel rows come from the monet profiler
+/// snapshot; durability rows from MirrorDb::recovery_stats (plus the
+/// reload generation); recycler rows from the MirrorDb recycler.
+#define MIRROR_SERVER_COUNTERS(X)                                             \
+  X(frames_in, kCounter, kServing)                                            \
+  X(frames_out, kCounter, kServing)                                           \
+  X(bytes_in, kCounter, kServing)                                             \
+  X(bytes_out, kCounter, kServing)                                            \
+  X(requests, kCounter, kServing) /* QUERY frames served */                   \
+  X(errors, kCounter, kServing)   /* ERROR frames sent */                     \
+  X(coalesced_requests, kCounter, kServing) /* joined in-flight twin */       \
+  X(sessions_opened, kCounter, kServing)                                      \
+  X(sessions_closed, kCounter, kServing)                                      \
+  X(load_generation, kGauge, kDurability) /* MirrorDb reloads seen */         \
+  /* Pruning: zone-map blocks skipped, morsels and whole shards dropped       \
+     by the top-k threshold, probe partitions for partition-wise joins. */    \
+  X(zone_blocks_skipped, kCounter, kKernel)                                   \
+  X(topk_morsels_pruned, kCounter, kKernel)                                   \
+  X(topk_shards_pruned, kCounter, kKernel)                                    \
+  X(probe_partitions, kCounter, kKernel)                                      \
+  X(wal_appends, kCounter, kDurability)                                       \
+  X(wal_replayed_records, kCounter, kDurability)                              \
+  X(wal_truncated_bytes, kCounter, kDurability)                               \
+  X(recovery_lazy_loads, kCounter, kDurability)                               \
+  X(recovery_pending, kGauge, kDurability) /* 1 while fragments wait */       \
+  X(requests_shed, kCounter, kServing) /* admissions refused */               \
+  X(queue_depth_high_water, kGauge, kServing)                                 \
+  X(active_workers, kGauge, kServing) /* executing at STATS time */           \
+  X(result_chunks_streamed, kCounter, kServing) /* kResultChunk frames */     \
+  X(slow_client_disconnects, kCounter, kServing) /* stalled outbound */       \
+  X(peak_query_bytes, kGauge, kKernel) /* largest query charge seen */        \
+  /* Encoded-result replays and misses, inserts refused by the cost x         \
+     frequency admission policy, entries displaced for room, the bytes        \
+     held, and candidate-list reuse (exact / subsuming). */                   \
+  X(result_cache_hits, kCounter, kRecycler)                                   \
+  X(result_cache_misses, kCounter, kRecycler)                                 \
+  X(recycler_admissions_rejected, kCounter, kRecycler)                        \
+  X(recycler_evictions, kCounter, kRecycler)                                  \
+  X(recycler_bytes_held, kGauge, kRecycler)                                   \
+  X(candidate_cache_hits, kCounter, kRecycler)                                \
+  X(candidate_subsumption_hits, kCounter, kRecycler)
+
+/// The STATS snapshot: one field per MIRROR_SERVER_COUNTERS row, then the
+/// server-side latency histograms per request class (queries, appends,
+/// deletes) and the slow-query ring (empty unless the server runs with
+/// slow_query_ms > 0). Both are encoded after the per-session entries so
+/// pre-histogram decoders see them as tolerated trailing bytes.
 struct ServerWireStats {
-  uint64_t frames_in = 0;
-  uint64_t frames_out = 0;
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  uint64_t requests = 0;            // QUERY frames served
-  uint64_t errors = 0;              // ERROR frames sent
-  uint64_t coalesced_requests = 0;  // served by joining an in-flight twin
-  uint64_t sessions_opened = 0;
-  uint64_t sessions_closed = 0;
-  uint64_t load_generation = 0;     // MirrorDb reloads observed
-  /// Process-wide pruning counters (monet profiler snapshot at STATS
-  /// time): zone-map blocks skipped by selects/pruned aggregates, morsels
-  /// and whole shards dropped by the top-k threshold, and probe-side
-  /// partitions formed for partition-wise join scheduling.
-  uint64_t zone_blocks_skipped = 0;
-  uint64_t topk_morsels_pruned = 0;
-  uint64_t topk_shards_pruned = 0;
-  uint64_t probe_partitions = 0;
-  /// Durability and instant-recovery counters (MirrorDb::recovery_stats
-  /// snapshot at STATS time).
-  uint64_t wal_appends = 0;
-  uint64_t wal_replayed_records = 0;
-  uint64_t wal_truncated_bytes = 0;
-  uint64_t recovery_lazy_loads = 0;
-  uint64_t recovery_pending = 0;  // 1 while fragments still await recovery
-  /// Overload-control counters (the event-driven serving core).
-  uint64_t requests_shed = 0;            // admissions refused (kOverloaded)
-  uint64_t queue_depth_high_water = 0;   // deepest the request queue got
-  uint64_t active_workers = 0;           // workers executing at STATS time
-  uint64_t result_chunks_streamed = 0;   // kResultChunk frames sent
-  uint64_t slow_client_disconnects = 0;  // dropped for stalled/full outbound
-  uint64_t peak_query_bytes = 0;         // largest single-query charge seen
-  /// Recycler counters (MirrorDb recycler + profiler snapshot at STATS
-  /// time): encoded-result replays, misses, inserts refused by the
-  /// cost x frequency admission policy, entries displaced for room, the
-  /// bytes-held gauge, and candidate-list reuse (exact / subsuming).
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
-  uint64_t recycler_admissions_rejected = 0;
-  uint64_t recycler_evictions = 0;
-  uint64_t recycler_bytes_held = 0;
-  uint64_t candidate_cache_hits = 0;
-  uint64_t candidate_subsumption_hits = 0;
-  /// Server-side latency histograms per request class (queries, appends,
-  /// deletes), and the slow-query ring (empty unless the server runs
-  /// with slow_query_ms > 0). Encoded after the per-session entries so
-  /// pre-histogram decoders see them as tolerated trailing bytes.
+#define MIRROR_STATS_FIELD(name, kind, group) uint64_t name = 0;
+  MIRROR_SERVER_COUNTERS(MIRROR_STATS_FIELD)
+#undef MIRROR_STATS_FIELD
   RequestClassLatency latency_query;
   RequestClassLatency latency_append;
   RequestClassLatency latency_delete;
   std::vector<SlowQueryEntry> slow_queries;
+};
+
+/// One MIRROR_SERVER_COUNTERS row, for code that walks every counter.
+struct ServerCounter {
+  const char* name;
+  CounterKind kind;
+  CounterGroup group;
+  uint64_t ServerWireStats::*field;
+};
+
+inline constexpr ServerCounter kServerCounters[] = {
+#define MIRROR_STATS_ROW(name, kind, group) \
+  {#name, CounterKind::kind, CounterGroup::group, &ServerWireStats::name},
+    MIRROR_SERVER_COUNTERS(MIRROR_STATS_ROW)
+#undef MIRROR_STATS_ROW
 };
 
 /// Per-session slice of the STATS reply.
@@ -460,9 +497,11 @@ base::Result<StatsReply> DecodeStatsReply(const std::vector<uint8_t>& p);
 std::vector<uint8_t> EncodeTraceReply(const TraceReply& m);
 base::Result<TraceReply> DecodeTraceReply(const std::vector<uint8_t>& p);
 
-/// Renders a STATS snapshot as Prometheus text-exposition lines
-/// (counters plus one `*_latency_microseconds` histogram per request
-/// class, cumulative `le` buckets in seconds-free microsecond bounds).
+/// Renders a STATS snapshot as Prometheus text-exposition lines: every
+/// MIRROR_SERVER_COUNTERS row (`mirror_<name>_total` for counters,
+/// `mirror_<name>` for gauges), then one `*_latency_microseconds`
+/// histogram per request class (cumulative `le` buckets in microsecond
+/// bounds).
 std::string RenderPrometheusText(const StatsReply& m);
 
 }  // namespace mirror::daemon::wire

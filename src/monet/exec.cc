@@ -505,7 +505,6 @@ bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
     // Exact replay: no scan at all.
     TrackKernelOp(KernelOp::kSelect, 0, cached->size());
     TrackCandidateOp();
-    TrackCandidateCacheHit();
     PutCandPtr(st, i.dst, base, std::move(cached));
     return true;
   }
@@ -532,7 +531,6 @@ bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  if (subsumed) TrackCandidateSubsumptionHit();
   if (!out.is_dense()) {
     st.mx.Charge(static_cast<uint64_t>(out.size()) * sizeof(uint32_t));
   }

@@ -1,5 +1,6 @@
 #include "monet/profiler.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "base/str_util.h"
@@ -23,33 +24,12 @@ constexpr uint32_t kStripes = 16;
 struct alignas(64) StatsStripe {
   std::atomic<uint64_t> op_count[kNumOps];
   std::atomic<uint64_t> wall_nanos[kNumOps];
-  std::atomic<uint64_t> tuples_in;
-  std::atomic<uint64_t> tuples_out;
-  std::atomic<uint64_t> candidate_ops;
-  std::atomic<uint64_t> materializations;
-  std::atomic<uint64_t> materialized_tuples;
-  std::atomic<uint64_t> morsel_tasks;
-  std::atomic<uint64_t> fused_agg_ops;
-  std::atomic<uint64_t> radix_builds;
-  std::atomic<uint64_t> radix_partitions;
-  std::atomic<uint64_t> bloom_builds;
-  std::atomic<uint64_t> bloom_hits;
-  std::atomic<uint64_t> shard_fanouts;
-  std::atomic<uint64_t> shard_fanins;
-  std::atomic<uint64_t> zone_blocks_skipped;
-  std::atomic<uint64_t> topk_morsels_pruned;
-  std::atomic<uint64_t> topk_shards_pruned;
-  std::atomic<uint64_t> probe_partitions;
-  std::atomic<uint64_t> candidate_cache_hits;
-  std::atomic<uint64_t> candidate_subsumption_hits;
+#define MIRROR_KERNEL_STRIPE(name, fold) std::atomic<uint64_t> name;
+  MIRROR_KERNEL_COUNTERS(MIRROR_KERNEL_STRIPE)
+#undef MIRROR_KERNEL_STRIPE
 };
 
 StatsStripe g_stripes[kStripes];
-
-/// Gauges and high-water marks live outside the stripes: a max and a
-/// "set, not add" cannot be folded from per-stripe partials.
-std::atomic<uint64_t> g_peak_query_bytes{0};
-std::atomic<uint64_t> g_recycler_bytes_held{0};
 
 /// The calling thread's stripe, assigned round-robin on first use and
 /// cached in a thread_local for the thread's lifetime.
@@ -66,6 +46,12 @@ inline void Add(std::atomic<uint64_t>& c, uint64_t v) {
 
 inline uint64_t Ld(const std::atomic<uint64_t>& c) {
   return c.load(std::memory_order_relaxed);
+}
+
+/// Combines a folded total with one stripe's partial.
+inline uint64_t Fold(KernelFold fold, uint64_t total, uint64_t partial) {
+  return fold == KernelFold::kMax ? std::max(total, partial)
+                                  : total + partial;
 }
 
 }  // namespace
@@ -143,54 +129,14 @@ std::string KernelStats::ToString() const {
     out += base::StrFormat("%s=%llu", KernelOpName(static_cast<KernelOp>(i)),
                            static_cast<unsigned long long>(op_count[i]));
   }
-  out += base::StrFormat(") in=%llu out=%llu",
-                         static_cast<unsigned long long>(tuples_in),
-                         static_cast<unsigned long long>(tuples_out));
-  if (candidate_ops > 0 || materializations > 0) {
-    out += base::StrFormat(
-        " cand=%llu mat=%llu/%llu",
-        static_cast<unsigned long long>(candidate_ops),
-        static_cast<unsigned long long>(materializations),
-        static_cast<unsigned long long>(materialized_tuples));
+  out += ")";
+#define MIRROR_KERNEL_PRINT(name, fold)                            \
+  if (name > 0) {                                                  \
+    out += base::StrFormat(" " #name "=%llu",                      \
+                           static_cast<unsigned long long>(name)); \
   }
-  if (morsel_tasks > 0 || fused_agg_ops > 0) {
-    out += base::StrFormat(" morsels=%llu fusedagg=%llu",
-                           static_cast<unsigned long long>(morsel_tasks),
-                           static_cast<unsigned long long>(fused_agg_ops));
-  }
-  if (radix_builds > 0) {
-    out += base::StrFormat(" radix=%llu/%llu",
-                           static_cast<unsigned long long>(radix_builds),
-                           static_cast<unsigned long long>(radix_partitions));
-  }
-  if (bloom_builds > 0) {
-    out += base::StrFormat(" bloom=%llu/%llu",
-                           static_cast<unsigned long long>(bloom_builds),
-                           static_cast<unsigned long long>(bloom_hits));
-  }
-  if (shard_fanouts > 0 || shard_fanins > 0) {
-    out += base::StrFormat(" shards=%llu/%llu",
-                           static_cast<unsigned long long>(shard_fanouts),
-                           static_cast<unsigned long long>(shard_fanins));
-  }
-  if (zone_blocks_skipped > 0 || topk_morsels_pruned > 0 ||
-      topk_shards_pruned > 0) {
-    out += base::StrFormat(
-        " zoneskip=%llu topk=%llu/%llu",
-        static_cast<unsigned long long>(zone_blocks_skipped),
-        static_cast<unsigned long long>(topk_morsels_pruned),
-        static_cast<unsigned long long>(topk_shards_pruned));
-  }
-  if (probe_partitions > 0) {
-    out += base::StrFormat(" probeparts=%llu",
-                           static_cast<unsigned long long>(probe_partitions));
-  }
-  if (candidate_cache_hits > 0 || candidate_subsumption_hits > 0) {
-    out += base::StrFormat(
-        " recycled=%llu/%llu",
-        static_cast<unsigned long long>(candidate_cache_hits),
-        static_cast<unsigned long long>(candidate_subsumption_hits));
-  }
+  MIRROR_KERNEL_COUNTERS(MIRROR_KERNEL_PRINT)
+#undef MIRROR_KERNEL_PRINT
   return out;
 }
 
@@ -250,21 +196,11 @@ void TrackProbePartitions(uint64_t partitions) {
 }
 
 void TrackPeakQueryBytes(uint64_t bytes) {
-  uint64_t seen = g_peak_query_bytes.load(std::memory_order_relaxed);
+  std::atomic<uint64_t>& peak = LocalStripe().peak_query_bytes;
+  uint64_t seen = peak.load(std::memory_order_relaxed);
   while (bytes > seen &&
-         !g_peak_query_bytes.compare_exchange_weak(
-             seen, bytes, std::memory_order_relaxed)) {
+         !peak.compare_exchange_weak(seen, bytes, std::memory_order_relaxed)) {
   }
-}
-
-void TrackCandidateCacheHit() { Add(LocalStripe().candidate_cache_hits, 1); }
-
-void TrackCandidateSubsumptionHit() {
-  Add(LocalStripe().candidate_subsumption_hits, 1);
-}
-
-void TrackRecyclerBytesHeld(uint64_t bytes) {
-  g_recycler_bytes_held.store(bytes, std::memory_order_relaxed);
 }
 
 KernelStats SnapshotKernelStats() {
@@ -274,28 +210,11 @@ KernelStats SnapshotKernelStats() {
       out.op_count[i] += Ld(s.op_count[i]);
       out.wall_nanos[i] += Ld(s.wall_nanos[i]);
     }
-    out.tuples_in += Ld(s.tuples_in);
-    out.tuples_out += Ld(s.tuples_out);
-    out.candidate_ops += Ld(s.candidate_ops);
-    out.materializations += Ld(s.materializations);
-    out.materialized_tuples += Ld(s.materialized_tuples);
-    out.morsel_tasks += Ld(s.morsel_tasks);
-    out.fused_agg_ops += Ld(s.fused_agg_ops);
-    out.radix_builds += Ld(s.radix_builds);
-    out.radix_partitions += Ld(s.radix_partitions);
-    out.bloom_builds += Ld(s.bloom_builds);
-    out.bloom_hits += Ld(s.bloom_hits);
-    out.shard_fanouts += Ld(s.shard_fanouts);
-    out.shard_fanins += Ld(s.shard_fanins);
-    out.zone_blocks_skipped += Ld(s.zone_blocks_skipped);
-    out.topk_morsels_pruned += Ld(s.topk_morsels_pruned);
-    out.topk_shards_pruned += Ld(s.topk_shards_pruned);
-    out.probe_partitions += Ld(s.probe_partitions);
-    out.candidate_cache_hits += Ld(s.candidate_cache_hits);
-    out.candidate_subsumption_hits += Ld(s.candidate_subsumption_hits);
+#define MIRROR_KERNEL_FOLD(name, fold) \
+  out.name = Fold(KernelFold::fold, out.name, Ld(s.name));
+    MIRROR_KERNEL_COUNTERS(MIRROR_KERNEL_FOLD)
+#undef MIRROR_KERNEL_FOLD
   }
-  out.peak_query_bytes = Ld(g_peak_query_bytes);
-  out.recycler_bytes_held = Ld(g_recycler_bytes_held);
   return out;
 }
 
@@ -318,28 +237,11 @@ void ResetKernelStats() {
       s.op_count[i].store(0, std::memory_order_relaxed);
       s.wall_nanos[i].store(0, std::memory_order_relaxed);
     }
-    s.tuples_in.store(0, std::memory_order_relaxed);
-    s.tuples_out.store(0, std::memory_order_relaxed);
-    s.candidate_ops.store(0, std::memory_order_relaxed);
-    s.materializations.store(0, std::memory_order_relaxed);
-    s.materialized_tuples.store(0, std::memory_order_relaxed);
-    s.morsel_tasks.store(0, std::memory_order_relaxed);
-    s.fused_agg_ops.store(0, std::memory_order_relaxed);
-    s.radix_builds.store(0, std::memory_order_relaxed);
-    s.radix_partitions.store(0, std::memory_order_relaxed);
-    s.bloom_builds.store(0, std::memory_order_relaxed);
-    s.bloom_hits.store(0, std::memory_order_relaxed);
-    s.shard_fanouts.store(0, std::memory_order_relaxed);
-    s.shard_fanins.store(0, std::memory_order_relaxed);
-    s.zone_blocks_skipped.store(0, std::memory_order_relaxed);
-    s.topk_morsels_pruned.store(0, std::memory_order_relaxed);
-    s.topk_shards_pruned.store(0, std::memory_order_relaxed);
-    s.probe_partitions.store(0, std::memory_order_relaxed);
-    s.candidate_cache_hits.store(0, std::memory_order_relaxed);
-    s.candidate_subsumption_hits.store(0, std::memory_order_relaxed);
+#define MIRROR_KERNEL_RESET(name, fold) \
+  s.name.store(0, std::memory_order_relaxed);
+    MIRROR_KERNEL_COUNTERS(MIRROR_KERNEL_RESET)
+#undef MIRROR_KERNEL_RESET
   }
-  g_peak_query_bytes.store(0, std::memory_order_relaxed);
-  g_recycler_bytes_held.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mirror::monet

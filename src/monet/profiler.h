@@ -36,60 +36,63 @@ enum class KernelOp : int {
 /// Stable name of a kernel op family ("join", "select", ...).
 const char* KernelOpName(KernelOp op);
 
-/// Aggregated kernel execution counters.
+/// How a scalar kernel counter folds across the per-thread stripes:
+/// kSum adds the stripes' partial counts, kMax keeps the largest (a
+/// high-water mark).
+enum class KernelFold : uint8_t { kSum, kMax };
+
+/// The scalar kernel counters, one row each: X(name, fold). The table
+/// generates the KernelStats fields, the striped process-wide
+/// accumulators, their fold in SnapshotKernelStats, ResetKernelStats and
+/// the scalar part of KernelStats::ToString; a new counter is one row
+/// here plus its Track* increment.
+#define MIRROR_KERNEL_COUNTERS(X)                                             \
+  /* Tuples consumed and produced, over every operator invocation. */         \
+  X(tuples_in, kSum)                                                          \
+  X(tuples_out, kSum)                                                         \
+  /* Late materialization: invocations that produced or consumed a            \
+     CandidateList without copying tuples, vs. explicit Materialize()         \
+     copies at pipeline breakers (calls, and tuples copied). */               \
+  X(candidate_ops, kSum)                                                      \
+  X(materializations, kSum)                                                   \
+  X(materialized_tuples, kSum)                                                \
+  /* Intra-operator parallelism: morsel tasks dispatched on the worker        \
+     pool, and aggregates fused over a candidate view (no Materialize). */    \
+  X(morsel_tasks, kSum)                                                       \
+  X(fused_agg_ops, kSum)                                                      \
+  /* Hash build sides radix-clustered into more than one cache-sized          \
+     partition, and the partitions built across them. */                      \
+  X(radix_builds, kSum)                                                       \
+  X(radix_partitions, kSum)                                                   \
+  /* Bloom filters built in front of radix member tables, and probe keys      \
+     they rejected without touching the bucket chains. */                     \
+  X(bloom_builds, kSum)                                                       \
+  X(bloom_hits, kSum)                                                         \
+  /* Instructions fanned out across shard-local fragments, and sharded        \
+     registers gathered back into one global value at fan-in. */              \
+  X(shard_fanouts, kSum)                                                      \
+  X(shard_fanins, kSum)                                                       \
+  /* Statistics-driven pruning: zone-map blocks proven dead by min/max        \
+     bounds, morsels and whole shards below the shared top-k threshold,       \
+     and probe partitions for partition-wise join scheduling. */              \
+  X(zone_blocks_skipped, kSum)                                                \
+  X(topk_morsels_pruned, kSum)                                                \
+  X(topk_shards_pruned, kSum)                                                 \
+  X(probe_partitions, kSum)                                                   \
+  /* Largest single query's approximate materialized bytes (MorselExec        \
+     memory accounting) since the last reset. */                              \
+  X(peak_query_bytes, kMax)
+
+/// Aggregated kernel execution counters: per-family operation counts and
+/// wall time, then one field per MIRROR_KERNEL_COUNTERS row.
 struct KernelStats {
   uint64_t op_count[static_cast<int>(KernelOp::kNumOps)] = {};
   /// Wall time spent inside each operator family, in nanoseconds
   /// (operators report through KernelTimer).
   uint64_t wall_nanos[static_cast<int>(KernelOp::kNumOps)] = {};
-  uint64_t tuples_in = 0;
-  uint64_t tuples_out = 0;
-  /// Late-materialization accounting: kernel invocations that produced or
-  /// consumed a CandidateList without copying tuples, vs. explicit
-  /// Materialize() copies at pipeline breakers.
-  uint64_t candidate_ops = 0;
-  uint64_t materializations = 0;
-  uint64_t materialized_tuples = 0;
-  /// Intra-operator parallelism accounting: morsel tasks dispatched by
-  /// kernels that split their input across the worker pool, and
-  /// aggregate invocations that ran fused over a candidate view (no
-  /// Materialize() before the aggregate).
-  uint64_t morsel_tasks = 0;
-  uint64_t fused_agg_ops = 0;
-  /// Radix-join accounting: hash build sides that were radix-clustered
-  /// into more than one cache-sized partition, and the total partitions
-  /// built across them.
-  uint64_t radix_builds = 0;
-  uint64_t radix_partitions = 0;
-  /// Bloom-filtered membership probes: filters built in front of radix
-  /// member tables, and probe keys the filter rejected without touching
-  /// the bucket chains (the "filter hits").
-  uint64_t bloom_builds = 0;
-  uint64_t bloom_hits = 0;
-  /// Shard-parallel execution accounting: instructions fanned out across
-  /// shard-local fragments, and sharded registers gathered back into one
-  /// global value at fan-in boundaries.
-  uint64_t shard_fanouts = 0;
-  uint64_t shard_fanins = 0;
-  /// Statistics-driven pruning accounting: zone-map blocks proven dead by
-  /// min/max bounds (selects and pruned aggregates), morsels and whole
-  /// shards skipped because their score upper bound fell below the shared
-  /// top-k threshold, and probe sides radix-clustered for partition-wise
-  /// join scheduling (total probe partitions across them).
-  uint64_t zone_blocks_skipped = 0;
-  uint64_t topk_morsels_pruned = 0;
-  uint64_t topk_shards_pruned = 0;
-  uint64_t probe_partitions = 0;
-  /// High-water mark of any single query's approximate materialized bytes
-  /// (MorselExec memory accounting) since the last Reset.
-  uint64_t peak_query_bytes = 0;
-  /// Recycler accounting: selects answered from a cached candidate list
-  /// (exact predicate match), selects seeded by a cached *subsuming*
-  /// predicate's list as a pre-filter domain, and the gauge of bytes the
-  /// recycler currently holds (set, not accumulated).
-  uint64_t candidate_cache_hits = 0;
-  uint64_t candidate_subsumption_hits = 0;
-  uint64_t recycler_bytes_held = 0;
+#define MIRROR_KERNEL_FIELD(name, fold) uint64_t name = 0;
+  MIRROR_KERNEL_COUNTERS(MIRROR_KERNEL_FIELD)
+#undef MIRROR_KERNEL_FIELD
 
   /// Total operator invocations across all families.
   uint64_t TotalOps() const;
@@ -100,8 +103,8 @@ struct KernelStats {
   /// Zeroes all counters.
   void Reset();
 
-  /// One-line summary, e.g.
-  /// "ops=12 (join=3 select=2 ...) in=4096 out=512 cand=4 mat=1/128".
+  /// One-line summary: the per-family counts, then every nonzero table
+  /// row, e.g. "ops=5 (join=3 select=2) tuples_in=4096 tuples_out=512".
   std::string ToString() const;
 };
 
@@ -115,10 +118,8 @@ struct KernelStats {
 /// KernelStats value; reading while a query runs yields a
 /// consistent-enough snapshot for reporting.
 
-/// Zeroes every process-wide counter (stripes, peak gauge, recycler
-/// gauge). Counts tracked concurrently with the reset may survive it;
-/// callers quiesce their own kernels first, exactly as with the old
-/// mutex-guarded Reset.
+/// Zeroes every process-wide counter. Counts tracked concurrently with
+/// the reset may survive it; callers quiesce their own kernels first.
 void ResetKernelStats();
 
 /// Records one operator execution with its input/output cardinalities.
@@ -177,15 +178,6 @@ void TrackProbePartitions(uint64_t partitions);
 /// Raises the peak per-query memory high-water mark to `bytes` if larger
 /// (called once per query with its final charged total).
 void TrackPeakQueryBytes(uint64_t bytes);
-
-/// Records one select answered entirely from a recycled candidate list.
-void TrackCandidateCacheHit();
-
-/// Records one select seeded by a subsuming cached predicate's list.
-void TrackCandidateSubsumptionHit();
-
-/// Sets the recycler bytes-held gauge (absolute value, not a delta).
-void TrackRecyclerBytesHeld(uint64_t bytes);
 
 /// Copy of the process-wide counters (stripes folded with relaxed loads —
 /// safe to call while kernels run).

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "base/str_util.h"
-#include "monet/profiler.h"
 
 namespace mirror::monet {
 
@@ -131,7 +130,6 @@ uint64_t Recycler::Fence() {
   stats_.result_entries = 0;
   stats_.candidate_entries = 0;
   stats_.bytes_held = 0;
-  PublishBytesHeld();
   // Release so a reader that observes the new generation also observes
   // (at least) the cleared cache; the catalog mutation itself is ordered
   // by the caller's write path.
@@ -212,8 +210,6 @@ void Recycler::EraseCandidate(const std::string& bat,
   if (bucket->second.empty()) cands_.erase(bucket);
 }
 
-void Recycler::PublishBytesHeld() { TrackRecyclerBytesHeld(bytes_held_); }
-
 std::shared_ptr<const std::vector<uint8_t>> Recycler::LookupResult(
     uint64_t gen, const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -262,7 +258,6 @@ void Recycler::InsertResult(
   results_.emplace(key, std::move(e));
   stats_.result_entries = results_.size();
   stats_.bytes_held = bytes_held_;
-  PublishBytesHeld();
 }
 
 std::shared_ptr<const CandidateList> Recycler::LookupCandidates(
@@ -337,7 +332,6 @@ void Recycler::InsertCandidates(uint64_t gen, const SelectPredicate& pred,
   size_t n = 0;
   for (const auto& [bat, b] : cands_) n += b.size();
   stats_.candidate_entries = n;
-  PublishBytesHeld();
 }
 
 void Recycler::set_budget_bytes(uint64_t budget) {
@@ -352,7 +346,6 @@ void Recycler::set_budget_bytes(uint64_t budget) {
   size_t n = 0;
   for (const auto& [bat, b] : cands_) n += b.size();
   stats_.candidate_entries = n;
-  PublishBytesHeld();
 }
 
 uint64_t Recycler::budget_bytes() const {

@@ -171,9 +171,6 @@ class Recycler {
   void EraseResult(const std::string& key);
   void EraseCandidate(const std::string& bat, const std::string& ikey);
 
-  /// Publishes the bytes-held gauge to the process-wide profiler.
-  void PublishBytesHeld();
-
   mutable std::mutex mu_;
   std::atomic<uint64_t> generation_{0};
   uint64_t budget_bytes_;

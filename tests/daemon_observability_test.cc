@@ -227,6 +227,41 @@ TEST(ObservabilityCodecTest, PrometheusRenderingCoversClassesAndStages) {
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(text.find("{class=\"delete\",stage=\"queue_wait\"}"),
             std::string::npos);
+
+  // Every counter-table row renders exactly once, under a # TYPE line of
+  // its kind; only counters carry the _total suffix.
+  auto count = [&text](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  for (const wire::ServerCounter& c : wire::kServerCounters) {
+    const bool gauge = c.kind == wire::CounterKind::kGauge;
+    const std::string metric =
+        std::string("mirror_") + c.name + (gauge ? "" : "_total");
+    EXPECT_EQ(count("\n" + metric + " "), 1u) << metric;
+    EXPECT_EQ(count("# TYPE " + metric + (gauge ? " gauge\n" : " counter\n")),
+              1u)
+        << metric;
+    if (gauge) {
+      EXPECT_EQ(count("mirror_" + std::string(c.name) + "_total"), 0u);
+    }
+  }
+  // The names rendered before the counter table existed keep their
+  // spelling.
+  for (const char* legacy :
+       {"mirror_requests_total", "mirror_errors_total",
+        "mirror_requests_shed_total", "mirror_coalesced_requests_total",
+        "mirror_sessions_opened_total", "mirror_frames_in_total",
+        "mirror_frames_out_total", "mirror_bytes_in_total",
+        "mirror_bytes_out_total", "mirror_zone_blocks_skipped_total",
+        "mirror_result_cache_hits_total"}) {
+    EXPECT_NE(text.find(std::string("\n") + legacy + " "), std::string::npos)
+        << legacy;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -226,6 +226,88 @@ TEST(WireCodecTest, KnobListsRoundTripAndRejectEveryTruncation) {
   EXPECT_EQ(decodable, 1);
 }
 
+TEST(WireCodecTest, StatsCounterPrefixLayoutIsPinned) {
+  // The wire order of the STATS_RESULT counter prefix, written out by
+  // hand: MIRROR_SERVER_COUNTERS must reproduce it row for row, since a
+  // reordered or inserted row changes the protocol.
+  const std::vector<std::string> kWireOrder = {
+      "frames_in", "frames_out", "bytes_in", "bytes_out", "requests", "errors",
+      "coalesced_requests", "sessions_opened", "sessions_closed",
+      "load_generation", "zone_blocks_skipped", "topk_morsels_pruned",
+      "topk_shards_pruned", "probe_partitions", "wal_appends",
+      "wal_replayed_records", "wal_truncated_bytes", "recovery_lazy_loads",
+      "recovery_pending", "requests_shed", "queue_depth_high_water",
+      "active_workers", "result_chunks_streamed", "slow_client_disconnects",
+      "peak_query_bytes", "result_cache_hits", "result_cache_misses",
+      "recycler_admissions_rejected", "recycler_evictions",
+      "recycler_bytes_held", "candidate_cache_hits",
+      "candidate_subsumption_hits"};
+  std::vector<std::string> table_order;
+  wire::StatsReply stats;
+  uint64_t next = 0;
+#define PIN_ROW(name, kind, group) \
+  table_order.push_back(#name);    \
+  stats.server.name = ++next;
+  MIRROR_SERVER_COUNTERS(PIN_ROW)
+#undef PIN_ROW
+  ASSERT_EQ(table_order, kWireOrder);
+  ASSERT_EQ(std::size(wire::kServerCounters), kWireOrder.size());
+
+  // Counter i travels as the i-th little-endian u64 word, then the u32
+  // session count.
+  const size_t block = kWireOrder.size() * 8;
+  std::vector<uint8_t> bytes = wire::EncodeStatsReply(stats);
+  ASSERT_GE(bytes.size(), block + 4);
+  for (size_t i = 0; i < kWireOrder.size(); ++i) {
+    uint64_t word = 0;
+    for (size_t b = 8; b-- > 0;) word = (word << 8) | bytes[i * 8 + b];
+    EXPECT_EQ(word, i + 1) << kWireOrder[i];
+  }
+  EXPECT_EQ(bytes[block] | bytes[block + 1] | bytes[block + 2] |
+                bytes[block + 3],
+            0);
+
+  auto round = wire::DecodeStatsReply(bytes);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+#define ROUND_TRIP_ROW(name, kind, group) \
+  EXPECT_EQ(round.value().server.name, stats.server.name) << #name;
+  MIRROR_SERVER_COUNTERS(ROUND_TRIP_ROW)
+#undef ROUND_TRIP_ROW
+
+  for (size_t cut = 0; cut < block + 4; ++cut) {
+    std::vector<uint8_t> trunc(bytes.begin(),
+                               bytes.begin() + static_cast<ptrdiff_t>(cut));
+    EXPECT_FALSE(wire::DecodeStatsReply(trunc).ok()) << "cut at " << cut;
+  }
+}
+
+TEST(WireCodecTest, ResetKernelStatsZeroesEveryKernelRow) {
+  // A sharded, threaded select + aggregate bumps several rows (tuples,
+  // candidates, morsels, shard fan-out, the peak-bytes gauge).
+  moa::QueryContext ctx;
+  db::QueryOptions opts;
+  opts.exec.num_shards = 2;
+  opts.exec.num_threads = 2;
+  opts.exec.recycle = false;
+  auto result = SharedDb()->Query(
+      "count(select[THIS.rating >= 500](Cat));", ctx, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  int bumped = 0;
+  monet::KernelStats before = monet::SnapshotKernelStats();
+#define COUNT_BUMPED(name, fold) bumped += before.name > 0 ? 1 : 0;
+  MIRROR_KERNEL_COUNTERS(COUNT_BUMPED)
+#undef COUNT_BUMPED
+  EXPECT_GE(bumped, 3) << before.ToString();
+
+  monet::ResetKernelStats();
+  monet::KernelStats after = monet::SnapshotKernelStats();
+#define EXPECT_ZERO_ROW(name, fold) EXPECT_EQ(after.name, 0u) << #name;
+  MIRROR_KERNEL_COUNTERS(EXPECT_ZERO_ROW)
+#undef EXPECT_ZERO_ROW
+  EXPECT_EQ(after.TotalOps(), 0u);
+  EXPECT_EQ(after.TotalWallNanos(), 0u);
+}
+
 TEST(WireCodecTest, QueryRequestRoundTripsBindings) {
   wire::QueryRequest req;
   req.text = "map[sum(THIS)](map[getBL(THIS.doc, q, stats)](Lib));";
