@@ -2,7 +2,8 @@
 # CI entry point: tier-1 verify (configure, build, ctest), a smoke run of
 # the kernel and retrieval benchmarks gated on the ratios they write to
 # BENCH_retrieval.json, the end-to-end benchmark's self-test and quick
-# run, and a TSan job over the concurrent daemon tests.
+# run, an ASan+UBSan job over the kernel and engine tests, and a TSan job
+# over the concurrent daemon and engine tests.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,6 +23,22 @@ echo "== tier-1 verify =="
 cmake -B build -S .
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
+
+echo "== ASan+UBSan: kernel, engine and equivalence tests =="
+# Address and undefined-behaviour checks over the BAT kernels (mapped and
+# candidate views, empty-column codecs), the morsel and shard engines and
+# the randomized equivalence suite. Any UBSan report aborts the run.
+cmake -B build-asan -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -g -O1" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
+ASAN_TESTS=(monet_bat_test monet_ops_test monet_morsel_test
+  monet_catalog_mil_test monet_shard_test moa_fuzz_equivalence_test
+  moa_query_equivalence_test)
+cmake --build build-asan -j"${JOBS}" --target "${ASAN_TESTS[@]}"
+for t in "${ASAN_TESTS[@]}"; do
+  (cd build-asan && UBSAN_OPTIONS="print_stacktrace=1" "./${t}")
+done
 
 echo "== bench smoke: BAT kernel =="
 (cd build && ./bench_bat_kernel \
@@ -249,11 +266,13 @@ echo "== end-to-end benchmark: self-test and quick run =="
 bash bench/e2e/run.sh --selftest
 bash bench/e2e/run.sh --quick
 
-echo "== TSan: daemon concurrency (event loop, worker pool, chaos storm) =="
+echo "== TSan: daemon and engine concurrency (event loop, worker pool, chaos storm, shared views) =="
 # The event-driven connection layer is lock-order sensitive (loop_mu_ ->
 # mu_, the quiesce gate, the coalescing map) and the recycler fast path
 # reads the cache from the poll loop while workers insert and writers
-# fence: run the four daemon test binaries under ThreadSanitizer.
+# fence: run the daemon test binaries under ThreadSanitizer, plus the
+# morsel engine and the equivalence suite, whose DAG-scheduled plans read
+# and collapse shared candidate and mapped views from several workers.
 # Skipped with a notice when the toolchain lacks libtsan.
 if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_probe 2>/dev/null; then
   rm -f /tmp/tsan_probe
@@ -263,13 +282,16 @@ if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_pr
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
   cmake --build build-tsan -j"${JOBS}" \
     --target daemon_server_test daemon_recovery_test daemon_chaos_test \
-    daemon_recycler_test daemon_observability_test monet_trace_test
+    daemon_recycler_test daemon_observability_test monet_trace_test \
+    monet_morsel_test moa_fuzz_equivalence_test
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_server_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_recovery_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_chaos_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_recycler_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_observability_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_trace_test)
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_morsel_test)
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./moa_fuzz_equivalence_test)
 else
   echo "libtsan unavailable: skipping the TSan job"
 fi

@@ -47,7 +47,9 @@ base::Status ReadVec(const std::vector<uint8_t>& buf, size_t* pos,
     return base::Status::ParseError("truncated column payload");
   }
   v->resize(static_cast<size_t>(n));
-  std::memcpy(v->data(), buf.data() + *pos, n * sizeof(T));
+  // An empty vector's data() may be null, and memcpy from or to null is
+  // undefined even for zero bytes.
+  if (n > 0) std::memcpy(v->data(), buf.data() + *pos, n * sizeof(T));
   *pos += n * sizeof(T);
   return base::Status::Ok();
 }

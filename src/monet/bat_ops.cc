@@ -2304,37 +2304,6 @@ int64_t ScalarCount(const Bat& b) {
   return static_cast<int64_t>(b.size());
 }
 
-double ScalarSumCand(const Bat& b, const CandidateList& cands,
-                     const MorselExec& mx) {
-  KernelTimer timer(KernelOp::kScalarAgg);
-  TrackKernelOp(KernelOp::kScalarAgg, cands.size(), 1);
-  TrackFusedAgg();
-  TrackCandidateOp();
-  const Column& tail = b.tail();
-  size_t m = cands.size();
-  size_t morsels = mx.MorselsFor(m);
-  if (morsels <= 1) {
-    double sum = 0;
-    for (size_t i = 0; i < m; ++i) sum += tail.NumAt(cands.PositionAt(i));
-    return sum;
-  }
-  size_t chunk = (m + morsels - 1) / morsels;
-  std::vector<double> partial(morsels, 0.0);
-  MorselFor(mx, "agg.morsel", mx.pool, morsels, [&](size_t j) {
-    size_t lo = j * chunk;
-    size_t hi = std::min(m, lo + chunk);
-    double sum = 0;
-    for (size_t i = lo; i < hi; ++i) sum += tail.NumAt(cands.PositionAt(i));
-    partial[j] = sum;
-  });
-  TrackMorselTasks(morsels);
-  // Partials added in morsel order: deterministic for a fixed morsel
-  // size (though rounding may differ from the single-pass order).
-  double sum = 0;
-  for (double p : partial) sum += p;
-  return sum;
-}
-
 int64_t ScalarCountCand(const Bat& b, const CandidateList& cands) {
   (void)b;  // the count is fully determined by the candidate list
   TrackKernelOp(KernelOp::kScalarAgg, cands.size(), 1);
@@ -2373,53 +2342,6 @@ double ScalarFold(const Bat& b, FoldOp op) {
     acc = ApplyFold(acc, tail.NumAt(i), op);
   }
   return acc;
-}
-
-double ScalarFoldCand(const Bat& b, const CandidateList& cands, FoldOp op,
-                      const MorselExec& mx) {
-  KernelTimer timer(KernelOp::kScalarAgg);
-  TrackKernelOp(KernelOp::kScalarAgg, cands.size(), 1);
-  TrackFusedAgg();
-  TrackCandidateOp();
-  const Column& tail = b.tail();
-  size_t m = cands.size();
-  if (m == 0) return FoldEmptyValue(op);
-  size_t morsels = mx.MorselsFor(m);
-  if (morsels <= 1) {
-    double acc = tail.NumAt(cands.PositionAt(0));
-    for (size_t i = 1; i < m; ++i) {
-      acc = ApplyFold(acc, tail.NumAt(cands.PositionAt(i)), op);
-    }
-    return acc;
-  }
-  size_t chunk = (m + morsels - 1) / morsels;
-  std::vector<double> partial(morsels, 0.0);
-  std::vector<char> nonempty(morsels, 0);
-  MorselFor(mx, "agg.morsel", mx.pool, morsels, [&](size_t j) {
-    size_t lo = j * chunk;
-    size_t hi = std::min(m, lo + chunk);
-    if (lo >= hi) return;
-    double acc = tail.NumAt(cands.PositionAt(lo));
-    for (size_t i = lo + 1; i < hi; ++i) {
-      acc = ApplyFold(acc, tail.NumAt(cands.PositionAt(i)), op);
-    }
-    partial[j] = acc;
-    nonempty[j] = 1;
-  });
-  TrackMorselTasks(morsels);
-  // Merging partials in morsel order: exact for max/min (truly
-  // order-insensitive); for prod/por the regrouping ((a·b)·(c·d) vs
-  // (((a·b)·c)·d) can differ from the single-pass fold in the last ulp,
-  // like the morselized ScalarSumCand's partial sums — within the fuzz
-  // harness's 1e-9, not bit-exact.
-  bool seeded = false;
-  double acc = 0;
-  for (size_t j = 0; j < morsels; ++j) {
-    if (nonempty[j] == 0) continue;
-    acc = seeded ? ApplyFold(acc, partial[j], op) : partial[j];
-    seeded = true;
-  }
-  return seeded ? acc : FoldEmptyValue(op);
 }
 
 Value ScalarMax(const Bat& b) {
@@ -2593,6 +2515,324 @@ Bat FillTail(const Bat& b, const Value& v) {
       MIRROR_UNREACHABLE();
       return b;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Mapped views.
+
+namespace {
+
+// `prev` (null: the empty chain over a tail of type `input`) plus `step`.
+std::shared_ptr<const MapChain> Extend(const MapChain* prev, ValueType input,
+                                       MapStep step) {
+  auto chain = std::make_shared<MapChain>(
+      prev != nullptr ? *prev : MapChain{input, {}});
+  chain->steps.push_back(std::move(step));
+  return chain;
+}
+
+}  // namespace
+
+std::shared_ptr<const MapChain> MapChain::ThenBinary(const MapChain* prev,
+                                                     ValueType input,
+                                                     BinOp op,
+                                                     const Value& scalar) {
+  ValueType in = prev != nullptr ? prev->out_type() : input;
+  if (!IsPlainNumeric(in) || !IsPlainNumeric(scalar.type())) return nullptr;
+  MapStep step;
+  step.bin_op = op;
+  step.scalar = scalar;
+  step.out = in == ValueType::kInt && scalar.type() == ValueType::kInt &&
+                     IntClosed(op)
+                 ? ValueType::kInt
+                 : ValueType::kDbl;
+  return Extend(prev, input, std::move(step));
+}
+
+std::shared_ptr<const MapChain> MapChain::ThenUnary(const MapChain* prev,
+                                                    ValueType input,
+                                                    UnOp op) {
+  ValueType in = prev != nullptr ? prev->out_type() : input;
+  if (!IsPlainNumeric(in)) return nullptr;
+  MapStep step;
+  step.unary = true;
+  step.un_op = op;
+  return Extend(prev, input, std::move(step));
+}
+
+namespace {
+
+// Values per evaluation block: two buffers of this many 8-byte values stay
+// L1-resident while a step runs over them.
+constexpr size_t kMapBlock = 1024;
+
+// Calls `fn(std::integral_constant<E, op>{})` for the runtime `op`, which
+// must be one of `kOps`: a loop inside `fn` then sees a compile-time op,
+// and ApplyBin's / ApplyUn's switch folds out of the loop body instead of
+// running per element.
+template <typename E, E... kOps, typename Fn>
+void DispatchConstant(E op, Fn&& fn) {
+  const bool matched =
+      ((op == kOps && (fn(std::integral_constant<E, kOps>{}), true)) || ...);
+  MIRROR_CHECK(matched) << "op outside the dispatched set";
+}
+
+void IntStep(BinOp op, int64_t c, int64_t* x, size_t n) {
+  DispatchConstant<BinOp, BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kMax,
+                   BinOp::kMin>(op, [&](auto kop) {
+    for (size_t k = 0; k < n; ++k) x[k] = ApplyBinInt(x[k], c, kop);
+  });
+}
+
+void DblStep(BinOp op, double c, double* x, size_t n) {
+  DispatchConstant<BinOp, BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kDiv,
+                   BinOp::kMax, BinOp::kMin, BinOp::kPow>(op, [&](auto kop) {
+    for (size_t k = 0; k < n; ++k) x[k] = ApplyBin(x[k], c, kop);
+  });
+}
+
+void UnaryStep(UnOp op, double* x, size_t n) {
+  DispatchConstant<UnOp, UnOp::kLog, UnOp::kLog1p, UnOp::kExp, UnOp::kSqrt,
+                   UnOp::kNeg, UnOp::kAbs, UnOp::kOneMinus>(op, [&](auto kop) {
+    for (size_t k = 0; k < n; ++k) x[k] = ApplyUn(x[k], kop);
+  });
+}
+
+// Copies the values at domain indexes [lo, lo+n) — rows of `src` when
+// `cands` is null, the candidate positions otherwise — into `out`.
+template <typename T>
+void GatherBlock(const std::vector<T>& src, const CandidateList* cands,
+                 size_t lo, size_t n, T* out) {
+  if (cands == nullptr || cands->is_dense()) {
+    size_t first = lo + (cands == nullptr ? 0 : cands->first());
+    std::copy(src.begin() + static_cast<ptrdiff_t>(first),
+              src.begin() + static_cast<ptrdiff_t>(first + n), out);
+    return;
+  }
+  const uint32_t* pos = cands->sparse_positions().data() + lo;
+  for (size_t k = 0; k < n; ++k) out[k] = src[pos[k]];
+}
+
+// Gathers the tail values at domain indexes [lo, lo+n) and runs `chain`
+// over them in place, one step at a time. Values start in `ints` (int
+// tail) or `dbls`; the first dbl step of an int chain moves them to `dbls`
+// exactly as NumAt widens them. Returns true when the result is in `ints`.
+bool EvalMappedBlock(const Column& tail, const CandidateList* cands,
+                     const MapChain& chain, size_t lo, size_t n,
+                     int64_t* ints, double* dbls) {
+  bool in_int = tail.type() == ValueType::kInt;
+  if (in_int) {
+    GatherBlock(tail.ints(), cands, lo, n, ints);
+  } else {
+    GatherBlock(tail.dbls(), cands, lo, n, dbls);
+  }
+  for (const MapStep& step : chain.steps) {
+    if (step.out == ValueType::kInt) {
+      IntStep(step.bin_op, step.scalar.i(), ints, n);
+      continue;
+    }
+    if (in_int) {
+      for (size_t k = 0; k < n; ++k) dbls[k] = static_cast<double>(ints[k]);
+      in_int = false;
+    }
+    if (step.unary) {
+      UnaryStep(step.un_op, dbls, n);
+    } else {
+      DblStep(step.bin_op, step.scalar.AsDouble(), dbls, n);
+    }
+  }
+  return in_int;
+}
+
+// Runs `fold(acc, values, n)` over the mapped values at domain indexes
+// [lo, hi) in index order, one block at a time (values widened to double
+// as NumAt widens them).
+template <typename Fold>
+double FoldMappedRange(const Column& tail, const CandidateList* cands,
+                       const MapChain& chain, size_t lo, size_t hi,
+                       double acc, Fold fold) {
+  int64_t ints[kMapBlock];
+  double dbls[kMapBlock];
+  for (size_t b = lo; b < hi; b += kMapBlock) {
+    size_t n = std::min(kMapBlock, hi - b);
+    if (EvalMappedBlock(tail, cands, chain, b, n, ints, dbls)) {
+      for (size_t k = 0; k < n; ++k) dbls[k] = static_cast<double>(ints[k]);
+    }
+    acc = fold(acc, dbls, n);
+  }
+  return acc;
+}
+
+// Per-step multiplex accounting of one evaluation of `chain` over `m`
+// values: the counts the materializing map kernels would have recorded.
+void TrackMappedSteps(const MapChain& chain, size_t m) {
+  for (size_t s = 0; s < chain.steps.size(); ++s) {
+    TrackKernelOp(KernelOp::kMultiplex, m, m);
+  }
+}
+
+// The identity chain over `b`'s tail: the plain candidate aggregates are
+// mapped views without steps.
+MapChain IdentityChain(const Bat& b) {
+  return MapChain{
+      b.tail().type() == ValueType::kInt ? ValueType::kInt : ValueType::kDbl,
+      {}};
+}
+
+}  // namespace
+
+double ScalarSumMapped(const Bat& b, const CandidateList* cands,
+                       const MapChain& chain, const MorselExec& mx) {
+  size_t m = DomainSize(b.size(), cands);
+  KernelTimer timer(KernelOp::kScalarAgg);
+  TrackKernelOp(KernelOp::kScalarAgg, m, 1);
+  TrackFusedAgg();
+  TrackCandidateOp();
+  TrackMappedSteps(chain, m);
+  auto sum_range = [&](size_t lo, size_t hi) {
+    return FoldMappedRange(b.tail(), cands, chain, lo, hi, 0.0,
+                           [](double acc, const double* v, size_t n) {
+                             for (size_t k = 0; k < n; ++k) acc += v[k];
+                             return acc;
+                           });
+  };
+  size_t morsels = mx.MorselsFor(m);
+  if (morsels <= 1) return sum_range(0, m);
+  std::vector<double> partial(morsels, 0.0);
+  MorselForChunks(mx, "agg.morsel", mx.pool, m, morsels,
+                  [&](size_t j, size_t lo, size_t hi) {
+                    partial[j] = sum_range(lo, hi);
+                  });
+  TrackMorselTasks(morsels);
+  // Partials added in morsel order: deterministic for a fixed morsel
+  // size (though rounding may differ from the single-pass order).
+  double sum = 0;
+  for (double p : partial) sum += p;
+  return sum;
+}
+
+double ScalarFoldMapped(const Bat& b, const CandidateList* cands,
+                        const MapChain& chain, FoldOp op,
+                        const MorselExec& mx) {
+  size_t m = DomainSize(b.size(), cands);
+  KernelTimer timer(KernelOp::kScalarAgg);
+  TrackKernelOp(KernelOp::kScalarAgg, m, 1);
+  TrackFusedAgg();
+  TrackCandidateOp();
+  TrackMappedSteps(chain, m);
+  if (m == 0) return FoldEmptyValue(op);
+  // Seeded from the range's first value (not an identity) so max/min are
+  // exact over all-negative and all-positive inputs alike; `lo < hi`.
+  auto fold_range = [&](size_t lo, size_t hi) {
+    bool seeded = false;
+    return FoldMappedRange(
+        b.tail(), cands, chain, lo, hi, 0.0,
+        [&](double acc, const double* v, size_t n) {
+          size_t k = 0;
+          if (!seeded) {
+            acc = v[k++];
+            seeded = true;
+          }
+          DispatchConstant<FoldOp, FoldOp::kMax, FoldOp::kMin, FoldOp::kProd,
+                           FoldOp::kPor>(op, [&](auto kop) {
+            for (; k < n; ++k) acc = ApplyFold(acc, v[k], kop);
+          });
+          return acc;
+        });
+  };
+  size_t morsels = mx.MorselsFor(m);
+  if (morsels <= 1) return fold_range(0, m);
+  std::vector<double> partial(morsels, 0.0);
+  std::vector<char> nonempty(morsels, 0);
+  MorselForChunks(mx, "agg.morsel", mx.pool, m, morsels,
+                  [&](size_t j, size_t lo, size_t hi) {
+                    if (lo >= hi) return;
+                    partial[j] = fold_range(lo, hi);
+                    nonempty[j] = 1;
+                  });
+  TrackMorselTasks(morsels);
+  // Merging partials in morsel order: exact for max/min (truly
+  // order-insensitive); for prod/por the regrouping ((a·b)·(c·d) vs
+  // (((a·b)·c)·d) can differ from the single-pass fold in the last ulp,
+  // like the morselized sum's partial sums — within the fuzz harness's
+  // 1e-9, not bit-exact.
+  bool seeded = false;
+  double acc = 0;
+  for (size_t j = 0; j < morsels; ++j) {
+    if (nonempty[j] == 0) continue;
+    acc = seeded ? ApplyFold(acc, partial[j], op) : partial[j];
+    seeded = true;
+  }
+  return seeded ? acc : FoldEmptyValue(op);
+}
+
+double ScalarSumCand(const Bat& b, const CandidateList& cands,
+                     const MorselExec& mx) {
+  return ScalarSumMapped(b, &cands, IdentityChain(b), mx);
+}
+
+double ScalarFoldCand(const Bat& b, const CandidateList& cands, FoldOp op,
+                      const MorselExec& mx) {
+  return ScalarFoldMapped(b, &cands, IdentityChain(b), op, mx);
+}
+
+Bat MaterializeMapped(const Bat& b, const CandidateList* cands,
+                      const MapChain& chain, const MorselExec& mx) {
+  size_t m = DomainSize(b.size(), cands);
+  KernelTimer timer(cands != nullptr ? KernelOp::kMaterialize
+                                     : KernelOp::kMultiplex);
+  if (cands != nullptr) {
+    TrackKernelOp(KernelOp::kMaterialize, m, m);
+    TrackMaterialization(m);
+  }
+  TrackMappedSteps(chain, m);
+  const Column& head = b.head();
+  // Void and oid heads gather alongside the tail; other head types (rare
+  // under a candidate view) take the generic column gather.
+  const bool gather_oids =
+      cands != nullptr &&
+      (head.type() == ValueType::kVoid || head.type() == ValueType::kOid);
+  std::vector<Oid> oids(gather_oids ? m : 0);
+  const bool int_out = chain.out_type() == ValueType::kInt;
+  std::vector<int64_t> out_ints(int_out ? m : 0);
+  std::vector<double> out_dbls(int_out ? 0 : m);
+  auto fill = [&](size_t lo, size_t hi) {
+    int64_t ints[kMapBlock];
+    double dbls[kMapBlock];
+    for (size_t blk = lo; blk < hi; blk += kMapBlock) {
+      size_t n = std::min(kMapBlock, hi - blk);
+      // The block evaluates straight into the output where the chain's
+      // result lands; the other buffer is scratch.
+      EvalMappedBlock(b.tail(), cands, chain, blk, n,
+                      int_out ? out_ints.data() + blk : ints,
+                      int_out ? dbls : out_dbls.data() + blk);
+    }
+    if (gather_oids) {
+      for (size_t k = lo; k < hi; ++k) {
+        oids[k] = head.OidAt(cands->PositionAt(k));
+      }
+    }
+  };
+  size_t morsels = mx.MorselsFor(m);
+  if (morsels <= 1) {
+    fill(0, m);
+  } else {
+    MorselForChunks(mx, "materialize.morsel", mx.pool, m, morsels,
+                    [&](size_t, size_t lo, size_t hi) {
+                      if (!mx.Aborted()) fill(lo, hi);
+                    });
+    TrackMorselTasks(morsels);
+  }
+  auto out_head = [&]() -> Column {
+    if (cands == nullptr) return head;
+    if (gather_oids) return Column::MakeOids(std::move(oids));
+    return cands->is_dense() ? head.Gather(cands->ToPositions())
+                             : head.Gather(cands->sparse_positions());
+  };
+  Bat out(out_head(), int_out ? Column::MakeInts(std::move(out_ints))
+                              : Column::MakeDbls(std::move(out_dbls)));
+  mx.Charge(ApproxBatBytes(out));
+  return out;
 }
 
 }  // namespace mirror::monet

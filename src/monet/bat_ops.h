@@ -466,6 +466,69 @@ Bat FillTail(const Bat& b, const Value& v);
 /// emits when pushing scalar sums through multiplex arithmetic.
 double ApplyScalarBin(double a, double b, BinOp op);
 
+// ---------------------------------------------------------------------------
+// Mapped views: scalar map arithmetic kept as a chain of per-element steps
+// over a candidate view (or a whole BAT) instead of one new BAT per map.
+// Scalar aggregates evaluate the chain inline, a block of tail values at a
+// time; every other consumer collapses the view with one gather that
+// applies the chain (MaterializeMapped).
+
+/// One per-element step: `x (bin_op) scalar` — MapBinaryScalar — or
+/// `un_op(x)` — MapUnary. `out` is the step's result type, decided exactly
+/// as the materializing kernel decides it: int only while the input and
+/// the constant are int and the op is closed over ints, dbl otherwise.
+struct MapStep {
+  bool unary = false;
+  BinOp bin_op = BinOp::kAdd;
+  UnOp un_op = UnOp::kLog;
+  Value scalar;
+  ValueType out = ValueType::kDbl;
+};
+
+/// An immutable chain of steps over a numeric tail of type `input`. Chains
+/// are shared between registers; appending a step builds a new chain.
+struct MapChain {
+  ValueType input = ValueType::kInt;
+  std::vector<MapStep> steps;
+
+  /// The tail type the chain produces.
+  ValueType out_type() const {
+    return steps.empty() ? input : steps.back().out;
+  }
+
+  /// `prev` (null: the empty chain over a tail of type `input`) followed
+  /// by `x (op) scalar`. Null when the step cannot be deferred: a
+  /// non-numeric tail or constant, which the materializing kernel rejects.
+  static std::shared_ptr<const MapChain> ThenBinary(const MapChain* prev,
+                                                    ValueType input,
+                                                    BinOp op,
+                                                    const Value& scalar);
+
+  /// `prev` followed by `op(x)`; null for a non-numeric tail.
+  static std::shared_ptr<const MapChain> ThenUnary(const MapChain* prev,
+                                                   ValueType input, UnOp op);
+};
+
+/// `sum` of the mapped view: equals ScalarSum over the BAT that applying
+/// `chain` to `Materialize(b, *cands)` (or to `b` when `cands` is null)
+/// would produce, with ScalarSumCand's morsel boundaries and merge order.
+/// Int chains are exact; dbl chains may differ from the single-pass sum
+/// only by the regrouping of per-morsel partial sums.
+double ScalarSumMapped(const Bat& b, const CandidateList* cands,
+                       const MapChain& chain, const MorselExec& mx = {});
+
+/// Fold of the mapped view, with ScalarFoldCand's morsels and merge.
+double ScalarFoldMapped(const Bat& b, const CandidateList* cands,
+                        const MapChain& chain, FoldOp op,
+                        const MorselExec& mx = {});
+
+/// Collapses the mapped view into one BAT: identical to applying the
+/// chain's MapBinaryScalar/MapUnary steps to `Materialize(b, *cands)` (or
+/// to `b` when `cands` is null), with a single output tail instead of one
+/// per step.
+Bat MaterializeMapped(const Bat& b, const CandidateList* cands,
+                      const MapChain& chain, const MorselExec& mx = {});
+
 }  // namespace mirror::monet
 
 #endif  // MIRROR_MONET_BAT_OPS_H_

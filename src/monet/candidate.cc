@@ -35,16 +35,14 @@ CandidateList CandidateList::Intersect(const CandidateList& other) const {
     size_t hi = std::min(first_ + count_, other.first_ + other.count_);
     return Dense(lo, hi > lo ? hi - lo : 0);
   }
-  // Dense-vs-sparse: clamp the sparse side to the dense range.
+  // Dense-vs-sparse: the sparse positions inside the dense range form one
+  // contiguous run of the sorted vector; find it and copy it once.
   auto clamp_to_dense = [](const CandidateList& sparse,
                            const CandidateList& dense) {
-    std::vector<uint32_t> out;
-    size_t lo = dense.first_;
-    size_t hi = dense.first_ + dense.count_;
-    for (uint32_t p : sparse.positions_) {
-      if (p >= lo && p < hi) out.push_back(p);
-    }
-    return FromPositions(std::move(out));
+    const std::vector<uint32_t>& p = sparse.positions_;
+    auto lo = std::lower_bound(p.begin(), p.end(), dense.first_);
+    auto hi = std::lower_bound(lo, p.end(), dense.first_ + dense.count_);
+    return FromPositions(std::vector<uint32_t>(lo, hi));
   };
   if (dense_) return clamp_to_dense(other, *this);
   if (other.dense_) return clamp_to_dense(*this, other);

@@ -231,17 +231,23 @@ TopKThreshold* TopKFor(RunState& st, const Instr& i) {
   return st.topk->For(i);
 }
 
-/// A register's materialized BAT; lazily collapses a candidate view into
-/// a BAT (shared by all later consumers of the register). The gather
-/// itself runs outside slot_mu so independent pipeline breakers stay
-/// parallel; racing consumers may materialize twice, and the first to
-/// publish wins.
+/// True when `c` is every row of an `n`-row BAT.
+bool CoversAllRows(const CandidateList& c, size_t n) {
+  return c.is_dense() && c.first() == 0 && c.size() == n;
+}
+
+/// A register's materialized BAT; lazily collapses a candidate or mapped
+/// view into a BAT (shared by all later consumers of the register): one
+/// gather that applies the view's map chain, if any. The gather itself
+/// runs outside slot_mu so independent pipeline breakers stay parallel;
+/// racing consumers may materialize twice, and the first to publish wins.
 base::Result<BatPtr> MatInput(RunState& st, int reg) {
   if (reg < 0 || reg >= static_cast<int>(st.regs->size())) {
     return base::Status::Internal("register out of range");
   }
   BatPtr base;
   std::shared_ptr<const CandidateList> cands;
+  std::shared_ptr<const MapChain> map;
   {
     std::lock_guard<std::mutex> lock(st.slot_mu);
     RegValue& rv = st.slot(reg);
@@ -249,41 +255,55 @@ base::Result<BatPtr> MatInput(RunState& st, int reg) {
       return base::Status::Internal("register r" + std::to_string(reg) +
                                     " does not hold a BAT");
     }
-    if (!rv.is_candidate()) return rv.bat;
-    const CandidateList& c = *rv.cands;
-    if (c.is_dense() && c.first() == 0 && c.size() == rv.bat->size()) {
-      rv.cands = nullptr;  // full coverage: the base IS the result
-      return rv.bat;
+    if (rv.is_candidate() && CoversAllRows(*rv.cands, rv.bat->size())) {
+      rv.cands = nullptr;  // full coverage: the base IS the domain
     }
+    if (!rv.is_candidate() && !rv.is_mapped()) return rv.bat;
     base = rv.bat;
     cands = rv.cands;
+    map = rv.map;
   }
-  BatPtr materialized =
-      std::make_shared<const Bat>(Materialize(*base, *cands, st.mx));
+  BatPtr materialized = std::make_shared<const Bat>(
+      map != nullptr ? MaterializeMapped(*base, cands.get(), *map, st.mx)
+                     : Materialize(*base, *cands, st.mx));
   std::lock_guard<std::mutex> lock(st.slot_mu);
   RegValue& rv = st.slot(reg);
-  if (rv.is_candidate()) {
+  if (rv.is_candidate() || rv.is_mapped()) {
     rv.bat = materialized;
     rv.cands = nullptr;
+    rv.map = nullptr;
   }
   return rv.bat;
 }
 
 /// A register as (base BAT, optional candidate list) without forcing
-/// materialization.
+/// materialization. A mapped view is handed out as such when the caller
+/// takes its chain (`map` non-null); otherwise it collapses first, since
+/// its base's tail does not hold the register's values.
 base::Status CandInput(RunState& st, int reg, BatPtr* base,
-                       std::shared_ptr<const CandidateList>* cands) {
+                       std::shared_ptr<const CandidateList>* cands,
+                       std::shared_ptr<const MapChain>* map = nullptr) {
   if (reg < 0 || reg >= static_cast<int>(st.regs->size())) {
     return base::Status::Internal("register out of range");
   }
-  std::lock_guard<std::mutex> lock(st.slot_mu);
-  RegValue& rv = st.slot(reg);
-  if (!rv.written || rv.is_scalar || rv.bat == nullptr) {
-    return base::Status::Internal("register r" + std::to_string(reg) +
-                                  " does not hold a BAT");
+  {
+    std::lock_guard<std::mutex> lock(st.slot_mu);
+    RegValue& rv = st.slot(reg);
+    if (!rv.written || rv.is_scalar || rv.bat == nullptr) {
+      return base::Status::Internal("register r" + std::to_string(reg) +
+                                    " does not hold a BAT");
+    }
+    if (!rv.is_mapped() || map != nullptr) {
+      *base = rv.bat;
+      *cands = rv.cands;
+      if (map != nullptr) *map = rv.map;
+      return base::Status::Ok();
+    }
   }
-  *base = rv.bat;
-  *cands = rv.cands;
+  auto collapsed = MatInput(st, reg);
+  if (!collapsed.ok()) return collapsed.status();
+  *base = collapsed.value();
+  cands->reset();
   return base::Status::Ok();
 }
 
@@ -318,12 +338,24 @@ void PutCand(RunState& st, int dst, BatPtr base, CandidateList cands) {
 
 void PutCandPtr(RunState& st, int dst, BatPtr base,
                 std::shared_ptr<const CandidateList> cands) {
-  // Shared cached lists are references into the recycler's budget, not
-  // fresh allocations of this query — no memory charge.
+  // Shared lists — the recycler's cached ones, or another register's —
+  // are references, not fresh allocations of this query: no memory charge.
   RegValue& rv = st.slot(dst);
   rv.Clear();
   rv.bat = std::move(base);
   rv.cands = std::move(cands);
+  rv.written = true;
+}
+
+void PutMapped(RunState& st, int dst, BatPtr base,
+               std::shared_ptr<const CandidateList> cands,
+               std::shared_ptr<const MapChain> map) {
+  // A mapped view allocates nothing until a consumer collapses it.
+  RegValue& rv = st.slot(dst);
+  rv.Clear();
+  rv.bat = std::move(base);
+  rv.cands = std::move(cands);
+  rv.map = std::move(map);
   rv.written = true;
 }
 
@@ -412,6 +444,30 @@ void ExecFusedAgg(RunState& st, const Instr& i, const BatPtr& base,
       break;
     case OpCode::kScalarFold:
       PutScalar(st, i.dst, ScalarFoldCand(*base, cands, i.fold_op, st.mx));
+      break;
+    default:
+      MIRROR_UNREACHABLE();
+  }
+}
+
+/// Scalar aggregates over a mapped view (`cands` null: every row of
+/// `base`): sum and fold evaluate the chain inline, block by block; the
+/// count reads only the domain size.
+void ExecMappedScalarAgg(RunState& st, const Instr& i, const BatPtr& base,
+                         const CandidateList* cands, const MapChain& map) {
+  switch (i.op) {
+    case OpCode::kScalarSum:
+      PutScalar(st, i.dst, ScalarSumMapped(*base, cands, map, st.mx));
+      break;
+    case OpCode::kScalarCount:
+      PutScalar(st, i.dst,
+                static_cast<double>(cands != nullptr
+                                        ? ScalarCountCand(*base, *cands)
+                                        : ScalarCount(*base)));
+      break;
+    case OpCode::kScalarFold:
+      PutScalar(st, i.dst,
+                ScalarFoldMapped(*base, cands, map, i.fold_op, st.mx));
       break;
     default:
       MIRROR_UNREACHABLE();
@@ -595,26 +651,51 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
         // over the same dense oid range (the flattener's select→semijoin
         // candidate chains), head membership IS position membership, so
         // the semijoin collapses to a sorted position-set intersection —
-        // no hash build, no materialization of either side.
+        // no hash build, no materialization of either side. Only heads
+        // matter, so a mapped right side stays uncollapsed.
         BatPtr rbase;
         std::shared_ptr<const CandidateList> rcands;
-        MIRROR_RETURN_IF_ERROR(CandInput(st, i.src1, &rbase, &rcands));
+        std::shared_ptr<const MapChain> rmap;
+        MIRROR_RETURN_IF_ERROR(CandInput(st, i.src1, &rbase, &rcands, &rmap));
         if (base->head().is_void() && rbase->head().is_void() &&
             base->head().void_base() == rbase->head().void_base()) {
-          CandidateList lc =
-              domain != nullptr ? *domain : CandidateList::All(base->size());
-          CandidateList rc = rcands != nullptr
-                                 ? *rcands
-                                 : CandidateList::All(rbase->size());
-          rc = rc.Intersect(CandidateList::All(base->size()));
-          CandidateList out = i.op == OpCode::kSemiJoinHead
-                                  ? lc.Intersect(rc)
-                                  : lc.Difference(rc);
+          const size_t n = base->size();
+          const size_t rn = rbase->size();
+          const CandidateList all_l = CandidateList::All(n);
+          const CandidateList all_r = CandidateList::All(rn);
+          const CandidateList& lc = domain != nullptr ? *domain : all_l;
+          const CandidateList& rc = rcands != nullptr ? *rcands : all_r;
+          // When one side is every row of its BAT and the other's rows all
+          // lie inside it, the other side's list IS the result: share it.
+          auto within = [](const CandidateList& c, size_t rows) {
+            return c.empty() || c.PositionAt(c.size() - 1) < rows;
+          };
+          std::shared_ptr<const CandidateList> shared;
+          if (i.op == OpCode::kSemiJoinHead) {
+            if (rcands != nullptr && CoversAllRows(lc, n) && within(rc, n)) {
+              shared = rcands;
+            } else if (cands != nullptr && CoversAllRows(rc, rn) &&
+                       within(lc, rn)) {
+              shared = cands;
+            }
+          }
+          CandidateList out;
+          if (shared == nullptr) {
+            // lc lies inside [0, n), so rows of rc past n drop out of both
+            // the intersection and the difference without a clamp.
+            out = i.op == OpCode::kSemiJoinHead ? lc.Intersect(rc)
+                                                : lc.Difference(rc);
+          }
           TrackKernelOp(i.op == OpCode::kSemiJoinHead ? KernelOp::kSemiJoin
                                                       : KernelOp::kAntiJoin,
-                        lc.size() + rc.size(), out.size());
+                        lc.size() + rc.size(),
+                        shared != nullptr ? shared->size() : out.size());
           TrackCandidateOp();
-          PutCand(st, i.dst, base, std::move(out));
+          if (shared != nullptr) {
+            PutCandPtr(st, i.dst, base, std::move(shared));
+          } else {
+            PutCand(st, i.dst, base, std::move(out));
+          }
           return base::Status::Ok();
         }
         // General case: the right side is a hash build side (pipeline
@@ -665,15 +746,51 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
     return base::Status::Ok();
   }
 
+  // Mapped views: scalar map arithmetic over a BAT or a candidate view
+  // appends one step to the register's map chain and computes nothing.
+  // Scalar aggregates evaluate the chain inline; every other consumer
+  // collapses it with one gather (MatInput). A step the materializing
+  // kernel would reject (non-numeric tail or constant) runs eagerly below.
+  if (i.op == OpCode::kMapBinaryScalar || i.op == OpCode::kMapUnary) {
+    BatPtr base;
+    std::shared_ptr<const CandidateList> cands;
+    std::shared_ptr<const MapChain> map;
+    MIRROR_RETURN_IF_ERROR(CandInput(st, i.src0, &base, &cands, &map));
+    const ValueType in = base->tail().type();
+    std::shared_ptr<const MapChain> chain =
+        i.op == OpCode::kMapBinaryScalar
+            ? MapChain::ThenBinary(map.get(), in, i.bin_op, i.imm0)
+            : MapChain::ThenUnary(map.get(), in, i.un_op);
+    if (chain != nullptr) {
+      // Full coverage keeps the base's head, exactly as MatInput would.
+      if (cands != nullptr && CoversAllRows(*cands, base->size())) {
+        cands = nullptr;
+      }
+      PutMapped(st, i.dst, std::move(base), std::move(cands),
+                std::move(chain));
+      return base::Status::Ok();
+    }
+  }
+
   // Fused aggregation: when the source register still holds a candidate
   // view, group-by / topN / scalar aggregates read the base BAT at the
   // candidate positions directly, so select→agg plans never call
-  // Materialize(). Registers already collapsed to a BAT fall through to
-  // the materializing path below.
+  // Materialize(). Scalar aggregates also consume mapped views. Registers
+  // already collapsed to a BAT fall through to the materializing path
+  // below.
   if (IsFusableAggOp(i.op)) {
+    const bool scalar_agg = i.op == OpCode::kScalarSum ||
+                            i.op == OpCode::kScalarCount ||
+                            i.op == OpCode::kScalarFold;
     BatPtr base;
     std::shared_ptr<const CandidateList> cands;
-    MIRROR_RETURN_IF_ERROR(CandInput(st, i.src0, &base, &cands));
+    std::shared_ptr<const MapChain> map;
+    MIRROR_RETURN_IF_ERROR(
+        CandInput(st, i.src0, &base, &cands, scalar_agg ? &map : nullptr));
+    if (map != nullptr) {
+      ExecMappedScalarAgg(st, i, base, cands.get(), *map);
+      return base::Status::Ok();
+    }
     if (cands != nullptr) {
       ExecFusedAgg(st, i, base, *cands);
       return base::Status::Ok();

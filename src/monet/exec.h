@@ -120,15 +120,19 @@ struct ExecOptions {
 };
 
 /// One register during execution: a materialized BAT, an unmaterialized
-/// candidate view over a base BAT (`bat` + `cands`), or a scalar.
+/// candidate view over a base BAT (`bat` + `cands`), a mapped view (`bat`,
+/// optional `cands`, plus the scalar map arithmetic still to apply to its
+/// tail), or a scalar.
 struct RegValue {
   BatPtr bat;
   std::shared_ptr<const CandidateList> cands;  // set iff candidate view
+  std::shared_ptr<const MapChain> map;         // set iff mapped view
   double scalar = 0;
   bool is_scalar = false;
   bool written = false;
 
   bool is_candidate() const { return cands != nullptr; }
+  bool is_mapped() const { return map != nullptr; }
   void Clear() { *this = RegValue(); }
 };
 
@@ -200,10 +204,10 @@ bool IsShardLocalUnaryOp(OpCode op);
 /// Data-flow MIL executor: builds the SSA register dependency DAG of a
 /// Program and schedules independent instructions across a worker pool;
 /// within an instruction, hot kernels split large inputs into morsels on
-/// the same pool. The selection family runs over candidate vectors, and
-/// aggregates fuse onto candidate views, leaving explicit
-/// materialization only at the true pipeline breakers (sort, map
-/// arithmetic, result delivery).
+/// the same pool. The selection family runs over candidate vectors,
+/// scalar map arithmetic extends them into mapped views, and aggregates
+/// fuse onto both, leaving explicit materialization only at the true
+/// pipeline breakers (sort, column-column arithmetic, result delivery).
 ///
 /// The only production interpreter. The stateless sequential `Executor`
 /// (monet/mil.h) is reached by no production path or knob: it stays as

@@ -194,11 +194,17 @@ std::string RandomQuery(base::Rng* rng, bool weighted,
     }
     return ranked + ";";
   }
-  // Scalar arithmetic map (possibly composed).
-  const char* bodies[] = {"THIS.a + THIS.b", "THIS.a * 2 + 1",
-                          "THIS.x * THIS.x", "THIS.a - THIS.b * 3"};
-  std::string query =
-      base::StrFormat("map[%s](%s)", bodies[rng->Uniform(4)], source.c_str());
+  // Scalar arithmetic map (possibly composed). The last five bodies leave
+  // int arithmetic in the middle of a chain of map steps — at a `/`, a dbl
+  // constant, or the map.unary negation of `lit - expr` — so mapped views
+  // must promote exactly where the materializing kernels do.
+  const char* bodies[] = {"THIS.a + THIS.b",     "THIS.a * 2 + 1",
+                          "THIS.x * THIS.x",     "THIS.a - THIS.b * 3",
+                          "THIS.a / 4",          "THIS.a * 0.5 + 1",
+                          "THIS.x * 0.5 + 1",
+                          "THIS.a * 3 / 4 + 1",  "2 - THIS.a * 3"};
+  std::string query = base::StrFormat(
+      "map[%s](%s)", bodies[rng->Uniform(std::size(bodies))], source.c_str());
   if (rng->Uniform(2) == 0) {
     query = base::StrFormat("map[THIS * %lld + 1](%s)",
                             static_cast<long long>(rng->UniformInt(2, 4)),

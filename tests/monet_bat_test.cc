@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "monet/bat.h"
+#include "monet/bat_io.h"
 #include "monet/string_heap.h"
 #include "monet/value.h"
 
@@ -104,6 +105,24 @@ TEST(BatTest, EmptyBatsOfAllTypes) {
     Bat b = Bat::Empty(ValueType::kVoid, vt);
     EXPECT_EQ(b.size(), 0u);
     EXPECT_EQ(b.tail().type(), vt);
+  }
+}
+
+TEST(BatIoTest, EmptyColumnsOfAllTypesRoundTrip) {
+  // Empty payload vectors may have a null data(): the decoder must not
+  // hand that pointer to memcpy.
+  for (ValueType vt : {ValueType::kVoid, ValueType::kOid, ValueType::kInt,
+                       ValueType::kDbl, ValueType::kStr}) {
+    Bat b = Bat::Empty(ValueType::kVoid, vt);
+    std::vector<uint8_t> buf;
+    EncodeBat(b, &buf);
+    size_t pos = 0;
+    auto decoded = DecodeBat(buf, &pos);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(pos, buf.size());
+    EXPECT_EQ(decoded.value().size(), 0u);
+    EXPECT_EQ(decoded.value().head().type(), ValueType::kVoid);
+    EXPECT_EQ(decoded.value().tail().type(), vt);
   }
 }
 

@@ -6,6 +6,10 @@
 // times. Also covers the MirrorDb::Load plan-cache invalidation hook and
 // the adaptive thread default.
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -330,6 +334,364 @@ TEST(ScalarBinTest, RegisterAndImmediateOperands) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Mapped views: a chain of scalar map steps over a candidate view (or a
+// whole BAT), evaluated inline by scalar aggregates or collapsed by one
+// gather, must equal Materialize → MapBinaryScalar/MapUnary… → aggregate.
+
+MapStep BinStep(BinOp op, Value scalar) {
+  MapStep s;
+  s.bin_op = op;
+  s.scalar = std::move(scalar);
+  return s;
+}
+
+MapStep UnaryStep(UnOp op) {
+  MapStep s;
+  s.unary = true;
+  s.un_op = op;
+  return s;
+}
+
+struct ChainCase {
+  const char* label;
+  std::vector<MapStep> steps;
+};
+
+// Chains over the int columns of MakeIntBat (tails in [0, 100]).
+std::vector<ChainCase> IntChainCases() {
+  return {
+      {"int-closed",
+       {BinStep(BinOp::kMul, Value::MakeInt(2)),
+        BinStep(BinOp::kAdd, Value::MakeInt(1)),
+        BinStep(BinOp::kMax, Value::MakeInt(50)),
+        BinStep(BinOp::kSub, Value::MakeInt(7))}},
+      {"promotes at /",
+       {BinStep(BinOp::kMul, Value::MakeInt(3)),
+        BinStep(BinOp::kDiv, Value::MakeInt(4)),
+        BinStep(BinOp::kAdd, Value::MakeInt(1))}},
+      {"promotes at a dbl constant",
+       {BinStep(BinOp::kAdd, Value::MakeInt(1)),
+        BinStep(BinOp::kMul, Value::MakeDbl(0.5)),
+        BinStep(BinOp::kSub, Value::MakeInt(2))}},
+      {"promotes at map.unary",
+       {BinStep(BinOp::kMul, Value::MakeInt(2)), UnaryStep(UnOp::kLog1p),
+        BinStep(BinOp::kAdd, Value::MakeInt(1))}},
+  };
+}
+
+std::shared_ptr<const MapChain> BuildChain(ValueType input,
+                                           const std::vector<MapStep>& steps) {
+  std::shared_ptr<const MapChain> chain;
+  for (const MapStep& s : steps) {
+    chain = s.unary ? MapChain::ThenUnary(chain.get(), input, s.un_op)
+                    : MapChain::ThenBinary(chain.get(), input, s.bin_op,
+                                           s.scalar);
+  }
+  return chain;
+}
+
+// The materializing reference: Materialize, then one map kernel per step.
+Bat MaterializeThenMap(const Bat& b, const CandidateList* cands,
+                       const std::vector<MapStep>& steps) {
+  Bat out = cands != nullptr ? Materialize(b, *cands) : b;
+  for (const MapStep& s : steps) {
+    out = s.unary ? MapUnary(out, s.un_op)
+                  : MapBinaryScalar(out, s.scalar, s.bin_op);
+  }
+  return out;
+}
+
+// Bit-identical when `exact`; otherwise within the fuzz suite's 1e-9.
+void ExpectSameDouble(double want, double got, bool exact,
+                      const std::string& what) {
+  if (exact || want == got) {
+    EXPECT_EQ(want, got) << what;
+    return;
+  }
+  EXPECT_NEAR(want, got, 1e-9 * std::max(1.0, std::fabs(want))) << what;
+}
+
+TEST(MappedViewTest, KernelsMatchMaterializeThenMap) {
+  WorkerPool pool;
+  pool.EnsureWorkers(3);
+  for (size_t n : kSizes) {
+    Bat ints = MakeIntBat(n);
+    std::vector<double> dvals;
+    for (size_t i = 0; i < n; ++i) {
+      dvals.push_back(static_cast<double>((i * 53 + 7) % 97) * 0.37 - 9.0);
+    }
+    Bat dbls = Bat::DenseDbls(std::move(dvals));
+    std::vector<std::pair<const Bat*, ChainCase>> cases;
+    for (ChainCase& c : IntChainCases()) cases.push_back({&ints, c});
+    cases.push_back({&dbls,
+                     {"dbl tail",
+                      {BinStep(BinOp::kMul, Value::MakeInt(3)),
+                       UnaryStep(UnOp::kAbs),
+                       BinStep(BinOp::kPow, Value::MakeDbl(0.5))}}});
+    for (const auto& [b, c] : cases) {
+      auto chain = BuildChain(b->tail().type(), c.steps);
+      ASSERT_NE(chain, nullptr) << c.label;
+      std::vector<std::pair<const char*, std::optional<CandidateList>>>
+          domains;
+      domains.push_back({"whole BAT", std::nullopt});
+      domains.push_back({"all rows", CandidateList::All(n)});
+      domains.push_back({"dense middle", CandidateList::Dense(n / 4, n / 2)});
+      domains.push_back(
+          {"sparse", SelectCmpCand(ints, CmpOp::kGe, Value::MakeInt(30))});
+      domains.push_back({"empty", CandidateList::FromPositions({})});
+      for (const auto& [dlabel, domain] : domains) {
+        const CandidateList* cands = domain ? &*domain : nullptr;
+        Bat ref = MaterializeThenMap(*b, cands, c.steps);
+        EXPECT_EQ(chain->out_type(), ref.tail().type()) << c.label;
+        for (bool parallel : {false, true}) {
+          MorselExec mx = parallel ? MorselExec{&pool, kMorselSize}
+                                   : MorselExec{};
+          const std::string what = std::string(c.label) + " / " + dlabel +
+                                   " / n=" + std::to_string(n) +
+                                   (parallel ? " / morsels" : " / inline");
+          Bat collapsed = MaterializeMapped(*b, cands, *chain, mx);
+          EXPECT_EQ(collapsed.head().type(), ref.head().type()) << what;
+          EXPECT_EQ(collapsed.tail().type(), ref.tail().type()) << what;
+          ExpectBatsEqual(ref, collapsed, what.c_str());
+          // Row strings print doubles with %g: compare the tails' bits.
+          EXPECT_EQ(ref.tail().ints(), collapsed.tail().ints()) << what;
+          EXPECT_EQ(ref.tail().dbls(), collapsed.tail().dbls()) << what;
+          // Without morsels the sum adds in ScalarSum's order; int chains
+          // sum exactly under any grouping.
+          const bool exact_sum =
+              !parallel || chain->out_type() == ValueType::kInt;
+          ExpectSameDouble(ScalarSum(ref),
+                           ScalarSumMapped(*b, cands, *chain, mx), exact_sum,
+                           what + " / sum");
+          for (FoldOp op : {FoldOp::kMax, FoldOp::kMin}) {
+            ExpectSameDouble(ScalarFold(ref, op),
+                             ScalarFoldMapped(*b, cands, *chain, op, mx),
+                             /*exact=*/true, what + " / fold");
+          }
+        }
+      }
+    }
+    // prod/por over a chain that maps into [0, 1], where they stay finite.
+    auto unit = BuildChain(ValueType::kInt,
+                           {BinStep(BinOp::kDiv, Value::MakeInt(100))});
+    Bat ref = MaterializeThenMap(
+        ints, nullptr, {BinStep(BinOp::kDiv, Value::MakeInt(100))});
+    for (FoldOp op : {FoldOp::kProd, FoldOp::kPor}) {
+      ExpectSameDouble(ScalarFold(ref, op),
+                       ScalarFoldMapped(ints, nullptr, *unit, op),
+                       /*exact=*/true, "unit fold inline");
+      ExpectSameDouble(ScalarFold(ref, op),
+                       ScalarFoldMapped(ints, nullptr, *unit, op,
+                                        MorselExec{&pool, kMorselSize}),
+                       /*exact=*/false, "unit fold morsels");
+    }
+  }
+}
+
+TEST(MappedViewTest, NonNumericStepsAreNotDeferred) {
+  EXPECT_EQ(MapChain::ThenBinary(nullptr, ValueType::kStr, BinOp::kAdd,
+                                 Value::MakeInt(1)),
+            nullptr);
+  EXPECT_EQ(MapChain::ThenBinary(nullptr, ValueType::kInt, BinOp::kAdd,
+                                 Value::MakeStr("x")),
+            nullptr);
+  EXPECT_EQ(MapChain::ThenUnary(nullptr, ValueType::kOid, UnOp::kNeg),
+            nullptr);
+}
+
+// Emits one instruction reading `src` (or nothing) and returns its dst.
+int EmitOp(mil::Program* p, mil::OpCode op, int src0, int src1 = -1) {
+  mil::Instr i;
+  i.op = op;
+  i.src0 = src0;
+  i.src1 = src1;
+  i.dst = p->NewReg();
+  return p->Emit(std::move(i));
+}
+
+int EmitLoad(mil::Program* p, const char* name) {
+  mil::Instr i;
+  i.op = mil::OpCode::kLoadNamed;
+  i.name = name;
+  i.dst = p->NewReg();
+  return p->Emit(std::move(i));
+}
+
+// The read_write query shape: select over t.year, the oid-aligned
+// semijoin onto t.rating, then one map instruction per step. Returns the
+// mapped register.
+int EmitMappedSelect(mil::Program* p, const std::vector<MapStep>& steps) {
+  int year = EmitLoad(p, "t.year");
+  mil::Instr sel;
+  sel.op = mil::OpCode::kSelectCmp;
+  sel.cmp_op = CmpOp::kGe;
+  sel.src0 = year;
+  sel.imm0 = Value::MakeInt(30);
+  sel.dst = p->NewReg();
+  int selected = p->Emit(std::move(sel));
+  int rating = EmitLoad(p, "t.rating");
+  int reg = EmitOp(p, mil::OpCode::kSemiJoinHead, rating, selected);
+  for (const MapStep& s : steps) {
+    mil::Instr m;
+    m.op = s.unary ? mil::OpCode::kMapUnary : mil::OpCode::kMapBinaryScalar;
+    m.src0 = reg;
+    m.bin_op = s.bin_op;
+    m.un_op = s.un_op;
+    m.imm0 = s.scalar;
+    m.dst = p->NewReg();
+    reg = p->Emit(std::move(m));
+  }
+  return reg;
+}
+
+Catalog MappedViewCatalog() {
+  Catalog catalog;
+  catalog.Put("t.year", MakeIntBat(1000));
+  std::vector<int64_t> rating;
+  for (size_t i = 0; i < 1000; ++i) {
+    rating.push_back(static_cast<int64_t>((i * 13) % 1001));
+  }
+  catalog.Put("t.rating", Bat::DenseInts(std::move(rating)));
+  return catalog;
+}
+
+uint64_t MultiplexOps(const KernelStats& stats) {
+  return stats.op_count[static_cast<int>(KernelOp::kMultiplex)];
+}
+
+TEST(MappedViewTest, EngineAggregatesEvaluateTheChainInline) {
+  Catalog catalog = MappedViewCatalog();
+  for (const ChainCase& c : IntChainCases()) {
+    // avg = sum / count: two consumers of one mapped register. The sum
+    // applies each step once, the count reads no values, and nothing
+    // materializes. The fold is a second plan over the same chain.
+    mil::Program avg_plan;
+    int m = EmitMappedSelect(&avg_plan, c.steps);
+    int sum = EmitOp(&avg_plan, mil::OpCode::kScalarSum, m);
+    int count = EmitOp(&avg_plan, mil::OpCode::kScalarCount, m);
+    mil::Instr div;
+    div.op = mil::OpCode::kScalarBin;
+    div.bin_op = BinOp::kDiv;
+    div.src0 = sum;
+    div.src1 = count;
+    div.dst = avg_plan.NewReg();
+    avg_plan.set_result_reg(avg_plan.Emit(std::move(div)));
+
+    mil::Program max_plan;
+    mil::Instr fold;
+    fold.op = mil::OpCode::kScalarFold;
+    fold.fold_op = FoldOp::kMax;
+    fold.src0 = EmitMappedSelect(&max_plan, c.steps);
+    fold.dst = max_plan.NewReg();
+    max_plan.set_result_reg(max_plan.Emit(std::move(fold)));
+
+    for (const mil::Program* plan : {&avg_plan, &max_plan}) {
+      auto oracle = mil::Executor(&catalog).Run(*plan);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(c.label) +
+                     " threads=" + std::to_string(threads));
+        mil::ExecutionContext session;
+        mil::ExecutionEngine engine(
+            &catalog,
+            mil::ExecOptions{.num_threads = threads, .morsel_size = 64});
+        ResetKernelStats();
+        auto run = engine.Run(*plan, &session);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        KernelStats stats = SnapshotKernelStats();
+        EXPECT_EQ(stats.materializations, 0u);
+        EXPECT_EQ(stats.materialized_tuples, 0u);
+        EXPECT_EQ(MultiplexOps(stats), c.steps.size());
+        if (threads > 1) {
+          EXPECT_GT(stats.morsel_tasks, 0u);
+        }
+        ExpectSameDouble(oracle.value().scalar, run.value().scalar,
+                         threads == 1 || plan == &max_plan, "scalar");
+      }
+    }
+  }
+}
+
+TEST(MappedViewTest, CollapsedRegisterIsSharedByItsConsumers) {
+  Catalog catalog = MappedViewCatalog();
+  const std::vector<MapStep> steps = {
+      BinStep(BinOp::kMul, Value::MakeInt(3)),
+      BinStep(BinOp::kDiv, Value::MakeInt(4))};
+  // Two consumers that need a BAT: the first collapses the view with one
+  // gather and publishes it; the second reads the collapsed BAT and must
+  // not apply the chain a second time.
+  mil::Program p;
+  int m = EmitMappedSelect(&p, steps);
+  mil::Instr top;
+  top.op = mil::OpCode::kTopN;
+  top.src0 = m;
+  top.n = 7;
+  top.flag0 = true;
+  top.dst = p.NewReg();
+  int topn = p.Emit(std::move(top));
+  int per_head = EmitOp(&p, mil::OpCode::kSumPerHead, m);
+  for (int result : {topn, per_head}) {
+    p.set_result_reg(result);
+    auto oracle = mil::Executor(&catalog).Run(p);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      mil::ExecutionContext session;
+      mil::ExecutionEngine engine(
+          &catalog,
+          mil::ExecOptions{.num_threads = threads, .morsel_size = 64});
+      ResetKernelStats();
+      auto run = engine.Run(p, &session);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      ExpectBatsEqual(*oracle.value().bat, *run.value().bat, "consumer");
+      if (threads == 1) {
+        // In program order the count is deterministic: one gather, one
+        // application of each step.
+        KernelStats stats = SnapshotKernelStats();
+        EXPECT_EQ(stats.materializations, 1u);
+        EXPECT_EQ(MultiplexOps(stats), steps.size());
+      }
+    }
+  }
+}
+
+TEST(MappedViewTest, AlignedSemijoinWithAFullColumnSharesTheList) {
+  Catalog catalog = MappedViewCatalog();
+  const size_t selected =
+      SelectCmpCand(*catalog.Get("t.year").value(), CmpOp::kGe,
+                    Value::MakeInt(30))
+          .size();
+  ASSERT_GT(selected, 0u);
+  // semijoin(full rating, view) and semijoin(view, full rating): either
+  // way the view's list is the result, so the only list this query
+  // allocates — and charges to its memory account — is the select's.
+  for (bool view_on_left : {false, true}) {
+    mil::Program p;
+    int year = EmitLoad(&p, "t.year");
+    mil::Instr sel;
+    sel.op = mil::OpCode::kSelectCmp;
+    sel.cmp_op = CmpOp::kGe;
+    sel.src0 = year;
+    sel.imm0 = Value::MakeInt(30);
+    sel.dst = p.NewReg();
+    int view = p.Emit(std::move(sel));
+    int rating = EmitLoad(&p, "t.rating");
+    int semi = view_on_left
+                   ? EmitOp(&p, mil::OpCode::kSemiJoinHead, view, rating)
+                   : EmitOp(&p, mil::OpCode::kSemiJoinHead, rating, view);
+    p.set_result_reg(EmitOp(&p, mil::OpCode::kScalarCount, semi));
+    mil::ExecutionEngine engine(&catalog, mil::ExecOptions{.num_threads = 1});
+    ResetKernelStats();
+    auto run = engine.Run(p);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run.value().scalar, static_cast<double>(selected));
+    EXPECT_EQ(SnapshotKernelStats().peak_query_bytes,
+              selected * sizeof(uint32_t))
+        << "view_on_left=" << view_on_left;
+  }
+}
+
 }  // namespace
 }  // namespace mirror::monet
 
@@ -391,6 +753,41 @@ TEST(ScalarAvgTest, FlattenedAvgMatchesNaiveOracle) {
   EXPECT_NEAR(flat.value().scalar.AsDouble(), oracle.value().scalar.AsDouble(),
               1e-9);
   EXPECT_DOUBLE_EQ(flat.value().scalar.AsDouble(), 13.0);
+}
+
+TEST(MappedViewTest, ReadWriteQueryShapeMaterializesNothing) {
+  MirrorDb db;
+  ASSERT_TRUE(db.Define("define Cat as SET<TUPLE<Atomic<URL>: u, "
+                        "Atomic<int>: year, Atomic<int>: rating>>;")
+                  .ok());
+  std::vector<moa::MoaValue> rows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    rows.push_back(moa::MoaValue::Tuple(
+        {moa::MoaValue::Str("c" + std::to_string(i)),
+         moa::MoaValue::Int(1900 + (i * 7) % 126),
+         moa::MoaValue::Int((i * 31) % 1001)}));
+  }
+  ASSERT_TRUE(db.Load("Cat", std::move(rows)).ok());
+  moa::QueryContext ctx;
+  const std::string query =
+      "sum(map[THIS.rating * 2 + 1](select[THIS.year >= 1950 and "
+      "THIS.rating >= 300](Cat)));";
+  QueryOptions naive;
+  naive.flattened = false;
+  auto oracle = db.Query(query, ctx, naive);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  for (int threads : {1, 4}) {
+    QueryOptions options;
+    options.exec.num_threads = threads;
+    options.exec.morsel_size = 256;
+    const uint64_t before = monet::SnapshotKernelStats().materialized_tuples;
+    auto flat = db.Query(query, ctx, options);
+    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+    EXPECT_EQ(monet::SnapshotKernelStats().materialized_tuples, before)
+        << "threads=" << threads;
+    EXPECT_EQ(flat.value().scalar.AsDouble(),
+              oracle.value().scalar.AsDouble());
+  }
 }
 
 }  // namespace

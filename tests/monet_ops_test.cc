@@ -488,6 +488,15 @@ TEST(CandidateListTest, DenseAndSparseBasics) {
   ASSERT_EQ(inter.size(), 2u);
   EXPECT_EQ(inter.PositionAt(0), 4u);
   EXPECT_EQ(inter.PositionAt(1), 7u);
+  // The dense range [4, 7) keeps 4 and drops 7, whichever side it is on.
+  for (const CandidateList& clamped :
+       {CandidateList::Dense(4, 3).Intersect(sparse),
+        sparse.Intersect(CandidateList::Dense(4, 3))}) {
+    ASSERT_EQ(clamped.size(), 1u);
+    EXPECT_FALSE(clamped.is_dense());
+    EXPECT_EQ(clamped.PositionAt(0), 4u);
+  }
+  EXPECT_TRUE(sparse.Intersect(CandidateList::Dense(8, 4)).empty());
 
   CandidateList uni =
       sparse.Union(CandidateList::FromPositions({2, 4}));
