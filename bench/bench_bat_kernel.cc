@@ -87,7 +87,7 @@ BENCHMARK(BM_SemiJoinHead)->Range(1 << 10, 1 << 18);
 void BM_SumPerHead(benchmark::State& state) {
   Bat b = RandomOidHeads(state.range(0), state.range(0) / 16 + 1, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SumPerHead(b));
+    benchmark::DoNotOptimize(AggregatePerHead(b, nullptr, AggKind::kSum));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -2,7 +2,7 @@
 # CI entry point: tier-1 verify (configure, build, ctest), a smoke run of
 # the kernel and retrieval benchmarks gated on the ratios they write to
 # BENCH_retrieval.json, the end-to-end benchmark's self-test and quick
-# run, an ASan+UBSan job over the kernel and engine tests, and a TSan job
+# run, an ASan+UBSan job over the full ctest, and a TSan job
 # over the concurrent daemon and engine tests.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -24,21 +24,17 @@ cmake -B build -S .
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
-echo "== ASan+UBSan: kernel, engine and equivalence tests =="
-# Address and undefined-behaviour checks over the BAT kernels (mapped and
-# candidate views, empty-column codecs), the morsel and shard engines and
-# the randomized equivalence suite. Any UBSan report aborts the run.
+echo "== ASan+UBSan: full ctest =="
+# Address and undefined-behaviour checks over every tier-1 test binary:
+# the kernels, engines and equivalence suites, and the daemon, WAL,
+# recovery and chaos tests. Any UBSan report aborts the run.
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -g -O1" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
-ASAN_TESTS=(monet_bat_test monet_ops_test monet_morsel_test
-  monet_catalog_mil_test monet_shard_test moa_fuzz_equivalence_test
-  moa_query_equivalence_test)
-cmake --build build-asan -j"${JOBS}" --target "${ASAN_TESTS[@]}"
-for t in "${ASAN_TESTS[@]}"; do
-  (cd build-asan && UBSAN_OPTIONS="print_stacktrace=1" "./${t}")
-done
+cmake --build build-asan -j"${JOBS}"
+(cd build-asan && UBSAN_OPTIONS="print_stacktrace=1" \
+  ctest --output-on-failure -j"${JOBS}")
 
 echo "== bench smoke: BAT kernel =="
 (cd build && ./bench_bat_kernel \

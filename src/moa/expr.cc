@@ -1,5 +1,8 @@
 #include "moa/expr.h"
 
+#include <charconv>
+#include <system_error>
+
 #include "base/str_util.h"
 
 namespace mirror::moa {
@@ -397,15 +400,27 @@ class ExprParser {
       if (text_[pos_] == '.') has_dot = true;
       ++pos_;
     }
-    std::string num(text_.substr(start, pos_ - start));
-    if (num.empty() || num == "-" || num == "+") {
-      return base::Status::ParseError("expected number at offset " +
-                                      base::StrFormat("%zu", start));
-    }
+    // The whole token must parse: a lone '.', a second '.' or an int
+    // literal past int64 is a ParseError, never a partial value.
+    std::string_view num = text_.substr(start, pos_ - start);
+    if (!num.empty() && num.front() == '+') num.remove_prefix(1);
+    const char* first = num.data();
+    const char* last = first + num.size();
+    std::from_chars_result r{};
+    double d = 0;
+    int64_t i = 0;
     if (has_dot) {
-      return Expr::Lit(monet::Value::MakeDbl(std::stod(num)));
+      r = std::from_chars(first, last, d);
+    } else {
+      r = std::from_chars(first, last, i);
     }
-    return Expr::Lit(monet::Value::MakeInt(std::stoll(num)));
+    if (num.empty() || r.ec != std::errc() || r.ptr != last) {
+      std::string token(text_.substr(start, pos_ - start));
+      return base::Status::ParseError(base::StrFormat(
+          "malformed number '%s' at offset %zu", token.c_str(), start));
+    }
+    return Expr::Lit(has_dot ? monet::Value::MakeDbl(d)
+                             : monet::Value::MakeInt(i));
   }
 
   base::Result<ExprPtr> ParsePrimary() {
@@ -536,10 +551,15 @@ class ExprParser {
       }
       auto n = ParseNumber();
       if (!n.ok()) return n;
+      const monet::Value& count = n.value()->literal;
+      if (count.type() != monet::ValueType::kInt || count.i() < 0) {
+        return base::Status::ParseError(
+            "topN count must be a non-negative int literal");
+      }
       if (!Consume(')')) {
         return base::Status::ParseError("expected ')' closing topN");
       }
-      return Expr::TopN(set.TakeValue(), n.value()->literal.i());
+      return Expr::TopN(set.TakeValue(), count.i());
     }
     if (ident == "THIS") {
       ExprPtr out = Expr::This();

@@ -1802,16 +1802,19 @@ void WithTailLess(const Column& tail, Fn fn) {
 
 }  // namespace
 
-Bat TopNByTailCand(const Bat& b, const CandidateList& cands, size_t n,
+Bat TopNByTailCand(const Bat& b, const CandidateList* cands, size_t n,
                    bool descending, const MorselExec& mx,
                    TopKThreshold* topk) {
   KernelTimer timer(KernelOp::kTopN);
-  TrackFusedAgg();
-  TrackCandidateOp();
-  size_t domain = cands.size();
+  if (cands != nullptr) {
+    TrackFusedAgg();
+    TrackCandidateOp();
+  }
+  size_t domain = DomainSize(b.size(), cands);
   std::vector<uint32_t> pos(domain);
   for (size_t i = 0; i < domain; ++i) {
-    pos[i] = static_cast<uint32_t>(cands.PositionAt(i));
+    pos[i] =
+        static_cast<uint32_t>(cands == nullptr ? i : cands->PositionAt(i));
   }
   // WAND-style threshold coupling, wired for descending dbl-tail
   // rankings. Prefilter: a candidate scoring strictly below the shared
@@ -1940,10 +1943,9 @@ Bat UniqueHead(const Bat& b) {
 
 namespace {
 
-enum class AggKind { kSum, kCount, kMax, kMin, kAvg };
-
 struct Acc {
   double sum = 0;
+  double prod = 1;  // of x (kProd) or of 1 - x (kProbOr)
   int64_t count = 0;
   double max = 0;
   double min = 0;
@@ -1957,6 +1959,7 @@ struct Acc {
       min = std::min(min, x);
     }
     sum += x;
+    prod *= x;
     count += 1;
   }
 
@@ -1967,6 +1970,7 @@ struct Acc {
       return;
     }
     sum += other.sum;
+    prod *= other.prod;
     count += other.count;
     max = std::max(max, other.max);
     min = std::min(min, other.min);
@@ -1975,13 +1979,25 @@ struct Acc {
 
 using GroupMap = std::unordered_map<int64_t, Acc>;
 
+// The value row `i` feeds its group's accumulator: count reads no tail,
+// and probor folds the complements (1 - prod(1 - x)).
+double AccInput(const Column& tail, size_t i, AggKind kind) {
+  switch (kind) {
+    case AggKind::kCount:
+      return 0.0;
+    case AggKind::kProbOr:
+      return 1.0 - tail.NumAt(i);
+    default:
+      return tail.NumAt(i);
+  }
+}
+
 void AccumulateDomain(const Bat& b, const CandidateList* dom, AggKind kind,
                       GroupMap* groups) {
   const Column& head = b.head();
   const Column& tail = b.tail();
   ForEachInDomain(b.size(), dom, [&](size_t i) {
-    double x = (kind == AggKind::kCount) ? 0.0 : tail.NumAt(i);
-    (*groups)[I64KeyAt(head, i)].Add(x);
+    (*groups)[I64KeyAt(head, i)].Add(AccInput(tail, i, kind));
   });
 }
 
@@ -1995,11 +2011,31 @@ double FinishAcc(const Acc& acc, AggKind kind) {
       return acc.min;
     case AggKind::kAvg:
       return acc.sum / static_cast<double>(acc.count);
+    case AggKind::kProd:
+      return acc.prod;
+    case AggKind::kProbOr:
+      return 1.0 - acc.prod;
     case AggKind::kCount:
       break;  // counts finalize as ints, not through here
   }
   MIRROR_UNREACHABLE();
   return 0;
+}
+
+// Appends one finished group to the output columns.
+void EmitGroup(const Acc& acc, AggKind kind, std::vector<int64_t>* out_int,
+               std::vector<double>* out_dbl) {
+  if (kind == AggKind::kCount) {
+    out_int->push_back(acc.count);
+  } else {
+    out_dbl->push_back(FinishAcc(acc, kind));
+  }
+}
+
+Column AggTail(AggKind kind, std::vector<int64_t> out_int,
+               std::vector<double> out_dbl) {
+  return kind == AggKind::kCount ? Column::MakeInts(std::move(out_int))
+                                 : Column::MakeDbls(std::move(out_dbl));
 }
 
 Bat FinishGroups(const GroupMap& groups, AggKind kind, ValueType head_type) {
@@ -2009,29 +2045,22 @@ Bat FinishGroups(const GroupMap& groups, AggKind kind, ValueType head_type) {
   std::sort(keys.begin(), keys.end());
   std::vector<double> out_dbl;
   std::vector<int64_t> out_int;
-  for (int64_t k : keys) {
-    const Acc& acc = groups.at(k);
-    if (kind == AggKind::kCount) {
-      out_int.push_back(acc.count);
-    } else {
-      out_dbl.push_back(FinishAcc(acc, kind));
-    }
-  }
+  for (int64_t k : keys) EmitGroup(groups.at(k), kind, &out_int, &out_dbl);
   Column out_head =
       head_type == ValueType::kOid
           ? Column::MakeOids(std::vector<Oid>(keys.begin(), keys.end()))
           : Column::MakeInts(keys);
-  Column out_tail = (kind == AggKind::kCount)
-                        ? Column::MakeInts(std::move(out_int))
-                        : Column::MakeDbls(std::move(out_dbl));
-  return Bat(std::move(out_head), std::move(out_tail));
+  return Bat(std::move(out_head),
+             AggTail(kind, std::move(out_int), std::move(out_dbl)));
 }
 
 // Void-headed inputs have pairwise-distinct, ascending heads, so every
 // group is a singleton and the group-by is a direct (oid, aggregate of
-// one) construction: no hash table, no sort. Candidate positions are
-// ascending, so the output order (ascending head) falls out for free.
-// Morsels write disjoint ranges of the pre-sized output vectors.
+// one) construction: no hash table, no sort. Every kind but count yields
+// the value itself (prod(x) and 1 - prod(1 - x) of one element are x).
+// Candidate positions are ascending, so the output order (ascending head)
+// falls out for free. Morsels write disjoint ranges of the pre-sized
+// output vectors.
 Bat SingletonGroupAgg(const Bat& b, const CandidateList* cands, AggKind kind,
                       const MorselExec& mx) {
   const Column& tail = b.tail();
@@ -2053,15 +2082,146 @@ Bat SingletonGroupAgg(const Bat& b, const CandidateList* cands, AggKind kind,
                 }
               });
   if (morsels > 1) TrackMorselTasks(morsels);
-  Column out_tail =
-      kind == AggKind::kCount
-          ? Column::MakeInts(std::vector<int64_t>(m, 1))
-          : Column::MakeDbls(std::move(vals));
-  return Bat(Column::MakeOids(std::move(heads)), std::move(out_tail));
+  std::vector<int64_t> ones;
+  if (kind == AggKind::kCount) ones.assign(m, 1);
+  return Bat(Column::MakeOids(std::move(heads)),
+             AggTail(kind, std::move(ones), std::move(vals)));
 }
 
-Bat AggregatePerHeadImpl(const Bat& b, const CandidateList* cands,
-                         AggKind kind, KernelOp op, const MorselExec& mx) {
+// Top-k pruned variant of the singleton path, used when this aggregate is
+// the sole producer of a descending top-k ranking: a row scoring strictly
+// below the shared threshold loses to k rows the plan has already ranked,
+// so it is dropped before the TopN ever reads it. Zone-map block upper
+// bounds skip whole blocks — and via RangeMax whole morsels — without
+// touching a row, and survivor scores feed straight back into the
+// threshold so the bound rises during the scan itself.
+Bat PrunedSingletonAgg(const Bat& b, const CandidateList* cands,
+                       const MorselExec& mx, const ZoneMap* zones,
+                       TopKThreshold* topk) {
+  const Column& tail = b.tail();
+  Oid base = b.head().void_base();
+  size_t m = DomainSize(b.size(), cands);
+  // Zone bounds map to row ranges only over a dense domain.
+  bool dense = cands == nullptr || cands->is_dense();
+  size_t dense_first = (cands != nullptr && dense) ? cands->first() : 0;
+  const bool zoned = dense && zones != nullptr && zones->valid;
+  size_t morsels = mx.MorselsFor(m);
+  std::vector<std::vector<Oid>> headsf(morsels);
+  std::vector<std::vector<double>> valsf(morsels);
+  std::atomic<uint64_t> blocks_skipped{0};
+  std::atomic<uint64_t> morsels_pruned{0};
+  ParallelForChunks(
+      morsels <= 1 ? nullptr : mx.pool, m, morsels,
+      [&](size_t j, size_t lo, size_t hi) {
+        if (lo >= hi) return;
+        std::vector<Oid>& heads = headsf[j];
+        std::vector<double>& vals = valsf[j];
+        double bound = topk->bound();
+        if (!zoned) {
+          // No block bounds: per-row threshold test only.
+          for (size_t i = lo; i < hi; ++i) {
+            size_t pos = cands == nullptr ? i : cands->PositionAt(i);
+            double x = tail.NumAt(pos);
+            if (x < bound) continue;
+            heads.push_back(base + pos);
+            vals.push_back(x);
+          }
+          if (!vals.empty()) topk->Offer(vals);
+          return;
+        }
+        size_t plo = dense_first + lo;
+        size_t phi = dense_first + hi;
+        if (zones->RangeMax(plo, phi) < bound) {
+          // No row of this morsel can reach the top k.
+          morsels_pruned.fetch_add(1, std::memory_order_relaxed);
+          blocks_skipped.fetch_add(zones->BlocksIn(plo, phi),
+                                   std::memory_order_relaxed);
+          return;
+        }
+        size_t br = zones->block_rows;
+        for (size_t blk = plo / br; blk * br < phi; ++blk) {
+          size_t blo = std::max(plo, blk * br);
+          size_t bhi = std::min(phi, (blk + 1) * br);
+          if (zones->block_max[blk] < bound) {
+            blocks_skipped.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          size_t run_start = vals.size();
+          for (size_t pos = blo; pos < bhi; ++pos) {
+            double x = tail.NumAt(pos);
+            if (x < bound) continue;
+            heads.push_back(base + pos);
+            vals.push_back(x);
+          }
+          if (vals.size() > run_start) {
+            topk->Offer(std::vector<double>(
+                vals.begin() + static_cast<ptrdiff_t>(run_start),
+                vals.end()));
+            bound = topk->bound();
+          }
+        }
+      });
+  if (morsels > 1) TrackMorselTasks(morsels);
+  uint64_t bs = blocks_skipped.load(std::memory_order_relaxed);
+  uint64_t mp = morsels_pruned.load(std::memory_order_relaxed);
+  if (bs > 0) TrackZoneBlocksSkipped(bs);
+  if (mp > 0) TrackTopkMorselsPruned(mp);
+  size_t total = 0;
+  for (const std::vector<double>& f : valsf) total += f.size();
+  std::vector<Oid> heads;
+  std::vector<double> vals;
+  heads.reserve(total);
+  vals.reserve(total);
+  for (size_t j = 0; j < morsels; ++j) {
+    heads.insert(heads.end(), headsf[j].begin(), headsf[j].end());
+    vals.insert(vals.end(), valsf[j].begin(), valsf[j].end());
+  }
+  return Bat(Column::MakeOids(std::move(heads)),
+             Column::MakeDbls(std::move(vals)));
+}
+
+// Dense-array group-by for oid heads confined to [lo, hi): one Acc per
+// possible oid, accumulated by direct index and emitted by a linear
+// sweep. Accumulation is single-pass on the calling thread: the shard
+// engine supplies parallelism across shards, and the array replaces both
+// the per-morsel partial maps and their serial merge.
+Bat DenseRangeAgg(const Bat& b, const CandidateList* cands, AggKind kind,
+                  Oid lo, Oid hi) {
+  const Column& head = b.head();
+  const Column& tail = b.tail();
+  std::vector<Acc> accs(static_cast<size_t>(hi - lo));
+  ForEachInDomain(b.size(), cands, [&](size_t i) {
+    Oid h = head.OidAt(i);
+    MIRROR_CHECK(h >= lo && h < hi) << "head oid outside the declared range";
+    accs[h - lo].Add(AccInput(tail, i, kind));
+  });
+  size_t groups = 0;
+  for (const Acc& a : accs) groups += a.count > 0 ? 1 : 0;
+  std::vector<Oid> heads;
+  heads.reserve(groups);
+  std::vector<double> out_dbl;
+  std::vector<int64_t> out_int;
+  if (kind == AggKind::kCount) {
+    out_int.reserve(groups);
+  } else {
+    out_dbl.reserve(groups);
+  }
+  for (size_t j = 0; j < accs.size(); ++j) {
+    if (accs[j].count == 0) continue;
+    heads.push_back(lo + j);
+    EmitGroup(accs[j], kind, &out_int, &out_dbl);
+  }
+  return Bat(Column::MakeOids(std::move(heads)),
+             AggTail(kind, std::move(out_int), std::move(out_dbl)));
+}
+
+}  // namespace
+
+Bat AggregatePerHead(const Bat& b, const CandidateList* cands, AggKind kind,
+                     const MorselExec& mx, const AggHints& hints) {
+  const KernelOp op = kind == AggKind::kProd || kind == AggKind::kProbOr
+                          ? KernelOp::kBelief
+                          : KernelOp::kGroupAgg;
   KernelTimer timer(op);
   const Column& head = b.head();
   const Column& tail = b.tail();
@@ -2079,7 +2239,24 @@ Bat AggregatePerHeadImpl(const Bat& b, const CandidateList* cands,
   }
   size_t m = DomainSize(b.size(), cands);
   if (head.is_void()) {
-    Bat out = SingletonGroupAgg(b, cands, kind, mx);
+    // Threshold coupling is dbl-tails only (scores); int tails beyond
+    // 2^53 would compare differently as doubles downstream.
+    const bool pruned = hints.topk != nullptr && hints.topk->k() > 0 &&
+                        kind != AggKind::kCount &&
+                        tail.type() == ValueType::kDbl;
+    Bat out = pruned ? PrunedSingletonAgg(b, cands, mx, hints.tail_zones,
+                                          hints.topk)
+                     : SingletonGroupAgg(b, cands, kind, mx);
+    TrackKernelOp(op, m, out.size());
+    return out;
+  }
+  // The dense array pays only while the range is not much wider than the
+  // domain; sparser ranges take the hash path below.
+  size_t width = hints.head_hi > hints.head_lo
+                     ? static_cast<size_t>(hints.head_hi - hints.head_lo)
+                     : 0;
+  if (head.type() == ValueType::kOid && width > 0 && width <= 8 * m + 1024) {
+    Bat out = DenseRangeAgg(b, cands, kind, hints.head_lo, hints.head_hi);
     TrackKernelOp(op, m, out.size());
     return out;
   }
@@ -2095,6 +2272,8 @@ Bat AggregatePerHeadImpl(const Bat& b, const CandidateList* cands,
       AccumulateDomain(b, &domains[j], kind, &partials[j]);
     });
     TrackMorselTasks(domains.size());
+    // Partials merge in morsel order, so each group's fold order is fixed
+    // for a given morsel size.
     groups = std::move(partials[0]);
     for (size_t j = 1; j < partials.size(); ++j) {
       for (const auto& [key, acc] : partials[j]) groups[key].Merge(acc);
@@ -2102,144 +2281,6 @@ Bat AggregatePerHeadImpl(const Bat& b, const CandidateList* cands,
   }
   TrackKernelOp(op, m, groups.size());
   return FinishGroups(groups, kind, ht);
-}
-
-}  // namespace
-
-Bat SumPerHead(const Bat& b, const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, nullptr, AggKind::kSum, KernelOp::kGroupAgg,
-                              mx);
-}
-Bat CountPerHead(const Bat& b, const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, nullptr, AggKind::kCount,
-                              KernelOp::kGroupAgg, mx);
-}
-Bat MaxPerHead(const Bat& b, const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, nullptr, AggKind::kMax, KernelOp::kGroupAgg,
-                              mx);
-}
-Bat MinPerHead(const Bat& b, const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, nullptr, AggKind::kMin, KernelOp::kGroupAgg,
-                              mx);
-}
-Bat AvgPerHead(const Bat& b, const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, nullptr, AggKind::kAvg, KernelOp::kGroupAgg,
-                              mx);
-}
-
-namespace {
-
-/// Dense-array group-by for heads confined to [lo, hi): one Acc per
-/// possible oid, accumulated by direct index and emitted by a linear
-/// sweep. Falls back to the exact hash/singleton implementation when the
-/// head is void (singletons are cheaper still), not oid-typed, or the
-/// range is too sparse for the array to pay (width >> rows).
-Bat AggregatePerHeadRanged(const Bat& b, const CandidateList* cands,
-                           AggKind kind, Oid lo, Oid hi,
-                           const MorselExec& mx) {
-  const Column& head = b.head();
-  size_t m = DomainSize(b.size(), cands);
-  size_t width = hi > lo ? static_cast<size_t>(hi - lo) : 0;
-  bool oid_head = head.type() == ValueType::kOid;
-  if (!oid_head || width == 0 || width > 8 * m + 1024) {
-    return AggregatePerHeadImpl(b, cands, kind, KernelOp::kGroupAgg, mx);
-  }
-  KernelTimer timer(KernelOp::kGroupAgg);
-  if (cands != nullptr) {
-    TrackFusedAgg();
-    TrackCandidateOp();
-  }
-  const Column& tail = b.tail();
-  if (kind != AggKind::kCount) {
-    MIRROR_CHECK(IsNumericOrOid(tail.type()) &&
-                 Norm(tail.type()) != ValueType::kOid)
-        << "aggregate tail must be numeric";
-  }
-  // Accumulation is single-pass on the calling thread: the shard engine
-  // supplies parallelism across shards, and the array replaces both the
-  // per-morsel partial maps and their serial merge.
-  std::vector<Acc> accs(width);
-  ForEachInDomain(b.size(), cands, [&](size_t i) {
-    Oid h = head.OidAt(i);
-    MIRROR_CHECK(h >= lo && h < hi)
-        << "head oid outside the declared range";
-    accs[h - lo].Add(kind == AggKind::kCount ? 0.0 : tail.NumAt(i));
-  });
-  size_t groups = 0;
-  for (const Acc& a : accs) groups += a.count > 0 ? 1 : 0;
-  std::vector<Oid> heads;
-  heads.reserve(groups);
-  std::vector<double> out_dbl;
-  std::vector<int64_t> out_int;
-  if (kind == AggKind::kCount) {
-    out_int.reserve(groups);
-  } else {
-    out_dbl.reserve(groups);
-  }
-  for (size_t j = 0; j < width; ++j) {
-    const Acc& a = accs[j];
-    if (a.count == 0) continue;
-    heads.push_back(lo + j);
-    if (kind == AggKind::kCount) {
-      out_int.push_back(a.count);
-    } else {
-      out_dbl.push_back(FinishAcc(a, kind));
-    }
-  }
-  TrackKernelOp(KernelOp::kGroupAgg, m, groups);
-  Column out_tail = kind == AggKind::kCount
-                        ? Column::MakeInts(std::move(out_int))
-                        : Column::MakeDbls(std::move(out_dbl));
-  return Bat(Column::MakeOids(std::move(heads)), std::move(out_tail));
-}
-
-}  // namespace
-
-Bat SumPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                     Oid hi, const MorselExec& mx) {
-  return AggregatePerHeadRanged(b, cands, AggKind::kSum, lo, hi, mx);
-}
-Bat CountPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                       Oid hi, const MorselExec& mx) {
-  return AggregatePerHeadRanged(b, cands, AggKind::kCount, lo, hi, mx);
-}
-Bat MaxPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                     Oid hi, const MorselExec& mx) {
-  return AggregatePerHeadRanged(b, cands, AggKind::kMax, lo, hi, mx);
-}
-Bat MinPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                     Oid hi, const MorselExec& mx) {
-  return AggregatePerHeadRanged(b, cands, AggKind::kMin, lo, hi, mx);
-}
-Bat AvgPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                     Oid hi, const MorselExec& mx) {
-  return AggregatePerHeadRanged(b, cands, AggKind::kAvg, lo, hi, mx);
-}
-
-Bat SumPerHeadCand(const Bat& b, const CandidateList& cands,
-                   const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, &cands, AggKind::kSum, KernelOp::kGroupAgg,
-                              mx);
-}
-Bat CountPerHeadCand(const Bat& b, const CandidateList& cands,
-                     const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, &cands, AggKind::kCount,
-                              KernelOp::kGroupAgg, mx);
-}
-Bat MaxPerHeadCand(const Bat& b, const CandidateList& cands,
-                   const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, &cands, AggKind::kMax, KernelOp::kGroupAgg,
-                              mx);
-}
-Bat MinPerHeadCand(const Bat& b, const CandidateList& cands,
-                   const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, &cands, AggKind::kMin, KernelOp::kGroupAgg,
-                              mx);
-}
-Bat AvgPerHeadCand(const Bat& b, const CandidateList& cands,
-                   const MorselExec& mx) {
-  return AggregatePerHeadImpl(b, &cands, AggKind::kAvg, KernelOp::kGroupAgg,
-                              mx);
 }
 
 Bat CountPerTailValue(const Bat& b) {
@@ -2299,17 +2340,14 @@ double ScalarSum(const Bat& b) {
   return sum;
 }
 
-int64_t ScalarCount(const Bat& b) {
-  TrackKernelOp(KernelOp::kScalarAgg, b.size(), 1);
-  return static_cast<int64_t>(b.size());
-}
-
-int64_t ScalarCountCand(const Bat& b, const CandidateList& cands) {
-  (void)b;  // the count is fully determined by the candidate list
-  TrackKernelOp(KernelOp::kScalarAgg, cands.size(), 1);
-  TrackFusedAgg();
-  TrackCandidateOp();
-  return static_cast<int64_t>(cands.size());
+int64_t ScalarCount(const Bat& b, const CandidateList* cands) {
+  size_t m = DomainSize(b.size(), cands);
+  TrackKernelOp(KernelOp::kScalarAgg, m, 1);
+  if (cands != nullptr) {
+    TrackFusedAgg();
+    TrackCandidateOp();
+  }
+  return static_cast<int64_t>(m);
 }
 
 double ApplyFold(double a, double b, FoldOp op) {
@@ -2671,8 +2709,20 @@ void TrackMappedSteps(const MapChain& chain, size_t m) {
   }
 }
 
-// The identity chain over `b`'s tail: the plain candidate aggregates are
-// mapped views without steps.
+// Accounting shared by the scalar view aggregates: a view (candidate or
+// mapped) counts as one fused candidate operator; a whole BAT does not.
+void TrackScalarView(const CandidateList* cands, const MapChain& chain,
+                     bool mapped, size_t m) {
+  TrackKernelOp(KernelOp::kScalarAgg, m, 1);
+  if (cands != nullptr || mapped) {
+    TrackFusedAgg();
+    TrackCandidateOp();
+  }
+  TrackMappedSteps(chain, m);
+}
+
+// The identity chain over `b`'s tail: what a view without map steps
+// evaluates.
 MapChain IdentityChain(const Bat& b) {
   return MapChain{
       b.tail().type() == ValueType::kInt ? ValueType::kInt : ValueType::kDbl,
@@ -2682,13 +2732,12 @@ MapChain IdentityChain(const Bat& b) {
 }  // namespace
 
 double ScalarSumMapped(const Bat& b, const CandidateList* cands,
-                       const MapChain& chain, const MorselExec& mx) {
+                       const MapChain* map, const MorselExec& mx) {
   size_t m = DomainSize(b.size(), cands);
   KernelTimer timer(KernelOp::kScalarAgg);
-  TrackKernelOp(KernelOp::kScalarAgg, m, 1);
-  TrackFusedAgg();
-  TrackCandidateOp();
-  TrackMappedSteps(chain, m);
+  const MapChain identity = IdentityChain(b);
+  const MapChain& chain = map != nullptr ? *map : identity;
+  TrackScalarView(cands, chain, map != nullptr, m);
   auto sum_range = [&](size_t lo, size_t hi) {
     return FoldMappedRange(b.tail(), cands, chain, lo, hi, 0.0,
                            [](double acc, const double* v, size_t n) {
@@ -2712,14 +2761,13 @@ double ScalarSumMapped(const Bat& b, const CandidateList* cands,
 }
 
 double ScalarFoldMapped(const Bat& b, const CandidateList* cands,
-                        const MapChain& chain, FoldOp op,
+                        const MapChain* map, FoldOp op,
                         const MorselExec& mx) {
   size_t m = DomainSize(b.size(), cands);
   KernelTimer timer(KernelOp::kScalarAgg);
-  TrackKernelOp(KernelOp::kScalarAgg, m, 1);
-  TrackFusedAgg();
-  TrackCandidateOp();
-  TrackMappedSteps(chain, m);
+  const MapChain identity = IdentityChain(b);
+  const MapChain& chain = map != nullptr ? *map : identity;
+  TrackScalarView(cands, chain, map != nullptr, m);
   if (m == 0) return FoldEmptyValue(op);
   // Seeded from the range's first value (not an identity) so max/min are
   // exact over all-negative and all-positive inputs alike; `lo < hi`.
@@ -2764,16 +2812,6 @@ double ScalarFoldMapped(const Bat& b, const CandidateList* cands,
     seeded = true;
   }
   return seeded ? acc : FoldEmptyValue(op);
-}
-
-double ScalarSumCand(const Bat& b, const CandidateList& cands,
-                     const MorselExec& mx) {
-  return ScalarSumMapped(b, &cands, IdentityChain(b), mx);
-}
-
-double ScalarFoldCand(const Bat& b, const CandidateList& cands, FoldOp op,
-                      const MorselExec& mx) {
-  return ScalarFoldMapped(b, &cands, IdentityChain(b), op, mx);
 }
 
 Bat MaterializeMapped(const Bat& b, const CandidateList* cands,

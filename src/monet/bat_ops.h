@@ -26,9 +26,11 @@ using BatPtr = std::shared_ptr<const Bat>;  // also declared in catalog.h
 // The selection/semijoin/slice family additionally has candidate-vector
 // forms (suffix `Cand`) that produce a CandidateList over the input's base
 // BAT instead of copying tuples; pipelines of those operators materialize
-// once, at a pipeline breaker, via Materialize(). The ExecutionEngine
-// drives this late-materialization mode; the materializing forms remain
-// the definition of operator semantics.
+// once, at a pipeline breaker, via Materialize(). Aggregates, topN and
+// joins read such views directly: they take an optional candidate list
+// (null = every row), so a whole BAT is the view over all of its rows.
+// The ExecutionEngine drives this late-materialization mode; the
+// materializing forms remain the definition of operator semantics.
 
 /// Intra-operator (morsel) parallelism resources, threaded into the hot
 /// kernels by the ExecutionEngine. A kernel whose input domain exceeds
@@ -49,7 +51,8 @@ struct MorselExec {
   /// probe domain is at least as large as the member-key set) build a
   /// per-partition Bloom filter in front of the radix table, so probe
   /// misses cost one cache line instead of a bucket-chain walk. Filter
-  /// rejects are counted as KernelStats.bloom_hits.
+  /// rejects are counted as KernelStats.bloom_hits. The engine always
+  /// leaves it on; tests turn it off to compare against unfiltered probes.
   bool bloom_probes = true;
   /// Cooperative query deadline (ExecOptions.query_deadline_ms): when
   /// set, morsel drivers skip remaining morsels once the clock passes it
@@ -312,9 +315,10 @@ Bat SortByTail(const Bat& b, bool ascending = true);
 /// partial sort rather than sorting all rows.
 Bat TopNByTail(const Bat& b, size_t n, bool descending = true);
 
-/// Fused top-n over a candidate view: equivalent to
-/// `TopNByTail(Materialize(b, cands), n, descending)` without the copy.
-/// Morsels compute per-morsel top-n prefixes that are merged at the end.
+/// Top-n over a view: equivalent to
+/// `TopNByTail(Materialize(b, *cands), n, descending)` without the copy
+/// (`cands` null: every row of `b`). Morsels compute per-morsel top-n
+/// prefixes that are merged at the end.
 ///
 /// When a shared top-k threshold is supplied (descending, dbl tails —
 /// ranking plans), candidates scoring strictly below the current bound
@@ -324,7 +328,7 @@ Bat TopNByTail(const Bat& b, size_t n, bool descending = true);
 /// coupled aggregate is the sole offerer, because re-offering rows it
 /// already offered would double-count scores and lift the bound past
 /// the true k'th score.
-Bat TopNByTailCand(const Bat& b, const CandidateList& cands, size_t n,
+Bat TopNByTailCand(const Bat& b, const CandidateList* cands, size_t n,
                    bool descending = true, const MorselExec& mx = {},
                    TopKThreshold* topk = nullptr);
 
@@ -336,82 +340,62 @@ Bat UniqueHead(const Bat& b);
 
 // ---------------------------------------------------------------------------
 // Grouping and aggregation. Heads must be oid-like (void/oid) or int.
-// Output order is ascending head. Large inputs split into morsels whose
-// partial accumulator tables are merged before finalization.
+// Output order is ascending head.
 
-/// Sums numeric tails per distinct head: (g, x) -> (g, sum x).
-Bat SumPerHead(const Bat& b, const MorselExec& mx = {});
+/// The per-head aggregates, one parameter of one group-by (MIL's `{f}`
+/// pump). prod and probor (1 - prod(1 - x)) are the inference network's
+/// probabilistic AND and OR. count yields int tails; every other kind
+/// yields dbl tails.
+enum class AggKind { kSum, kCount, kMax, kMin, kAvg, kProd, kProbOr };
 
-/// Counts rows per distinct head: (g, x) -> (g, count).
-Bat CountPerHead(const Bat& b, const MorselExec& mx = {});
+/// What the caller knows about an aggregate's input beyond the BAT.
+/// The defaults know nothing, and every hint leaves the output unchanged
+/// except the top-k coupling, which may drop rows that cannot rank.
+struct AggHints {
+  /// Every head oid lies in [head_lo, head_hi); an empty range (the
+  /// default) means no bound is known. The shard engine supplies its
+  /// fragments' oid ranges, the engine a base BAT's load-time zone head
+  /// bounds. An oid-typed head within a range no wider than 8 rows per
+  /// domain row (plus 1024) accumulates into a dense array indexed by
+  /// `oid - head_lo`: no hash table, no partial-map merge, no sort. Void
+  /// heads and sparser ranges take the exact singleton/hash paths.
+  Oid head_lo = 0;
+  Oid head_hi = 0;
+  /// Top-k coupling of a ranking plan (WAND-style), honoured on the
+  /// void-head path of a dbl tail for every kind but count: rows scoring
+  /// strictly below the shared threshold are dropped before the
+  /// downstream TopN reads them, and `tail_zones` block upper bounds skip
+  /// whole blocks and morsels without touching a row. ONLY legal when the
+  /// downstream TopN (descending, n == threshold k) is this aggregate's
+  /// sole consumer: the output then differs only in rows that provably
+  /// cannot reach the final top k.
+  const ZoneMap* tail_zones = nullptr;
+  TopKThreshold* topk = nullptr;
+};
 
-/// Max of numeric tails per distinct head.
-Bat MaxPerHead(const Bat& b, const MorselExec& mx = {});
-
-/// Min of numeric tails per distinct head.
-Bat MinPerHead(const Bat& b, const MorselExec& mx = {});
-
-/// Mean of numeric tails per distinct head.
-Bat AvgPerHead(const Bat& b, const MorselExec& mx = {});
-
-// Candidate-aware fused aggregation: each is equivalent to the
-// materializing form over `Materialize(b, cands)` but reads the base BAT
-// at the candidate positions directly, so the aggregate consumes the
-// candidate view and the select→agg pipeline has no Materialize() at
-// all. When the base's head is void (dense oids — what the flattener's
-// select chains produce), groups are provably singletons and the
-// group-by degenerates to a direct (oid, value) construction with no
-// hash table; late materialization preserves exactly the structural
-// knowledge this fast path needs, which a materialized oid column has
-// already lost.
-
-Bat SumPerHeadCand(const Bat& b, const CandidateList& cands,
-                   const MorselExec& mx = {});
-Bat CountPerHeadCand(const Bat& b, const CandidateList& cands,
-                     const MorselExec& mx = {});
-Bat MaxPerHeadCand(const Bat& b, const CandidateList& cands,
-                   const MorselExec& mx = {});
-Bat MinPerHeadCand(const Bat& b, const CandidateList& cands,
-                   const MorselExec& mx = {});
-Bat AvgPerHeadCand(const Bat& b, const CandidateList& cands,
-                   const MorselExec& mx = {});
-
-// Range-hinted per-head aggregation: the caller guarantees every head
-// oid lies in [lo, hi) — exactly what the shard engine's oid-range
-// invariant provides per fragment. Materialized-oid heads within a
-// reasonably tight range accumulate into a dense array indexed by
-// `oid - lo`: no hash table, no partial-map merge, and the
-// ascending-head output falls out of a linear sweep with no sort. Void
-// heads and ranges too sparse for the array fall back to the exact
-// hash/singleton forms, so output is always identical to the unhinted
-// aggregate. `cands` restricts to a candidate view (nullptr = all rows).
-
-Bat SumPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                     Oid hi, const MorselExec& mx = {});
-Bat CountPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                       Oid hi, const MorselExec& mx = {});
-Bat MaxPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                     Oid hi, const MorselExec& mx = {});
-Bat MinPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                     Oid hi, const MorselExec& mx = {});
-Bat AvgPerHeadRanged(const Bat& b, const CandidateList* cands, Oid lo,
-                     Oid hi, const MorselExec& mx = {});
+/// Aggregates the tails of `b` per distinct head: (g, x) -> (g, f(x...)).
+/// `cands` restricts the input to a candidate view over `b` (null: every
+/// row); the result equals aggregating `Materialize(b, *cands)` without
+/// the copy. A void head (dense oids — what the flattener's select chains
+/// produce) makes every group a singleton, so the group-by degenerates to
+/// a direct (oid, value) construction; late materialization keeps exactly
+/// the structural knowledge this path needs, which a materialized oid
+/// column has lost. Otherwise large domains split into morsels whose
+/// partial accumulator tables merge in morsel order before finalization.
+Bat AggregatePerHead(const Bat& b, const CandidateList* cands, AggKind kind,
+                     const MorselExec& mx = {}, const AggHints& hints = {});
 
 /// Value-frequency histogram over tails: (x, t) -> (t, count). The result
 /// head takes the tail's type.
 Bat CountPerTailValue(const Bat& b);
 
-/// Scalar aggregates over the tail column.
+/// Scalar aggregates over the tail column. The count also takes a
+/// candidate view over `b` (null: every row), which it answers off the
+/// list alone.
 double ScalarSum(const Bat& b);
-int64_t ScalarCount(const Bat& b);
+int64_t ScalarCount(const Bat& b, const CandidateList* cands = nullptr);
 Value ScalarMax(const Bat& b);
 Value ScalarMin(const Bat& b);
-
-/// Fused scalar aggregates over a candidate view (per-morsel partial
-/// sums added at the end; count is O(1) off the candidate list).
-double ScalarSumCand(const Bat& b, const CandidateList& cands,
-                     const MorselExec& mx = {});
-int64_t ScalarCountCand(const Bat& b, const CandidateList& cands);
 
 /// Scalar fold combinators: each is associative and commutative, so
 /// per-morsel (and per-shard) partial folds merge with the same operator
@@ -432,11 +416,6 @@ double FoldEmptyValue(FoldOp op);
 /// max/min/por (matching the naive oracle's extremum-of-empty-set and the
 /// por identity) and 1 for prod (its identity).
 double ScalarFold(const Bat& b, FoldOp op);
-
-/// Fused fold over a candidate view; morsel partials merge via ApplyFold
-/// (empty morsels contribute nothing).
-double ScalarFoldCand(const Bat& b, const CandidateList& cands, FoldOp op,
-                      const MorselExec& mx = {});
 
 // ---------------------------------------------------------------------------
 // Multiplexed scalar arithmetic ("map[op]" at the physical level). Numeric
@@ -509,17 +488,19 @@ struct MapChain {
                                                    ValueType input, UnOp op);
 };
 
-/// `sum` of the mapped view: equals ScalarSum over the BAT that applying
-/// `chain` to `Materialize(b, *cands)` (or to `b` when `cands` is null)
-/// would produce, with ScalarSumCand's morsel boundaries and merge order.
-/// Int chains are exact; dbl chains may differ from the single-pass sum
-/// only by the regrouping of per-morsel partial sums.
+/// `sum` of the view: equals ScalarSum over the BAT that applying `chain`
+/// (null: no steps) to `Materialize(b, *cands)` (or to `b` when `cands`
+/// is null) would produce. Large domains split into morsels whose partial
+/// sums add in morsel order: int chains are exact, dbl values may differ
+/// from the single-pass sum only by that regrouping.
 double ScalarSumMapped(const Bat& b, const CandidateList* cands,
-                       const MapChain& chain, const MorselExec& mx = {});
+                       const MapChain* chain, const MorselExec& mx = {});
 
-/// Fold of the mapped view, with ScalarFoldCand's morsels and merge.
+/// Fold of the view, with the same morsels; partials merge via ApplyFold
+/// in morsel order (empty morsels contribute nothing), so max/min are
+/// exact and prod/por may regroup like the sum.
 double ScalarFoldMapped(const Bat& b, const CandidateList* cands,
-                        const MapChain& chain, FoldOp op,
+                        const MapChain* chain, FoldOp op,
                         const MorselExec& mx = {});
 
 /// Collapses the mapped view into one BAT: identical to applying the

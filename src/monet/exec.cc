@@ -100,16 +100,9 @@ bool IsShardLocalUnaryOp(OpCode op) {
     case OpCode::kMapBinaryScalar:
     case OpCode::kMapUnary:
     case OpCode::kFillTail:
-    case OpCode::kSumPerHead:
-    case OpCode::kCountPerHead:
-    case OpCode::kMaxPerHead:
-    case OpCode::kMinPerHead:
-    case OpCode::kAvgPerHead:
-    case OpCode::kProdPerHead:
-    case OpCode::kProbOrPerHead:
       return true;
     default:
-      return false;
+      return PerHeadAggKind(op).has_value();
   }
 }
 
@@ -380,156 +373,72 @@ base::Result<double> ScalarInput(RunState& st, int reg) {
   return rv.scalar;
 }
 
-/// Aggregates with a fused candidate-view form: when the source register
-/// holds an unmaterialized candidate view, these consume it directly.
-bool IsFusableAggOp(OpCode op) {
-  switch (op) {
-    case OpCode::kSumPerHead:
-    case OpCode::kCountPerHead:
-    case OpCode::kMaxPerHead:
-    case OpCode::kMinPerHead:
-    case OpCode::kAvgPerHead:
-    case OpCode::kProdPerHead:
-    case OpCode::kProbOrPerHead:
-    case OpCode::kTopN:
-    case OpCode::kScalarSum:
-    case OpCode::kScalarCount:
-    case OpCode::kScalarFold:
-      return true;
-    default:
-      return false;
-  }
+/// True for the aggregate opcodes: the per-head family, topN and the
+/// scalar sum/count/fold. ExecAggregate runs every one of them.
+bool IsAggregateOp(OpCode op) {
+  return PerHeadAggKind(op).has_value() || op == OpCode::kTopN ||
+         op == OpCode::kScalarSum || op == OpCode::kScalarCount ||
+         op == OpCode::kScalarFold;
 }
 
-/// Fused aggregate dispatch over a candidate view; `cands` is non-null.
-void ExecFusedAgg(RunState& st, const Instr& i, const BatPtr& base,
-                  const CandidateList& cands) {
+/// Runs aggregate `i` over its source register, whatever that holds: a
+/// BAT (the view over all of its rows), a candidate view or a mapped
+/// view. The kernels read the view at its positions, so select→agg plans
+/// never call Materialize(). Scalar aggregates evaluate a mapped view's
+/// chain inline; the others collapse it first (CandInput). `shard` is the
+/// fragment's oid range when one shard runs the instruction, else null.
+base::Status ExecAggregate(RunState& st, const Instr& i,
+                           const ShardRange* shard = nullptr) {
+  const bool scalar = i.op == OpCode::kScalarSum ||
+                      i.op == OpCode::kScalarCount ||
+                      i.op == OpCode::kScalarFold;
+  BatPtr base;
+  std::shared_ptr<const CandidateList> cands_ptr;
+  std::shared_ptr<const MapChain> map;
+  MIRROR_RETURN_IF_ERROR(CandInput(st, i.src0, &base, &cands_ptr,
+                                   scalar ? &map : nullptr));
+  const CandidateList* cands = cands_ptr.get();
   switch (i.op) {
-    case OpCode::kSumPerHead:
-      PutBat(st, i.dst, SumPerHeadCand(*base, cands, st.mx));
-      break;
-    case OpCode::kCountPerHead:
-      PutBat(st, i.dst, CountPerHeadCand(*base, cands, st.mx));
-      break;
-    case OpCode::kMaxPerHead:
-      PutBat(st, i.dst, MaxPerHeadCand(*base, cands, st.mx));
-      break;
-    case OpCode::kMinPerHead:
-      PutBat(st, i.dst, MinPerHeadCand(*base, cands, st.mx));
-      break;
-    case OpCode::kAvgPerHead:
-      PutBat(st, i.dst, AvgPerHeadCand(*base, cands, st.mx));
-      break;
-    case OpCode::kProdPerHead:
-      PutBat(st, i.dst,
-             ProdPerHeadCand(*base, cands, st.mx, TailZonesFor(st, base.get()),
-                             TopKFor(st, i)));
-      break;
-    case OpCode::kProbOrPerHead:
-      PutBat(st, i.dst,
-             ProbOrPerHeadCand(*base, cands, st.mx,
-                               TailZonesFor(st, base.get()), TopKFor(st, i)));
-      break;
     case OpCode::kTopN:
       PutBat(st, i.dst,
              TopNByTailCand(*base, cands, static_cast<size_t>(i.n), i.flag0,
                             st.mx, TopKFor(st, i)));
-      break;
+      return base::Status::Ok();
     case OpCode::kScalarSum:
-      PutScalar(st, i.dst, ScalarSumCand(*base, cands, st.mx));
-      break;
+      PutScalar(st, i.dst, ScalarSumMapped(*base, cands, map.get(), st.mx));
+      return base::Status::Ok();
     case OpCode::kScalarCount:
-      PutScalar(st, i.dst,
-                static_cast<double>(ScalarCountCand(*base, cands)));
-      break;
-    case OpCode::kScalarFold:
-      PutScalar(st, i.dst, ScalarFoldCand(*base, cands, i.fold_op, st.mx));
-      break;
-    default:
-      MIRROR_UNREACHABLE();
-  }
-}
-
-/// Scalar aggregates over a mapped view (`cands` null: every row of
-/// `base`): sum and fold evaluate the chain inline, block by block; the
-/// count reads only the domain size.
-void ExecMappedScalarAgg(RunState& st, const Instr& i, const BatPtr& base,
-                         const CandidateList* cands, const MapChain& map) {
-  switch (i.op) {
-    case OpCode::kScalarSum:
-      PutScalar(st, i.dst, ScalarSumMapped(*base, cands, map, st.mx));
-      break;
-    case OpCode::kScalarCount:
-      PutScalar(st, i.dst,
-                static_cast<double>(cands != nullptr
-                                        ? ScalarCountCand(*base, *cands)
-                                        : ScalarCount(*base)));
-      break;
+      PutScalar(st, i.dst, static_cast<double>(ScalarCount(*base, cands)));
+      return base::Status::Ok();
     case OpCode::kScalarFold:
       PutScalar(st, i.dst,
-                ScalarFoldMapped(*base, cands, map, i.fold_op, st.mx));
-      break;
+                ScalarFoldMapped(*base, cands, map.get(), i.fold_op, st.mx));
+      return base::Status::Ok();
     default:
-      MIRROR_UNREACHABLE();
+      break;
   }
-}
-
-/// Materializing per-head aggregate dispatch. With zone maps on, an
-/// oid-headed base BAT's load-time head bounds feed the *PerHeadRanged
-/// dense-array forms (identical output, no hash fold); heads without
-/// cached bounds — intermediates, void heads — take the plain form.
-void ExecPerHeadAgg(RunState& st, const Instr& i, const BatPtr& b) {
-  const ZoneMap* hz = nullptr;
-  if (st.zone_maps && st.zones != nullptr &&
-      b->head().type() == ValueType::kOid) {
-    const BatZones* z = st.zones->ForBat(b.get());
-    if (z != nullptr && z->head.valid) hz = &z->head;
-  }
-  if (hz != nullptr) {
-    // Bounds widen outward on conversion, so the range always contains
-    // every head oid; the Ranged forms fall back themselves when the
-    // range is too sparse for a dense accumulator.
-    Oid lo = static_cast<Oid>(hz->min);
-    Oid hi = static_cast<Oid>(hz->max) + 1;
-    switch (i.op) {
-      case OpCode::kSumPerHead:
-        PutBat(st, i.dst, SumPerHeadRanged(*b, nullptr, lo, hi, st.mx));
-        return;
-      case OpCode::kCountPerHead:
-        PutBat(st, i.dst, CountPerHeadRanged(*b, nullptr, lo, hi, st.mx));
-        return;
-      case OpCode::kMaxPerHead:
-        PutBat(st, i.dst, MaxPerHeadRanged(*b, nullptr, lo, hi, st.mx));
-        return;
-      case OpCode::kMinPerHead:
-        PutBat(st, i.dst, MinPerHeadRanged(*b, nullptr, lo, hi, st.mx));
-        return;
-      case OpCode::kAvgPerHead:
-        PutBat(st, i.dst, AvgPerHeadRanged(*b, nullptr, lo, hi, st.mx));
-        return;
-      default:
-        break;
+  const AggKind kind = *PerHeadAggKind(i.op);
+  AggHints hints;
+  if (kind == AggKind::kProd || kind == AggKind::kProbOr) {
+    // Ranking plans couple the prob aggregates to their topN; head ranges
+    // are never derived for them.
+    hints.tail_zones = TailZonesFor(st, base.get());
+    hints.topk = TopKFor(st, i);
+  } else if (shard != nullptr) {
+    hints.head_lo = shard->begin;
+    hints.head_hi = shard->end;
+  } else if (cands == nullptr && st.zone_maps && st.zones != nullptr &&
+             base->head().type() == ValueType::kOid) {
+    // A base BAT's load-time head bounds; intermediates have none. Bounds
+    // widen outward on conversion, so the range holds every head oid.
+    const BatZones* z = st.zones->ForBat(base.get());
+    if (z != nullptr && z->head.valid) {
+      hints.head_lo = static_cast<Oid>(z->head.min);
+      hints.head_hi = static_cast<Oid>(z->head.max) + 1;
     }
   }
-  switch (i.op) {
-    case OpCode::kSumPerHead:
-      PutBat(st, i.dst, SumPerHead(*b, st.mx));
-      break;
-    case OpCode::kCountPerHead:
-      PutBat(st, i.dst, CountPerHead(*b, st.mx));
-      break;
-    case OpCode::kMaxPerHead:
-      PutBat(st, i.dst, MaxPerHead(*b, st.mx));
-      break;
-    case OpCode::kMinPerHead:
-      PutBat(st, i.dst, MinPerHead(*b, st.mx));
-      break;
-    case OpCode::kAvgPerHead:
-      PutBat(st, i.dst, AvgPerHead(*b, st.mx));
-      break;
-    default:
-      MIRROR_UNREACHABLE();
-  }
+  PutBat(st, i.dst, AggregatePerHead(*base, cands, kind, st.mx, hints));
+  return base::Status::Ok();
 }
 
 /// Recycler integration for interval selects over base BATs: an exact
@@ -772,30 +681,7 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
     }
   }
 
-  // Fused aggregation: when the source register still holds a candidate
-  // view, group-by / topN / scalar aggregates read the base BAT at the
-  // candidate positions directly, so select→agg plans never call
-  // Materialize(). Scalar aggregates also consume mapped views. Registers
-  // already collapsed to a BAT fall through to the materializing path
-  // below.
-  if (IsFusableAggOp(i.op)) {
-    const bool scalar_agg = i.op == OpCode::kScalarSum ||
-                            i.op == OpCode::kScalarCount ||
-                            i.op == OpCode::kScalarFold;
-    BatPtr base;
-    std::shared_ptr<const CandidateList> cands;
-    std::shared_ptr<const MapChain> map;
-    MIRROR_RETURN_IF_ERROR(
-        CandInput(st, i.src0, &base, &cands, scalar_agg ? &map : nullptr));
-    if (map != nullptr) {
-      ExecMappedScalarAgg(st, i, base, cands.get(), *map);
-      return base::Status::Ok();
-    }
-    if (cands != nullptr) {
-      ExecFusedAgg(st, i, base, *cands);
-      return base::Status::Ok();
-    }
-  }
+  if (IsAggregateOp(i.op)) return ExecAggregate(st, i);
 
   switch (i.op) {
     case OpCode::kLoadNamed: {
@@ -843,21 +729,6 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
     case OpCode::kSortTail:
       PutBat(st, i.dst, SortByTail(b0, i.flag0));
       break;
-    case OpCode::kTopN: {
-      // A threshold-coupled TopN prefilters against the shared bound and
-      // publishes its k'th score (the kernel handles a full domain just
-      // like a candidate one).
-      TopKThreshold* topk = TopKFor(st, i);
-      if (topk != nullptr) {
-        PutBat(st, i.dst,
-               TopNByTailCand(b0, CandidateList::All(b0.size()),
-                              static_cast<size_t>(i.n), i.flag0, st.mx,
-                              topk));
-      } else {
-        PutBat(st, i.dst, TopNByTail(b0, static_cast<size_t>(i.n), i.flag0));
-      }
-      break;
-    }
     case OpCode::kUniqueTail:
       PutBat(st, i.dst, UniqueTail(b0));
       break;
@@ -870,23 +741,6 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
       PutBat(st, i.dst, Concat(b0, *r.value()));
       break;
     }
-    case OpCode::kSumPerHead:
-    case OpCode::kCountPerHead:
-    case OpCode::kMaxPerHead:
-    case OpCode::kMinPerHead:
-    case OpCode::kAvgPerHead:
-      ExecPerHeadAgg(st, i, l.value());
-      break;
-    case OpCode::kProdPerHead:
-      PutBat(st, i.dst,
-             ProdPerHead(b0, st.mx, TailZonesFor(st, l.value().get()),
-                         TopKFor(st, i)));
-      break;
-    case OpCode::kProbOrPerHead:
-      PutBat(st, i.dst,
-             ProbOrPerHead(b0, st.mx, TailZonesFor(st, l.value().get()),
-                           TopKFor(st, i)));
-      break;
     case OpCode::kCountPerTailValue:
       PutBat(st, i.dst, CountPerTailValue(b0));
       break;
@@ -915,16 +769,8 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
                          i.avg_doclen, i.belief));
       break;
     }
-    case OpCode::kScalarSum:
-      PutScalar(st, i.dst, ScalarSum(b0));
-      break;
-    case OpCode::kScalarCount:
-      PutScalar(st, i.dst, static_cast<double>(ScalarCount(b0)));
-      break;
-    case OpCode::kScalarFold:
-      PutScalar(st, i.dst, ScalarFold(b0, i.fold_op));
-      break;
-    // Handled above: candidate producers, joins, loads and scalar math.
+    // Handled above: candidate producers, joins, aggregates, loads and
+    // scalar math.
     case OpCode::kSelectEq:
     case OpCode::kSelectNeq:
     case OpCode::kSelectCmp:
@@ -937,6 +783,17 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
     case OpCode::kLoadNamed:
     case OpCode::kConstBat:
     case OpCode::kScalarBin:
+    case OpCode::kTopN:
+    case OpCode::kSumPerHead:
+    case OpCode::kCountPerHead:
+    case OpCode::kMaxPerHead:
+    case OpCode::kMinPerHead:
+    case OpCode::kAvgPerHead:
+    case OpCode::kProdPerHead:
+    case OpCode::kProbOrPerHead:
+    case OpCode::kScalarSum:
+    case OpCode::kScalarCount:
+    case OpCode::kScalarFold:
       MIRROR_UNREACHABLE();
       break;
   }
@@ -1024,7 +881,7 @@ bool HasMorselEligibleOp(const Program& program, const ExecOptions& options) {
   if (options.morsel_size == 0) return false;
   for (const Instr& i : program.instrs()) {
     if (IsCandidatePipelineOp(i.op) || i.op == OpCode::kJoin ||
-        IsFusableAggOp(i.op)) {
+        IsAggregateOp(i.op)) {
       return true;
     }
   }
@@ -1256,49 +1113,6 @@ base::Status RunSharded(ShardRunState& sst, const Program& program) {
       return reg < 0 ? nullptr : sst.domain[static_cast<size_t>(reg)];
     };
 
-    // ---- Range-hinted per-head aggregation: the fragment's oid range
-    // is static shard metadata, so each shard aggregates into a dense
-    // array indexed by (oid - lo) — no hash table, no partial-map
-    // merge, ascending output with no sort. This is the shard layout's
-    // structural win over the unsharded engine, which cannot bound the
-    // heads without a scan.
-    if ((i.op == OpCode::kSumPerHead || i.op == OpCode::kCountPerHead ||
-         i.op == OpCode::kMaxPerHead || i.op == OpCode::kMinPerHead ||
-         i.op == OpCode::kAvgPerHead) &&
-        shape_of(i.src0) == RegShape::kSharded &&
-        domain_of(i.src0) != nullptr) {
-      const std::vector<ShardRange>* dom = domain_of(i.src0);
-      MIRROR_RETURN_IF_ERROR(ExecShardFanout(
-          sst, i, dom, [&](RunState& st, size_t s) {
-            BatPtr base;
-            std::shared_ptr<const CandidateList> cands;
-            MIRROR_RETURN_IF_ERROR(CandInput(st, i.src0, &base, &cands));
-            Oid lo = (*dom)[s].begin;
-            Oid hi = (*dom)[s].end;
-            Bat out = [&] {
-              switch (i.op) {
-                case OpCode::kSumPerHead:
-                  return SumPerHeadRanged(*base, cands.get(), lo, hi, st.mx);
-                case OpCode::kCountPerHead:
-                  return CountPerHeadRanged(*base, cands.get(), lo, hi,
-                                            st.mx);
-                case OpCode::kMaxPerHead:
-                  return MaxPerHeadRanged(*base, cands.get(), lo, hi, st.mx);
-                case OpCode::kMinPerHead:
-                  return MinPerHeadRanged(*base, cands.get(), lo, hi, st.mx);
-                case OpCode::kAvgPerHead:
-                  return AvgPerHeadRanged(*base, cands.get(), lo, hi, st.mx);
-                default:
-                  MIRROR_UNREACHABLE();
-                  return Bat(Column::MakeVoid(0, 0), Column::MakeVoid(0, 0));
-              }
-            }();
-            PutBat(st, i.dst, std::move(out));
-            return base::Status::Ok();
-          }));
-      continue;
-    }
-
     // ---- Whole-shard top-k pruning: a threshold-coupled prob aggregate
     // whose fragment's tail upper bound (load-time zone map) is strictly
     // below the shared bound cannot contribute a top-k row — the shard's
@@ -1326,6 +1140,24 @@ base::Status RunSharded(ShardRunState& sst, const Program& program) {
             }));
         continue;
       }
+    }
+
+    // ---- Range-hinted per-head aggregation: the fragment's oid range
+    // is static shard metadata, so each shard aggregates into a dense
+    // array indexed by (oid - lo) — no hash table, no partial-map
+    // merge, ascending output with no sort. This is the shard layout's
+    // structural win over the unsharded engine, which cannot bound the
+    // heads without a scan. (ExecAggregate takes no range for the prob
+    // aggregates.)
+    if (PerHeadAggKind(i.op).has_value() &&
+        shape_of(i.src0) == RegShape::kSharded &&
+        domain_of(i.src0) != nullptr) {
+      const std::vector<ShardRange>* dom = domain_of(i.src0);
+      MIRROR_RETURN_IF_ERROR(ExecShardFanout(
+          sst, i, dom, [&](RunState& st, size_t s) {
+            return ExecAggregate(st, i, &(*dom)[s]);
+          }));
+      continue;
     }
 
     // ---- Shard-local unary family.
@@ -1504,7 +1336,6 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
               MorselExec{},
               &regs};
   st.mx.radix_partitions = options_.radix_partitions;
-  st.mx.bloom_probes = options_.bloom_probes;
   if (options_.zone_maps && catalog_ != nullptr) {
     // Pin this generation's statistics for the whole run: a concurrent
     // writer may drop and rebuild the catalog's caches mid-query.
@@ -1568,7 +1399,7 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
     if (threads > 1) {
       ctx->pool_.EnsureWorkers(threads);
       st.mx = MorselExec{&ctx->pool_, options_.morsel_size,
-                         options_.radix_partitions, options_.bloom_probes};
+                         options_.radix_partitions};
       arm_deadline(&st.mx);
     }
     size_t num_regs = static_cast<size_t>(program.num_regs());
@@ -1650,7 +1481,7 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
       ctx->pool_.EnsureWorkers(threads);
       if (options_.morsel_size > 0) {
         st.mx = MorselExec{&ctx->pool_, options_.morsel_size,
-                           options_.radix_partitions, options_.bloom_probes};
+                           options_.radix_partitions};
         arm_deadline(&st.mx);
       }
     }

@@ -60,10 +60,6 @@ struct ExecOptions {
   /// 1 run unsharded; MirrorDb fills in its default shard count for 0
   /// when the database was opened with LoadSharded.
   size_t num_shards = 0;
-  /// When true, selective radix membership probes put a per-partition
-  /// Bloom filter in front of the bucket chains (see
-  /// MorselExec.bloom_probes; profiler counters bloom_builds/bloom_hits).
-  bool bloom_probes = true;
   /// When true, catalog zone maps (per-block min/max, built at load time)
   /// prune selections block-wise and bound dense per-head aggregation
   /// ranges; results are identical (pruned blocks provably contain no

@@ -98,6 +98,27 @@ const char* FoldOpName(FoldOp op) {
   return "?";
 }
 
+std::optional<AggKind> PerHeadAggKind(OpCode op) {
+  switch (op) {
+    case OpCode::kSumPerHead:
+      return AggKind::kSum;
+    case OpCode::kCountPerHead:
+      return AggKind::kCount;
+    case OpCode::kMaxPerHead:
+      return AggKind::kMax;
+    case OpCode::kMinPerHead:
+      return AggKind::kMin;
+    case OpCode::kAvgPerHead:
+      return AggKind::kAvg;
+    case OpCode::kProdPerHead:
+      return AggKind::kProd;
+    case OpCode::kProbOrPerHead:
+      return AggKind::kProbOr;
+    default:
+      return std::nullopt;
+  }
+}
+
 std::string Instr::ToString() const {
   std::string out = base::StrFormat("r%d := %s(", dst, OpCodeName(op));
   bool first = true;
@@ -293,25 +314,14 @@ base::Result<RunResult> Executor::Run(const Program& program) const {
         put_bat(i.dst, Concat(bat_at(i.src0), bat_at(i.src1)));
         break;
       case OpCode::kSumPerHead:
-        put_bat(i.dst, SumPerHead(bat_at(i.src0)));
-        break;
       case OpCode::kCountPerHead:
-        put_bat(i.dst, CountPerHead(bat_at(i.src0)));
-        break;
       case OpCode::kMaxPerHead:
-        put_bat(i.dst, MaxPerHead(bat_at(i.src0)));
-        break;
       case OpCode::kMinPerHead:
-        put_bat(i.dst, MinPerHead(bat_at(i.src0)));
-        break;
       case OpCode::kAvgPerHead:
-        put_bat(i.dst, AvgPerHead(bat_at(i.src0)));
-        break;
       case OpCode::kProdPerHead:
-        put_bat(i.dst, ProdPerHead(bat_at(i.src0)));
-        break;
       case OpCode::kProbOrPerHead:
-        put_bat(i.dst, ProbOrPerHead(bat_at(i.src0)));
+        put_bat(i.dst, AggregatePerHead(bat_at(i.src0), nullptr,
+                                        *PerHeadAggKind(i.op)));
         break;
       case OpCode::kCountPerTailValue:
         put_bat(i.dst, CountPerTailValue(bat_at(i.src0)));

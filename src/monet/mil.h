@@ -2,6 +2,7 @@
 #define MIRROR_MONET_MIL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,13 +37,15 @@ enum class OpCode {
   kUniqueHead,         // dst = UniqueHead(src0)
   kSlice,              // dst = Slice(src0, n, n2)
   kConcat,             // dst = Concat(src0, src1)
-  kSumPerHead,         // dst = SumPerHead(src0)
-  kCountPerHead,       // dst = CountPerHead(src0)
-  kMaxPerHead,         // dst = MaxPerHead(src0)
-  kMinPerHead,         // dst = MinPerHead(src0)
-  kAvgPerHead,         // dst = AvgPerHead(src0)
-  kProdPerHead,        // dst = ProdPerHead(src0)
-  kProbOrPerHead,      // dst = ProbOrPerHead(src0)
+  // The per-head aggregates: dst = AggregatePerHead(src0, AggKind), the
+  // kind given by PerHeadAggKind below.
+  kSumPerHead,         // kSum
+  kCountPerHead,       // kCount
+  kMaxPerHead,         // kMax
+  kMinPerHead,         // kMin
+  kAvgPerHead,         // kAvg
+  kProdPerHead,        // kProd
+  kProbOrPerHead,      // kProbOr
   kCountPerTailValue,  // dst = CountPerTailValue(src0)
   kMapBinary,          // dst = MapBinary(src0, src1, bin_op)
   kMapBinaryScalar,    // dst = MapBinaryScalar(src0, imm0, bin_op)
@@ -60,6 +63,11 @@ const char* OpCodeName(OpCode op);
 
 /// Stable mnemonic for a scalar fold combinator ("max", "por", ...).
 const char* FoldOpName(FoldOp op);
+
+/// The aggregate a per-head opcode computes; nullopt for every other
+/// opcode. The single opcode -> AggKind map of the Executor and the
+/// engine.
+std::optional<AggKind> PerHeadAggKind(OpCode op);
 
 /// One MIL instruction. Fields beyond `op`, `dst` and the `src*` registers
 /// are operand payloads whose meaning depends on the opcode (see OpCode

@@ -1,9 +1,7 @@
 #include "monet/prob_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "monet/profiler.h"
@@ -34,244 +32,6 @@ Bat BeliefTfIdf(const Bat& tf, const Bat& df, const Bat& doclen,
     beliefs[i] = params.alpha + (1.0 - params.alpha) * t_norm * i_norm;
   }
   return Bat(tf.head(), Column::MakeDbls(std::move(beliefs)));
-}
-
-namespace {
-
-int64_t HeadKey(const Column& head, size_t i) {
-  switch (head.type()) {
-    case ValueType::kVoid:
-    case ValueType::kOid:
-      return static_cast<int64_t>(head.OidAt(i));
-    case ValueType::kInt:
-      return head.IntAt(i);
-    default:
-      MIRROR_CHECK(false) << "group head must be oid-like or int";
-      return 0;
-  }
-}
-
-size_t DomainSize(const Bat& b, const CandidateList* cands) {
-  return cands == nullptr ? b.size() : cands->size();
-}
-
-using ProbGroupMap = std::unordered_map<int64_t, double>;
-
-// Folds the (complemented) tails of the [lo, hi) slice of the domain
-// into per-group products.
-void AccumulateProducts(const Bat& b, const CandidateList* cands, size_t lo,
-                        size_t hi, bool complement, ProbGroupMap* acc) {
-  const Column& head = b.head();
-  const Column& tail = b.tail();
-  for (size_t i = lo; i < hi; ++i) {
-    size_t pos = cands == nullptr ? i : cands->PositionAt(i);
-    auto [it, inserted] = acc->emplace(HeadKey(head, pos), 1.0);
-    double x = tail.NumAt(pos);
-    it->second *= complement ? (1.0 - x) : x;
-  }
-}
-
-// Void-headed singleton-group fast path: groups are provably singletons,
-// and both prod(x) and 1 - prod(1 - x) of a single element equal x, so
-// the fold degenerates to a direct (oid, tail value) gather. Morsels
-// write disjoint ranges of the pre-sized output vectors.
-Bat SingletonProbAgg(const Bat& b, const CandidateList* cands,
-                     const MorselExec& mx) {
-  const Column& tail = b.tail();
-  Oid base = b.head().void_base();
-  size_t m = DomainSize(b, cands);
-  std::vector<Oid> heads(m);
-  std::vector<double> vals(m);
-  size_t morsels = mx.MorselsFor(m);
-  ParallelForChunks(morsels <= 1 ? nullptr : mx.pool, m, morsels,
-                    [&](size_t, size_t lo, size_t hi) {
-                      for (size_t i = lo; i < hi; ++i) {
-                        size_t pos =
-                            cands == nullptr ? i : cands->PositionAt(i);
-                        heads[i] = base + pos;
-                        vals[i] = tail.NumAt(pos);
-                      }
-                    });
-  if (morsels > 1) TrackMorselTasks(morsels);
-  return Bat(Column::MakeOids(std::move(heads)),
-             Column::MakeDbls(std::move(vals)));
-}
-
-// Top-k pruned variant of the singleton fast path, used when this
-// aggregate is the sole producer of a descending top-k ranking: a row
-// scoring strictly below the shared threshold loses to k rows the plan
-// has already ranked, so it is dropped before the TopN ever reads it.
-// Zone-map block upper bounds skip whole blocks — and via RangeMax whole
-// morsels — without touching a row, and survivor scores feed straight
-// back into the threshold so the bound rises during the scan itself.
-Bat PrunedSingletonProbAgg(const Bat& b, const CandidateList* cands,
-                           const MorselExec& mx, const ZoneMap* zones,
-                           TopKThreshold* topk) {
-  const Column& tail = b.tail();
-  Oid base = b.head().void_base();
-  size_t m = DomainSize(b, cands);
-  // Zone bounds map to row ranges only over a dense domain.
-  bool dense = cands == nullptr || cands->is_dense();
-  size_t dense_first = (cands != nullptr && dense) ? cands->first() : 0;
-  const bool zoned = dense && zones != nullptr && zones->valid;
-  size_t morsels = mx.MorselsFor(m);
-  std::vector<std::vector<Oid>> headsf(morsels);
-  std::vector<std::vector<double>> valsf(morsels);
-  std::atomic<uint64_t> blocks_skipped{0};
-  std::atomic<uint64_t> morsels_pruned{0};
-  ParallelForChunks(
-      morsels <= 1 ? nullptr : mx.pool, m, morsels,
-      [&](size_t j, size_t lo, size_t hi) {
-        if (lo >= hi) return;
-        std::vector<Oid>& heads = headsf[j];
-        std::vector<double>& vals = valsf[j];
-        double bound = topk->bound();
-        if (!zoned) {
-          // No block bounds: per-row threshold test only.
-          for (size_t i = lo; i < hi; ++i) {
-            size_t pos = cands == nullptr ? i : cands->PositionAt(i);
-            double x = tail.NumAt(pos);
-            if (x < bound) continue;
-            heads.push_back(base + pos);
-            vals.push_back(x);
-          }
-          if (!vals.empty()) topk->Offer(vals);
-          return;
-        }
-        size_t plo = dense_first + lo;
-        size_t phi = dense_first + hi;
-        if (zones->RangeMax(plo, phi) < bound) {
-          // No row of this morsel can reach the top k.
-          morsels_pruned.fetch_add(1, std::memory_order_relaxed);
-          blocks_skipped.fetch_add(zones->BlocksIn(plo, phi),
-                                   std::memory_order_relaxed);
-          return;
-        }
-        size_t br = zones->block_rows;
-        for (size_t blk = plo / br; blk * br < phi; ++blk) {
-          size_t blo = std::max(plo, blk * br);
-          size_t bhi = std::min(phi, (blk + 1) * br);
-          if (zones->block_max[blk] < bound) {
-            blocks_skipped.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          size_t run_start = vals.size();
-          for (size_t pos = blo; pos < bhi; ++pos) {
-            double x = tail.NumAt(pos);
-            if (x < bound) continue;
-            heads.push_back(base + pos);
-            vals.push_back(x);
-          }
-          if (vals.size() > run_start) {
-            topk->Offer(std::vector<double>(
-                vals.begin() + static_cast<ptrdiff_t>(run_start),
-                vals.end()));
-            bound = topk->bound();
-          }
-        }
-      });
-  if (morsels > 1) TrackMorselTasks(morsels);
-  uint64_t bs = blocks_skipped.load(std::memory_order_relaxed);
-  uint64_t mp = morsels_pruned.load(std::memory_order_relaxed);
-  if (bs > 0) TrackZoneBlocksSkipped(bs);
-  if (mp > 0) TrackTopkMorselsPruned(mp);
-  size_t total = 0;
-  for (const std::vector<double>& f : valsf) total += f.size();
-  std::vector<Oid> heads;
-  std::vector<double> vals;
-  heads.reserve(total);
-  vals.reserve(total);
-  for (size_t j = 0; j < morsels; ++j) {
-    heads.insert(heads.end(), headsf[j].begin(), headsf[j].end());
-    vals.insert(vals.end(), valsf[j].begin(), valsf[j].end());
-  }
-  return Bat(Column::MakeOids(std::move(heads)),
-             Column::MakeDbls(std::move(vals)));
-}
-
-Bat FoldPerHead(const Bat& b, const CandidateList* cands, bool complement,
-                const MorselExec& mx, const ZoneMap* tail_zones = nullptr,
-                TopKThreshold* topk = nullptr) {
-  if (cands != nullptr) {
-    TrackFusedAgg();
-    TrackCandidateOp();
-  }
-  size_t m = DomainSize(b, cands);
-  if (b.head().is_void()) {
-    // `complement` is irrelevant for singleton groups: both folds return
-    // x itself. Threshold coupling is dbl-tails only (scores); int tails
-    // beyond 2^53 would compare differently as doubles downstream.
-    Bat out = (topk != nullptr && topk->k() > 0 &&
-               b.tail().type() == ValueType::kDbl)
-                  ? PrunedSingletonProbAgg(b, cands, mx, tail_zones, topk)
-                  : SingletonProbAgg(b, cands, mx);
-    TrackKernelOp(KernelOp::kBelief, m, out.size());
-    return out;
-  }
-  size_t morsels = mx.MorselsFor(m);
-  ProbGroupMap acc;
-  if (morsels <= 1) {
-    acc.reserve(m);
-    AccumulateProducts(b, cands, 0, m, complement, &acc);
-  } else {
-    // Per-morsel partial products over disjoint domain slices; products
-    // merge multiplicatively (1.0 is the fold's identity).
-    std::vector<ProbGroupMap> partials(morsels);
-    ParallelForChunks(mx.pool, m, morsels,
-                      [&](size_t j, size_t lo, size_t hi) {
-                        AccumulateProducts(b, cands, lo, hi, complement,
-                                           &partials[j]);
-                      });
-    TrackMorselTasks(morsels);
-    acc = std::move(partials[0]);
-    for (size_t j = 1; j < partials.size(); ++j) {
-      for (const auto& [key, p] : partials[j]) {
-        auto [it, inserted] = acc.emplace(key, 1.0);
-        it->second *= p;
-      }
-    }
-  }
-  std::vector<int64_t> keys;
-  keys.reserve(acc.size());
-  for (const auto& [k, v] : acc) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  std::vector<double> out;
-  out.reserve(keys.size());
-  for (int64_t k : keys) {
-    double v = acc[k];
-    out.push_back(complement ? (1.0 - v) : v);
-  }
-  TrackKernelOp(KernelOp::kBelief, m, keys.size());
-  Column out_head =
-      b.head().type() == ValueType::kInt
-          ? Column::MakeInts(keys)
-          : Column::MakeOids(std::vector<Oid>(keys.begin(), keys.end()));
-  return Bat(std::move(out_head), Column::MakeDbls(std::move(out)));
-}
-
-}  // namespace
-
-Bat ProdPerHead(const Bat& b, const MorselExec& mx,
-                const ZoneMap* tail_zones, TopKThreshold* topk) {
-  return FoldPerHead(b, nullptr, /*complement=*/false, mx, tail_zones, topk);
-}
-
-Bat ProbOrPerHead(const Bat& b, const MorselExec& mx,
-                  const ZoneMap* tail_zones, TopKThreshold* topk) {
-  // 1 - prod(1 - x): fold the complements, complement the result.
-  return FoldPerHead(b, nullptr, /*complement=*/true, mx, tail_zones, topk);
-}
-
-Bat ProdPerHeadCand(const Bat& b, const CandidateList& cands,
-                    const MorselExec& mx, const ZoneMap* tail_zones,
-                    TopKThreshold* topk) {
-  return FoldPerHead(b, &cands, /*complement=*/false, mx, tail_zones, topk);
-}
-
-Bat ProbOrPerHeadCand(const Bat& b, const CandidateList& cands,
-                      const MorselExec& mx, const ZoneMap* tail_zones,
-                      TopKThreshold* topk) {
-  return FoldPerHead(b, &cands, /*complement=*/true, mx, tail_zones, topk);
 }
 
 }  // namespace mirror::monet

@@ -3,8 +3,6 @@
 
 #include "monet/bat.h"
 #include "monet/bat_ops.h"
-#include "monet/candidate.h"
-#include "monet/zone_map.h"
 
 namespace mirror::monet {
 
@@ -37,43 +35,10 @@ Bat BeliefTfIdf(const Bat& tf, const Bat& df, const Bat& doclen,
                 int64_t num_docs, double avg_doclen,
                 const BeliefParams& params);
 
-/// Product of numeric tails per distinct head (probabilistic AND
-/// combination in the inference network). Output order is ascending head.
-/// Large inputs split into morsels whose partial products are merged
-/// before finalization (multiplication is associative and commutative
-/// across groups, so the merge is a per-group product).
-Bat ProdPerHead(const Bat& b, const MorselExec& mx = {},
-                const ZoneMap* tail_zones = nullptr,
-                TopKThreshold* topk = nullptr);
-
-/// Per-head probabilistic OR: 1 - prod(1 - x).
-Bat ProbOrPerHead(const Bat& b, const MorselExec& mx = {},
-                  const ZoneMap* tail_zones = nullptr,
-                  TopKThreshold* topk = nullptr);
-
-// Candidate-aware fused forms (same pattern as SumPerHeadCand): each is
-// equivalent to the materializing form over `Materialize(b, cands)` but
-// reads the base BAT at the candidate positions directly, so
-// select→pand/por plans run with zero Materialize() calls. A void head
-// makes every group a singleton, where prod(x) and 1-prod(1-x) both
-// collapse to x itself — a direct (oid, value) construction.
-//
-// `topk` couples the singleton path to a ranking plan's shared top-k
-// threshold (WAND-style): rows whose score is strictly below the bound
-// are dropped before the downstream TopN ever reads them, and `tail_zones`
-// block upper bounds skip whole blocks and morsels without touching a
-// row. ONLY legal when the downstream TopN (descending, n == threshold k)
-// is this aggregate's sole consumer: the output then differs only in rows
-// that provably cannot reach the final top k.
-
-Bat ProdPerHeadCand(const Bat& b, const CandidateList& cands,
-                    const MorselExec& mx = {},
-                    const ZoneMap* tail_zones = nullptr,
-                    TopKThreshold* topk = nullptr);
-Bat ProbOrPerHeadCand(const Bat& b, const CandidateList& cands,
-                      const MorselExec& mx = {},
-                      const ZoneMap* tail_zones = nullptr,
-                      TopKThreshold* topk = nullptr);
+// The probabilistic combinations of beliefs per document — prod (AND)
+// and probor (OR, 1 - prod(1 - x)) — are two kinds of the one per-head
+// aggregate, AggregatePerHead (monet/bat_ops.h), with its top-k pruned
+// singleton path for ranking plans.
 
 }  // namespace mirror::monet
 

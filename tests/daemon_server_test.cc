@@ -415,6 +415,11 @@ TEST(QueryServerTest, QueryErrorsComeBackAsErrorFramesAndSessionSurvives) {
   ASSERT_FALSE(bad_parse.ok());
   auto bad_name = client.Query("count(NoSuchSet);", ctx);
   ASSERT_FALSE(bad_name.ok());
+  // A malformed number literal is a typed parse error, not a crash.
+  auto bad_number = client.Query("count(select[THIS.year >= .](S));", ctx);
+  ASSERT_FALSE(bad_number.ok());
+  EXPECT_EQ(bad_number.status().code(), base::StatusCode::kParseError)
+      << bad_number.status().ToString();
 
   auto good = client.Query("count(select[THIS.year >= 1990](Cat));", ctx);
   EXPECT_TRUE(good.ok()) << good.status().ToString();
@@ -422,8 +427,8 @@ TEST(QueryServerTest, QueryErrorsComeBackAsErrorFramesAndSessionSurvives) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats.value().sessions.size(), 1u);
-  EXPECT_EQ(stats.value().sessions[0].errors, 2u);
-  EXPECT_GE(stats.value().server.errors, 2u);
+  EXPECT_EQ(stats.value().sessions[0].errors, 3u);
+  EXPECT_GE(stats.value().server.errors, 3u);
   server.Shutdown();
 }
 

@@ -183,6 +183,20 @@ TEST(ExprParserTest, Errors) {
   EXPECT_FALSE(ParseExpr("topN(S)").ok());
   EXPECT_FALSE(ParseExpr("map[sum(THIS)](S) trailing").ok());
   EXPECT_FALSE(ParseExpr("'unterminated").ok());
+  // Malformed numbers come back as ParseErrors, never as a thrown
+  // exception or a silently truncated literal.
+  for (const char* bad :
+       {"count(select[THIS.year >= .](S))",
+        "count(select[THIS.year >= -.](S))",
+        "count(select[THIS.year >= 99999999999999999999](S))",
+        "count(select[THIS.year >= 1.2.3](S))", "topN(S, 2.5)",
+        "topN(S, -1)", "topN(S, 99999999999999999999)"}) {
+    auto parsed = ParseExpr(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), base::StatusCode::kParseError) << bad;
+  }
+  EXPECT_TRUE(ParseExpr("topN(S, 0)").ok());
+  EXPECT_TRUE(ParseExpr("count(select[THIS.year >= +.5](S))").ok());
 }
 
 }  // namespace

@@ -335,62 +335,6 @@ TEST(CacheInfoTest, DerivedSizesAreSane) {
   EXPECT_EQ(NextPowerOfTwo(5), 8u);
 }
 
-TEST(ProbAggTest, CandFormsMatchMaterializedForms) {
-  WorkerPool pool;
-  pool.EnsureWorkers(3);
-  MorselExec mx{&pool, /*morsel_size=*/19};
-  base::Rng rng(41);
-  for (size_t n : {0ul, 1ul, 18ul, 19ul, 20ul, 257ul}) {
-    // Grouped heads (few groups, many members) with beliefs in (0,1).
-    std::vector<Oid> heads;
-    std::vector<double> vals;
-    for (size_t i = 0; i < n; ++i) {
-      heads.push_back(static_cast<Oid>(rng.UniformInt(0, 7)));
-      vals.push_back(rng.UniformDouble(0.05, 0.95));
-    }
-    Bat grouped(Column::MakeOids(std::move(heads)),
-                Column::MakeDbls(std::move(vals)));
-    CandidateList cands =
-        SelectCmpCand(grouped, CmpOp::kLe, Value::MakeDbl(0.8));
-    Bat mat = Materialize(grouped, cands);
-    ExpectBatsEqual(ProdPerHead(mat), ProdPerHeadCand(grouped, cands, mx),
-                    "prod grouped");
-    ExpectBatsEqual(ProbOrPerHead(mat),
-                    ProbOrPerHeadCand(grouped, cands, mx), "por grouped");
-    // Morselized materializing form agrees with the inline one.
-    ExpectBatsEqual(ProdPerHead(mat), ProdPerHead(mat, mx), "prod morsel");
-    ExpectBatsEqual(ProbOrPerHead(mat), ProbOrPerHead(mat, mx),
-                    "por morsel");
-  }
-}
-
-TEST(ProbAggTest, VoidHeadSingletonFastPathMatchesOracle) {
-  WorkerPool pool;
-  pool.EnsureWorkers(3);
-  MorselExec mx{&pool, /*morsel_size=*/16};
-  std::vector<double> vals;
-  for (size_t i = 0; i < 100; ++i) {
-    vals.push_back(0.1 + 0.008 * static_cast<double>(i));
-  }
-  Bat b = Bat::DenseDbls(std::move(vals));
-  CandidateList cands = SelectCmpCand(b, CmpOp::kGt, Value::MakeDbl(0.3));
-  Bat mat = Materialize(b, cands);
-  // prod and por of a singleton group both equal the value itself; the
-  // materialized oracle computes them the long way (within epsilon).
-  Bat prod = ProdPerHeadCand(b, cands, mx);
-  Bat por = ProbOrPerHeadCand(b, cands, mx);
-  Bat prod_oracle = ProdPerHead(mat);
-  Bat por_oracle = ProbOrPerHead(mat);
-  ASSERT_EQ(prod.size(), prod_oracle.size());
-  ASSERT_EQ(por.size(), por_oracle.size());
-  for (size_t i = 0; i < prod.size(); ++i) {
-    EXPECT_EQ(prod.head().OidAt(i), prod_oracle.head().OidAt(i));
-    EXPECT_NEAR(prod.tail().DblAt(i), prod_oracle.tail().DblAt(i), 1e-12);
-    EXPECT_EQ(por.head().OidAt(i), por_oracle.head().OidAt(i));
-    EXPECT_NEAR(por.tail().DblAt(i), por_oracle.tail().DblAt(i), 1e-12);
-  }
-}
-
 // The engine-level contract: a select→join→SumPerHead plan over
 // candidate views runs with zero Materialize() calls under the radix
 // path, and the sequential Executor (materializing, JoinLegacy)

@@ -129,46 +129,99 @@ TEST(MorselBoundaryTest, ParallelMaterializeMatchesSingleGather) {
   EXPECT_EQ(gathered.tail().heap(), strs.tail().heap());
 }
 
-TEST(FusedAggTest, CandidateFormsMatchMaterializeThenAggregate) {
+// One table over every per-head AggKind and the scalar aggregates: a
+// view (`cands`, null = every row) aggregated in place must equal the
+// aggregate of its materialized rows, for void, oid and int heads, every
+// domain shape, inline and morsel runs, and each head-range hint (none, a
+// tight range that takes the dense array, a range too sparse for it).
+// Tails are small dyadic fractions, so sums, products and averages are
+// exact under any grouping and the tails compare bit for bit.
+TEST(FusedAggTest, EveryAggKindOverEveryViewMatchesMaterializeThenAggregate) {
   WorkerPool pool;
   pool.EnsureWorkers(3);
-  MorselExec mx{&pool, kMorselSize};
-  // Duplicate oid heads (what join outputs look like) — the general
-  // hash-grouping path with per-morsel partial maps.
-  std::vector<Oid> heads;
-  std::vector<double> vals;
-  for (size_t i = 0; i < 500; ++i) {
-    heads.push_back(static_cast<Oid>(i % 23));
-    vals.push_back(static_cast<double>((i * 7) % 13) - 5.0);
-  }
-  Bat grouped(Column::MakeOids(std::move(heads)),
-              Column::MakeDbls(std::move(vals)));
-  CandidateList cands =
-      SelectCmpCand(grouped, CmpOp::kGe, Value::MakeDbl(-2.5));
-  ASSERT_GT(cands.size(), 0u);
-  Bat mat = Materialize(grouped, cands);
-  ExpectBatsEqual(SumPerHead(mat), SumPerHeadCand(grouped, cands, mx), "sum");
-  ExpectBatsEqual(CountPerHead(mat), CountPerHeadCand(grouped, cands, mx),
-                  "count");
-  ExpectBatsEqual(MaxPerHead(mat), MaxPerHeadCand(grouped, cands, mx), "max");
-  ExpectBatsEqual(MinPerHead(mat), MinPerHeadCand(grouped, cands, mx), "min");
-  ExpectBatsEqual(AvgPerHead(mat), AvgPerHeadCand(grouped, cands, mx), "avg");
-  EXPECT_DOUBLE_EQ(ScalarSum(mat), ScalarSumCand(grouped, cands));
-  EXPECT_EQ(ScalarCount(mat), ScalarCountCand(grouped, cands));
-}
-
-TEST(FusedAggTest, VoidHeadSingletonFastPathMatchesHashPath) {
-  WorkerPool pool;
-  pool.EnsureWorkers(3);
-  MorselExec mx{&pool, kMorselSize};
-  for (size_t n : kSizes) {
-    Bat b = MakeIntBat(n);  // void head: every group is a singleton
-    CandidateList cands = SelectCmpCand(b, CmpOp::kLt, Value::MakeInt(60));
-    Bat mat = Materialize(b, cands);
-    ExpectBatsEqual(SumPerHead(mat), SumPerHeadCand(b, cands, mx),
-                    "singleton sum");
-    ExpectBatsEqual(CountPerHead(mat), CountPerHeadCand(b, cands, mx),
-                    "singleton count");
+  constexpr double kTails[] = {0.5, 0.75, 0.25, 1.0, 0.125};
+  constexpr size_t kGroups = 23;
+  constexpr AggKind kKinds[] = {AggKind::kSum, AggKind::kCount,
+                                AggKind::kMax, AggKind::kMin,
+                                AggKind::kAvg, AggKind::kProd,
+                                AggKind::kProbOr};
+  for (size_t n : {0ul, 1ul, 65ul, 600ul}) {
+    std::vector<double> tails;
+    std::vector<Oid> oids;
+    std::vector<int64_t> ints;
+    for (size_t i = 0; i < n; ++i) {
+      tails.push_back(kTails[(i * 7) % std::size(kTails)]);
+      oids.push_back(static_cast<Oid>((i * 5) % kGroups));
+      ints.push_back(static_cast<int64_t>((i * 5) % kGroups));
+    }
+    struct HeadCase {
+      const char* label;
+      Bat bat;
+      Oid hi;  // every head lies in [0, hi)
+    };
+    std::vector<HeadCase> heads;
+    heads.push_back({"void", Bat::DenseDbls(tails), static_cast<Oid>(n)});
+    heads.push_back({"oid",
+                     Bat(Column::MakeOids(oids), Column::MakeDbls(tails)),
+                     kGroups});
+    heads.push_back(
+        {"int", Bat(Column::MakeInts(ints), Column::MakeDbls(tails)),
+         kGroups});
+    std::vector<std::pair<const char*, std::optional<CandidateList>>>
+        domains;
+    domains.push_back({"null", std::nullopt});
+    domains.push_back({"dense", CandidateList::Dense(n / 4, n / 2)});
+    domains.push_back(
+        {"sparse", SelectCmpCand(heads[0].bat, CmpOp::kGe,
+                                 Value::MakeDbl(0.5))});
+    domains.push_back({"empty", CandidateList::FromPositions({})});
+    for (const HeadCase& h : heads) {
+      std::vector<std::pair<const char*, AggHints>> hints(3);
+      hints[0].first = "no hint";
+      hints[1].first = "tight range";
+      hints[1].second.head_hi = h.hi;
+      hints[2].first = "too sparse";
+      hints[2].second.head_hi = h.hi + 8 * n + 4096;
+      for (const auto& [dlabel, domain] : domains) {
+        const CandidateList* cands = domain ? &*domain : nullptr;
+        Bat mat = cands != nullptr ? Materialize(h.bat, *cands) : h.bat;
+        for (bool parallel : {false, true}) {
+          MorselExec mx =
+              parallel ? MorselExec{&pool, kMorselSize} : MorselExec{};
+          const std::string what = std::string(h.label) + " / " + dlabel +
+                                   " / n=" + std::to_string(n) +
+                                   (parallel ? " / morsels" : " / inline");
+          for (AggKind kind : kKinds) {
+            Bat ref = AggregatePerHead(mat, nullptr, kind);
+            for (const auto& [hlabel, hint] : hints) {
+              Bat got = AggregatePerHead(h.bat, cands, kind, mx, hint);
+              const std::string at = what + " / " + hlabel + " / kind " +
+                                     std::to_string(static_cast<int>(kind));
+              ExpectBatsEqual(ref, got, at.c_str());
+              EXPECT_EQ(ref.tail().ints(), got.tail().ints()) << at;
+              EXPECT_EQ(ref.tail().dbls(), got.tail().dbls()) << at;
+            }
+          }
+          EXPECT_EQ(ScalarSum(mat), ScalarSumMapped(h.bat, cands, nullptr, mx))
+              << what;
+          EXPECT_EQ(ScalarCount(mat), ScalarCount(h.bat, cands)) << what;
+          for (FoldOp op :
+               {FoldOp::kMax, FoldOp::kMin, FoldOp::kProd, FoldOp::kPor}) {
+            const double want = ScalarFold(mat, op);
+            const double got = ScalarFoldMapped(h.bat, cands, nullptr, op, mx);
+            // A whole-domain product spans too many factors to stay exact,
+            // so merged morsel partials may regroup it in the last bits.
+            if (parallel && (op == FoldOp::kProd || op == FoldOp::kPor)) {
+              EXPECT_NEAR(want, got, 1e-12 * std::abs(want))
+                  << what << " / fold " << mil::FoldOpName(op);
+            } else {
+              EXPECT_EQ(want, got) << what << " / fold "
+                                   << mil::FoldOpName(op);
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -186,7 +239,7 @@ TEST(FusedAggTest, TopNOverCandidatesPreservesStableTieOrder) {
   for (size_t k : {0ul, 1ul, 9ul, 50ul, 1000ul}) {
     for (bool descending : {true, false}) {
       ExpectBatsEqual(TopNByTail(mat, k, descending),
-                      TopNByTailCand(b, cands, k, descending, mx), "topn");
+                      TopNByTailCand(b, &cands, k, descending, mx), "topn");
     }
   }
 }
@@ -462,11 +515,11 @@ TEST(MappedViewTest, KernelsMatchMaterializeThenMap) {
           const bool exact_sum =
               !parallel || chain->out_type() == ValueType::kInt;
           ExpectSameDouble(ScalarSum(ref),
-                           ScalarSumMapped(*b, cands, *chain, mx), exact_sum,
-                           what + " / sum");
+                           ScalarSumMapped(*b, cands, chain.get(), mx),
+                           exact_sum, what + " / sum");
           for (FoldOp op : {FoldOp::kMax, FoldOp::kMin}) {
             ExpectSameDouble(ScalarFold(ref, op),
-                             ScalarFoldMapped(*b, cands, *chain, op, mx),
+                             ScalarFoldMapped(*b, cands, chain.get(), op, mx),
                              /*exact=*/true, what + " / fold");
           }
         }
@@ -479,10 +532,10 @@ TEST(MappedViewTest, KernelsMatchMaterializeThenMap) {
         ints, nullptr, {BinStep(BinOp::kDiv, Value::MakeInt(100))});
     for (FoldOp op : {FoldOp::kProd, FoldOp::kPor}) {
       ExpectSameDouble(ScalarFold(ref, op),
-                       ScalarFoldMapped(ints, nullptr, *unit, op),
+                       ScalarFoldMapped(ints, nullptr, unit.get(), op),
                        /*exact=*/true, "unit fold inline");
       ExpectSameDouble(ScalarFold(ref, op),
-                       ScalarFoldMapped(ints, nullptr, *unit, op,
+                       ScalarFoldMapped(ints, nullptr, unit.get(), op,
                                         MorselExec{&pool, kMorselSize}),
                        /*exact=*/false, "unit fold morsels");
     }

@@ -213,20 +213,21 @@ TEST(UniqueTest, FirstOccurrenceWins) {
 TEST(AggregateTest, GroupedAggregates) {
   Bat b(Column::MakeOids({1, 0, 1, 0, 2}),
         Column::MakeDbls({1.0, 2.0, 3.0, 4.0, 5.0}));
-  Bat sum = SumPerHead(b);
+  Bat sum = AggregatePerHead(b, nullptr, AggKind::kSum);
   ASSERT_EQ(sum.size(), 3u);
   EXPECT_EQ(sum.head().OidAt(0), 0u);  // ascending heads
   EXPECT_DOUBLE_EQ(sum.tail().DblAt(0), 6.0);
   EXPECT_DOUBLE_EQ(sum.tail().DblAt(1), 4.0);
   EXPECT_DOUBLE_EQ(sum.tail().DblAt(2), 5.0);
 
-  Bat count = CountPerHead(b);
+  Bat count = AggregatePerHead(b, nullptr, AggKind::kCount);
   EXPECT_EQ(count.tail().IntAt(0), 2);
   EXPECT_EQ(count.tail().IntAt(2), 1);
 
-  EXPECT_DOUBLE_EQ(MaxPerHead(b).tail().DblAt(1), 3.0);
-  EXPECT_DOUBLE_EQ(MinPerHead(b).tail().DblAt(1), 1.0);
-  EXPECT_DOUBLE_EQ(AvgPerHead(b).tail().DblAt(0), 3.0);
+  auto agg = [&](AggKind kind) { return AggregatePerHead(b, nullptr, kind); };
+  EXPECT_DOUBLE_EQ(agg(AggKind::kMax).tail().DblAt(1), 3.0);
+  EXPECT_DOUBLE_EQ(agg(AggKind::kMin).tail().DblAt(1), 1.0);
+  EXPECT_DOUBLE_EQ(agg(AggKind::kAvg).tail().DblAt(0), 3.0);
 }
 
 TEST(AggregateTest, ScalarAggregates) {
@@ -303,10 +304,10 @@ TEST(ProbOpsTest, RareTermsScoreHigher) {
 
 TEST(ProbOpsTest, ProdAndProbOrPerHead) {
   Bat b(Column::MakeOids({0, 0, 1}), Column::MakeDbls({0.5, 0.5, 0.3}));
-  Bat prod = ProdPerHead(b);
+  Bat prod = AggregatePerHead(b, nullptr, AggKind::kProd);
   EXPECT_DOUBLE_EQ(prod.tail().DblAt(0), 0.25);
   EXPECT_DOUBLE_EQ(prod.tail().DblAt(1), 0.3);
-  Bat por = ProbOrPerHead(b);
+  Bat por = AggregatePerHead(b, nullptr, AggKind::kProbOr);
   EXPECT_DOUBLE_EQ(por.tail().DblAt(0), 0.75);
   EXPECT_DOUBLE_EQ(por.tail().DblAt(1), 0.3);
 }
@@ -400,7 +401,7 @@ TEST_P(OpsPropertyTest, SumPerHeadMatchesScalarSum) {
     tails[i] = rng.UniformDouble();
   }
   Bat b(Column::MakeOids(heads), Column::MakeDbls(tails));
-  Bat grouped = SumPerHead(b);
+  Bat grouped = AggregatePerHead(b, nullptr, AggKind::kSum);
   EXPECT_NEAR(ScalarSum(grouped), ScalarSum(b), 1e-9);
 }
 

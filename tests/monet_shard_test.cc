@@ -554,7 +554,7 @@ TEST(ShardEngineTest, MoreShardsThanRows) {
 // ---------------------------------------------------------------------------
 // Scalar fold kernels (the opcode's definition of truth).
 
-TEST(ScalarFoldKernelTest, FoldsMatchDefinitionsAndCandForms) {
+TEST(ScalarFoldKernelTest, FoldsMatchDefinitions) {
   Bat b = Bat::DenseDbls({0.5, -2.0, 0.25, 3.0, -1.0});
   EXPECT_DOUBLE_EQ(ScalarFold(b, FoldOp::kMax), 3.0);
   EXPECT_DOUBLE_EQ(ScalarFold(b, FoldOp::kMin), -2.0);
@@ -566,25 +566,6 @@ TEST(ScalarFoldKernelTest, FoldsMatchDefinitionsAndCandForms) {
   Bat empty = Bat::Empty(ValueType::kVoid, ValueType::kDbl);
   EXPECT_DOUBLE_EQ(ScalarFold(empty, FoldOp::kMax), 0.0);
   EXPECT_DOUBLE_EQ(ScalarFold(empty, FoldOp::kProd), 1.0);
-
-  // Candidate form over tiny morsels on a real pool must agree with the
-  // materialized form (including partial-merge order effects for
-  // max/min, which are order-insensitive).
-  WorkerPool pool;
-  pool.EnsureWorkers(4);
-  MorselExec mx{&pool, 3};
-  base::Rng rng(5);
-  std::vector<double> vals;
-  for (int i = 0; i < 100; ++i) vals.push_back(rng.UniformDouble(-4, 4));
-  Bat big = Bat::DenseDbls(vals);
-  CandidateList cands = SelectCmpCand(big, CmpOp::kGt, Value::MakeDbl(0));
-  Bat mat = Materialize(big, cands);
-  for (FoldOp op : {FoldOp::kMax, FoldOp::kMin}) {
-    EXPECT_DOUBLE_EQ(ScalarFoldCand(big, cands, op, mx),
-                     ScalarFold(mat, op));
-  }
-  CandidateList none = SelectCmpCand(big, CmpOp::kGt, Value::MakeDbl(99));
-  EXPECT_DOUBLE_EQ(ScalarFoldCand(big, none, FoldOp::kMax, mx), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -233,8 +233,13 @@ std::vector<double> RankingScores(size_t n) {
     scores[i] = 0.05 + rng.UniformDouble() * 0.2;  // background noise
   }
   for (size_t i = 0; i < 12; ++i) scores[i] = 0.9;  // spike, k'th score ties
-  scores[kZoneBlockRows * 3 + 17] = 0.9;            // boundary tie, late block
-  scores[kZoneBlockRows * 4 + 5] = 0.95;            // a winner past the spike
+  // Planted only where they fit: shorter callers get the spike alone.
+  if (kZoneBlockRows * 3 + 17 < n) {
+    scores[kZoneBlockRows * 3 + 17] = 0.9;  // boundary tie, late block
+  }
+  if (kZoneBlockRows * 4 + 5 < n) {
+    scores[kZoneBlockRows * 4 + 5] = 0.95;  // a winner past the spike
+  }
   return scores;
 }
 
