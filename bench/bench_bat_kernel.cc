@@ -3,7 +3,10 @@
 // grouped aggregation, sorting and the probabilistic belief operator,
 // over a sweep of column sizes — plus the vectorized-engine comparison:
 // the same selection-heavy MIL plan on the materializing sequential
-// Executor vs. the candidate-vector ExecutionEngine.
+// Executor vs. the candidate-vector ExecutionEngine — and the string
+// heap's bulk build and restore (time plus the bytes the heap holds).
+
+#include <malloc.h>
 
 #include <benchmark/benchmark.h>
 
@@ -252,6 +255,63 @@ void BM_BeliefTfIdf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_BeliefTfIdf)->Range(1 << 10, 1 << 18);
+
+// String heaps: build a string column from `n` spellings "c<i % distinct>"
+// (1M distinct is Cat.u's shape), and restore the 1M-spelling heap from its
+// persisted buffer. The heap_bytes counter is what the heap holds once
+// built — payload buffer plus dedup index — measured as glibc's
+// allocated-bytes delta (mmapped blocks included).
+
+size_t AllocatedBytes() {
+  struct mallinfo2 m = mallinfo2();
+  return m.uordblks + m.hblkhd;
+}
+
+std::vector<std::string> Spellings(int64_t n, int64_t distinct) {
+  std::vector<std::string> v;
+  v.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    v.push_back("c" + std::to_string(i % distinct));
+  }
+  return v;
+}
+
+void BM_StrColumnBuild(benchmark::State& state) {
+  const std::vector<std::string> v = Spellings(state.range(0), state.range(1));
+  const size_t before = AllocatedBytes();
+  {
+    Column c = Column::MakeStrs(v);
+    state.counters["heap_bytes"] = static_cast<double>(
+        AllocatedBytes() - before -
+        c.str_offsets().capacity() * sizeof(uint32_t));
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(Column::MakeStrs(v));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StrColumnBuild)
+    ->Args({1000000, 1000000})
+    ->Args({1000000, 1000})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_StrHeapFromBuffer(benchmark::State& state) {
+  const Column c = Column::MakeStrs(Spellings(1000000, 1000000));
+  const std::string& buffer = c.heap()->buffer();
+  {
+    std::string copy = buffer;
+    const size_t before = AllocatedBytes();
+    StringHeap heap = StringHeap::FromBuffer(std::move(copy));
+    state.counters["heap_bytes"] = static_cast<double>(
+        AllocatedBytes() - before + heap.buffer().capacity());
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::string copy = buffer;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(StringHeap::FromBuffer(std::move(copy)));
+  }
+  state.SetItemsProcessed(state.iterations() * 1000000);
+}
+BENCHMARK(BM_StrHeapFromBuffer)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

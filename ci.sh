@@ -262,13 +262,15 @@ echo "== end-to-end benchmark: self-test and quick run =="
 bash bench/e2e/run.sh --selftest
 bash bench/e2e/run.sh --quick
 
-echo "== TSan: daemon and engine concurrency (event loop, worker pool, chaos storm, shared views) =="
+echo "== TSan: daemon and engine concurrency (event loop, worker pool, chaos storm, shared views, string appends) =="
 # The event-driven connection layer is lock-order sensitive (loop_mu_ ->
 # mu_, the quiesce gate, the coalescing map) and the recycler fast path
 # reads the cache from the poll loop while workers insert and writers
 # fence: run the daemon test binaries under ThreadSanitizer, plus the
 # morsel engine and the equivalence suite, whose DAG-scheduled plans read
-# and collapse shared candidate and mapped views from several workers.
+# and collapse shared candidate and mapped views from several workers,
+# and the catalog test, whose readers pin string snapshots while a writer
+# appends chunks (merged heaps are copies; the base heap is never written).
 # Skipped with a notice when the toolchain lacks libtsan.
 if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_probe 2>/dev/null; then
   rm -f /tmp/tsan_probe
@@ -279,7 +281,7 @@ if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_pr
   cmake --build build-tsan -j"${JOBS}" \
     --target daemon_server_test daemon_recovery_test daemon_chaos_test \
     daemon_recycler_test daemon_observability_test monet_trace_test \
-    monet_morsel_test moa_fuzz_equivalence_test
+    monet_morsel_test moa_fuzz_equivalence_test monet_catalog_mil_test
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_server_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_recovery_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_chaos_test)
@@ -288,6 +290,7 @@ if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_pr
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_trace_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_morsel_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./moa_fuzz_equivalence_test)
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_catalog_mil_test)
 else
   echo "libtsan unavailable: skipping the TSan job"
 fi

@@ -154,14 +154,27 @@ base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
           break;
         }
         default: {  // all string flavors
-          std::vector<std::string> vals;
-          vals.reserve(objects.size());
+          // Intern straight from the objects into a heap sized once for
+          // the upper bound (every spelling distinct).
+          size_t bytes = 0;
           for (const MoaValue& obj : objects) {
             const MoaValue& v = obj.field(field_index);
             MIRROR_RETURN_IF_ERROR(CheckAtomic(v, ftype->base(), prefix));
-            vals.push_back(v.atomic().s());
+            bytes += v.atomic().s().size() + 1;
           }
-          catalog_.Put(prefix, Bat::DenseStrs(vals));
+          auto heap = std::make_shared<monet::StringHeap>();
+          heap->Reserve(objects.size(), bytes);
+          std::vector<uint32_t> offsets;
+          offsets.reserve(objects.size());
+          for (const MoaValue& obj : objects) {
+            offsets.push_back(
+                heap->Intern(obj.field(field_index).atomic().s()));
+          }
+          heap->ShrinkToFit();
+          catalog_.Put(prefix,
+                       Bat(Column::MakeVoid(0, objects.size()),
+                           Column::MakeStrsShared(std::move(heap),
+                                                  std::move(offsets))));
           break;
         }
       }

@@ -173,6 +173,20 @@ std::map<Oid, std::vector<size_t>> GroupChildren(const Bat& assoc) {
   return children;
 }
 
+/// Each document's term multiset (oids below `docs`), replayed from the
+/// postings in one pass, in posting order.
+std::vector<std::vector<std::string>> GroupTerms(const ir::ContentIndex& index,
+                                                 size_t docs) {
+  std::vector<std::vector<std::string>> terms(docs);
+  for (const ir::Posting& p : index.postings()) {
+    if (p.doc >= docs) continue;
+    for (int64_t c = 0; c < p.tf; ++c) {
+      terms[p.doc].push_back(index.vocab().TermOf(p.term));
+    }
+  }
+  return terms;
+}
+
 MoaValue AtomicFromColumn(const monet::Column& col, size_t row) {
   switch (col.type()) {
     case monet::ValueType::kInt:
@@ -297,14 +311,20 @@ base::Status Database::RestoreSet(FlatSet* set) {
   // Rebuild the materialized objects for the naive interpreter. The BAT
   // layout is the source of truth; term order inside a CONTREP multiset
   // is not original-order but the multiset (and thus all semantics) is.
-  // Nested-set memberships are grouped once per field, not per object.
+  // Nested-set memberships and CONTREP postings are grouped once per
+  // field, not scanned per object.
   std::map<std::string, std::map<Oid, std::vector<size_t>>> children_of;
+  std::map<std::string, std::vector<std::vector<std::string>>> terms_of;
   for (const FieldBinding& binding : set->fields) {
     if (binding.type->kind() == StructType::Kind::kSet ||
         binding.type->kind() == StructType::Kind::kList) {
       MIRROR_ASSIGN_OR_RETURN(BatPtr assoc,
                               catalog_.Get(binding.assoc_bat_name));
       children_of[binding.name] = GroupChildren(*assoc);
+    } else if (binding.type->kind() == StructType::Kind::kContRep) {
+      terms_of[binding.name] = GroupTerms(
+          set->contreps[static_cast<size_t>(binding.contrep_index)]->index,
+          set->cardinality);
     }
   }
   set->objects.clear();
@@ -327,19 +347,10 @@ base::Status Database::RestoreSet(FlatSet* set) {
           fields.push_back(AtomicFromColumn(bat->tail(), oid));
           break;
         }
-        case StructType::Kind::kContRep: {
-          const ContRepField& contrep =
-              *set->contreps[static_cast<size_t>(binding.contrep_index)];
-          std::vector<std::string> terms;
-          for (const ir::Posting& p : contrep.index.postings()) {
-            if (p.doc != oid) continue;
-            for (int64_t c = 0; c < p.tf; ++c) {
-              terms.push_back(contrep.index.vocab().TermOf(p.term));
-            }
-          }
-          fields.push_back(MoaValue::ContRep(std::move(terms)));
+        case StructType::Kind::kContRep:
+          fields.push_back(
+              MoaValue::ContRep(std::move(terms_of[binding.name][oid])));
           break;
-        }
         case StructType::Kind::kSet:
         case StructType::Kind::kList: {
           const std::map<Oid, std::vector<size_t>>& children =

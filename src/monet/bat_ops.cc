@@ -2546,9 +2546,13 @@ Bat FillTail(const Bat& b, const Value& v) {
       return Bat(b.head(), Column::MakeDbls(std::vector<double>(n, v.d())));
     case ValueType::kOid:
       return Bat(b.head(), Column::MakeOids(std::vector<Oid>(n, v.oid())));
-    case ValueType::kStr:
-      return Bat(b.head(),
-                 Column::MakeStrs(std::vector<std::string>(n, v.s())));
+    case ValueType::kStr: {
+      auto heap = std::make_shared<StringHeap>();
+      heap->Reserve(1, v.s().size() + 1);
+      const uint32_t off = heap->Intern(v.s());
+      return Bat(b.head(), Column::MakeStrsShared(
+                               std::move(heap), std::vector<uint32_t>(n, off)));
+    }
     default:
       MIRROR_UNREACHABLE();
       return b;

@@ -264,16 +264,27 @@ Bat Catalog::BuildMerged(const Entry& e) {
       return Bat(std::move(head), Column::MakeOids(std::move(v)));
     }
     case ValueType::kStr: {
-      // Re-intern into one fresh heap: chunks arrive with private heaps
-      // (wire decode), so the merged snapshot restores the equal-string
-      // => equal-offset invariant the kernels rely on.
-      std::vector<std::string> v;
-      v.reserve(out_rows);
+      // Chunks arrive with private heaps (wire decode). The merged heap
+      // is a copy of the base heap with only the chunk rows interned into
+      // it: base rows keep their offsets, and equal spellings keep equal
+      // offsets, the invariant the kernels rely on. The base heap itself
+      // is never touched, since pinned snapshots share it with readers.
+      size_t bytes = 0;
+      for (const Column& c : e.ins) {
+        for (size_t i = 0; i < c.size(); ++i) bytes += c.StrAt(i).size() + 1;
+      }
+      auto heap = std::make_shared<StringHeap>(*bt.heap());
+      heap->Reserve(e.ins_rows, bytes);
+      std::vector<uint32_t> offsets;
+      offsets.reserve(out_rows);
       for (size_t i = 0; i < out_rows; ++i) {
         const Column* c = cur.ColumnOf(row_at(i), &local);
-        v.emplace_back(c->StrAt(local));
+        offsets.push_back(c == &bt ? bt.StrOffsetAt(local)
+                                   : heap->Intern(c->StrAt(local)));
       }
-      return Bat(std::move(head), Column::MakeStrs(v));
+      heap->ShrinkToFit();
+      return Bat(std::move(head),
+                 Column::MakeStrsShared(std::move(heap), std::move(offsets)));
     }
     case ValueType::kVoid:
       break;  // rejected by Append; unreachable with deltas

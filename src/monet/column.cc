@@ -35,10 +35,14 @@ Column Column::MakeDbls(std::vector<double> v) {
 }
 
 Column Column::MakeStrs(const std::vector<std::string>& v) {
+  size_t bytes = 0;
+  for (const auto& s : v) bytes += s.size() + 1;
   auto heap = std::make_shared<StringHeap>();
+  heap->Reserve(v.size(), bytes);
   std::vector<uint32_t> offsets;
   offsets.reserve(v.size());
   for (const auto& s : v) offsets.push_back(heap->Intern(s));
+  heap->ShrinkToFit();
   return MakeStrsShared(std::move(heap), std::move(offsets));
 }
 

@@ -130,6 +130,50 @@ TEST(PersistenceTest, ContRepIndexRoundTripsExactly) {
   std::filesystem::remove_all(dir);
 }
 
+/// Loads `n` documents of 5-24 zipf-drawn terms (repeats included) into
+/// set `Docs`; returns each document's terms.
+std::vector<std::vector<std::string>> BuildTermLibrary(Database* db, int n,
+                                                       uint64_t seed) {
+  EXPECT_TRUE(db->Define("define Docs as SET< TUPLE< Atomic<str>: name, "
+                         "CONTREP<Text>: body >>;")
+                  .ok());
+  base::Rng rng(seed);
+  std::vector<std::vector<std::string>> docs;
+  std::vector<MoaValue> objects;
+  for (int i = 0; i < n; ++i) {
+    std::vector<std::string> terms;
+    const int len = 5 + static_cast<int>(rng.Uniform(20));
+    for (int t = 0; t < len; ++t) {
+      terms.push_back("t" + std::to_string(rng.Zipf(500, 1.0)));
+    }
+    objects.push_back(MoaValue::Tuple({MoaValue::Str("d" + std::to_string(i)),
+                                       MoaValue::ContRep(terms)}));
+    docs.push_back(std::move(terms));
+  }
+  EXPECT_TRUE(db->Load("Docs", std::move(objects)).ok());
+  return docs;
+}
+
+TEST(PersistenceTest, RestoredObjectsKeepEachDocumentsTermMultiset) {
+  std::string dir = TempDir("termsets");
+  Database original;
+  const std::vector<std::vector<std::string>> docs =
+      BuildTermLibrary(&original, 3000, 41);
+  ASSERT_TRUE(original.SaveTo(dir).ok());
+  Database restored;
+  ASSERT_TRUE(restored.LoadFrom(dir).ok());
+
+  const FlatSet* set = restored.GetSet("Docs").value();
+  ASSERT_EQ(set->objects.size(), docs.size());
+  for (size_t d = 0; d < docs.size(); ++d) {
+    std::multiset<std::string> want(docs[d].begin(), docs[d].end());
+    const std::vector<std::string>& terms = set->objects[d].field(1).terms();
+    std::multiset<std::string> got(terms.begin(), terms.end());
+    ASSERT_EQ(got, want) << "doc " << d;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PersistenceTest, QueriesAgreeOnRestoredDatabaseBothEngines) {
   std::string dir = TempDir("queries");
   Database original;

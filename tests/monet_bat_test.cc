@@ -56,6 +56,120 @@ TEST(StringHeapTest, RoundTripsThroughBuffer) {
   EXPECT_EQ(restored.At(restored.Intern("beta")), "beta");
 }
 
+// The open-addressing index is probed against the bytes in the buffer;
+// the cases below pin what a probe must distinguish.
+
+TEST(StringHeapTest, ManyDistinctSpellingsAcrossTableGrowths) {
+  // "s<i>" interned longest-first: most short spellings arrive after
+  // spellings they are a prefix of ("s1" after "s12", "s123", ...), so
+  // probes step over their extensions many times.
+  constexpr int kN = 100000;
+  StringHeap heap;
+  std::vector<uint32_t> first(kN);
+  for (int i = kN - 1; i >= 0; --i) {
+    first[i] = heap.Intern("s" + std::to_string(i));
+  }
+  ASSERT_EQ(heap.size(), static_cast<size_t>(kN));
+  const size_t payload = heap.payload_bytes();
+  for (int i = 0; i < kN; ++i) {
+    const std::string s = "s" + std::to_string(i);
+    ASSERT_EQ(heap.Intern(s), first[i]) << s;
+    ASSERT_EQ(heap.At(first[i]), s);  // At round-trips every offset
+  }
+  EXPECT_EQ(heap.size(), static_cast<size_t>(kN));
+  EXPECT_EQ(heap.payload_bytes(), payload);
+}
+
+TEST(StringHeapTest, EmptyStringIsOneSpelling) {
+  StringHeap heap;
+  uint32_t x = heap.Intern("x");
+  uint32_t empty = heap.Intern("");
+  EXPECT_NE(empty, x);
+  EXPECT_EQ(heap.Intern(""), empty);
+  EXPECT_EQ(heap.Intern("x"), x);
+  EXPECT_EQ(heap.At(empty), "");
+  EXPECT_EQ(heap.size(), 2u);
+  StringHeap only_empty;
+  EXPECT_EQ(only_empty.Intern(""), 0u);
+  EXPECT_EQ(only_empty.Intern("a"), 1u);
+  EXPECT_EQ(only_empty.Intern(""), 0u);
+}
+
+TEST(StringHeapTest, PrefixSpellingsAreDistinct) {
+  for (const std::vector<std::string>& order :
+       {std::vector<std::string>{"a", "ab", "abc"},
+        std::vector<std::string>{"abc", "ab", "a"},
+        std::vector<std::string>{"ab", "abc", "a"}}) {
+    StringHeap heap;
+    std::vector<uint32_t> offsets;
+    for (const std::string& s : order) offsets.push_back(heap.Intern(s));
+    EXPECT_EQ(heap.size(), 3u);
+    for (size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(heap.Intern(order[i]), offsets[i]) << order[i];
+      EXPECT_EQ(heap.At(offsets[i]), order[i]);
+    }
+  }
+}
+
+TEST(StringHeapTest, ReserveAndShrinkKeepOffsets) {
+  StringHeap heap;
+  heap.Reserve(1000, 8000);
+  std::vector<uint32_t> offsets;
+  for (int i = 0; i < 100; ++i) {
+    offsets.push_back(heap.Intern("w" + std::to_string(i)));
+  }
+  const std::string bytes = heap.buffer();
+  heap.Reserve(100000, 1 << 20);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(heap.Intern("w" + std::to_string(i)), offsets[i]);
+  }
+  heap.ShrinkToFit();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(heap.Intern("w" + std::to_string(i)), offsets[i]);
+  }
+  EXPECT_EQ(heap.buffer(), bytes);
+  EXPECT_EQ(heap.size(), 100u);
+  EXPECT_EQ(heap.Intern("new"), bytes.size());  // appends after the rest
+}
+
+TEST(StringHeapTest, FromBufferInternsPersistedSpellingsAtTheirOffsets) {
+  StringHeap heap;
+  std::vector<uint32_t> offsets;
+  for (int i = 0; i < 5000; ++i) {
+    offsets.push_back(heap.Intern("p" + std::to_string(i)));
+  }
+  offsets.push_back(heap.Intern(""));
+  StringHeap restored = StringHeap::FromBuffer(heap.buffer());
+  EXPECT_EQ(restored.size(), heap.size());
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_EQ(restored.Intern("p" + std::to_string(i)), offsets[i]);
+  }
+  EXPECT_EQ(restored.Intern(""), offsets.back());
+  EXPECT_EQ(restored.buffer(), heap.buffer());
+  EXPECT_EQ(restored.Intern("fresh"), heap.buffer().size());
+}
+
+TEST(StringHeapTest, FromBufferKeepsTheFirstOffsetOfARepeatedSpelling) {
+  StringHeap heap = StringHeap::FromBuffer(std::string("a\0b\0a\0", 6));
+  EXPECT_EQ(heap.size(), 2u);
+  EXPECT_EQ(heap.Intern("a"), 0u);
+  EXPECT_EQ(heap.Intern("b"), 2u);
+  EXPECT_EQ(heap.At(4), "a");  // the repeat stays readable
+  EXPECT_EQ(heap.Intern("c"), 6u);
+}
+
+TEST(StringHeapTest, BulkBuildReleasesTheUnusedUpperBound) {
+  // MakeStrs reserves as if every value were distinct; with three
+  // spellings over 10k values the heap must not keep that reservation.
+  std::vector<std::string> v;
+  for (int i = 0; i < 10000; ++i) v.push_back(i % 3 == 0 ? "x" : "yy");
+  v[7] = "zzz";
+  Column c = Column::MakeStrs(v);
+  EXPECT_EQ(c.heap()->size(), 3u);
+  EXPECT_LT(c.heap()->footprint_bytes(), 1024u);
+  for (size_t i = 0; i < v.size(); ++i) ASSERT_EQ(c.StrAt(i), v[i]);
+}
+
 TEST(ColumnTest, VoidColumnIsVirtual) {
   Column c = Column::MakeVoid(10, 5);
   EXPECT_TRUE(c.is_void());

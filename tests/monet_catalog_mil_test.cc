@@ -2,8 +2,12 @@
 // and the vectorized ExecutionEngine (candidate pipelines, DAG
 // scheduling, session plan cache).
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <string_view>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +74,119 @@ TEST(CatalogTest, PersistenceRoundTripAllTypes) {
   auto dbls = restored.Get("dbls").value();
   EXPECT_DOUBLE_EQ(dbls->tail().DblAt(1), -2.25);
   std::filesystem::remove_all(dir);
+}
+
+/// True if equal spellings have equal offsets across all rows of `c`
+/// (and, since one heap dedups, unequal spellings unequal offsets).
+bool OffsetsMatchSpellings(const Column& c) {
+  std::map<std::string_view, uint32_t> offset_of;
+  std::map<uint32_t, std::string_view> spelling_of;
+  for (size_t i = 0; i < c.size(); ++i) {
+    const uint32_t off = c.StrOffsetAt(i);
+    if (offset_of.emplace(c.StrAt(i), off).first->second != off ||
+        spelling_of.emplace(off, c.StrAt(i)).first->second != c.StrAt(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(CatalogTest, StringAppendsInternOnlyChunkRowsIntoACopyOfTheBase) {
+  Catalog catalog;
+  catalog.Put("s", Bat::DenseStrs({"a", "b", "a", "c"}));
+  const BatPtr base = catalog.Get("s").value();
+  const std::string base_bytes = base->tail().heap()->buffer();
+
+  ASSERT_TRUE(catalog.Append("s", Column::MakeStrs({"b", "d", "d"})).ok());
+  const BatPtr first = catalog.Get("s").value();
+  ASSERT_TRUE(catalog.Append("s", Column::MakeStrs({"e", "a", "d"})).ok());
+  const BatPtr second = catalog.Get("s").value();
+
+  const std::vector<std::string> want = {"a", "b", "a", "c", "b",
+                                         "d", "d", "e", "a", "d"};
+  ASSERT_EQ(first->size(), 7u);
+  ASSERT_EQ(second->size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(second->tail().StrAt(i), want[i]) << i;
+    if (i < first->size()) EXPECT_EQ(first->tail().StrAt(i), want[i]) << i;
+  }
+  EXPECT_TRUE(OffsetsMatchSpellings(first->tail()));
+  EXPECT_TRUE(OffsetsMatchSpellings(second->tail()));
+  // Base rows keep their offsets; the base heap and BAT are untouched.
+  for (size_t i = 0; i < base->size(); ++i) {
+    EXPECT_EQ(second->tail().StrOffsetAt(i), base->tail().StrOffsetAt(i));
+  }
+  EXPECT_EQ(base->size(), 4u);
+  EXPECT_EQ(base->tail().heap()->buffer(), base_bytes);
+
+  // Deleted rows drop out of the merged snapshot; the rest stay aligned.
+  ASSERT_TRUE(catalog.DeleteRows("s", {1, 5}).ok());
+  const BatPtr third = catalog.Get("s").value();
+  const std::vector<std::string> kept = {"a", "a", "c", "b",
+                                         "d", "e", "a", "d"};
+  ASSERT_EQ(third->size(), kept.size());
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(third->tail().StrAt(i), kept[i]) << i;
+  }
+  EXPECT_TRUE(OffsetsMatchSpellings(third->tail()));
+  EXPECT_EQ(base->tail().heap()->buffer(), base_bytes);
+}
+
+// Readers pin snapshots while a writer appends string chunks (run under
+// ThreadSanitizer in CI): every snapshot is a prefix of the writer's
+// sequence with one offset per spelling, and the base heap stays frozen.
+TEST(CatalogTest, ConcurrentStringAppendsKeepSnapshotsConsistent) {
+  constexpr int kChunks = 200;
+  constexpr int kReaders = 4;
+  std::vector<std::string> seq;
+  for (int i = 0; i < 50; ++i) seq.push_back("base" + std::to_string(i % 20));
+  const size_t base_rows = seq.size();
+  std::vector<std::vector<std::string>> chunks(kChunks);
+  for (int k = 0; k < kChunks; ++k) {
+    chunks[k] = {"new" + std::to_string(k), "base" + std::to_string(k % 20),
+                 "new" + std::to_string(k / 2), "rep" + std::to_string(k % 3)};
+    seq.insert(seq.end(), chunks[k].begin(), chunks[k].end());
+  }
+
+  Catalog catalog;
+  catalog.Put("s", Bat::DenseStrs(std::vector<std::string>(
+                       seq.begin(), seq.begin() + base_rows)));
+  const BatPtr base = catalog.Get("s").value();
+  const std::string base_bytes = base->tail().heap()->buffer();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_snapshots{0};
+  std::atomic<int> snapshots{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      do {
+        const BatPtr snap = catalog.Get("s").value();
+        const Column& tail = snap->tail();
+        bool ok = tail.size() <= seq.size() && OffsetsMatchSpellings(tail);
+        for (size_t i = 0; ok && i < tail.size(); ++i) {
+          ok = tail.StrAt(i) == seq[i];
+        }
+        if (!ok) bad_snapshots.fetch_add(1);
+        snapshots.fetch_add(1);
+      } while (!done.load());
+    });
+  }
+  for (const std::vector<std::string>& chunk : chunks) {
+    ASSERT_TRUE(catalog.Append("s", Column::MakeStrs(chunk)).ok());
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(bad_snapshots.load(), 0);
+  EXPECT_GE(snapshots.load(), kReaders);
+  const BatPtr last = catalog.Get("s").value();
+  ASSERT_EQ(last->size(), seq.size());
+  for (size_t i = 0; i < seq.size(); ++i) {
+    ASSERT_EQ(last->tail().StrAt(i), seq[i]) << i;
+  }
+  EXPECT_TRUE(OffsetsMatchSpellings(last->tail()));
+  EXPECT_EQ(base->tail().heap()->buffer(), base_bytes);
 }
 
 TEST(CatalogTest, LoadFromMissingDirFails) {
