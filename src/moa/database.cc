@@ -97,11 +97,12 @@ base::Status CheckAtomic(const MoaValue& v, BaseType base,
 
 }  // namespace
 
-base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
+base::Status Database::LoadField(const std::string& set_name,
+                                 FieldBinding* binding,
                                  const std::vector<MoaValue>& objects,
-                                 size_t field_index) {
+                                 size_t field_index, LoadStaging* staged) {
   const StructTypePtr& ftype = binding->type;
-  const std::string prefix = set->name + "." + binding->name;
+  const std::string prefix = set_name + "." + binding->name;
   switch (ftype->kind()) {
     case StructType::Kind::kAtomic: {
       if (ftype->base() == BaseType::kVector) {
@@ -124,7 +125,8 @@ base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
         binding->dim_bat_names.clear();
         for (size_t d = 0; d < dims; ++d) {
           std::string bat_name = base::StrFormat("%s.d%zu", prefix.c_str(), d);
-          catalog_.Put(bat_name, Bat::DenseDbls(std::move(cols[d])));
+          staged->bats.emplace_back(bat_name,
+                                    Bat::DenseDbls(std::move(cols[d])));
           binding->dim_bat_names.push_back(std::move(bat_name));
         }
         return base::Status::Ok();
@@ -139,7 +141,7 @@ base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
             MIRROR_RETURN_IF_ERROR(CheckAtomic(v, BaseType::kInt, prefix));
             vals.push_back(v.atomic().i());
           }
-          catalog_.Put(prefix, Bat::DenseInts(std::move(vals)));
+          staged->bats.emplace_back(prefix, Bat::DenseInts(std::move(vals)));
           break;
         }
         case BaseType::kDbl: {
@@ -150,7 +152,7 @@ base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
             MIRROR_RETURN_IF_ERROR(CheckAtomic(v, BaseType::kDbl, prefix));
             vals.push_back(v.atomic().AsDouble());
           }
-          catalog_.Put(prefix, Bat::DenseDbls(std::move(vals)));
+          staged->bats.emplace_back(prefix, Bat::DenseDbls(std::move(vals)));
           break;
         }
         default: {  // all string flavors
@@ -171,10 +173,10 @@ base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
                 heap->Intern(obj.field(field_index).atomic().s()));
           }
           heap->ShrinkToFit();
-          catalog_.Put(prefix,
-                       Bat(Column::MakeVoid(0, objects.size()),
-                           Column::MakeStrsShared(std::move(heap),
-                                                  std::move(offsets))));
+          staged->bats.emplace_back(
+              prefix, Bat(Column::MakeVoid(0, objects.size()),
+                          Column::MakeStrsShared(std::move(heap),
+                                                 std::move(offsets))));
           break;
         }
       }
@@ -183,22 +185,21 @@ base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
     }
     case StructType::Kind::kContRep: {
       auto contrep = std::make_unique<ContRepField>();
-      contrep->set_name = set->name;
+      contrep->set_name = set_name;
       contrep->field_name = binding->name;
       contrep->media = ftype->base();
       for (size_t i = 0; i < objects.size(); ++i) {
         const MoaValue& v = objects[i].field(field_index);
-        std::vector<std::string> terms;
         if (v.kind() == MoaValue::Kind::kContRep) {
-          terms = v.terms();
+          contrep->index.AddDocument(static_cast<Oid>(i), v.terms());
         } else if (v.kind() == MoaValue::Kind::kAtomic &&
                    v.atomic().type() == monet::ValueType::kStr) {
-          terms = text_pipeline_.Process(v.atomic().s());
+          contrep->index.AddDocument(static_cast<Oid>(i),
+                                     text_pipeline_.Process(v.atomic().s()));
         } else {
           return base::Status::TypeError(prefix +
                                          ": CONTREP needs terms or text");
         }
-        contrep->index.AddDocument(static_cast<Oid>(i), terms);
       }
       contrep->index.Finalize();
       contrep->network =
@@ -209,21 +210,21 @@ base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
       contrep->df_bat = prefix + ".df";
       contrep->len_bat = prefix + ".len";
       contrep->vocab_bat = prefix + ".vocab";
-      catalog_.Put(contrep->doc_bat, contrep->index.DocBat());
-      catalog_.Put(contrep->term_bat, contrep->index.TermBat());
-      catalog_.Put(contrep->tf_bat, contrep->index.TfBat());
-      catalog_.Put(contrep->df_bat, contrep->index.DfBat());
-      catalog_.Put(contrep->len_bat, contrep->index.DocLenBat());
+      staged->bats.emplace_back(contrep->doc_bat, contrep->index.DocBat());
+      staged->bats.emplace_back(contrep->term_bat, contrep->index.TermBat());
+      staged->bats.emplace_back(contrep->tf_bat, contrep->index.TfBat());
+      staged->bats.emplace_back(contrep->df_bat, contrep->index.DfBat());
+      staged->bats.emplace_back(contrep->len_bat, contrep->index.DocLenBat());
       {
         std::vector<std::string> terms;
         terms.reserve(static_cast<size_t>(contrep->index.vocab().size()));
         for (int64_t t = 0; t < contrep->index.vocab().size(); ++t) {
           terms.push_back(contrep->index.vocab().TermOf(t));
         }
-        catalog_.Put(contrep->vocab_bat, Bat::DenseStrs(terms));
+        staged->bats.emplace_back(contrep->vocab_bat, Bat::DenseStrs(terms));
       }
-      binding->contrep_index = static_cast<int>(set->contreps.size());
-      set->contreps.push_back(std::move(contrep));
+      binding->contrep_index = static_cast<int>(staged->contreps.size());
+      staged->contreps.push_back(std::move(contrep));
       return base::Status::Ok();
     }
     case StructType::Kind::kSet:
@@ -248,19 +249,15 @@ base::Status Database::LoadField(FlatSet* set, FieldBinding* binding,
         }
       }
       binding->assoc_bat_name = prefix + ".assoc";
-      catalog_.Put(binding->assoc_bat_name, Bat::DenseOids(std::move(parents)));
+      staged->bats.emplace_back(binding->assoc_bat_name,
+                                Bat::DenseOids(std::move(parents)));
       binding->sub_fields.clear();
       for (size_t fi = 0; fi < elem->fields().size(); ++fi) {
         FieldBinding sub;
         sub.name = elem->fields()[fi].name;
         sub.type = elem->fields()[fi].type;
-        // Child columns are loaded as a pseudo-set named by the path.
-        FlatSet pseudo;
-        pseudo.name = prefix;
-        MIRROR_RETURN_IF_ERROR(LoadField(&pseudo, &sub, children, fi));
-        // Adopt any contreps the child created (none expected, but keep
-        // the structure sound).
-        for (auto& c : pseudo.contreps) set->contreps.push_back(std::move(c));
+        // Child columns load as a pseudo-set named by the path.
+        MIRROR_RETURN_IF_ERROR(LoadField(prefix, &sub, children, fi, staged));
         binding->sub_fields.push_back(std::move(sub));
       }
       return base::Status::Ok();
@@ -289,16 +286,23 @@ base::Status Database::Load(const std::string& set_name,
           elem->fields().size()));
     }
   }
-  set.fields.clear();
-  set.contreps.clear();
-  set.cardinality = objects.size();
+  // Shred every field into staged BATs and bindings first; the catalog
+  // and the set change only once all of them succeeded, so a failed Load
+  // leaves the previous contents whole.
+  LoadStaging staged;
+  std::vector<FieldBinding> fields;
+  fields.reserve(elem->fields().size());
   for (size_t fi = 0; fi < elem->fields().size(); ++fi) {
     FieldBinding binding;
     binding.name = elem->fields()[fi].name;
     binding.type = elem->fields()[fi].type;
-    MIRROR_RETURN_IF_ERROR(LoadField(&set, &binding, objects, fi));
-    set.fields.push_back(std::move(binding));
+    MIRROR_RETURN_IF_ERROR(LoadField(set_name, &binding, objects, fi, &staged));
+    fields.push_back(std::move(binding));
   }
+  for (auto& [name, bat] : staged.bats) catalog_.Put(name, std::move(bat));
+  set.fields = std::move(fields);
+  set.contreps = std::move(staged.contreps);
+  set.cardinality = objects.size();
   set.objects = std::move(objects);
   return base::Status::Ok();
 }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/status.h"
@@ -92,7 +93,8 @@ class Database {
   /// Each object must be a TUPLE matching the element type; CONTREP
   /// fields accept kContRep values (pre-tokenized terms) or atomic str
   /// values (run through the text pipeline). Builds all BATs and content
-  /// indexes.
+  /// indexes. All or nothing: on error the set and the catalog keep their
+  /// previous contents.
   base::Status Load(const std::string& set_name,
                     std::vector<MoaValue> objects);
 
@@ -137,9 +139,16 @@ class Database {
   const ir::TextPipeline& text_pipeline() const { return text_pipeline_; }
 
  private:
-  base::Status LoadField(FlatSet* set, FieldBinding* binding,
+  /// What a Load builds before it commits: the BATs to Put and the
+  /// content indexes of the set's CONTREP fields.
+  struct LoadStaging {
+    std::vector<std::pair<std::string, monet::Bat>> bats;
+    std::vector<std::unique_ptr<ContRepField>> contreps;
+  };
+
+  base::Status LoadField(const std::string& set_name, FieldBinding* binding,
                          const std::vector<MoaValue>& objects,
-                         size_t field_index);
+                         size_t field_index, LoadStaging* staged);
 
   base::Status RestoreSet(FlatSet* set);
   base::Status RestoreField(FlatSet* set, FieldBinding* binding,

@@ -200,6 +200,42 @@ MoaValue AtomicFromColumn(const monet::Column& col, size_t row) {
   }
 }
 
+/// One field's sources for the object rebuild, resolved once per set
+/// rather than per row.
+struct FieldSource {
+  const FieldBinding* binding = nullptr;
+  BatPtr bat;                 // scalar atomic: void oid -> value
+  std::vector<BatPtr> dims;   // Vector atomic: one BAT per dimension
+  std::vector<FieldSource> subs;                // nested set: sub-fields
+  std::map<Oid, std::vector<size_t>> children;  // nested set: child rows
+  std::vector<std::vector<std::string>> terms;  // CONTREP: per document
+};
+
+base::Status ResolveAtomic(const monet::Catalog& catalog,
+                           const FieldBinding& binding, FieldSource* out) {
+  out->binding = &binding;
+  if (binding.type->base() == BaseType::kVector) {
+    out->dims.reserve(binding.dim_bat_names.size());
+    for (const std::string& dim : binding.dim_bat_names) {
+      MIRROR_ASSIGN_OR_RETURN(BatPtr bat, catalog.Get(dim));
+      out->dims.push_back(std::move(bat));
+    }
+    return base::Status::Ok();
+  }
+  MIRROR_ASSIGN_OR_RETURN(out->bat, catalog.Get(binding.bat_name));
+  return base::Status::Ok();
+}
+
+MoaValue AtomicAt(const FieldSource& src, size_t row) {
+  if (src.binding->type->base() == BaseType::kVector) {
+    std::vector<double> vec;
+    vec.reserve(src.dims.size());
+    for (const BatPtr& dim : src.dims) vec.push_back(dim->tail().DblAt(row));
+    return MoaValue::Vector(std::move(vec));
+  }
+  return AtomicFromColumn(src.bat->tail(), row);
+}
+
 }  // namespace
 
 base::Status Database::RestoreField(FlatSet* set, FieldBinding* binding,
@@ -311,69 +347,62 @@ base::Status Database::RestoreSet(FlatSet* set) {
   // Rebuild the materialized objects for the naive interpreter. The BAT
   // layout is the source of truth; term order inside a CONTREP multiset
   // is not original-order but the multiset (and thus all semantics) is.
-  // Nested-set memberships and CONTREP postings are grouped once per
-  // field, not scanned per object.
-  std::map<std::string, std::map<Oid, std::vector<size_t>>> children_of;
-  std::map<std::string, std::vector<std::vector<std::string>>> terms_of;
-  for (const FieldBinding& binding : set->fields) {
-    if (binding.type->kind() == StructType::Kind::kSet ||
-        binding.type->kind() == StructType::Kind::kList) {
-      MIRROR_ASSIGN_OR_RETURN(BatPtr assoc,
-                              catalog_.Get(binding.assoc_bat_name));
-      children_of[binding.name] = GroupChildren(*assoc);
-    } else if (binding.type->kind() == StructType::Kind::kContRep) {
-      terms_of[binding.name] = GroupTerms(
-          set->contreps[static_cast<size_t>(binding.contrep_index)]->index,
-          set->cardinality);
+  // BATs, nested-set memberships and CONTREP postings are resolved once
+  // per field, not per object.
+  std::vector<FieldSource> sources(set->fields.size());
+  for (size_t fi = 0; fi < set->fields.size(); ++fi) {
+    const FieldBinding& binding = set->fields[fi];
+    FieldSource& src = sources[fi];
+    src.binding = &binding;
+    switch (binding.type->kind()) {
+      case StructType::Kind::kAtomic:
+        MIRROR_RETURN_IF_ERROR(ResolveAtomic(catalog_, binding, &src));
+        break;
+      case StructType::Kind::kContRep:
+        src.terms = GroupTerms(
+            set->contreps[static_cast<size_t>(binding.contrep_index)]->index,
+            set->cardinality);
+        break;
+      case StructType::Kind::kSet:
+      case StructType::Kind::kList: {
+        MIRROR_ASSIGN_OR_RETURN(BatPtr assoc,
+                                catalog_.Get(binding.assoc_bat_name));
+        src.children = GroupChildren(*assoc);
+        src.subs.resize(binding.sub_fields.size());
+        for (size_t si = 0; si < binding.sub_fields.size(); ++si) {
+          MIRROR_RETURN_IF_ERROR(
+              ResolveAtomic(catalog_, binding.sub_fields[si], &src.subs[si]));
+        }
+        break;
+      }
+      default:
+        return base::Status::Unimplemented("object reconstruction for " +
+                                           binding.type->ToString());
     }
   }
   set->objects.clear();
   set->objects.reserve(set->cardinality);
   for (size_t oid = 0; oid < set->cardinality; ++oid) {
     std::vector<MoaValue> fields;
-    for (const FieldBinding& binding : set->fields) {
-      switch (binding.type->kind()) {
-        case StructType::Kind::kAtomic: {
-          if (binding.type->base() == BaseType::kVector) {
-            std::vector<double> vec;
-            for (const std::string& dim : binding.dim_bat_names) {
-              MIRROR_ASSIGN_OR_RETURN(BatPtr bat, catalog_.Get(dim));
-              vec.push_back(bat->tail().DblAt(oid));
-            }
-            fields.push_back(MoaValue::Vector(std::move(vec)));
-            break;
-          }
-          MIRROR_ASSIGN_OR_RETURN(BatPtr bat, catalog_.Get(binding.bat_name));
-          fields.push_back(AtomicFromColumn(bat->tail(), oid));
+    fields.reserve(sources.size());
+    for (FieldSource& src : sources) {
+      switch (src.binding->type->kind()) {
+        case StructType::Kind::kAtomic:
+          fields.push_back(AtomicAt(src, oid));
           break;
-        }
         case StructType::Kind::kContRep:
-          fields.push_back(
-              MoaValue::ContRep(std::move(terms_of[binding.name][oid])));
+          fields.push_back(MoaValue::ContRep(std::move(src.terms[oid])));
           break;
-        case StructType::Kind::kSet:
-        case StructType::Kind::kList: {
-          const std::map<Oid, std::vector<size_t>>& children =
-              children_of[binding.name];
+        default: {  // nested set or list
           std::vector<MoaValue> elements;
-          auto it = children.find(oid);
-          if (it != children.end()) {
+          auto it = src.children.find(oid);
+          if (it != src.children.end()) {
+            elements.reserve(it->second.size());
             for (size_t child_row : it->second) {
               std::vector<MoaValue> child_fields;
-              for (const FieldBinding& sub : binding.sub_fields) {
-                if (sub.type->base() == BaseType::kVector) {
-                  std::vector<double> vec;
-                  for (const std::string& dim : sub.dim_bat_names) {
-                    MIRROR_ASSIGN_OR_RETURN(BatPtr bat, catalog_.Get(dim));
-                    vec.push_back(bat->tail().DblAt(child_row));
-                  }
-                  child_fields.push_back(MoaValue::Vector(std::move(vec)));
-                } else {
-                  MIRROR_ASSIGN_OR_RETURN(BatPtr bat,
-                                          catalog_.Get(sub.bat_name));
-                  child_fields.push_back(
-                      AtomicFromColumn(bat->tail(), child_row));
-                }
+              child_fields.reserve(src.subs.size());
+              for (const FieldSource& sub : src.subs) {
+                child_fields.push_back(AtomicAt(sub, child_row));
               }
               elements.push_back(MoaValue::Tuple(std::move(child_fields)));
             }
@@ -381,9 +410,6 @@ base::Status Database::RestoreSet(FlatSet* set) {
           fields.push_back(MoaValue::SetOf(std::move(elements)));
           break;
         }
-        default:
-          return base::Status::Unimplemented("object reconstruction for " +
-                                             binding.type->ToString());
       }
     }
     set->objects.push_back(MoaValue::Tuple(std::move(fields)));

@@ -2,73 +2,47 @@
 
 namespace mirror::moa {
 
-MoaValue MoaValue::Atomic(monet::Value v) {
-  MoaValue out(Kind::kAtomic);
-  out.atomic_ = std::move(v);
-  return out;
-}
-
-MoaValue MoaValue::Vector(std::vector<double> v) {
-  MoaValue out(Kind::kVector);
-  out.vec_ = std::move(v);
-  return out;
-}
-
-MoaValue MoaValue::Tuple(std::vector<MoaValue> fields) {
-  MoaValue out(Kind::kTuple);
-  out.children_ = std::move(fields);
-  return out;
-}
-
-MoaValue MoaValue::SetOf(std::vector<MoaValue> elements) {
-  MoaValue out(Kind::kSet);
-  out.children_ = std::move(elements);
-  return out;
-}
-
-MoaValue MoaValue::ContRep(std::vector<std::string> terms) {
-  MoaValue out(Kind::kContRep);
-  out.terms_ = std::move(terms);
-  return out;
-}
-
 std::string MoaValue::ToString() const {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kAtomic:
-      return atomic_.ToString();
+      return atomic().ToString();
     case Kind::kVector: {
+      const std::vector<double>& v = vec();
       std::string out = "vec[";
-      for (size_t i = 0; i < vec_.size() && i < 4; ++i) {
+      for (size_t i = 0; i < v.size() && i < 4; ++i) {
         if (i > 0) out += ",";
-        out += std::to_string(vec_[i]);
+        out += std::to_string(v[i]);
       }
-      if (vec_.size() > 4) out += ",...";
+      if (v.size() > 4) out += ",...";
       return out + "]";
     }
     case Kind::kTuple: {
+      const std::vector<MoaValue>& fields = children();
       std::string out = "<";
-      for (size_t i = 0; i < children_.size(); ++i) {
+      for (size_t i = 0; i < fields.size(); ++i) {
         if (i > 0) out += ", ";
-        out += children_[i].ToString();
+        out += fields[i].ToString();
       }
       return out + ">";
     }
     case Kind::kSet: {
+      const std::vector<MoaValue>& elems = elements();
       std::string out = "{";
-      for (size_t i = 0; i < children_.size() && i < 8; ++i) {
+      for (size_t i = 0; i < elems.size() && i < 8; ++i) {
         if (i > 0) out += ", ";
-        out += children_[i].ToString();
+        out += elems[i].ToString();
       }
-      if (children_.size() > 8) out += ", ...";
+      if (elems.size() > 8) out += ", ...";
       return out + "}";
     }
     case Kind::kContRep: {
+      const std::vector<std::string>& t = terms();
       std::string out = "contrep{";
-      for (size_t i = 0; i < terms_.size() && i < 8; ++i) {
+      for (size_t i = 0; i < t.size() && i < 8; ++i) {
         if (i > 0) out += " ";
-        out += terms_[i];
+        out += t[i];
       }
-      if (terms_.size() > 8) out += " ...";
+      if (t.size() > 8) out += " ...";
       return out + "}";
     }
   }

@@ -88,6 +88,40 @@ BothResults RunBoth(Database* db, const QueryContext& ctx,
   return out;
 }
 
+struct ScalarResults {
+  double naive = 0;
+  double flattened = 0;
+};
+
+ScalarResults RunScalarBoth(Database* db, const QueryContext& ctx,
+                            const std::string& query_text) {
+  ScalarResults out;
+  auto expr = ParseExpr(query_text);
+  EXPECT_TRUE(expr.ok()) << expr.status().ToString();
+  if (!expr.ok()) return out;
+
+  NaiveEvaluator naive(db, &ctx);
+  auto naive_result = naive.Evaluate(expr.value());
+  EXPECT_TRUE(naive_result.ok()) << naive_result.status().ToString();
+  if (naive_result.ok()) {
+    EXPECT_TRUE(naive_result.value().is_scalar);
+    out.naive = naive_result.value().scalar.AsDouble();
+  }
+
+  Flattener flattener(db, &ctx, FlattenOptions{});
+  auto program = flattener.Compile(expr.value());
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  if (!program.ok()) return out;
+  monet::mil::Executor executor(db->catalog());
+  auto run = executor.Run(program.value());
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (run.ok()) {
+    EXPECT_TRUE(run.value().is_scalar);
+    out.flattened = run.value().scalar;
+  }
+  return out;
+}
+
 void ExpectSameScores(const std::map<Oid, double>& a,
                       const std::map<Oid, double>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -246,6 +280,77 @@ TEST_P(PaperQueryTest, ProbabilisticAndIsMorePeakedThanOr) {
   for (const auto& [oid, and_score] : pand.flattened) {
     EXPECT_GE(por.flattened.at(oid) + 1e-12, and_score) << "oid " << oid;
   }
+}
+
+// A Load that fails part-way (here on the last row of the last field)
+// must leave the previous contents whole: the BATs the flattened engine
+// reads, the bindings, the cardinality and the naive oracle's objects.
+TEST(FailedLoadTest, KeepsPreviousContentsOnBothPaths) {
+  Database db;
+  ASSERT_TRUE(db.Define("define Cat as SET<TUPLE<Atomic<URL>: u, "
+                        "Atomic<int>: year, Atomic<int>: rating>>;")
+                  .ok());
+  auto rows = [](int n, bool bad_last_rating) {
+    std::vector<MoaValue> out;
+    for (int i = 0; i < n; ++i) {
+      MoaValue rating = bad_last_rating && i == n - 1
+                            ? MoaValue::Str("five")
+                            : MoaValue::Int(10 * (i + 1));
+      out.push_back(MoaValue::Tuple({MoaValue::Str("c" + std::to_string(i)),
+                                     MoaValue::Int(1990 + i), rating}));
+    }
+    return out;
+  };
+  ASSERT_TRUE(db.Load("Cat", rows(4, false)).ok());
+  QueryContext ctx;
+  const std::string sum = "sum(map[THIS.rating](Cat));";
+  const std::string mapped = "map[THIS.rating](select[THIS.year > 1990](Cat));";
+  ScalarResults sum_before = RunScalarBoth(&db, ctx, sum);
+  EXPECT_EQ(sum_before.naive, 100);
+  EXPECT_EQ(sum_before.flattened, 100);
+  BothResults mapped_before = RunBoth(&db, ctx, mapped, /*optimize=*/true);
+
+  base::Status failed = db.Load("Cat", rows(10, true));
+  EXPECT_EQ(failed.code(), base::StatusCode::kTypeError);
+  EXPECT_EQ(failed.message(), "Cat.rating: expected int");
+
+  auto set = db.GetSet("Cat");
+  ASSERT_TRUE(set.ok());
+  EXPECT_EQ(set.value()->cardinality, 4u);
+  EXPECT_EQ(set.value()->objects.size(), 4u);
+  ScalarResults sum_after = RunScalarBoth(&db, ctx, sum);
+  EXPECT_EQ(sum_after.naive, 100);
+  EXPECT_EQ(sum_after.flattened, 100);
+  BothResults mapped_after = RunBoth(&db, ctx, mapped, /*optimize=*/true);
+  EXPECT_EQ(mapped_after.naive, mapped_before.naive);
+  EXPECT_EQ(mapped_after.flattened, mapped_before.flattened);
+  ExpectSameScores(mapped_after.naive, mapped_after.flattened);
+  EXPECT_EQ(mapped_after.naive.size(), 3u);
+}
+
+TEST(FailedLoadTest, KeepsPreviousContentIndex) {
+  Database db;
+  BuildTraditionalImgLib(&db, 40, /*seed=*/3);
+  QueryContext ctx;
+  ctx.BindTerms("query", {"sunset", "beach"});
+  const std::string ranking =
+      "map[sum(THIS)](map[getBL(THIS.annotation, query, stats)]("
+      "TraditionalImgLib));";
+  BothResults before = RunBoth(&db, ctx, ranking, /*optimize=*/true);
+
+  // The source column shreds fine; the annotation fails on the last row.
+  std::vector<MoaValue> objects;
+  for (int i = 0; i < 8; ++i) {
+    objects.push_back(MoaValue::Tuple(
+        {MoaValue::Str("http://other/" + std::to_string(i)),
+         i < 7 ? MoaValue::ContRep({"zeppelin"}) : MoaValue::Int(1)}));
+  }
+  EXPECT_FALSE(db.Load("TraditionalImgLib", std::move(objects)).ok());
+
+  BothResults after = RunBoth(&db, ctx, ranking, /*optimize=*/true);
+  EXPECT_EQ(after.naive.size(), 40u);
+  ExpectSameScores(after.naive, before.naive);
+  ExpectSameScores(after.flattened, before.flattened);
 }
 
 INSTANTIATE_TEST_SUITE_P(OptimizeOnOff, PaperQueryTest,

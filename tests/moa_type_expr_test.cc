@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "moa/expr.h"
+#include "moa/moa_value.h"
 #include "moa/structure_registry.h"
 #include "moa/structure_type.h"
 
@@ -94,6 +95,123 @@ TEST(StructureRegistryTest, OpenExtensibility) {
   clash.make_type = info.make_type;
   EXPECT_FALSE(StructureRegistry::Global().RegisterStructure(clash).ok());
   EXPECT_FALSE(StructureRegistry::Global().RegisterStructure(info).ok());
+}
+
+TEST(MoaValueTest, FactoriesAndAccessorsPerKind) {
+  MoaValue i = MoaValue::Int(42);
+  EXPECT_EQ(i.kind(), MoaValue::Kind::kAtomic);
+  EXPECT_EQ(i.atomic().i(), 42);
+  EXPECT_EQ(MoaValue::Dbl(0.5).atomic().d(), 0.5);
+  EXPECT_EQ(MoaValue::Str("cat").atomic().s(), "cat");
+  EXPECT_EQ(MoaValue::Atomic(monet::Value::MakeOid(7)).atomic().oid(), 7u);
+
+  MoaValue v = MoaValue::Vector({1.5, 2.0});
+  EXPECT_EQ(v.kind(), MoaValue::Kind::kVector);
+  EXPECT_EQ(v.vec(), (std::vector<double>{1.5, 2.0}));
+
+  MoaValue t = MoaValue::Tuple({MoaValue::Int(1), MoaValue::Str("a")});
+  EXPECT_EQ(t.kind(), MoaValue::Kind::kTuple);
+  ASSERT_EQ(t.children().size(), 2u);
+  EXPECT_EQ(t.field(0).atomic().i(), 1);
+  EXPECT_EQ(t.field(1).atomic().s(), "a");
+
+  MoaValue s = MoaValue::SetOf({MoaValue::Int(3), MoaValue::Int(4)});
+  EXPECT_EQ(s.kind(), MoaValue::Kind::kSet);
+  ASSERT_EQ(s.elements().size(), 2u);
+  EXPECT_EQ(s.elements()[1].atomic().i(), 4);
+  EXPECT_EQ(&s.children(), &s.elements());
+
+  MoaValue c = MoaValue::ContRep({"sunset", "beach"});
+  EXPECT_EQ(c.kind(), MoaValue::Kind::kContRep);
+  EXPECT_EQ(c.terms(), (std::vector<std::string>{"sunset", "beach"}));
+}
+
+TEST(MoaValueTest, WrongKindAccessorsReturnEmptyOrDefault) {
+  const MoaValue values[] = {
+      MoaValue::Int(9), MoaValue::Vector({1.0}),
+      MoaValue::Tuple({MoaValue::Int(1)}),
+      MoaValue::SetOf({MoaValue::Int(2)}), MoaValue::ContRep({"x"})};
+  for (const MoaValue& v : values) {
+    SCOPED_TRACE(v.ToString());
+    if (v.kind() != MoaValue::Kind::kAtomic) {
+      EXPECT_EQ(v.atomic().type(), monet::ValueType::kInt);
+      EXPECT_EQ(v.atomic().i(), 0);
+    }
+    if (v.kind() != MoaValue::Kind::kVector) {
+      EXPECT_TRUE(v.vec().empty());
+    }
+    if (v.kind() != MoaValue::Kind::kTuple &&
+        v.kind() != MoaValue::Kind::kSet) {
+      EXPECT_TRUE(v.children().empty());
+      EXPECT_TRUE(v.elements().empty());
+    }
+    if (v.kind() != MoaValue::Kind::kContRep) {
+      EXPECT_TRUE(v.terms().empty());
+    }
+  }
+}
+
+TEST(MoaValueTest, CopyAndMoveKeepNestedPayloads) {
+  MoaValue original = MoaValue::Tuple(
+      {MoaValue::Str("a long string that does not fit inline"),
+       MoaValue::ContRep({"t1", "t2", "t1"}),
+       MoaValue::SetOf({MoaValue::Tuple({MoaValue::Int(1),
+                                         MoaValue::Vector({0.25, 0.5})}),
+                        MoaValue::Tuple({MoaValue::Int(2),
+                                         MoaValue::Vector({})})})});
+  const std::string rendered = original.ToString();
+
+  MoaValue copy = original;
+  EXPECT_EQ(copy.ToString(), rendered);
+  EXPECT_EQ(copy.field(1).terms(), original.field(1).terms());
+  EXPECT_NE(&copy.field(2).elements()[0].field(1).vec(),
+            &original.field(2).elements()[0].field(1).vec());
+  EXPECT_EQ(copy.field(2).elements()[0].field(1).vec(),
+            (std::vector<double>{0.25, 0.5}));
+
+  MoaValue moved = std::move(copy);
+  EXPECT_EQ(moved.ToString(), rendered);
+  EXPECT_EQ(moved.field(2).elements()[1].field(0).atomic().i(), 2);
+
+  std::vector<MoaValue> rows(3, original);
+  rows.push_back(std::move(moved));  // regrows by moving
+  for (const MoaValue& row : rows) EXPECT_EQ(row.ToString(), rendered);
+  copy = rows[0];
+  EXPECT_EQ(copy.ToString(), rendered);
+}
+
+TEST(MoaValueTest, ToStringPerKind) {
+  EXPECT_EQ(MoaValue::Int(-3).ToString(), "int:-3");
+  EXPECT_EQ(MoaValue::Dbl(0.5).ToString(), "dbl:0.5");
+  EXPECT_EQ(MoaValue::Str("cat").ToString(), "str:\"cat\"");
+  EXPECT_EQ(MoaValue::Atomic(monet::Value::MakeOid(7)).ToString(), "oid:7");
+  EXPECT_EQ(MoaValue::Vector({}).ToString(), "vec[]");
+  EXPECT_EQ(MoaValue::Vector({1.5, 2, 3, 4}).ToString(),
+            "vec[1.500000,2.000000,3.000000,4.000000]");
+  EXPECT_EQ(MoaValue::Vector({1, 2, 3, 4, 5}).ToString(),
+            "vec[1.000000,2.000000,3.000000,4.000000,...]");
+  EXPECT_EQ(MoaValue::Tuple({}).ToString(), "<>");
+  EXPECT_EQ(MoaValue::Tuple({MoaValue::Int(1), MoaValue::Str("a")}).ToString(),
+            "<int:1, str:\"a\">");
+  EXPECT_EQ(MoaValue::SetOf({}).ToString(), "{}");
+  std::vector<MoaValue> nine;
+  std::vector<std::string> nine_terms;
+  for (int i = 0; i < 9; ++i) {
+    nine.push_back(MoaValue::Int(i));
+    nine_terms.push_back("t" + std::to_string(i));
+  }
+  EXPECT_EQ(MoaValue::SetOf(nine).ToString(),
+            "{int:0, int:1, int:2, int:3, int:4, int:5, int:6, int:7, ...}");
+  nine.pop_back();
+  EXPECT_EQ(MoaValue::SetOf(nine).ToString(),
+            "{int:0, int:1, int:2, int:3, int:4, int:5, int:6, int:7}");
+  EXPECT_EQ(MoaValue::ContRep({}).ToString(), "contrep{}");
+  EXPECT_EQ(MoaValue::ContRep(nine_terms).ToString(),
+            "contrep{t0 t1 t2 t3 t4 t5 t6 t7 ...}");
+  EXPECT_EQ(MoaValue::SetOf({MoaValue::Tuple({MoaValue::Int(1),
+                                              MoaValue::Vector({0.25})})})
+                .ToString(),
+            "{<int:1, vec[0.250000]>}");
 }
 
 TEST(ExprParserTest, PaperSection3QueryVerbatim) {
