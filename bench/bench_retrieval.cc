@@ -97,8 +97,8 @@ void BuildRetrievalDb(db::MirrorDb* database, int docs, int catalog_rows,
 
 /// Best-of-`repeats` latency. When `invalidate_each` is set, the session's
 /// plan cache is cleared per repetition, so the time covers the whole
-/// parse → flatten → optimize → execute path (the worker pool still
-/// persists in the session either way).
+/// parse → flatten → optimize → execute path (the engine's process-wide
+/// worker pool persists either way).
 double TimeQuery(const db::MirrorDb& database, const std::string& query,
                  const moa::QueryContext& ctx, const db::QueryOptions& options,
                  monet::mil::ExecutionContext* session, int repeats,
@@ -649,8 +649,9 @@ ShardComparison RunE3f(db::MirrorDb* database, int catalog_rows,
 // through the Moa layer) against ONE shared catalog, versus the same
 // total number of requests issued serially through one session. The
 // aggregate-throughput win comes from two server properties the serial
-// path cannot have: sessions execute genuinely concurrently (one thread
-// per connection), and identical in-flight requests coalesce onto one
+// path cannot have: sessions execute genuinely concurrently (on the
+// daemon's fixed worker threads, sharing the engine's one process-wide
+// morsel pool), and identical in-flight requests coalesce onto one
 // leader execution + one marshalled result frame. A third timing runs
 // the concurrent clients with coalescing disabled, isolating the pure
 // concurrency contribution (≈1x on a 1-core host, scales with cores).

@@ -22,9 +22,11 @@
 namespace mirror::daemon {
 
 /// One connected client's server-side state: the session-scoped
-/// ExecutionContext (plan cache + worker pool, registered with MirrorDb
-/// so Load invalidates it), the session's effective QueryOptions (the
-/// server's base options plus SET overrides), and request counters.
+/// ExecutionContext (register file + plan cache, registered with MirrorDb
+/// so Load invalidates it; it owns no threads — every session's queries
+/// share the engine's one process-wide worker pool), the session's
+/// effective QueryOptions (the server's base options plus SET
+/// overrides), and request counters.
 ///
 /// A session belongs to exactly one connection; the protocol is strict
 /// request/reply per connection, so at most one worker executes queries
@@ -130,7 +132,11 @@ class SessionManager {
 /// accepted and starved. Within a connection requests stay strictly
 /// sequential (the loop stops parsing while a request is in flight), so
 /// each session's ExecutionContext sees one query at a time while
-/// different sessions execute genuinely concurrently.
+/// different sessions execute genuinely concurrently. Intra-query
+/// parallelism runs on the engine's one process-wide worker pool
+/// (monet::SharedWorkerPool), so the engine's threads are these workers
+/// plus that pool — sized by the largest `exec.num_threads` any session
+/// sets, whatever the connection count.
 ///
 /// Identical queries (same normalized text + bindings) submitted by
 /// different sessions while one is already executing are coalesced: the

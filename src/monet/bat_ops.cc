@@ -1303,13 +1303,13 @@ const CandidateList* NormalizeDomain(size_t n, const CandidateList* cands) {
 /// but dbl probes on double keys; a string head offset-joins same-heap
 /// probes and spelling-joins foreign-heap ones).
 ///
-/// Publication discipline: a builder must NEVER hold the mutex while
-/// building — the build fans morsels onto the shared pool and the
-/// help-first wait may pop another probe task that would then block on
-/// (or worse, re-enter) the same mutex. So builds run unlocked and the
-/// first finisher publishes (racing builders discard their copy); the
-/// shard engine additionally warms the expected table before fanning
-/// probes out, so the common path builds exactly once.
+/// Publication discipline: a builder never holds the mutex while
+/// building — the build fans morsels onto the shared pool, and every
+/// other probe of a fan-out would sit blocked on the mutex meanwhile,
+/// idling its pool thread. So builds run unlocked and the first finisher
+/// publishes (racing builders discard their copy); the shard engine
+/// additionally warms the expected table before fanning probes out, so
+/// the common path builds exactly once.
 struct JoinBuild::Impl {
   BatPtr r;
   std::shared_ptr<const CandidateList> rcands;  // normalized; null = all

@@ -13,6 +13,7 @@
 #include "monet/profiler.h"
 #include "monet/recycler.h"
 #include "monet/trace.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::monet::mil {
 
@@ -889,7 +890,7 @@ bool HasMorselEligibleOp(const Program& program, const ExecOptions& options) {
 }
 
 /// One DAG execution: tasks (one per instruction) are submitted to the
-/// session's persistent worker pool as they become ready; each finishing
+/// process-wide worker pool as they become ready; each finishing
 /// task releases its dependents. The submitting thread blocks until every
 /// submitted task has finished (`inflight == 0`).
 struct DagRun {
@@ -1198,8 +1199,8 @@ base::Status RunSharded(ShardRunState& sst, const Program& program) {
       std::shared_ptr<const JoinBuild> build =
           PrepareJoinBuild(rbase, rcands, g.mx);
       // Build the shared table up front (keyed off shard 0's probe
-      // type): fanned-out probes must not lazily build while the pool's
-      // help-first wait could hand them each other's tasks.
+      // type), so the fanned-out probes find it built instead of each
+      // racing to build a copy.
       {
         BatPtr probe0;
         std::shared_ptr<const CandidateList> cands0;
@@ -1377,12 +1378,15 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
   } peak_tracker{&mem_used};
 
   // Thread resolution: 0 = auto, one worker per hardware thread (the
-  // unsharded branch may clamp back to 1 below).
+  // unsharded branch may clamp back to 1 below). Every query, with or
+  // without a session, schedules on the one process-wide pool, grown to
+  // the largest count any query asks for.
   int threads = options_.num_threads;
   if (threads <= 0) {
     threads =
         std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   }
+  WorkerPool& pool = SharedWorkerPool();
 
   // Outlives the branch below: st.load_names points into it.
   std::vector<std::string> reg_load_names;
@@ -1397,8 +1401,8 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
   const ShardedCatalog* shard_layout = shard_pin.get();
   if (shard_layout != nullptr) {
     if (threads > 1) {
-      ctx->pool_.EnsureWorkers(threads);
-      st.mx = MorselExec{&ctx->pool_, options_.morsel_size,
+      pool.EnsureWorkers(threads);
+      st.mx = MorselExec{&pool, options_.morsel_size,
                          options_.radix_partitions};
       arm_deadline(&st.mx);
     }
@@ -1478,15 +1482,15 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
       scheduled = false;
     }
     if (threads > 1) {
-      ctx->pool_.EnsureWorkers(threads);
+      pool.EnsureWorkers(threads);
       if (options_.morsel_size > 0) {
-        st.mx = MorselExec{&ctx->pool_, options_.morsel_size,
+        st.mx = MorselExec{&pool, options_.morsel_size,
                            options_.radix_partitions};
         arm_deadline(&st.mx);
       }
     }
     if (scheduled) {
-      MIRROR_RETURN_IF_ERROR(RunParallel(st, program, dag, &ctx->pool_));
+      MIRROR_RETURN_IF_ERROR(RunParallel(st, program, dag, &pool));
     } else {
       MIRROR_RETURN_IF_ERROR(RunSequential(st, program));
     }

@@ -13,7 +13,6 @@
 #include "monet/cache_info.h"
 #include "monet/candidate.h"
 #include "monet/mil.h"
-#include "monet/worker_pool.h"
 
 namespace mirror::monet {
 class Recycler;    // monet/recycler.h
@@ -30,13 +29,16 @@ struct ExecOptions {
   /// clamped back to 1 when the plan offers no parallelism to exploit
   /// (DAG width < 2 and no morsel-eligible operator), so short serial
   /// plans on small hosts skip the scheduling overhead entirely.
-  /// 1 executes in program order on the calling thread (no pool).
+  /// 1 executes in program order on the calling thread (no pool). Any
+  /// n > 1 grows the process-wide pool (SharedWorkerPool) to n threads;
+  /// every session shares it and it never shrinks, so the engine runs
+  /// at most the largest count any session asks for.
   int num_threads = 0;
   /// Morsel granularity for intra-operator parallelism: a hot kernel
   /// (select family, semijoin probes, join clustering and probes,
   /// materializing gathers, candidate-aware aggregates) whose input
   /// domain exceeds this many tuples is split into ceil(n / morsel_size)
-  /// morsels dispatched on the session worker pool. The default derives
+  /// morsels dispatched on the shared worker pool. The default derives
   /// from the detected L2 size (cache_info.h) so one morsel's working
   /// set stays cache-resident. 0 disables morsel splitting. Only
   /// effective when more than one worker thread is in play.
@@ -51,7 +53,7 @@ struct ExecOptions {
   /// instructions — the select family, semijoins against co-sharded or
   /// replicated sides, joins probing a shared build table, per-head
   /// aggregates, row-aligned maps — fan out one task per shard over the
-  /// session pool and leave per-shard fragments in place; fan-in
+  /// shared worker pool and leave per-shard fragments in place; fan-in
   /// instructions (scalar folds, TopN, sorts, multiplex maps over
   /// independently derived sides, cross-shard join build sides) gather
   /// fragments order-preservingly first. Results are identical to the
@@ -137,7 +139,8 @@ struct RegValue {
 /// program text, so repeated Moa queries skip re-flattening entirely.
 ///
 /// One context serves one session: a single query runs on it at a time
-/// (the engine's worker pool parallelizes WITHIN that query). The plan
+/// (the process-wide worker pool parallelizes WITHIN that query; the
+/// context owns no threads). The plan
 /// cache itself is thread-safe. Cached plans are valid for the lifetime of
 /// the loaded database; re-loading a set must invalidate them —
 /// automatic for sessions registered via MirrorDb::RegisterSession,
@@ -178,10 +181,6 @@ class ExecutionContext {
 
   /// Scratch register file borrowed by ExecutionEngine::Run.
   std::vector<RegValue> regs_;
-
-  /// Session worker pool: grows to the largest thread count any engine
-  /// requests on this context.
-  WorkerPool pool_;
 };
 
 /// True for the opcodes the engine can run over candidate vectors (the
@@ -217,8 +216,8 @@ class ExecutionEngine {
       : catalog_(catalog), options_(options) {}
 
   /// Runs `program`, borrowing `ctx`'s register file (a local scratch
-  /// context is used when null). Returns the result register's value,
-  /// materialized.
+  /// context is used when null) and scheduling on SharedWorkerPool()
+  /// either way. Returns the result register's value, materialized.
   base::Result<RunResult> Run(const Program& program,
                               ExecutionContext* ctx = nullptr) const;
 

@@ -36,7 +36,6 @@ QueryTrace::QueryTrace()
 void QueryTrace::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   buffers_.clear();
-  next_thread_ = 0;
   generation_.store(
       TraceGenerationCounter().fetch_add(1, std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -80,10 +79,20 @@ QueryTrace::Buffer* QueryTrace::Local() {
   thread_local Cache cache;
   uint64_t gen = generation_.load(std::memory_order_relaxed);
   if (cache.owner == this && cache.generation == gen) return cache.buf;
+  const std::thread::id self = std::this_thread::get_id();
   std::lock_guard<std::mutex> lock(mu_);
+  // A miss is either this thread's first span in the generation or a
+  // return after recording into another trace: reuse the lane if any.
+  for (const auto& b : buffers_) {
+    if (b->owner == self) {
+      cache = Cache{this, gen, b.get()};
+      return b.get();
+    }
+  }
   buffers_.emplace_back(new Buffer());
   Buffer* b = buffers_.back().get();
-  b->thread_id = next_thread_++;
+  b->thread_id = static_cast<uint32_t>(buffers_.size() - 1);
+  b->owner = self;
   b->spans.reserve(64);
   cache = Cache{this, gen, b};
   return b;

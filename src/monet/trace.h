@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "monet/bat.h"
@@ -94,9 +95,12 @@ class QueryTrace {
 
   /// The calling thread's buffer for this trace generation, created (and
   /// assigned the next dense thread id) on first touch. The returned
-  /// buffer is only ever appended to by the calling thread.
+  /// buffer is only ever appended to by the calling thread. A pool
+  /// thread alternating between traced queries finds its buffer again by
+  /// `owner`, so each query keeps one lane per thread.
   struct Buffer {
     uint32_t thread_id = 0;
+    std::thread::id owner;
     std::vector<TraceSpan> spans;
   };
   Buffer* Local();
@@ -104,7 +108,6 @@ class QueryTrace {
  private:
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Buffer>> buffers_;
-  uint32_t next_thread_ = 0;
   /// Globally unique generation of this (trace, Clear) pair — validates
   /// the thread-local buffer cache in Local() across reuse and across
   /// distinct traces that landed on the same address.

@@ -1,22 +1,34 @@
 #include "monet/worker_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <memory>
 
 namespace mirror::monet {
 
-WorkerPool::~WorkerPool() {
+WorkerPool::~WorkerPool() { StopWorkers(); }
+
+int WorkerPool::StopWorkers() {
+  std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
+    threads.swap(threads_);
   }
   cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
+  for (std::thread& t : threads) t.join();
+  std::lock_guard<std::mutex> lock(mu_);
+  shutdown_ = false;
+  return static_cast<int>(threads.size());
 }
 
 void WorkerPool::EnsureWorkers(int n) {
   std::lock_guard<std::mutex> lock(mu_);
+  // While StopWorkers joins, a new thread would exit at once; whoever
+  // stopped the pool regrows it (the fork handlers do).
+  if (shutdown_) return;
   while (static_cast<int>(threads_.size()) < n) {
     threads_.emplace_back([this] { Loop(); });
   }
@@ -28,18 +40,6 @@ void WorkerPool::Submit(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   cv_.notify_one();
-}
-
-bool WorkerPool::TryRunOne() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  return true;
 }
 
 int WorkerPool::size() const {
@@ -60,6 +60,32 @@ void WorkerPool::Loop() {
   }
 }
 
+WorkerPool& SharedWorkerPool() {
+  static WorkerPool pool;
+  // fork(2) copies only the calling thread. So the pool is emptied around
+  // it: prepare joins every worker once the queue drains and holds the
+  // lock across the fork; the parent regrows to its old size, and the
+  // child drops the parent's queue and grows on its first query. The
+  // fork then happens single-threaded (ThreadSanitizer requires that)
+  // and the child has no phantom workers.
+  static int workers_before_fork = 0;
+  static const int registered = ::pthread_atfork(
+      [] {
+        workers_before_fork = pool.StopWorkers();
+        pool.mu_.lock();
+      },
+      [] {
+        pool.mu_.unlock();
+        pool.EnsureWorkers(workers_before_fork);
+      },
+      [] {
+        pool.queue_.clear();
+        pool.mu_.unlock();
+      });
+  (void)registered;
+  return pool;
+}
+
 void ParallelFor(WorkerPool* pool, size_t tasks,
                  const std::function<void(size_t)>& fn) {
   if (pool == nullptr || tasks <= 1) {
@@ -67,37 +93,34 @@ void ParallelFor(WorkerPool* pool, size_t tasks,
     return;
   }
   struct Group {
+    std::atomic<size_t> next{0};
+    size_t tasks = 0;
+    const std::function<void(size_t)>* fn = nullptr;
     std::mutex mu;
     std::condition_variable cv;
-    size_t remaining;
+    size_t done = 0;  // finished indices, under mu
   };
-  // Shared (not stack-referenced) so a task finishing after a spurious
-  // early wakeup still touches valid memory; the caller nonetheless
-  // blocks until remaining == 0, so capturing `fn` by pointer is safe.
+  // Shared: a helper dequeued after the caller returned still touches
+  // the group (to find nothing left to claim), but never `fn` — every
+  // claimed index finishes before the caller stops waiting.
   auto group = std::make_shared<Group>();
-  group->remaining = tasks - 1;
-  const std::function<void(size_t)>* fn_ptr = &fn;
-  for (size_t i = 1; i < tasks; ++i) {
-    pool->Submit([group, fn_ptr, i] {
-      (*fn_ptr)(i);
-      std::lock_guard<std::mutex> lock(group->mu);
-      if (--group->remaining == 0) group->cv.notify_all();
-    });
+  group->tasks = tasks;
+  group->fn = &fn;
+  auto drain = [](Group& g) {
+    size_t ran = 0;
+    for (size_t i; (i = g.next.fetch_add(1)) < g.tasks; ++ran) (*g.fn)(i);
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(g.mu);
+    g.done += ran;
+    if (g.done == g.tasks) g.cv.notify_all();
+  };
+  size_t helpers = std::min(tasks - 1, static_cast<size_t>(pool->size()));
+  for (size_t h = 0; h < helpers; ++h) {
+    pool->Submit([group, drain] { drain(*group); });
   }
-  fn(0);
-  // Help-first wait: drain queued work (ours or anybody's) rather than
-  // blocking a pool thread outright; the timed wait covers the window
-  // where our last task runs on another worker and the queue is empty.
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(group->mu);
-      if (group->remaining == 0) return;
-    }
-    if (pool->TryRunOne()) continue;
-    std::unique_lock<std::mutex> lock(group->mu);
-    group->cv.wait_for(lock, std::chrono::milliseconds(1),
-                       [&] { return group->remaining == 0; });
-  }
+  drain(*group);
+  std::unique_lock<std::mutex> lock(group->mu);
+  group->cv.wait(lock, [&] { return group->done == group->tasks; });
 }
 
 void ParallelForChunks(

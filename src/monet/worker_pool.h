@@ -10,9 +10,11 @@
 
 namespace mirror::monet {
 
-/// A persistent pool of worker threads draining a task queue. Owned by
-/// the session's ExecutionContext so the threads survive across queries:
-/// spawning threads per query would dominate short plans.
+/// A persistent pool of worker threads draining a task queue. The engine
+/// runs every query on one process-wide instance (SharedWorkerPool) so
+/// threads survive across queries and sessions: spawning threads per
+/// query would dominate short plans, and a pool per session would
+/// multiply threads (and their malloc arenas) by the connection count.
 ///
 /// Lives below the kernel layer (not in monet/exec) so BAT operators can
 /// split their own work into morsels without depending on the MIL engine.
@@ -29,17 +31,14 @@ class WorkerPool {
   /// Enqueues a task; some worker runs it eventually.
   void Submit(std::function<void()> task);
 
-  /// Runs one queued task on the calling thread if any is pending.
-  /// Returns false when the queue was empty. This is the nested-
-  /// parallelism escape hatch: a pool task blocked on subtasks it
-  /// submitted to the same pool helps drain the queue instead of
-  /// sleeping, so morsel fan-out from inside a DAG node cannot deadlock
-  /// even when every worker is inside such a wait.
-  bool TryRunOne();
-
   int size() const;
 
  private:
+  friend WorkerPool& SharedWorkerPool();
+
+  /// Joins every worker once the queue has drained and returns how many
+  /// there were; a later EnsureWorkers grows the pool again.
+  int StopWorkers();
   void Loop();
 
   mutable std::mutex mu_;
@@ -49,12 +48,22 @@ class WorkerPool {
   bool shutdown_ = false;
 };
 
-/// Runs `fn(0) .. fn(tasks-1)` across the pool and returns when all
-/// calls have finished. The calling thread executes task 0 itself and
-/// then helps drain the pool's queue while waiting (see
-/// WorkerPool::TryRunOne), which makes the call safe from inside another
-/// pool task. A null pool (or tasks <= 1) degenerates to a plain loop on
-/// the calling thread.
+/// The process-wide pool every ExecutionEngine::Run schedules on, with or
+/// without a session. It grows to the largest thread count any query
+/// requests and never shrinks (a fork(2) joins its workers first; see
+/// worker_pool.cc), so the engine's thread count is the maximum over
+/// sessions, not their sum.
+WorkerPool& SharedWorkerPool();
+
+/// Runs `fn(0) .. fn(tasks-1)` and returns when all calls have finished.
+/// Indices are claimed from the group's own counter by the calling
+/// thread and by at most min(tasks - 1, pool size) helper tasks
+/// submitted to the pool. The caller runs only this group's indices, and
+/// once none is left unclaimed it waits only for indices other threads
+/// are already running — so a call from inside another pool task (nested
+/// morsels, shard fan-out) always finishes, even on a 1-thread pool, and
+/// a waiting caller never picks up another query's work. A null pool (or
+/// tasks <= 1) degenerates to a plain loop on the calling thread.
 ///
 /// `fn` must tolerate concurrent invocation for distinct indexes; tasks
 /// must not throw (kernel failures go through MIRROR_CHECK).

@@ -6,10 +6,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "mirror/mirror_db.h"
 #include "monet/bat_io.h"
 #include "monet/profiler.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::daemon {
 namespace {
@@ -833,6 +837,123 @@ TEST(QueryServerTest, SetOverridesAreIsolatedPerSession) {
   EXPECT_EQ(Knobs(echo.value().options).at("num_threads"), 1)
       << "rejected SET partially applied";
   server.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Thread growth: a count gate, no clocks.
+
+/// The process's live thread count ("Threads:" in /proc/self/status).
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(QueryServerTest, EngineThreadsDoNotGrowWithSessionCount) {
+  db::MirrorDb* database = SharedDb();
+  // Recycler and coalescing off so every request executes; a small
+  // morsel size makes each query fan out across the pool.
+  QueryServer::Options options;
+  options.worker_threads = 8;
+  options.coalesce_queries = false;
+  options.query.exec.recycle = false;
+  options.query.exec.morsel_size = 256;
+  QueryServer server(database, options);
+  constexpr int kSessions = 8;
+  std::vector<std::unique_ptr<wire::WireClient>> clients;
+  for (int s = 0; s < kSessions; ++s) {
+    auto [client_end, server_end] = wire::CreateChannelPair();
+    server.Serve(std::move(server_end));
+    clients.push_back(
+        std::make_unique<wire::WireClient>(std::move(client_end)));
+    ASSERT_TRUE(clients.back()->Hello("t" + std::to_string(s)).ok());
+    ASSERT_TRUE(clients.back()->Set({{"num_threads", 4}}).ok());
+  }
+  const std::string query =
+      "sum(map[THIS.rating](select[THIS.year >= 1980](Cat)));";
+  moa::QueryContext ctx;
+  auto direct = database->Query(query, ctx);
+  ASSERT_TRUE(direct.ok());
+
+  // Every client thread lives through both phases, so the counts differ
+  // only by threads the server (or the engine) started in between.
+  std::mutex mu;
+  std::condition_variable cv;
+  int phase = 0;
+  int active = 0;
+  int acked = 0;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      for (int seen = 1; seen <= 3; ++seen) {
+        int run = 0;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] { return phase >= seen; });
+          if (phase == 3) return;
+          run = s < active;
+        }
+        for (int round = 0; run && round < 4; ++round) {
+          auto result = clients[s]->Query(query, ctx);
+          const double want = direct.value().scalar.d();
+          if (!result.ok() || !SameBits(result.value().scalar.d(), want)) {
+            ++failures;
+          }
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        ++acked;
+        cv.notify_all();
+      }
+    });
+  }
+  auto run_phase = [&](int next, int sessions) {
+    std::unique_lock<std::mutex> lock(mu);
+    phase = next;
+    active = sessions;
+    cv.notify_all();
+    cv.wait(lock, [&] { return acked == next * kSessions; });
+  };
+  run_phase(1, 2);
+  const int with_two = ProcessThreads();
+  run_phase(2, kSessions);
+  const int with_eight = ProcessThreads();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    phase = 3;
+    cv.notify_all();
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Not EXPECT_EQ: a thread an earlier test joined may still be leaving
+  // the kernel's count when phase 1 is sampled; growth is the failure.
+  EXPECT_GT(with_two, 0);
+  EXPECT_LE(with_eight, with_two)
+      << "engine threads grew with the number of sessions";
+  for (auto& client : clients) client->Close().ok();
+  server.Shutdown();
+}
+
+TEST(QueryServerTest, SessionlessQueriesReuseTheEngineThreads) {
+  db::MirrorDb* database = SharedDb();
+  db::QueryOptions options;
+  options.exec.num_threads = 4;
+  options.exec.recycle = false;
+  options.exec.morsel_size = 256;
+  const std::string query =
+      "sum(map[THIS.rating](select[THIS.year >= 1980](Cat)));";
+  moa::QueryContext ctx;
+  ASSERT_TRUE(database->Query(query, ctx, options, nullptr).ok());
+  // The first call grew the shared pool; it keeps its threads.
+  EXPECT_GE(monet::SharedWorkerPool().size(), 4);
+  const int after_first = ProcessThreads();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(database->Query(query, ctx, options, nullptr).ok());
+  }
+  EXPECT_LE(ProcessThreads(), after_first);
 }
 
 // ---------------------------------------------------------------------------

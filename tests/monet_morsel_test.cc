@@ -7,10 +7,17 @@
 // the adaptive thread default.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <future>
+#include <latch>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -303,6 +310,107 @@ TEST(FusedAggTest, EngineSelectAggPlanFusesWithZeroMaterializations) {
     if (threads > 1) EXPECT_GT(stats.morsel_tasks, 0u);
     ExpectBatsEqual(*oracle.value().bat, *run.value().bat, "select→sum plan");
   }
+}
+
+// ---------------------------------------------------------------------------
+// ParallelFor's claim contract: the caller and at most pool-size helpers
+// claim indices from the group's own counter, and the caller waits only
+// for indices already running elsewhere.
+
+TEST(ParallelForTest, EveryIndexRunsExactlyOnceWithTasksFarAbovePoolSize) {
+  WorkerPool pool;
+  pool.EnsureWorkers(2);
+  constexpr size_t kTasks = 5000;
+  std::vector<std::atomic<int>> runs(kTasks);
+  for (int round = 0; round < 3; ++round) {
+    for (auto& r : runs) r.store(0);
+    ParallelFor(&pool, kTasks, [&](size_t i) { runs[i].fetch_add(1); });
+    for (size_t i = 0; i < kTasks; ++i) {
+      ASSERT_EQ(runs[i].load(), 1) << "index " << i << " round " << round;
+    }
+  }
+}
+
+TEST(ParallelForTest, NestedCallsInsidePoolTasksFinishOnAOneThreadPool) {
+  WorkerPool pool;
+  pool.EnsureWorkers(1);
+  std::atomic<int> inner_runs{0};
+  auto nested = [&] {
+    ParallelFor(&pool, 8, [&](size_t) {
+      ParallelFor(&pool, 16, [&](size_t) { inner_runs.fetch_add(1); });
+    });
+  };
+  // From an outside caller (outer indices reach the pool thread, which
+  // then fans out again) ...
+  nested();
+  EXPECT_EQ(inner_runs.load(), 8 * 16);
+  // ... and from the pool's only thread: every helper it submits queues
+  // behind the task that is waiting, so the caller must claim them all.
+  std::promise<void> done;
+  pool.Submit([&] {
+    nested();
+    done.set_value();
+  });
+  done.get_future().wait();
+  EXPECT_EQ(inner_runs.load(), 2 * 8 * 16);
+}
+
+TEST(ParallelForTest, ConcurrentCallersRunOnlyTheirOwnGroupsIndices) {
+  WorkerPool pool;
+  pool.EnsureWorkers(1);
+  constexpr size_t kTasks = 400;
+  struct Group {
+    std::vector<std::thread::id> ran_on =
+        std::vector<std::thread::id>(kTasks);
+    std::vector<std::atomic<int>> runs = std::vector<std::atomic<int>>(kTasks);
+    std::thread::id caller;
+  };
+  Group groups[2];
+  std::latch start(2);
+  auto call = [&](Group& g) {
+    g.caller = std::this_thread::get_id();
+    start.arrive_and_wait();
+    ParallelFor(&pool, kTasks, [&](size_t i) {
+      g.ran_on[i] = std::this_thread::get_id();
+      g.runs[i].fetch_add(1);
+      std::this_thread::yield();
+    });
+  };
+  std::thread a(call, std::ref(groups[0]));
+  std::thread b(call, std::ref(groups[1]));
+  a.join();
+  b.join();
+  for (int g = 0; g < 2; ++g) {
+    const Group& other = groups[1 - g];
+    for (size_t i = 0; i < kTasks; ++i) {
+      ASSERT_EQ(groups[g].runs[i].load(), 1) << "group " << g << " index " << i;
+      ASSERT_NE(groups[g].ran_on[i], other.caller)
+          << "group " << g << "'s index " << i
+          << " ran on the other group's waiting caller";
+    }
+  }
+}
+
+TEST(ParallelForTest, SharedPoolServesAForkedChild) {
+  // fork(2) copies only the calling thread: the child must not inherit
+  // workers that do not exist in it, and the parent keeps its pool.
+  WorkerPool& pool = SharedWorkerPool();
+  pool.EnsureWorkers(2);
+  const int before = pool.size();
+  pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::alarm(30);  // a task queued for a phantom worker would hang
+    pool.EnsureWorkers(2);
+    std::promise<void> ran;
+    pool.Submit([&] { ran.set_value(); });
+    ran.get_future().wait();
+    ::_exit(pool.size() >= 2 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_EQ(pool.size(), before);
 }
 
 TEST(AdaptiveThreadsTest, AutoModeRunsPlansCorrectly) {

@@ -225,6 +225,25 @@ TEST(QueryTraceTest, RerunClearsThePreviousTrace) {
   EXPECT_EQ(trace.span_count(), first);
 }
 
+TEST(QueryTraceTest, ThreadAlternatingBetweenTracesKeepsOneLanePerTrace) {
+  // A shared pool thread serves several sessions' traced queries in turn:
+  // returning to trace A after recording into B must reuse A's lane,
+  // not open a second one with a fresh thread id.
+  QueryTrace a;
+  QueryTrace b;
+  auto record = [](QueryTrace* t) {
+    TraceSpanRecorder span(t, kTraceNoInstr, "morsel", -1,
+                           TraceSpanKind::kMorsel);
+  };
+  record(&a);
+  record(&b);
+  record(&a);
+  std::vector<TraceSpan> spans = a.Merge();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].thread, spans[1].thread);
+  EXPECT_EQ(b.Merge().size(), 1u);
+}
+
 TEST(QueryTraceTest, TraceToBatsProjectsSpansFaithfully) {
   Catalog catalog = BuildCatalog(2000);
   mil::Program p = BuildChain();
