@@ -623,7 +623,7 @@ base::Result<AppendRequest> DecodeAppendRequest(
   Reader r(p);
   AppendRequest m;
   if (!r.Str(&m.bat_name)) return Malformed("APPEND");
-  auto values = monet::DecodeColumn(r.buf(), r.pos());
+  auto values = monet::DecodeColumn(r.buf(), r.pos(), kMaxFramePayload);
   if (!values.ok()) return values.status();
   m.values = values.TakeValue();
   return m;
@@ -657,7 +657,7 @@ base::Result<DeleteRequest> DecodeDeleteRequest(
   Reader r(p);
   DeleteRequest m;
   if (!r.Str(&m.bat_name)) return Malformed("DELETE");
-  auto oids = monet::DecodeColumn(r.buf(), r.pos());
+  auto oids = monet::DecodeColumn(r.buf(), r.pos(), kMaxFramePayload);
   if (!oids.ok()) return oids.status();
   if (oids.value().type() != monet::ValueType::kOid) {
     return Malformed("DELETE");

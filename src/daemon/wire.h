@@ -158,8 +158,9 @@ enum class FrameType : uint8_t {
 constexpr uint32_t kMaxFramePayload = 1u << 28;  // 256 MiB
 
 /// Protocol revision, negotiated in HELLO. Revision 2 carries SET_OK and
-/// the STATS session entries as knob lists.
-constexpr uint32_t kProtocolVersion = 2;
+/// the STATS session entries as knob lists; revision 3 ships columns in
+/// bat_io's bit-packed encoding.
+constexpr uint32_t kProtocolVersion = 3;
 
 struct Frame {
   FrameType type = FrameType::kError;
@@ -183,8 +184,11 @@ base::Result<Frame> ReadFrame(Transport* t);
 
 // ---------------------------------------------------------------------------
 // Payload codecs. Primitive encodings: u8/u32/u64/i64 little-endian,
-// f64 as raw IEEE bits, strings as u32 length + bytes. Result tables use
-// monet/bat_io.h (representation-exact BAT marshalling).
+// f64 as raw IEEE bits, strings as u32 length + bytes. Result tables and
+// APPEND/DELETE columns use monet/bat_io.h (representation-exact,
+// bit-packed BAT marshalling); the server decodes a request column only if
+// it unpacks to at most kMaxFramePayload bytes, so no frame makes it
+// allocate more than the largest frame it accepts.
 
 struct HelloRequest {
   std::string client_name;

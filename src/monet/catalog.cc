@@ -17,7 +17,7 @@ namespace mirror::monet {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'B', 'A', 'T', '0', '0', '1', '\n'};
+constexpr char kMagic[8] = {'M', 'B', 'A', 'T', '0', '0', '2', '\n'};
 
 // The on-disk column layout IS the wire layout: both delegate to
 // monet/bat_io.h, so persistence and the daemon's result frames cannot

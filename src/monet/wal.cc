@@ -32,25 +32,16 @@ base::Status ReadPod(const std::vector<uint8_t>& buf, size_t* pos, T* v) {
   return base::Status::Ok();
 }
 
-}  // namespace
+/// The magic of the previous record format, whose body held fixed-width
+/// header fields and raw payload words.
+constexpr uint32_t kWalMagicV1 = 0x314c4157u;  // "WAL1"
 
-void EncodeWalRecord(const WalRecord& rec, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> body;
-  AppendPod<uint64_t>(rec.lsn, &body);
-  AppendPod<uint8_t>(rec.kind, &body);
-  AppendPod<uint32_t>(static_cast<uint32_t>(rec.name.size()), &body);
-  body.insert(body.end(), rec.name.begin(), rec.name.end());
-  AppendPod<uint64_t>(rec.expected_rows, &body);
-  EncodeColumn(rec.payload, &body);
-
-  AppendPod<uint32_t>(kWalMagic, out);
-  AppendPod<uint32_t>(static_cast<uint32_t>(body.size()), out);
-  AppendPod<uint32_t>(Crc32(body.data(), body.size()), out);
-  out->insert(out->end(), body.begin(), body.end());
-}
-
-base::Result<WalRecord> DecodeWalRecord(const std::vector<uint8_t>& buf,
-                                        size_t* pos) {
+/// Parses the frame and header of the record at `*pos`: checks magic,
+/// length and the CRC over the whole body, reads the header fields into
+/// `rec` (its payload untouched) and leaves `*pos` at the payload.
+/// `*body_end` is where the record ends.
+base::Status ReadRecordHeader(const std::vector<uint8_t>& buf, size_t* pos,
+                              WalRecord* rec, size_t* body_end) {
   uint32_t magic = 0;
   uint32_t body_len = 0;
   uint32_t crc = 0;
@@ -66,23 +57,52 @@ base::Result<WalRecord> DecodeWalRecord(const std::vector<uint8_t>& buf,
   if (Crc32(buf.data() + *pos, body_len) != crc) {
     return base::Status::ParseError("WAL record CRC mismatch");
   }
-  size_t body_end = *pos + body_len;
-
-  WalRecord rec;
-  MIRROR_RETURN_IF_ERROR(ReadPod(buf, pos, &rec.lsn));
-  MIRROR_RETURN_IF_ERROR(ReadPod(buf, pos, &rec.kind));
-  if (rec.kind != kWalAppend && rec.kind != kWalDelete) {
+  *body_end = *pos + body_len;
+  MIRROR_RETURN_IF_ERROR(ReadVarint(buf, pos, &rec->lsn));
+  MIRROR_RETURN_IF_ERROR(ReadPod(buf, pos, &rec->kind));
+  if (rec->kind != kWalAppend && rec->kind != kWalDelete) {
     return base::Status::ParseError("unknown WAL record kind");
   }
-  uint32_t name_len = 0;
-  MIRROR_RETURN_IF_ERROR(ReadPod(buf, pos, &name_len));
-  if (body_end - *pos < name_len) {
+  uint64_t name_len = 0;
+  MIRROR_RETURN_IF_ERROR(ReadVarint(buf, pos, &name_len));
+  if (*pos > *body_end || *body_end - *pos < name_len) {
     return base::Status::ParseError("truncated WAL record name");
   }
-  rec.name.assign(reinterpret_cast<const char*>(buf.data() + *pos),
-                  name_len);
+  rec->name.assign(reinterpret_cast<const char*>(buf.data() + *pos),
+                   name_len);
   *pos += name_len;
-  MIRROR_RETURN_IF_ERROR(ReadPod(buf, pos, &rec.expected_rows));
+  MIRROR_RETURN_IF_ERROR(ReadVarint(buf, pos, &rec->expected_rows));
+  if (*pos > *body_end) {
+    return base::Status::ParseError("truncated WAL record header");
+  }
+  return base::Status::Ok();
+}
+
+}  // namespace
+
+void EncodeWalRecord(const WalRecord& rec, std::vector<uint8_t>* out) {
+  const size_t frame = out->size();
+  AppendPod<uint32_t>(kWalMagic, out);
+  AppendPod<uint32_t>(0, out);  // body_len and crc, patched below
+  AppendPod<uint32_t>(0, out);
+  const size_t body = out->size();
+  AppendVarint(rec.lsn, out);
+  AppendPod<uint8_t>(rec.kind, out);
+  AppendVarint(rec.name.size(), out);
+  out->insert(out->end(), rec.name.begin(), rec.name.end());
+  AppendVarint(rec.expected_rows, out);
+  EncodeColumn(rec.payload, out);
+  const auto body_len = static_cast<uint32_t>(out->size() - body);
+  const uint32_t crc = Crc32(out->data() + body, body_len);
+  std::memcpy(out->data() + frame + 4, &body_len, 4);
+  std::memcpy(out->data() + frame + 8, &crc, 4);
+}
+
+base::Result<WalRecord> DecodeWalRecord(const std::vector<uint8_t>& buf,
+                                        size_t* pos) {
+  WalRecord rec;
+  size_t body_end = 0;
+  MIRROR_RETURN_IF_ERROR(ReadRecordHeader(buf, pos, &rec, &body_end));
   auto payload = DecodeColumn(buf, pos);
   if (!payload.ok()) return payload.status();
   rec.payload = payload.TakeValue();
@@ -115,6 +135,14 @@ base::Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
     got += static_cast<size_t>(r);
   }
 
+  if (buf.size() >= sizeof(kWalMagicV1) &&
+      std::memcmp(buf.data(), &kWalMagicV1, sizeof(kWalMagicV1)) == 0) {
+    // An old-format log is not a torn tail: refuse it rather than
+    // truncate away every record in it.
+    return base::Status::ParseError("WAL in an older record format: " +
+                                    path);
+  }
+
   // Scan forward record by record; the first record that fails to frame
   // or checksum marks the end of the valid log (a crash mid-write tears
   // exactly the tail), and everything after it is dropped.
@@ -125,41 +153,20 @@ base::Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path,
   size_t pos = 0;
   size_t valid_end = 0;
   while (pos < buf.size()) {
-    const size_t record_start = pos;
-    uint32_t magic = 0;
-    uint32_t body_len = 0;
-    uint32_t crc = 0;
-    if (!ReadPod(buf, &pos, &magic).ok() || magic != kWalMagic ||
-        !ReadPod(buf, &pos, &body_len).ok() ||
-        !ReadPod(buf, &pos, &crc).ok() || buf.size() - pos < body_len ||
-        Crc32(buf.data() + pos, body_len) != crc) {
-      pos = record_start;
-      break;
-    }
-    const size_t body_end = pos + body_len;
+    WalRecord header;
+    size_t body_end = 0;
+    if (!ReadRecordHeader(buf, &pos, &header, &body_end).ok()) break;
     Recovered rec;
-    uint32_t name_len = 0;
-    if (!ReadPod(buf, &pos, &rec.lsn).ok() ||
-        !ReadPod(buf, &pos, &rec.kind).ok() ||
-        (rec.kind != kWalAppend && rec.kind != kWalDelete) ||
-        !ReadPod(buf, &pos, &name_len).ok() || body_end - pos < name_len) {
-      pos = record_start;
-      break;
-    }
-    rec.name.assign(reinterpret_cast<const char*>(buf.data() + pos),
-                    name_len);
-    pos += name_len;
-    if (!ReadPod(buf, &pos, &rec.expected_rows).ok() || pos > body_end) {
-      pos = record_start;
-      break;
-    }
+    rec.lsn = header.lsn;
+    rec.kind = header.kind;
+    rec.name = std::move(header.name);
+    rec.expected_rows = header.expected_rows;
     rec.payload_pos = pos;
     rec.payload_end = body_end;
-    pos = body_end;
+    pos = valid_end = body_end;
     wal->next_lsn_ = std::max(wal->next_lsn_, rec.lsn + 1);
     wal->index_[rec.name].push_back(wal->recovered_.size());
     wal->recovered_.push_back(std::move(rec));
-    valid_end = pos;
   }
   wal->replayed_.assign(wal->recovered_.size(), false);
   wal->stats_.recovered_records = wal->recovered_.size();

@@ -26,13 +26,19 @@ namespace mirror::monet {
 /// instant recovery needs to replay exactly one BAT's slice on demand
 /// while a background thread drains the rest.
 ///
-/// On-disk record grammar (little-endian, host == disk as in bat_io):
+/// On-disk record grammar (little-endian; varint = LEB128 as in bat_io):
 ///
 ///   record  := magic:u32 body_len:u32 crc:u32 body
-///   body    := lsn:u64 kind:u8 name_len:u32 name[] expected_rows:u64
-///              payload
+///   body    := lsn:varint kind:u8 name_len:varint name[]
+///              expected_rows:varint payload
 ///   payload := EncodeColumn(values)        (kind = kWalAppend)
 ///            | EncodeColumn(deleted oids)  (kind = kWalDelete)
+///
+/// The 12-byte frame stays fixed-width, so a torn tail or a flipped bit
+/// is caught before any varint is read. Payloads use bat_io's packed
+/// column encoding: a 16-int append to `Feed.v` with values in [0, 999]
+/// logs 50 bytes (184 in the previous, fixed-width format "WAL1", which
+/// Open() refuses with a ParseError instead of truncating it away).
 ///
 /// `crc` is Crc32(body). `expected_rows` stamps the append domain the
 /// record was created against, which makes replay idempotent: applying a
@@ -40,7 +46,7 @@ namespace mirror::monet {
 /// no-op because the domain no longer matches. Delete records are
 /// idempotent by the delete-set union semantics.
 
-inline constexpr uint32_t kWalMagic = 0x314c4157u;  // "WAL1"
+inline constexpr uint32_t kWalMagic = 0x324c4157u;  // "WAL2"
 inline constexpr uint8_t kWalAppend = 1;
 inline constexpr uint8_t kWalDelete = 2;
 

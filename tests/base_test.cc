@@ -1,4 +1,11 @@
+#include <unistd.h>
+
+#include <cctype>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +14,7 @@
 #include "base/stopwatch.h"
 #include "base/str_util.h"
 #include "base/table_printer.h"
+#include "../bench/bench_json.h"
 
 namespace mirror::base {
 namespace {
@@ -166,6 +174,124 @@ TEST(StopwatchTest, MeasuresNonNegativeTime) {
   Stopwatch sw;
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMillis(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// bench/bench_json.h: merging sections into BENCH_retrieval.json.
+
+/// A strict recursive-descent JSON reader, independent of the merger:
+/// true if `s[*i..]` holds one value, collecting an object's keys at
+/// depth 0 into `keys` (duplicates kept).
+bool ParseJson(const std::string& s, size_t* i, int depth,
+               std::vector<std::string>* keys);
+
+void SkipWs(const std::string& s, size_t* i) {
+  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i]))) {
+    ++*i;
+  }
+}
+
+bool ParseJsonString(const std::string& s, size_t* i, std::string* out) {
+  if (*i >= s.size() || s[*i] != '"') return false;
+  for (++*i; *i < s.size(); ++*i) {
+    if (s[*i] == '\\') {
+      ++*i;
+    } else if (s[*i] == '"') {
+      ++*i;
+      return true;
+    }
+    if (out != nullptr && *i < s.size()) out->push_back(s[*i]);
+  }
+  return false;
+}
+
+bool ParseJson(const std::string& s, size_t* i, int depth,
+               std::vector<std::string>* keys) {
+  SkipWs(s, i);
+  if (*i >= s.size()) return false;
+  const char c = s[*i];
+  if (c == '"') return ParseJsonString(s, i, nullptr);
+  if (c == '{' || c == '[') {
+    const char close = c == '{' ? '}' : ']';
+    ++*i;
+    SkipWs(s, i);
+    if (*i < s.size() && s[*i] == close) return ++*i, true;
+    for (;;) {
+      if (c == '{') {
+        std::string key;
+        SkipWs(s, i);
+        if (!ParseJsonString(s, i, &key)) return false;
+        if (depth == 0) keys->push_back(key);
+        SkipWs(s, i);
+        if (*i >= s.size() || s[*i] != ':') return false;
+        ++*i;
+      }
+      if (!ParseJson(s, i, depth + 1, keys)) return false;
+      SkipWs(s, i);
+      if (*i >= s.size()) return false;
+      if (s[*i] == close) return ++*i, true;
+      if (s[*i] != ',') return false;
+      ++*i;
+    }
+  }
+  const size_t start = *i;
+  while (*i < s.size() && (std::isalnum(static_cast<unsigned char>(s[*i])) ||
+                           s[*i] == '.' || s[*i] == '-' || s[*i] == '+')) {
+    ++*i;
+  }
+  return *i > start;
+}
+
+TEST(BenchJsonTest, NestedSectionMergedTwiceLeavesOneValidObject) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mirror_bench_json_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path old_cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  {
+    std::ofstream seed("BENCH_retrieval.json");
+    seed << "{\n  \"first\": {\"a\": 1, \"note\": \"}{,\"},\n"
+            "  \"flat\": 2\n}\n";
+  }
+  const std::string nested =
+      "{\"x\": {\"y\": [1, {\"z\": \"}\"}], \"w\": 2}, \"v\": \"\\\"}\"}";
+  bench::MergeIntoBenchJson("nested", nested);
+  bench::MergeIntoBenchJson("tail", "{\"t\": 1}");
+  bench::MergeIntoBenchJson("nested", nested);  // replaces, mid-file
+  bench::MergeIntoBenchJson("first", "{\"a\": 3}");
+  std::ostringstream text;
+  text << std::ifstream("BENCH_retrieval.json").rdbuf();
+  std::filesystem::current_path(old_cwd);
+  std::filesystem::remove_all(dir);
+
+  const std::string body = text.str();
+  size_t i = 0;
+  std::vector<std::string> keys;
+  ASSERT_TRUE(ParseJson(body, &i, 0, &keys)) << body;
+  SkipWs(body, &i);
+  EXPECT_EQ(i, body.size()) << body;
+  EXPECT_EQ(keys,
+            (std::vector<std::string>{"flat", "tail", "nested", "first"}))
+      << body;
+  EXPECT_NE(body.find(nested), std::string::npos) << body;
+  EXPECT_NE(body.find("\"first\": {\"a\": 3}"), std::string::npos) << body;
+}
+
+TEST(BenchJsonTest, MalformedFileIsReplaced) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mirror_bench_json_bad_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path old_cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  { std::ofstream("BENCH_retrieval.json") << "{\"torn\": {\"a\": "; }
+  bench::MergeIntoBenchJson("fresh", "{\"b\": 1}");
+  std::ostringstream text;
+  text << std::ifstream("BENCH_retrieval.json").rdbuf();
+  std::filesystem::current_path(old_cwd);
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(text.str(), "{\n  \"fresh\": {\"b\": 1}\n}\n");
 }
 
 }  // namespace

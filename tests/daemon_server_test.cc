@@ -1099,6 +1099,63 @@ TEST(QueryServerTest, AppendAndDeleteOverTheWire) {
   server.Shutdown();
 }
 
+TEST(QueryServerTest, AppendThatWouldUnpackPastTheFrameLimitIsRefused) {
+  db::MirrorDb database;
+  BuildDb(&database, /*seed=*/12, /*catalog_rows=*/2000);
+  QueryServer server(&database);
+  auto [client_end, server_end] = wire::CreateChannelPair();
+  server.Serve(std::move(server_end));
+  wire::HelloRequest hello;
+  hello.client_name = "packer";
+  ASSERT_TRUE(wire::WriteFrame(client_end.get(), wire::FrameType::kHello,
+                               wire::EncodeHelloRequest(hello))
+                  .ok());
+  ASSERT_TRUE(wire::ReadFrame(client_end.get()).ok());
+
+  // A constant int column packs at 1 bit per value: this ~4 MiB frame
+  // describes one value more than kMaxFramePayload bytes hold unpacked.
+  wire::AppendRequest req;
+  req.bat_name = "Cat.rating";
+  req.values = monet::Column::MakeInts({});
+  std::vector<uint8_t> payload = wire::EncodeAppendRequest(req);
+  payload.resize(payload.size() - 1);  // drop the empty column's count
+  const uint64_t count = wire::kMaxFramePayload / sizeof(int64_t) + 1;
+  monet::AppendVarint(count, &payload);
+  payload.push_back(0);  // zigzag minimum 0
+  payload.push_back(1);  // width 1
+  payload.resize(payload.size() + (count + 7) / 8, 0);
+  ASSERT_LT(payload.size(), wire::kMaxFramePayload / 32);
+  ASSERT_TRUE(
+      wire::WriteFrame(client_end.get(), wire::FrameType::kAppend, payload)
+          .ok());
+  auto err = wire::ReadFrame(client_end.get());
+  ASSERT_TRUE(err.ok());
+  ASSERT_EQ(err.value().type, wire::FrameType::kError);
+  EXPECT_EQ(wire::DecodeError(err.value().payload).code(),
+            base::StatusCode::kOutOfRange);
+  EXPECT_EQ(database.catalog()->AppendDomainRows("Cat.rating").value(), 2000u);
+
+  // The session keeps serving writes and queries.
+  req.values = monet::Column::MakeInts({4, 5});
+  ASSERT_TRUE(wire::WriteFrame(client_end.get(), wire::FrameType::kAppend,
+                               wire::EncodeAppendRequest(req))
+                  .ok());
+  auto ack = wire::ReadFrame(client_end.get());
+  ASSERT_TRUE(ack.ok());
+  ASSERT_EQ(ack.value().type, wire::FrameType::kAppendOk);
+  EXPECT_EQ(wire::DecodeAppendReply(ack.value().payload).value().visible_rows,
+            2002u);
+  wire::QueryRequest query;
+  query.text = "count(Cat);";
+  ASSERT_TRUE(wire::WriteFrame(client_end.get(), wire::FrameType::kQuery,
+                               wire::EncodeQueryRequest(query))
+                  .ok());
+  auto result = wire::ReadFrame(client_end.get());
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().type, wire::FrameType::kResult);
+  server.Shutdown();
+}
+
 TEST(QueryServerTest, ReadOnlyServerRejectsWrites) {
   QueryServer server(static_cast<const db::MirrorDb*>(SharedDb()));
   auto [client_end, server_end] = wire::CreateChannelPair();

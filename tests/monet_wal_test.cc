@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <limits>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "monet/bat_io.h"
 #include "monet/catalog.h"
 #include "monet/fault_injector.h"
 #include "monet/wal.h"
@@ -128,6 +131,167 @@ TEST(WalCodecTest, EveryBitFlipIsDetected) {
     EXPECT_FALSE(rec.ok()) << "bit flip at byte " << byte
                            << " went undetected";
   }
+}
+
+// ---------------------------------------------------------------------------
+// The packed column codec, gated on byte counts (no clocks).
+
+/// True if `a` and `b` hold the same representation: type, size, void
+/// base, payload bits and string heap bytes.
+bool BitIdentical(const Column& a, const Column& b) {
+  if (a.type() != b.type() || a.size() != b.size()) return false;
+  switch (a.type()) {
+    case ValueType::kVoid:
+      return a.void_base() == b.void_base();
+    case ValueType::kOid:
+      return a.oids() == b.oids();
+    case ValueType::kInt:
+      return a.ints() == b.ints();
+    case ValueType::kDbl:
+      return a.size() == 0 ||
+             std::memcmp(a.dbls().data(), b.dbls().data(),
+                         a.size() * sizeof(double)) == 0;
+    case ValueType::kStr:
+      return a.str_offsets() == b.str_offsets() &&
+             a.heap()->buffer() == b.heap()->buffer();
+  }
+  return false;
+}
+
+/// Encodes `c`, decodes it back and checks the decode consumed every
+/// byte and rebuilt `c` bit for bit. Returns the encoding.
+std::vector<uint8_t> ExpectColumnRoundTrip(const Column& c) {
+  std::vector<uint8_t> buf;
+  EncodeColumn(c, &buf);
+  size_t pos = 0;
+  auto back = DecodeColumn(buf, &pos);
+  EXPECT_TRUE(back.ok()) << back.status().ToString();
+  if (!back.ok()) return buf;
+  EXPECT_EQ(pos, buf.size());
+  EXPECT_TRUE(BitIdentical(back.value(), c))
+      << "column of " << c.size() << " values did not round-trip";
+  return buf;
+}
+
+/// The width byte of a non-empty oid or int encoding: it follows the
+/// type byte, the count and the minimum (all single varint bytes here).
+uint8_t WidthByte(const std::vector<uint8_t>& enc, size_t min_bytes) {
+  return enc[2 + min_bytes];
+}
+
+TEST(WalCodecTest, SixteenIntAppendRecordSizeIsPinned) {
+  // The shape of a benchmark append: 16 ints in [0, 999] to Feed.v, an
+  // LSN below 16384 and a six-figure row domain. Before the packed
+  // codec this record was 184 bytes: a 12-byte frame, a 35-byte
+  // fixed-width header and column prefix, and 128 bytes of raw words.
+  WalRecord rec = MakeAppendRecord(
+      /*lsn=*/9000, "Feed.v", /*expected=*/100000,
+      {117, 998, 503, 260, 871, 444, 129, 730, 612, 385, 905, 201, 558, 333,
+       777, 640});
+  std::vector<uint8_t> buf;
+  EncodeWalRecord(rec, &buf);
+  // 12 frame + lsn 2 + kind 1 + name_len 1 + name 6 + expected_rows 3
+  // + type 1 + count 1 + zigzag(117) 2 + width 1 + 16 x 10 bits 20.
+  EXPECT_EQ(buf.size(), 50u);
+  EXPECT_LE(buf.size(), 52u);
+  size_t pos = 0;
+  auto back = DecodeWalRecord(buf, &pos);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(pos, buf.size());
+  EXPECT_EQ(back.value().lsn, 9000u);
+  EXPECT_EQ(back.value().expected_rows, 100000u);
+  EXPECT_TRUE(BitIdentical(back.value().payload, rec.payload));
+}
+
+TEST(WalCodecTest, FullRangeIntsEncodeNoLargerThanRawWords) {
+  std::vector<int64_t> v = {std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max()};
+  for (int i = 0; i < 14; ++i) v.push_back((i - 7) * 1234567890123LL);
+  const Column c = Column::MakeInts(v);
+  const std::vector<uint8_t> enc = ExpectColumnRoundTrip(c);
+  // zigzag(INT64_MIN) is UINT64_MAX, a 10-byte varint; the span is
+  // 2^64 - 1, so every value takes all 64 bits.
+  EXPECT_EQ(WidthByte(enc, 10), 64);
+  // The raw layout: type u8, count u64, repeated length u64, 8 B/value.
+  const size_t raw = 1 + 8 + 8 + 8 * v.size();
+  EXPECT_LE(enc.size(), raw);
+}
+
+TEST(WalCodecTest, EdgeValuesRoundTripBitIdentically) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr uint64_t kTop = std::numeric_limits<uint64_t>::max();
+  ExpectColumnRoundTrip(Column::MakeInts({kMin}));
+  ExpectColumnRoundTrip(Column::MakeInts({kMax}));
+  ExpectColumnRoundTrip(Column::MakeInts({kMax, kMin, 0, -1, 1}));
+  ExpectColumnRoundTrip(Column::MakeInts({-3, -300, -30000, -3000000000LL}));
+  ExpectColumnRoundTrip(Column::MakeOids({kTop, kTop - 1, kTop - 70000}));
+  ExpectColumnRoundTrip(Column::MakeOids({0, kTop}));
+  ExpectColumnRoundTrip(Column::MakeVoid(kTop - 5, 5));
+  ExpectColumnRoundTrip(Column::MakeDbls(
+      {0.0, -0.0, std::numeric_limits<double>::quiet_NaN(), 1e308}));
+  ExpectColumnRoundTrip(Column::MakeStrs({"", "alpha", "", "beta"}));
+
+  // A constant column packs at width 1, every delta zero.
+  const std::vector<uint8_t> constant =
+      ExpectColumnRoundTrip(Column::MakeInts(std::vector<int64_t>(100, -42)));
+  EXPECT_EQ(WidthByte(constant, 1), 1);
+  // type 1 + count 1 + zigzag(-42) 1 + width 1 + 100 bits 13.
+  EXPECT_EQ(constant.size(), 17u);
+
+  // Widths 1..64 each pack and unpack at their exact byte count.
+  for (unsigned w = 1; w <= 64; ++w) {
+    const uint64_t top = w == 64 ? kTop : (uint64_t{1} << w) - 1;
+    std::vector<Oid> v;
+    for (uint64_t i = 0; i < 37; ++i) v.push_back(top - (i * 7919 & top));
+    v.push_back(0);
+    const std::vector<uint8_t> enc = ExpectColumnRoundTrip(Column::MakeOids(v));
+    EXPECT_EQ(WidthByte(enc, 1), w);
+    EXPECT_EQ(enc.size(), 4 + (v.size() * w + 7) / 8) << "width " << w;
+  }
+
+  // Empty columns of every type are the type byte and a zero count (a
+  // string column adds its heap length).
+  for (ValueType vt : {ValueType::kOid, ValueType::kInt, ValueType::kDbl}) {
+    const Column empty = Bat::Empty(ValueType::kVoid, vt).tail();
+    EXPECT_EQ(ExpectColumnRoundTrip(empty).size(), 2u);
+  }
+  EXPECT_EQ(ExpectColumnRoundTrip(Column::MakeVoid(0, 0)).size(), 3u);
+  EXPECT_EQ(ExpectColumnRoundTrip(Column::MakeStrs({})).size(), 3u);
+}
+
+TEST(WalCodecTest, VoidRangePastTheLastOidIsRefused) {
+  std::vector<uint8_t> buf = {static_cast<uint8_t>(ValueType::kVoid), 3};
+  AppendVarint(std::numeric_limits<uint64_t>::max() - 1, &buf);
+  size_t pos = 0;
+  auto c = DecodeColumn(buf, &pos);
+  ASSERT_FALSE(c.ok());
+  EXPECT_EQ(c.status().code(), base::StatusCode::kParseError);
+}
+
+TEST(WalCodecTest, UnpackedSizeLimitIsCheckedBeforeAllocating) {
+  // 1,000 ints in 125 packed bytes: within the bits-present bound, but
+  // 8,000 bytes once unpacked.
+  std::vector<uint8_t> buf;
+  EncodeColumn(Column::MakeInts(std::vector<int64_t>(1000, 5)), &buf);
+  size_t pos = 0;
+  EXPECT_TRUE(DecodeColumn(buf, &pos, 8000).ok());
+  pos = 0;
+  auto refused = DecodeColumn(buf, &pos, 7999);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), base::StatusCode::kOutOfRange);
+}
+
+TEST(WalTest, OldFormatLogIsRefusedNotTruncated) {
+  const std::string path = TempPath("v1");
+  std::vector<uint8_t> old = {'W', 'A', 'L', '1', 8, 0, 0, 0, 0, 0, 0, 0};
+  old.resize(old.size() + 8, 0);
+  WriteAll(path, old);
+  auto wal = Wal::Open(path);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), base::StatusCode::kParseError);
+  EXPECT_EQ(ReadAll(path).size(), old.size());  // left as it was
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------
