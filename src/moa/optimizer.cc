@@ -162,16 +162,22 @@ void FuseSelectRanges(mil::Program* program, OptimizerReport* report) {
             ((IsLowerBoundCmp(inner.cmp_op) && IsUpperBoundCmp(copy.cmp_op)) ||
              (IsUpperBoundCmp(inner.cmp_op) && IsLowerBoundCmp(copy.cmp_op)));
         if (complementary) {
+          // One of the two bounds is `copy` itself: read both into locals
+          // before any field of `copy` is overwritten.
           const mil::Instr& lower_i =
               IsLowerBoundCmp(inner.cmp_op) ? inner : copy;
           const mil::Instr& upper_i =
               IsLowerBoundCmp(inner.cmp_op) ? copy : inner;
+          monet::Value lo = lower_i.imm0;
+          monet::Value hi = upper_i.imm0;
+          const bool lo_incl = lower_i.cmp_op == monet::CmpOp::kGe;
+          const bool hi_incl = upper_i.cmp_op == monet::CmpOp::kLe;
           copy.op = mil::OpCode::kSelectRange;
           copy.src0 = inner.src0;
-          copy.imm0 = lower_i.imm0;
-          copy.imm1 = upper_i.imm0;
-          copy.flag0 = lower_i.cmp_op == monet::CmpOp::kGe;
-          copy.flag1 = upper_i.cmp_op == monet::CmpOp::kLe;
+          copy.imm0 = std::move(lo);
+          copy.imm1 = std::move(hi);
+          copy.flag0 = lo_incl;
+          copy.flag1 = hi_incl;
           copy.cmp_op = monet::CmpOp::kEq;
           if (report != nullptr) report->range_fusions++;
         }

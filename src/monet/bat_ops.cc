@@ -382,9 +382,10 @@ namespace {
 
 // n-way column append: the single definition of the append type rules
 // (void chains stay void; shared-heap strings append offsets, foreign
-// heaps re-intern into the first part's heap; oids concatenate; all-int
-// stays int; mixed numeric widens to dbl). One allocation for the whole
-// output, shared by pairwise Concat and morselized Materialize.
+// heaps re-intern into a copy of the first part's heap; oids
+// concatenate; all-int stays int; mixed numeric widens to dbl). One
+// allocation for the whole output, shared by pairwise Concat and
+// morselized Materialize.
 Column AppendAllColumns(const std::vector<const Column*>& parts) {
   MIRROR_CHECK(!parts.empty());
   size_t total = 0;
@@ -408,6 +409,17 @@ Column AppendAllColumns(const std::vector<const Column*>& parts) {
     any_dbl = any_dbl || t == ValueType::kDbl;
   }
   if (t0 == ValueType::kStr) {
+    // Foreign-heap rows are interned into a copy of the first heap: the
+    // first part's rows keep their offsets, and the first heap itself
+    // (perhaps a catalog base heap that readers are using) is never
+    // written. Parts that all share one heap share it with the output.
+    std::shared_ptr<StringHeap> heap = parts[0]->heap();
+    for (const Column* c : parts) {
+      if (c->heap() != parts[0]->heap()) {
+        heap = std::make_shared<StringHeap>(*parts[0]->heap());
+        break;
+      }
+    }
     std::vector<uint32_t> offsets;
     offsets.reserve(total);
     for (const Column* c : parts) {
@@ -415,13 +427,12 @@ Column AppendAllColumns(const std::vector<const Column*>& parts) {
         offsets.insert(offsets.end(), c->str_offsets().begin(),
                        c->str_offsets().end());
       } else {
-        // Re-intern into the first heap (append-only, safe for sharers).
         for (size_t i = 0; i < c->size(); ++i) {
-          offsets.push_back(parts[0]->heap()->Intern(c->StrAt(i)));
+          offsets.push_back(heap->Intern(c->StrAt(i)));
         }
       }
     }
-    return Column::MakeStrsShared(parts[0]->heap(), std::move(offsets));
+    return Column::MakeStrsShared(std::move(heap), std::move(offsets));
   }
   if (t0 == ValueType::kOid) {
     std::vector<Oid> out;

@@ -1,6 +1,7 @@
 #include "monet/candidate.h"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 
 #include "base/logging.h"
@@ -143,6 +144,52 @@ CandidateList CandidateList::ConcatSorted(std::vector<CandidateList> fragments) 
     }
   }
   return FromPositions(std::move(positions));
+}
+
+PackedCandidates CandidateList::Pack() const {
+  PackedCandidates out;
+  out.count_ = size();
+  if (dense_) {
+    out.first_ = first_;
+    return out;
+  }
+  const size_t words =
+      positions_.empty()
+          ? 0
+          : (size_t{positions_.back()} - positions_.front()) / 64 + 1;
+  if (words * sizeof(uint64_t) < positions_.size() * sizeof(uint32_t)) {
+    out.form_ = PackedCandidates::Form::kBitmap;
+    out.first_ = positions_.front();
+    out.words_.assign(words, 0);
+    for (uint32_t p : positions_) {
+      const size_t off = p - out.first_;
+      out.words_[off / 64] |= uint64_t{1} << (off % 64);
+    }
+  } else {
+    out.form_ = PackedCandidates::Form::kPositions;
+    out.positions_ = positions_;
+  }
+  return out;
+}
+
+CandidateList PackedCandidates::Unpack() const {
+  switch (form_) {
+    case Form::kDense:
+      return CandidateList::Dense(first_, count_);
+    case Form::kPositions:
+      return CandidateList::FromPositions(positions_);
+    case Form::kBitmap:
+      break;
+  }
+  std::vector<uint32_t> out;
+  out.reserve(count_);
+  for (size_t w = 0; w < words_.size(); ++w) {
+    const size_t base = first_ + w * 64;
+    for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<uint32_t>(base + std::countr_zero(bits)));
+    }
+  }
+  return CandidateList::FromPositions(std::move(out));
 }
 
 std::vector<size_t> CandidateList::ToPositions() const {

@@ -7,6 +7,8 @@
 
 namespace mirror::monet {
 
+class PackedCandidates;
+
 /// A selection vector over one base BAT: the late-materialization
 /// representation of "these rows survive". Production column stores run
 /// whole selection/semijoin pipelines over candidate lists and copy tuples
@@ -67,6 +69,9 @@ class CandidateList {
   /// shapes collapse to one sorted position vector.
   static CandidateList ConcatSorted(std::vector<CandidateList> fragments);
 
+  /// The stored form of this list (see PackedCandidates).
+  PackedCandidates Pack() const;
+
   /// Positions as size_t, for Column::Gather.
   std::vector<size_t> ToPositions() const;
 
@@ -81,6 +86,40 @@ class CandidateList {
   bool dense_ = true;
   size_t first_ = 0;
   size_t count_ = 0;
+  std::vector<uint32_t> positions_;
+};
+
+/// A CandidateList in the form a cache holds it, in the spirit of
+/// MonetDB's bitmask candidate lists. A dense list stays its O(1) range.
+/// A sparse list is kept as a bitmap over [first, last] or as its sorted
+/// position vector, whichever takes fewer bytes: ceil(span / 64) words of
+/// 8 bytes against 4 bytes per position, positions on a tie. There is no
+/// density threshold to tune; the byte counts decide.
+///
+/// Unpack() gives back the list position for position and shape for
+/// shape (dense stays dense, sparse stays sparse).
+class PackedCandidates {
+ public:
+  /// Number of candidate positions the list holds.
+  size_t size() const { return count_; }
+  /// Bytes of the packed payload: the bitmap words or the positions
+  /// (0 for a dense list).
+  size_t payload_bytes() const {
+    return words_.size() * sizeof(uint64_t) +
+           positions_.size() * sizeof(uint32_t);
+  }
+
+  CandidateList Unpack() const;
+
+ private:
+  friend class CandidateList;
+  enum class Form : uint8_t { kDense, kBitmap, kPositions };
+
+  Form form_ = Form::kDense;
+  size_t first_ = 0;  // dense: range start; bitmap: position of bit 0
+  size_t count_ = 0;
+  /// Bit j of word w marks position first_ + 64 * w + j.
+  std::vector<uint64_t> words_;
   std::vector<uint32_t> positions_;
 };
 

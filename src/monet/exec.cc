@@ -332,8 +332,8 @@ void PutCand(RunState& st, int dst, BatPtr base, CandidateList cands) {
 
 void PutCandPtr(RunState& st, int dst, BatPtr base,
                 std::shared_ptr<const CandidateList> cands) {
-  // Shared lists — the recycler's cached ones, or another register's —
-  // are references, not fresh allocations of this query: no memory charge.
+  // A shared list (another register's) is a reference, not a fresh
+  // allocation of this query: no memory charge.
   RegValue& rv = st.slot(dst);
   rv.Clear();
   rv.bat = std::move(base);
@@ -465,16 +465,17 @@ bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
   SelectPredicate pred;
   if (!SelectPredicate::FromInstr(i, name, &pred)) return false;
   bool subsumed = false;
-  std::shared_ptr<const CandidateList> cached =
+  std::optional<CandidateList> cached =
       st.recycler->LookupCandidates(st.recycler_gen, pred, &subsumed);
-  if (cached != nullptr && !subsumed) {
-    // Exact replay: no scan at all.
+  if (cached.has_value() && !subsumed) {
+    // Exact replay: no scan at all. The decoded list is new memory, which
+    // PutCand charges like a computed one.
     TrackKernelOp(KernelOp::kSelect, 0, cached->size());
     TrackCandidateOp();
-    PutCandPtr(st, i.dst, base, std::move(cached));
+    PutCand(st, i.dst, base, std::move(*cached));
     return true;
   }
-  const CandidateList* seed = cached.get();
+  const CandidateList* seed = cached.has_value() ? &*cached : nullptr;
   const auto start = std::chrono::steady_clock::now();
   CandidateList out;
   switch (i.op) {
@@ -497,16 +498,12 @@ bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  if (!out.is_dense()) {
-    st.mx.Charge(static_cast<uint64_t>(out.size()) * sizeof(uint32_t));
-  }
-  auto list = std::make_shared<const CandidateList>(std::move(out));
   // An aborted kernel (deadline/budget) may have stopped mid-scan; its
   // partial list must never be published.
   if (!st.mx.Aborted()) {
-    st.recycler->InsertCandidates(st.recycler_gen, pred, list, micros);
+    st.recycler->InsertCandidates(st.recycler_gen, pred, out, micros);
   }
-  PutCandPtr(st, i.dst, base, std::move(list));
+  PutCand(st, i.dst, base, std::move(out));
   return true;
 }
 

@@ -32,10 +32,8 @@ bool ExactDoubleBound(const Value& v, double* out) {
 }
 
 /// Approximate resident bytes of one cached candidate list.
-uint64_t CandidateBytes(const CandidateList& list) {
-  uint64_t base = 96;  // entry + key + bookkeeping overhead
-  if (!list.is_dense()) base += list.size() * sizeof(uint32_t);
-  return base;
+uint64_t CandidateBytes(const PackedCandidates& cands) {
+  return 96 + cands.payload_bytes();  // + entry, key, bookkeeping overhead
 }
 
 constexpr size_t kMaxFreqEntries = 8192;
@@ -260,10 +258,23 @@ void Recycler::InsertResult(
   stats_.bytes_held = bytes_held_;
 }
 
-std::shared_ptr<const CandidateList> Recycler::LookupCandidates(
+std::optional<CandidateList> Recycler::LookupCandidates(
     uint64_t gen, const SelectPredicate& pred, bool* subsumed) {
   *subsumed = false;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const PackedCandidates> found;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    found = FindCandidates(gen, pred, subsumed);
+  }
+  // Decoding is the costly part (a bitmap over a 1M-row BAT expands to a
+  // 4 MB vector); the pinned pointer keeps the entry's bytes alive even
+  // if a fence or eviction drops it meanwhile.
+  if (found == nullptr) return std::nullopt;
+  return found->Unpack();
+}
+
+std::shared_ptr<const PackedCandidates> Recycler::FindCandidates(
+    uint64_t gen, const SelectPredicate& pred, bool* subsumed) {
   if (gen != generation_.load(std::memory_order_relaxed)) {
     ++stats_.candidate_misses;
     return nullptr;
@@ -278,14 +289,14 @@ std::shared_ptr<const CandidateList> Recycler::LookupCandidates(
       e.freq = TouchFreq(fkey);
       e.last_used = ++clock_;
       ++stats_.candidate_hits;
-      return e.list;
+      return e.cands;
     }
     // Subsumption: the smallest cached interval containing the query's —
     // the tightest pre-filter costs the narrow select the fewest probes.
     Entry* best = nullptr;
     for (auto& [k, e] : bucket->second) {
       if (!pred.SubsumedBy(e.pred)) continue;
-      if (best == nullptr || e.list->size() < best->list->size()) {
+      if (best == nullptr || e.cands->size() < best->cands->size()) {
         best = &e;
       }
     }
@@ -296,7 +307,7 @@ std::shared_ptr<const CandidateList> Recycler::LookupCandidates(
       ++stats_.candidate_subsumption_hits;
       *subsumed = true;
       TouchFreq(fkey);  // the narrow predicate is popular too
-      return best->list;
+      return best->cands;
     }
   }
   ++stats_.candidate_misses;
@@ -305,9 +316,10 @@ std::shared_ptr<const CandidateList> Recycler::LookupCandidates(
 }
 
 void Recycler::InsertCandidates(uint64_t gen, const SelectPredicate& pred,
-                                std::shared_ptr<const CandidateList> list,
+                                const CandidateList& list,
                                 uint64_t cost_micros) {
-  if (list == nullptr) return;
+  if (gen != generation()) return;  // stale: skip the packing too
+  auto cands = std::make_shared<const PackedCandidates>(list.Pack());
   std::lock_guard<std::mutex> lock(mu_);
   if (gen != generation_.load(std::memory_order_relaxed)) return;
   const std::string ikey = pred.IntervalKey();
@@ -315,7 +327,7 @@ void Recycler::InsertCandidates(uint64_t gen, const SelectPredicate& pred,
   if (bucket.find(ikey) != bucket.end()) return;  // incumbent wins
   Entry e;
   e.pred = pred;
-  e.bytes = CandidateBytes(*list);
+  e.bytes = CandidateBytes(*cands);
   e.cost_micros = cost_micros;
   auto f = freq_.find("cand:" + pred.bat + ":" + ikey);
   e.freq = f != freq_.end() ? f->second : 1;
@@ -325,7 +337,7 @@ void Recycler::InsertCandidates(uint64_t gen, const SelectPredicate& pred,
     ++stats_.admissions_rejected;
     return;
   }
-  e.list = std::move(list);
+  e.cands = std::move(cands);
   bytes_held_ += e.bytes;
   cands_[pred.bat].emplace(ikey, std::move(e));
   stats_.bytes_held = bytes_held_;

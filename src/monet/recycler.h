@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -68,10 +69,13 @@ struct SelectPredicate {
 ///    executes once per data version and later arrivals are answered
 ///    straight from the poll loop;
 ///  - candidates: CandidateLists keyed by normalized single-column select
-///    predicates over base BATs. An exact match replays the list; a
+///    predicates over base BATs, held packed (PackedCandidates: a bitmap
+///    or a position vector, whichever is smaller) and charged to the
+///    budget at their packed size. An exact match replays the list; a
 ///    *subsuming* cached predicate (its interval contains the query's)
 ///    seeds the narrower select as a pre-filter domain for the existing
-///    candidate-aware kernels.
+///    candidate-aware kernels. Lookups decode outside the mutex, so a
+///    large decode never stalls a concurrent LookupResult.
 ///
 /// Generation fencing: every entry belongs to the generation it was
 /// computed in. A catalog mutation calls Fence() BEFORE applying (drops
@@ -128,17 +132,17 @@ class Recycler {
 
   // -- Candidate section. -------------------------------------------------
 
-  /// The cached candidate list for `pred`: an exact interval match
-  /// (*subsumed = false), else the smallest cached interval containing
-  /// it (*subsumed = true — use as a pre-filter domain, not the answer),
-  /// else null.
-  std::shared_ptr<const CandidateList> LookupCandidates(
+  /// The cached candidate list for `pred`, freshly decoded: an exact
+  /// interval match (*subsumed = false), else the smallest cached
+  /// interval containing it (*subsumed = true — use as a pre-filter
+  /// domain, not the answer), else nullopt.
+  std::optional<CandidateList> LookupCandidates(
       uint64_t gen, const SelectPredicate& pred, bool* subsumed);
 
-  /// Offers a computed candidate list for admission under `pred`.
+  /// Offers a computed candidate list for admission under `pred`; the
+  /// list is packed before the mutex is taken.
   void InsertCandidates(uint64_t gen, const SelectPredicate& pred,
-                        std::shared_ptr<const CandidateList> list,
-                        uint64_t cost_micros);
+                        const CandidateList& list, uint64_t cost_micros);
 
   void set_budget_bytes(uint64_t budget);
   uint64_t budget_bytes() const;
@@ -147,9 +151,9 @@ class Recycler {
 
  private:
   struct Entry {
-    // Exactly one of `payload` / `list` is set.
+    // Exactly one of `payload` / `cands` is set.
     std::shared_ptr<const std::vector<uint8_t>> payload;
-    std::shared_ptr<const CandidateList> list;
+    std::shared_ptr<const PackedCandidates> cands;
     SelectPredicate pred;  // candidate entries only
     uint64_t bytes = 0;
     uint64_t cost_micros = 0;
@@ -167,6 +171,11 @@ class Recycler {
   /// the budget; false (nothing changed beyond evictions) when entries
   /// with score >= `incoming_score` would have to go.
   bool MakeRoom(uint64_t need, uint64_t incoming_score);
+
+  /// LookupCandidates' part under `mu_` (held by the caller): the
+  /// matching packed entry, counted and touched, or null.
+  std::shared_ptr<const PackedCandidates> FindCandidates(
+      uint64_t gen, const SelectPredicate& pred, bool* subsumed);
 
   void EraseResult(const std::string& key);
   void EraseCandidate(const std::string& bat, const std::string& ikey);

@@ -482,8 +482,13 @@ TEST(StringHeapEdgeCases, ConcatAcrossDistinctHeapsReinterns) {
   ASSERT_NE(a.tail().heap(), b.tail().heap());
   Bat c = monet::Concat(a, b);
   ASSERT_EQ(c.size(), 6u);
-  // Re-interned into a's heap: equal strings have equal offsets again.
-  EXPECT_EQ(c.tail().heap(), a.tail().heap());
+  // Re-interned into a copy of a's heap, which a itself never sees: a's
+  // rows keep their offsets and equal strings have equal offsets again.
+  EXPECT_NE(c.tail().heap(), a.tail().heap());
+  EXPECT_EQ(a.tail().heap()->size(), 2u);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(c.tail().StrOffsetAt(i), a.tail().StrOffsetAt(i));
+  }
   EXPECT_EQ(c.tail().StrAt(1), "sea");
   EXPECT_EQ(c.tail().StrAt(3), "sea");
   EXPECT_EQ(c.tail().StrOffsetAt(1), c.tail().StrOffsetAt(3));

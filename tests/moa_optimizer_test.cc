@@ -209,6 +209,67 @@ TEST(MilJoinFusionTest, SelectFedJoinInputsAreCounted) {
   EXPECT_EQ(report.shard_fanouts, 2);
 }
 
+TEST(MilRangeFusionTest, BothNestingsKeepBothBoundsAndFlags) {
+  // select.cmp(select.cmp(X, inner), outer) fuses into one select.range
+  // whichever of the two is the lower bound; a strict bound (>, <) gives
+  // an exclusive flag, an inclusive one (>=, <=) an inclusive flag.
+  namespace mil = monet::mil;
+  using monet::CmpOp;
+  struct Case {
+    CmpOp lower;
+    CmpOp upper;
+  };
+  const Case cases[] = {{CmpOp::kGe, CmpOp::kLe},
+                        {CmpOp::kGe, CmpOp::kLt},
+                        {CmpOp::kGt, CmpOp::kLe},
+                        {CmpOp::kGt, CmpOp::kLt}};
+  for (const Case& c : cases) {
+    for (bool lower_inner : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "lower=" << static_cast<int>(c.lower)
+                   << " upper=" << static_cast<int>(c.upper)
+                   << " lower_inner=" << lower_inner);
+      mil::Program p;
+      auto emit = [&p](mil::Instr i) {
+        i.dst = p.NewReg();
+        return p.Emit(std::move(i));
+      };
+      mil::Instr load;
+      load.op = mil::OpCode::kLoadNamed;
+      load.name = "t.a";
+      const int x = emit(std::move(load));
+      auto select = [](int src, CmpOp op, int64_t v) {
+        mil::Instr sel;
+        sel.op = mil::OpCode::kSelectCmp;
+        sel.src0 = src;
+        sel.cmp_op = op;
+        sel.imm0 = monet::Value::MakeInt(v);
+        return sel;
+      };
+      const int inner = emit(select(x, lower_inner ? c.lower : c.upper,
+                                    lower_inner ? 10 : 20));
+      p.set_result_reg(emit(select(inner, lower_inner ? c.upper : c.lower,
+                                   lower_inner ? 20 : 10)));
+      OptimizerReport report;
+      OptimizeMil(&p, &report);
+      EXPECT_EQ(report.range_fusions, 1);
+      const mil::Instr* range = nullptr;
+      int load_reg = -1;
+      for (const mil::Instr& i : p.instrs()) {
+        EXPECT_NE(i.op, mil::OpCode::kSelectCmp) << "inner select left over";
+        if (i.op == mil::OpCode::kSelectRange) range = &i;
+        if (i.op == mil::OpCode::kLoadNamed) load_reg = i.dst;
+      }
+      ASSERT_NE(range, nullptr);
+      EXPECT_EQ(range->src0, load_reg);
+      EXPECT_EQ(range->imm0.i(), 10);
+      EXPECT_EQ(range->imm1.i(), 20);
+      EXPECT_EQ(range->flag0, c.lower == CmpOp::kGe);
+      EXPECT_EQ(range->flag1, c.upper == CmpOp::kLe);
+    }
+  }
+}
+
 TEST(MilFoldRewriteTest, ScalarMaxCollapsesToFoldAndPreservesResults) {
   // The flattener spells scalar max/min as scalar.sum(topn(x, 1));
   // OptimizeMil must rewrite the pair into one scalar.fold and DCE the

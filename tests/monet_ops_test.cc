@@ -83,8 +83,35 @@ TEST(StructuralOpsTest, ConcatMergesStringHeaps) {
   EXPECT_EQ(c.size(), 4u);
   EXPECT_EQ(c.tail().StrAt(2), "y");
   EXPECT_EQ(c.tail().StrAt(3), "z");
-  // Interned into a's heap: equal strings share offsets.
+  // Interned into a copy of a's heap: equal strings share offsets.
   EXPECT_EQ(c.tail().StrOffsetAt(1), c.tail().StrOffsetAt(2));
+}
+
+TEST(StructuralOpsTest, ConcatLeavesBothInputHeapsUntouched) {
+  // The first input's heap may be a catalog base heap that concurrent
+  // readers share: concatenating a foreign-heap part must not intern
+  // anything into it.
+  Bat a = Bat::DenseStrs({"x", "y", "x"});
+  Bat b = Bat::DenseStrs({"y", "z", "w"}, 3);
+  ASSERT_NE(a.tail().heap(), b.tail().heap());
+  const std::string a_heap = a.tail().heap()->buffer();
+  const std::string b_heap = b.tail().heap()->buffer();
+  const size_t a_count = a.tail().heap()->size();
+  Bat c = ConcatAll({&a, &b});
+  EXPECT_EQ(a.tail().heap()->buffer(), a_heap);
+  EXPECT_EQ(a.tail().heap()->size(), a_count);
+  EXPECT_EQ(b.tail().heap()->buffer(), b_heap);
+  EXPECT_NE(c.tail().heap(), a.tail().heap());
+  const std::vector<std::string> want = {"x", "y", "x", "y", "z", "w"};
+  ASSERT_EQ(c.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(c.tail().StrAt(i), want[i]) << i;
+  }
+  EXPECT_EQ(c.tail().StrOffsetAt(1), c.tail().StrOffsetAt(3));
+  // Parts that share one heap share it with the output: nothing copied.
+  Bat d = Concat(a, a);
+  EXPECT_EQ(d.tail().heap(), a.tail().heap());
+  EXPECT_EQ(a.tail().heap()->buffer(), a_heap);
 }
 
 TEST(SelectTest, SelectEqOnInts) {

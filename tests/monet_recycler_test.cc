@@ -5,12 +5,20 @@
 // make both stale lookups and stale inserts impossible, and the
 // cost x frequency admission policy must hold bytes under the budget
 // while keeping hot entries over cold ones — including across a fence,
-// which drops entries but not popularity.
+// which drops entries but not popularity. Candidate lists are held
+// packed: every shape must unpack position for position, the budget is
+// charged the packed size, and lookups that decode outside the mutex
+// must stay correct while other threads insert and fence.
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,9 +76,17 @@ std::shared_ptr<const std::vector<uint8_t>> Payload(size_t n, uint8_t fill) {
   return std::make_shared<const std::vector<uint8_t>>(n, fill);
 }
 
-std::shared_ptr<const CandidateList> Cands(std::vector<uint32_t> positions) {
-  return std::make_shared<const CandidateList>(
-      CandidateList::FromPositions(std::move(positions)));
+CandidateList Cands(std::vector<uint32_t> positions) {
+  return CandidateList::FromPositions(std::move(positions));
+}
+
+/// Every `step`-th row of [0, n), from `first`.
+CandidateList Strided(size_t n, size_t first, size_t step) {
+  std::vector<uint32_t> p;
+  for (size_t i = first; i < n; i += step) {
+    p.push_back(static_cast<uint32_t>(i));
+  }
+  return Cands(std::move(p));
 }
 
 // -- Predicate normalization. ------------------------------------------------
@@ -287,13 +303,13 @@ TEST(RecyclerTest, DuplicateInsertKeepsTheIncumbent) {
 TEST(RecyclerTest, CandidateExactMatchReplays) {
   Recycler r;
   const uint64_t gen = r.generation();
-  auto list = Cands({1, 5, 9});
-  r.InsertCandidates(gen, Pred("age", 30, kInf, false, true), list, 100);
+  r.InsertCandidates(gen, Pred("age", 30, kInf, false, true), Cands({1, 5, 9}),
+                     100);
   bool subsumed = true;
   auto hit =
       r.LookupCandidates(gen, Pred("age", 30, kInf, false, true), &subsumed);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit.get(), list.get());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->ToPositions(), (std::vector<size_t>{1, 5, 9}));
   EXPECT_FALSE(subsumed);
   RecyclerStats s = r.stats();
   EXPECT_EQ(s.candidate_hits, 1u);
@@ -303,21 +319,20 @@ TEST(RecyclerTest, CandidateExactMatchReplays) {
 TEST(RecyclerTest, SubsumptionServesTheSmallestSuperset) {
   Recycler r;
   const uint64_t gen = r.generation();
-  auto wide = Cands({1, 2, 3, 4, 5, 6, 7, 8});
-  auto tight = Cands({4, 5, 6});
-  r.InsertCandidates(gen, Pred("age", 0, kInf), wide, 100);
-  r.InsertCandidates(gen, Pred("age", 30, 60), tight, 100);
+  r.InsertCandidates(gen, Pred("age", 0, kInf), Cands({1, 2, 3, 4, 5, 6, 7, 8}),
+                     100);
+  r.InsertCandidates(gen, Pred("age", 30, 60), Cands({4, 5, 6}), 100);
   bool subsumed = false;
   // [40, 50] is contained in both; the smaller list wins.
   auto hit = r.LookupCandidates(gen, Pred("age", 40, 50), &subsumed);
-  ASSERT_NE(hit, nullptr);
+  ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(subsumed);
-  EXPECT_EQ(hit.get(), tight.get());
+  EXPECT_EQ(hit->ToPositions(), (std::vector<size_t>{4, 5, 6}));
   EXPECT_EQ(r.stats().candidate_subsumption_hits, 1u);
   // A predicate contained in neither misses.
   subsumed = true;
-  EXPECT_EQ(r.LookupCandidates(gen, Pred("other", 40, 50), &subsumed),
-            nullptr);
+  EXPECT_FALSE(
+      r.LookupCandidates(gen, Pred("other", 40, 50), &subsumed).has_value());
   EXPECT_FALSE(subsumed);
 }
 
@@ -329,13 +344,13 @@ TEST(RecyclerTest, SubsumptionHonorsInclusivityAtTheEdge) {
                      100);
   bool subsumed = false;
   // age >= 30 includes 30 itself, which the cached list may lack.
-  EXPECT_EQ(r.LookupCandidates(gen, Pred("age", 30, kInf, true, true),
-                               &subsumed),
-            nullptr);
+  EXPECT_FALSE(
+      r.LookupCandidates(gen, Pred("age", 30, kInf, true, true), &subsumed)
+          .has_value());
   // age > 40 is strictly inside.
-  EXPECT_NE(r.LookupCandidates(gen, Pred("age", 40, kInf, false, true),
-                               &subsumed),
-            nullptr);
+  EXPECT_TRUE(
+      r.LookupCandidates(gen, Pred("age", 40, kInf, false, true), &subsumed)
+          .has_value());
   EXPECT_TRUE(subsumed);
 }
 
@@ -345,12 +360,214 @@ TEST(RecyclerTest, FenceDropsCandidatesToo) {
   r.InsertCandidates(gen, Pred("age", 0, 10), Cands({1}), 100);
   r.Fence();
   bool subsumed = false;
-  EXPECT_EQ(r.LookupCandidates(r.generation(), Pred("age", 0, 10), &subsumed),
-            nullptr);
+  EXPECT_FALSE(r.LookupCandidates(r.generation(), Pred("age", 0, 10), &subsumed)
+                   .has_value());
   EXPECT_EQ(r.stats().candidate_entries, 0u);
   r.InsertCandidates(gen, Pred("age", 0, 10), Cands({1}), 100);
   EXPECT_EQ(r.stats().candidate_entries, 0u)
       << "stale-generation candidate insert must be refused";
+}
+
+// -- Packed form. -------------------------------------------------------------
+
+void ExpectRoundTrip(const CandidateList& list) {
+  PackedCandidates packed = list.Pack();
+  EXPECT_EQ(packed.size(), list.size());
+  CandidateList back = packed.Unpack();
+  EXPECT_EQ(back.is_dense(), list.is_dense());
+  ASSERT_EQ(back.size(), list.size());
+  for (size_t i = 0; i < list.size(); ++i) {
+    ASSERT_EQ(back.PositionAt(i), list.PositionAt(i)) << "at index " << i;
+  }
+  // The packed payload is never larger than the position vector.
+  if (!list.is_dense()) {
+    EXPECT_LE(packed.payload_bytes(), list.size() * sizeof(uint32_t));
+  } else {
+    EXPECT_EQ(packed.payload_bytes(), 0u);
+  }
+}
+
+TEST(PackedCandidatesTest, RoundTripsEveryShape) {
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  ExpectRoundTrip(Cands({}));
+  ExpectRoundTrip(CandidateList::Dense(0, 0));
+  ExpectRoundTrip(CandidateList::Dense(7, 1000));
+  ExpectRoundTrip(Cands({0}));
+  ExpectRoundTrip(Cands({12345}));
+  ExpectRoundTrip(Strided(1000, 0, 1));  // every row, as a sparse list
+  ExpectRoundTrip(Strided(1000, 0, 2));  // alternating rows
+  ExpectRoundTrip(Strided(1000, 1, 2));
+  // Runs that cross 64-bit word boundaries, from unaligned starts.
+  std::vector<uint32_t> runs;
+  for (uint32_t start : {3u, 60u, 127u, 250u, 511u}) {
+    for (uint32_t k = 0; k < 10; ++k) runs.push_back(start + k);
+  }
+  ExpectRoundTrip(Cands(runs));
+  // Positions at the very top of the 32-bit range.
+  std::vector<uint32_t> top;
+  for (uint32_t k = 0; k < 130; ++k) top.push_back(kMax - 129 + k);
+  ExpectRoundTrip(Cands(top));
+  ExpectRoundTrip(Cands({0, kMax}));
+  ExpectRoundTrip(Cands({kMax}));
+}
+
+TEST(PackedCandidatesTest, RandomListsRoundTrip) {
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng() % 5000;
+    const uint32_t first = rng() % 3 == 0 ? 0 : static_cast<uint32_t>(rng());
+    const uint32_t room = std::numeric_limits<uint32_t>::max() - first;
+    const double density = std::ldexp(1.0, -static_cast<int>(rng() % 8));
+    std::bernoulli_distribution keep(density);
+    std::vector<uint32_t> p;
+    for (size_t i = 0; i < n && i <= room; ++i) {
+      if (keep(rng)) p.push_back(first + static_cast<uint32_t>(i));
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ExpectRoundTrip(Cands(std::move(p)));
+  }
+}
+
+TEST(PackedCandidatesTest, PicksTheSmallerForm) {
+  // 50% density: a 100-word bitmap (800 B) against 3200 positions.
+  EXPECT_EQ(Strided(6400, 0, 2).Pack().payload_bytes(), 800u);
+  // 1 row in 16: 100 words (800 B) against 400 positions (1600 B).
+  EXPECT_EQ(Strided(6400, 0, 16).Pack().payload_bytes(), 800u);
+  // 1 row in 64: 100 words (800 B) against 100 positions (400 B).
+  EXPECT_EQ(Strided(6400, 0, 64).Pack().payload_bytes(), 400u);
+  // A wide span with few rows never builds a huge bitmap.
+  EXPECT_EQ(Cands({0, std::numeric_limits<uint32_t>::max()})
+                .Pack()
+                .payload_bytes(),
+            8u);
+}
+
+TEST(RecyclerTest, HalfDenseListsAreHeldAsBitmaps) {
+  // 50 cached selections over a 400k-row BAT at 50% density: 200k
+  // positions (800 KB) each as a raw vector, 50 KB each as a bitmap.
+  Recycler r;
+  const uint64_t gen = r.generation();
+  const CandidateList half = Strided(400000, 0, 2);
+  for (int i = 0; i < 50; ++i) {
+    r.InsertCandidates(gen, Pred("year", i, kInf), half, 100);
+  }
+  RecyclerStats s = r.stats();
+  EXPECT_EQ(s.candidate_entries, 50u);
+  EXPECT_LE(s.bytes_held, 3ull << 20);
+  bool subsumed = true;
+  auto hit = r.LookupCandidates(gen, Pred("year", 17, kInf), &subsumed);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_FALSE(subsumed);
+  EXPECT_EQ(hit->ToPositions(), half.ToPositions());
+}
+
+TEST(RecyclerTest, AdmissionChargesThePackedSize) {
+  // A budget that holds kLists packed lists (8 KB of bitmap each) but
+  // not kLists raw ones (128 KB of positions each).
+  constexpr int kLists = 10;
+  const CandidateList half = Strided(65536, 0, 2);
+  const uint64_t packed = 96 + half.Pack().payload_bytes();
+  const uint64_t raw = half.size() * sizeof(uint32_t);
+  const uint64_t budget = kLists * packed + 1024;
+  ASSERT_LT(budget, kLists * raw);
+  Recycler r(budget);
+  const uint64_t gen = r.generation();
+  for (int i = 0; i < kLists; ++i) {
+    r.InsertCandidates(gen, Pred("year", i, kInf), half, 100);
+  }
+  RecyclerStats s = r.stats();
+  EXPECT_EQ(s.candidate_entries, static_cast<uint64_t>(kLists));
+  EXPECT_EQ(s.admissions_rejected, 0u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.bytes_held, kLists * packed);
+}
+
+TEST(RecyclerTest, ConcurrentDecodesSurviveInsertsAndFences) {
+  // Column value of row p is p % 100. The cached lists answer `v >= lo`
+  // (bitmaps), `v == lo` (position vectors) and the whole column (dense).
+  // Readers check every hit against the column while one thread inserts
+  // and another fences; run under TSan in ci.sh.
+  constexpr size_t kRows = 6400;
+  auto at_least = [](int lo) {
+    std::vector<uint32_t> p;
+    for (size_t i = 0; i < kRows; ++i) {
+      if (static_cast<int>(i % 100) >= lo) {
+        p.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    return Cands(std::move(p));
+  };
+  Recycler r;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> exact_hits{0};
+  std::atomic<uint64_t> subsumed_hits{0};
+  std::atomic<uint64_t> bad{0};
+  std::thread inserter([&] {
+    for (int round = 0; !stop.load(); ++round) {
+      const int lo = (round % 10) * 10;
+      const uint64_t gen = r.generation();
+      r.InsertCandidates(gen, Pred("v", lo, kInf), at_least(lo), 10);
+      r.InsertCandidates(gen, Pred("v", lo, lo), Strided(kRows, lo, 100), 10);
+      r.InsertCandidates(gen, Pred("v", -kInf, kInf),
+                         CandidateList::All(kRows), 10);
+    }
+  });
+  std::thread fencer([&] {
+    while (!stop.load()) {
+      r.Fence();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  // Readers run until both kinds of hit have been seen often enough.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto enough = [&] {
+    return (exact_hits.load() >= 300 && subsumed_hits.load() >= 300) ||
+           std::chrono::steady_clock::now() > deadline;
+  };
+  auto reader = [&](unsigned seed) {
+    std::mt19937 rng(seed);
+    while (!enough()) {
+      const int lo = static_cast<int>(rng() % 100);
+      const bool point = rng() % 2 == 0;
+      const SelectPredicate pred =
+          point ? Pred("v", lo, lo) : Pred("v", lo, kInf);
+      bool subsumed = false;
+      auto hit = r.LookupCandidates(r.generation(), pred, &subsumed);
+      if (!hit.has_value()) continue;
+      (subsumed ? subsumed_hits : exact_hits).fetch_add(1);
+      // Every hit is exactly one of the inserted lists: `v >= m` or
+      // `v == m` for the smallest value m it holds, or the dense column;
+      // an exact hit is the answer itself, a subsumed one a superset.
+      if (hit->empty()) {
+        bad.fetch_add(1);
+        continue;
+      }
+      const int m = static_cast<int>(hit->PositionAt(0) % 100);
+      const bool is_point = hit->size() == kRows / 100 &&
+                            hit->PositionAt(hit->size() - 1) % 100 == size_t(m);
+      CandidateList want = hit->is_dense()   ? CandidateList::All(kRows)
+                           : is_point        ? Strided(kRows, m, 100)
+                                             : at_least(m);
+      if (hit->ToPositions() != want.ToPositions()) bad.fetch_add(1);
+      const bool covers =
+          hit->is_dense() || (is_point ? point && m == lo : m <= lo);
+      const bool exact = !hit->is_dense() && m == lo && is_point == point;
+      if (!covers || subsumed == exact) bad.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < 3; ++t) readers.emplace_back(reader, 11 + t);
+  for (std::thread& t : readers) t.join();
+  stop.store(true);
+  inserter.join();
+  fencer.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GE(exact_hits.load(), 300u);
+  EXPECT_GE(subsumed_hits.load(), 300u);
+  RecyclerStats s = r.stats();
+  EXPECT_GT(s.invalidations, 0u);
+  EXPECT_LE(s.bytes_held, r.budget_bytes());
 }
 
 }  // namespace
