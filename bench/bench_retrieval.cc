@@ -134,6 +134,11 @@ struct EngineComparison {
   double engine1_ms = 0;
   double engine4_ms = 0;
   double engine4_cached_ms = 0;
+  /// Counts that repeat exactly run to run: select instructions in the
+  /// optimized plan, and the tuples the engine reads at 1 thread,
+  /// unsharded, with the recycler off.
+  int select_instrs = 0;
+  uint64_t tuples_in = 0;
 };
 
 EngineComparison CompareEngines(db::MirrorDb* database, const char* label,
@@ -171,6 +176,20 @@ EngineComparison CompareEngines(db::MirrorDb* database, const char* label,
       TimeQuery(*database, query, ctx, engine4, &session, 5, false);
   MIRROR_CHECK(session.plan_cache_hits() > 0);
 
+  db::QueryOptions counted = engine1;
+  counted.exec.num_shards = 1;
+  counted.exec.recycle = false;
+  auto prepared = database->Prepare(query, ctx, counted);
+  MIRROR_CHECK(prepared.ok()) << prepared.status().ToString();
+  for (const monet::mil::Instr& i : prepared.value().program.instrs()) {
+    out.select_instrs += i.op == monet::mil::OpCode::kSelectEq ||
+                         i.op == monet::mil::OpCode::kSelectCmp ||
+                         i.op == monet::mil::OpCode::kSelectRange;
+  }
+  monet::ResetKernelStats();
+  MIRROR_CHECK(database->Query(query, ctx, counted).ok());
+  out.tuples_in = monet::SnapshotKernelStats().tuples_in;
+
   std::printf("%s\n\n", label);
   base::TablePrinter table({"path", "ms", "vs sequential"});
   auto row = [&](const char* name, double ms) {
@@ -182,7 +201,9 @@ EngineComparison CompareEngines(db::MirrorDb* database, const char* label,
   row("engine 4 threads, candidates", out.engine4_ms);
   row("engine 4 threads + plan cache", out.engine4_cached_ms);
   table.Print();
-  std::printf("\n");
+  std::printf(
+      "select instructions: %d, tuples in (1 thread, recycler off): %llu\n\n",
+      out.select_instrs, static_cast<unsigned long long>(out.tuples_in));
   return out;
 }
 
@@ -1110,11 +1131,14 @@ void WriteBenchJson(const EngineComparison& selection,
         "    \"engine_4_threads_ms\": %.4f,\n"
         "    \"engine_4_threads_cached_ms\": %.4f,\n"
         "    \"speedup_engine4_vs_sequential\": %.3f,\n"
-        "    \"speedup_engine4_cached_vs_sequential\": %.3f\n"
+        "    \"speedup_engine4_cached_vs_sequential\": %.3f,\n"
+        "    \"select_instrs\": %d,\n"
+        "    \"tuples_in\": %llu\n"
         "  }%s\n",
         name, c.sequential_ms, c.engine1_ms, c.engine4_ms, c.engine4_cached_ms,
         c.sequential_ms / c.engine4_ms,
-        c.sequential_ms / c.engine4_cached_ms, trailing_comma);
+        c.sequential_ms / c.engine4_cached_ms, c.select_instrs,
+        static_cast<unsigned long long>(c.tuples_in), trailing_comma);
   };
   std::fprintf(f, "{\n  \"experiment\": \"E3c_vectorized_engine\",\n");
   emit("selection_heavy_400k_rows", selection, ",");

@@ -55,6 +55,21 @@ awk -v s="${SPEEDUP}" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
   echo "FAIL: selection-heavy speedup ${SPEEDUP}x is below the 2x floor"
   exit 1
 }
+# Count gates behind the speedup, exact on every run: the year pair and
+# the rating pair compile to one select.range each, and the 1-thread
+# engine (unsharded, recycler off) reads no more tuples than recorded
+# when bound pairing landed (two chained select.cmp per field read more).
+SEL_INSTRS=$(bench_val selection_heavy_400k_rows.select_instrs)
+SEL_TUPLES=$(bench_val selection_heavy_400k_rows.tuples_in)
+echo "selection-heavy plan: ${SEL_INSTRS} select instructions, ${SEL_TUPLES} tuples in"
+[ "${SEL_INSTRS}" = "2" ] || {
+  echo "FAIL: selection-heavy plan has ${SEL_INSTRS} select instructions (want 2)"
+  exit 1
+}
+[ "${SEL_TUPLES}" -le 2232314 ] || {
+  echo "FAIL: selection-heavy plan read ${SEL_TUPLES} tuples (want <= 2232314)"
+  exit 1
+}
 
 echo "== fused-aggregation gate (E3d select→SumPerHead, 400k rows) =="
 # Baseline is the sequential mil::Executor on the same MIL plan: every

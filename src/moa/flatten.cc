@@ -1,6 +1,7 @@
 #include "moa/flatten.h"
 
 #include <cmath>
+#include <map>
 #include <memory>
 
 #include "base/str_util.h"
@@ -26,6 +27,24 @@ struct Compiled {
   int candidates = -1;  // register of a BAT whose heads are surviving oids
   // kBat / kScalar: the value register.
   int reg = -1;
+};
+
+// A comparison of a subject (THIS or THIS.<field>) with a literal,
+// normalized so the subject is on the left; `subject` is null when
+// neither side is a literal.
+struct LiteralCmp {
+  const Expr* subject = nullptr;
+  CmpOp cmp = CmpOp::kEq;
+  const Value* literal = nullptr;
+};
+
+// One step of a conjunction: a conjunct compiled on its own (`pred`),
+// or, when `pred` is null, a lower and an upper bound on one subject
+// compiled as a single select.range.
+struct ConjunctStep {
+  ExprPtr pred;
+  LiteralCmp lower;
+  LiteralCmp upper;
 };
 
 class Compiler {
@@ -59,28 +78,31 @@ class Compiler {
  private:
   // -- Emission helpers ----------------------------------------------------
 
+  // Appends `i` writing a fresh register; returns that register.
+  int Emit(mil::Instr i) {
+    i.dst = prog_.NewReg();
+    return prog_.Emit(std::move(i));
+  }
+
   int EmitLoad(const std::string& name) {
     mil::Instr i;
     i.op = mil::OpCode::kLoadNamed;
     i.name = name;
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
   int EmitConst(Bat bat) {
     mil::Instr i;
     i.op = mil::OpCode::kConstBat;
     i.const_bat = std::make_shared<const Bat>(std::move(bat));
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
   int EmitUnary(mil::OpCode op, int src) {
     mil::Instr i;
     i.op = op;
     i.src0 = src;
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
   int EmitBinary(mil::OpCode op, int src0, int src1) {
@@ -88,8 +110,7 @@ class Compiler {
     i.op = op;
     i.src0 = src0;
     i.src1 = src1;
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
   int EmitSelectCmp(int src, CmpOp cmp, Value v) {
@@ -98,8 +119,19 @@ class Compiler {
     i.src0 = src;
     i.cmp_op = cmp;
     i.imm0 = std::move(v);
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
+  }
+
+  int EmitSelectRange(int src, const LiteralCmp& lower,
+                      const LiteralCmp& upper) {
+    mil::Instr i;
+    i.op = mil::OpCode::kSelectRange;
+    i.src0 = src;
+    i.imm0 = *lower.literal;
+    i.imm1 = *upper.literal;
+    i.flag0 = lower.cmp == CmpOp::kGe;
+    i.flag1 = upper.cmp == CmpOp::kLe;
+    return Emit(std::move(i));
   }
 
   int EmitMapScalar(int src, BinOp op, Value v) {
@@ -108,8 +140,7 @@ class Compiler {
     i.src0 = src;
     i.bin_op = op;
     i.imm0 = std::move(v);
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
   int EmitMapBinary(int l, int r, BinOp op) {
@@ -118,8 +149,15 @@ class Compiler {
     i.src0 = l;
     i.src1 = r;
     i.bin_op = op;
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
+  }
+
+  int EmitUnaryOp(int src, UnOp op) {
+    mil::Instr i;
+    i.op = mil::OpCode::kMapUnary;
+    i.src0 = src;
+    i.un_op = op;
+    return Emit(std::move(i));
   }
 
   int EmitFill(int src, Value v) {
@@ -127,8 +165,7 @@ class Compiler {
     i.op = mil::OpCode::kFillTail;
     i.src0 = src;
     i.imm0 = std::move(v);
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
   int EmitBelief(int tf, int df, int len, const ir::CollectionStats& stats,
@@ -141,18 +178,16 @@ class Compiler {
     i.num_docs = stats.num_docs;
     i.avg_doclen = stats.avg_doclen;
     i.belief = params;
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
-  int EmitTopN(int src, int64_t n) {
+  int EmitTopN(int src, int64_t n, bool descending = true) {
     mil::Instr i;
     i.op = mil::OpCode::kTopN;
     i.src0 = src;
     i.n = n;
-    i.flag0 = true;  // descending
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    i.flag0 = descending;
+    return Emit(std::move(i));
   }
 
   int EmitScalarBin(int src0, int src1, BinOp op) {
@@ -161,8 +196,7 @@ class Compiler {
     i.src0 = src0;
     i.src1 = src1;
     i.bin_op = op;
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
   int EmitScalarBinImm(int src0, BinOp op, Value v) {
@@ -171,8 +205,7 @@ class Compiler {
     i.src0 = src0;
     i.bin_op = op;
     i.imm0 = std::move(v);
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
+    return Emit(std::move(i));
   }
 
   // A register holding a BAT whose heads enumerate the scope's oids.
@@ -196,10 +229,7 @@ class Compiler {
       case Expr::Op::kVarRef: {
         auto set = db_->GetSet(expr->name);
         if (!set.ok()) return set.status();
-        Compiled c;
-        c.kind = Compiled::Kind::kScope;
-        c.set = set.value();
-        return c;
+        return Compiled{.kind = Compiled::Kind::kScope, .set = set.value()};
       }
       case Expr::Op::kSelect:
         return CompileSelect(expr);
@@ -215,10 +245,7 @@ class Compiler {
         if (inner.value().kind != Compiled::Kind::kBat) {
           return base::Status::TypeError("topN needs a mapped set");
         }
-        Compiled c;
-        c.kind = Compiled::Kind::kBat;
-        c.reg = EmitTopN(inner.value().reg, expr->n);
-        return c;
+        return Compiled{.reg = EmitTopN(inner.value().reg, expr->n)};
       }
       default:
         return base::Status::Unimplemented("cannot flatten: " +
@@ -234,43 +261,120 @@ class Compiler {
       // Selection over a mapped set: predicate on THIS.
       auto reg = CompileValuePred(expr->children[0], base.reg);
       if (!reg.ok()) return reg.status();
-      Compiled c;
-      c.kind = Compiled::Kind::kBat;
-      c.reg = reg.value();
-      return c;
+      return Compiled{.reg = reg.value()};
     }
     if (base.kind != Compiled::Kind::kScope) {
       return base::Status::TypeError("select over a scalar");
     }
     auto cand = CompilePred(expr->children[0], base);
     if (!cand.ok()) return cand.status();
-    Compiled c;
-    c.kind = Compiled::Kind::kScope;
-    c.set = base.set;
-    c.candidates = cand.value();
-    return c;
+    return Compiled{.kind = Compiled::Kind::kScope,
+                    .set = base.set,
+                    .candidates = cand.value()};
   }
 
-  // Predicate over a mapped BAT (THIS is the value).
+  // Predicate over a mapped BAT (THIS is the value): each conjunct
+  // filters the survivors of the previous one.
   base::Result<int> CompileValuePred(const ExprPtr& pred, int bat_reg) {
     if (pred->op == Expr::Op::kCmp) {
-      const ExprPtr& lhs = pred->children[0];
-      const ExprPtr& rhs = pred->children[1];
-      if (lhs->op == Expr::Op::kThis && rhs->op == Expr::Op::kLit) {
-        return EmitSelectCmp(bat_reg, ToCmpOp(pred->cmp), rhs->literal);
-      }
-      if (rhs->op == Expr::Op::kThis && lhs->op == Expr::Op::kLit) {
-        return EmitSelectCmp(bat_reg, FlipCmp(ToCmpOp(pred->cmp)),
-                             lhs->literal);
+      LiteralCmp c = AsLiteralCmp(*pred);
+      if (c.subject != nullptr && c.subject->op == Expr::Op::kThis) {
+        return EmitSelectCmp(bat_reg, c.cmp, *c.literal);
       }
     }
     if (pred->op == Expr::Op::kAnd) {
-      auto l = CompileValuePred(pred->children[0], bat_reg);
-      if (!l.ok()) return l;
-      return CompileValuePred(pred->children[1], l.value());
+      int reg = bat_reg;
+      for (const ConjunctStep& step : PlanConjunction(pred, Expr::Op::kThis)) {
+        if (step.pred == nullptr) {
+          reg = EmitSelectRange(reg, step.lower, step.upper);
+          continue;
+        }
+        auto next = CompileValuePred(step.pred, reg);
+        if (!next.ok()) return next;
+        reg = next.value();
+      }
+      return reg;
     }
     return base::Status::Unimplemented(
         "unsupported predicate over mapped set: " + pred->ToString());
+  }
+
+  static LiteralCmp AsLiteralCmp(const Expr& pred) {
+    const ExprPtr& lhs = pred.children[0];
+    const ExprPtr& rhs = pred.children[1];
+    LiteralCmp c;
+    if (rhs->op == Expr::Op::kLit) {
+      c = {lhs.get(), ToCmpOp(pred.cmp), &rhs->literal};
+    } else if (lhs->op == Expr::Op::kLit) {
+      c = {rhs.get(), FlipCmp(ToCmpOp(pred.cmp)), &lhs->literal};
+    }
+    return c;
+  }
+
+  static void CollectConjuncts(const ExprPtr& pred,
+                               std::vector<ExprPtr>* out) {
+    if (pred->op != Expr::Op::kAnd) {
+      out->push_back(pred);
+      return;
+    }
+    CollectConjuncts(pred->children[0], out);
+    CollectConjuncts(pred->children[1], out);
+  }
+
+  static bool IsLowerBound(CmpOp op) {
+    return op == CmpOp::kGt || op == CmpOp::kGe;
+  }
+
+  static bool IsUpperBound(CmpOp op) {
+    return op == CmpOp::kLt || op == CmpOp::kLe;
+  }
+
+  // Flattens nested `and`s into steps in conjunct order. Under
+  // optimization the first lower bound (> or >=) and the first upper
+  // bound (< or <=) against literals on each `subject_op` subject (THIS
+  // over a mapped set, THIS.<field> over a stored one) pair into one range
+  // step, placed where the earlier of the two stood. Every other conjunct
+  // (a further bound, ==, !=, an `or`) stays a step of its own: selection
+  // preserves tails, so the range equals the two chained selects.
+  std::vector<ConjunctStep> PlanConjunction(const ExprPtr& pred,
+                                            Expr::Op subject_op) const {
+    std::vector<ExprPtr> leaves;
+    CollectConjuncts(pred, &leaves);
+    std::vector<LiteralCmp> cmps(leaves.size());
+    struct FirstBounds {
+      int lower = -1;
+      int upper = -1;
+    };
+    std::map<std::string, FirstBounds> firsts;  // by subject text
+    for (size_t k = 0; options_.optimize && k < leaves.size(); ++k) {
+      if (leaves[k]->op != Expr::Op::kCmp) continue;
+      cmps[k] = AsLiteralCmp(*leaves[k]);
+      const Expr* subject = cmps[k].subject;
+      if (subject == nullptr || subject->op != subject_op) continue;
+      FirstBounds& f = firsts[subject->ToString()];
+      const int at = static_cast<int>(k);
+      if (IsLowerBound(cmps[k].cmp) && f.lower < 0) f.lower = at;
+      if (IsUpperBound(cmps[k].cmp) && f.upper < 0) f.upper = at;
+    }
+    std::vector<int> partner(leaves.size(), -1);
+    for (const auto& [subject, f] : firsts) {
+      if (f.lower < 0 || f.upper < 0) continue;
+      partner[static_cast<size_t>(f.lower)] = f.upper;
+      partner[static_cast<size_t>(f.upper)] = f.lower;
+    }
+    std::vector<ConjunctStep> steps;
+    for (size_t k = 0; k < leaves.size(); ++k) {
+      const int p = partner[k];
+      if (p < 0) {
+        steps.push_back({leaves[k], {}, {}});
+      } else if (p > static_cast<int>(k)) {  // the later bound is skipped
+        const LiteralCmp& other = cmps[static_cast<size_t>(p)];
+        const bool lower_first = IsLowerBound(cmps[k].cmp);
+        steps.push_back({nullptr, lower_first ? cmps[k] : other,
+                         lower_first ? other : cmps[k]});
+      }
+    }
+    return steps;
   }
 
   static CmpOp ToCmpOp(CmpKind kind) {
@@ -311,42 +415,43 @@ class Compiler {
   base::Result<int> CompilePred(const ExprPtr& pred, const Compiled& scope) {
     switch (pred->op) {
       case Expr::Op::kCmp: {
-        const ExprPtr& lhs = pred->children[0];
-        const ExprPtr& rhs = pred->children[1];
-        const ExprPtr* field = nullptr;
-        const ExprPtr* lit = nullptr;
-        CmpOp cmp = ToCmpOp(pred->cmp);
-        if (lhs->op == Expr::Op::kField && rhs->op == Expr::Op::kLit) {
-          field = &lhs;
-          lit = &rhs;
-        } else if (rhs->op == Expr::Op::kField &&
-                   lhs->op == Expr::Op::kLit) {
-          field = &rhs;
-          lit = &lhs;
-          cmp = FlipCmp(cmp);
-        } else {
+        LiteralCmp c = AsLiteralCmp(*pred);
+        if (c.subject == nullptr || c.subject->op != Expr::Op::kField) {
           return base::Status::Unimplemented(
               "selection predicates must compare THIS.<field> with a "
               "literal: " +
               pred->ToString());
         }
-        auto bat = LoadScopedField(**field, scope);
+        auto bat = LoadScopedField(*c.subject, scope);
         if (!bat.ok()) return bat.status();
-        return EmitSelectCmp(bat.value(), cmp, (*lit)->literal);
+        return EmitSelectCmp(bat.value(), c.cmp, *c.literal);
       }
       case Expr::Op::kAnd: {
-        auto l = CompilePred(pred->children[0], scope);
-        if (!l.ok()) return l;
-        // Thread the left candidates into the right side (sequential
+        if (!options_.optimize) {
+          // Independent evaluation of both sides, intersected.
+          auto l = CompilePred(pred->children[0], scope);
+          if (!l.ok()) return l;
+          auto r = CompilePred(pred->children[1], scope);
+          if (!r.ok()) return r;
+          return EmitBinary(mil::OpCode::kSemiJoinHead, l.value(), r.value());
+        }
+        // Thread each step's candidates into the next (sequential
         // filtering): strictly fewer tuples than independent evaluation.
         Compiled threaded = scope;
-        if (options_.optimize) {
-          threaded.candidates = l.value();
-          return CompilePred(pred->children[1], threaded);
+        for (const ConjunctStep& step :
+             PlanConjunction(pred, Expr::Op::kField)) {
+          base::Result<int> cand = -1;
+          if (step.pred != nullptr) {
+            cand = CompilePred(step.pred, threaded);
+          } else {
+            auto bat = LoadScopedField(*step.lower.subject, threaded);
+            if (!bat.ok()) return bat;
+            cand = EmitSelectRange(bat.value(), step.lower, step.upper);
+          }
+          if (!cand.ok()) return cand;
+          threaded.candidates = cand.value();
         }
-        auto r = CompilePred(pred->children[1], scope);
-        if (!r.ok()) return r;
-        return EmitBinary(mil::OpCode::kSemiJoinHead, l.value(), r.value());
+        return threaded.candidates;
       }
       case Expr::Op::kOr: {
         auto l = CompilePred(pred->children[0], scope);
@@ -402,23 +507,19 @@ class Compiler {
     }
     if (left.value().kind == Compiled::Kind::kBat) {
       // Mapped left side: filter the result BAT by oid membership.
-      Compiled c;
-      c.kind = Compiled::Kind::kBat;
-      c.reg = EmitBinary(mil::OpCode::kSemiJoinHead, left.value().reg,
-                         right_reg);
-      return c;
+      return Compiled{.reg = EmitBinary(mil::OpCode::kSemiJoinHead,
+                                        left.value().reg, right_reg)};
     }
     if (left.value().kind != Compiled::Kind::kScope) {
       return base::Status::TypeError("semijoin's left side must be a set");
     }
     auto left_base = BaseReg(left.value());
     if (!left_base.ok()) return left_base.status();
-    Compiled c;
-    c.kind = Compiled::Kind::kScope;
-    c.set = left.value().set;
-    c.candidates =
-        EmitBinary(mil::OpCode::kSemiJoinHead, left_base.value(), right_reg);
-    return c;
+    return Compiled{
+        .kind = Compiled::Kind::kScope,
+        .set = left.value().set,
+        .candidates = EmitBinary(mil::OpCode::kSemiJoinHead,
+                                 left_base.value(), right_reg)};
   }
 
   base::Result<Compiled> CompileMap(const ExprPtr& expr) {
@@ -449,27 +550,18 @@ class Compiler {
       }
       auto evidence = CompileGetBLEvidence(body, base);
       if (!evidence.ok()) return evidence.status();
-      Compiled c;
-      c.kind = Compiled::Kind::kBat;
-      c.reg = evidence.value().weighted_beliefs_by_doc;
-      return c;
+      return Compiled{.reg = evidence.value().weighted_beliefs_by_doc};
     }
 
     if (base.kind == Compiled::Kind::kScope) {
       auto reg = CompileScalarMap(body, base);
       if (!reg.ok()) return reg.status();
-      Compiled c;
-      c.kind = Compiled::Kind::kBat;
-      c.reg = reg.value();
-      return c;
+      return Compiled{.reg = reg.value()};
     }
     if (base.kind == Compiled::Kind::kBat) {
       auto reg = CompileScalarMapOverBat(body, base.reg);
       if (!reg.ok()) return reg.status();
-      Compiled c;
-      c.kind = Compiled::Kind::kBat;
-      c.reg = reg.value();
-      return c;
+      return Compiled{.reg = reg.value()};
     }
     return base::Status::TypeError("map over a scalar");
   }
@@ -525,15 +617,6 @@ class Compiler {
         return base::Status::Unimplemented("unsupported map body: " +
                                            body->ToString());
     }
-  }
-
-  int EmitUnaryOp(int src, UnOp op) {
-    mil::Instr i;
-    i.op = mil::OpCode::kMapUnary;
-    i.src0 = src;
-    i.un_op = op;
-    i.dst = prog_.NewReg();
-    return prog_.Emit(std::move(i));
   }
 
   // Scalar map body where THIS is the tail of an already-mapped BAT.
@@ -593,8 +676,10 @@ class Compiler {
     ResolvedQuery query;
   };
 
-  base::Result<GetBLEvidence> CompileGetBLEvidence(const ExprPtr& getbl,
-                                                   const Compiled& scope) {
+  // Resolves getBL's CONTREP field in the scope's set and its query
+  // variable's binding into `out->contrep` and `out->query`.
+  base::Status ResolveGetBL(const ExprPtr& getbl, const Compiled& scope,
+                            GetBLEvidence* out) const {
     const ExprPtr& rep = getbl->children[0];
     if (rep->op != Expr::Op::kField ||
         rep->children[0]->op != Expr::Op::kThis) {
@@ -602,8 +687,8 @@ class Compiler {
           "getBL's first argument must be THIS.<contrep field>");
     }
     MIRROR_CHECK(scope.set != nullptr);
-    const ContRepField* contrep = scope.set->FindContRep(rep->name);
-    if (contrep == nullptr) {
+    out->contrep = scope.set->FindContRep(rep->name);
+    if (out->contrep == nullptr) {
       return base::Status::NotFound("no CONTREP field '" + rep->name +
                                     "' in " + scope.set->name);
     }
@@ -611,12 +696,20 @@ class Compiler {
     if (binding == nullptr) {
       return base::Status::NotFound("unbound query variable: " + getbl->qvar);
     }
-    ResolvedQuery query = ResolveQuery(*binding, contrep->index.vocab());
+    out->query = ResolveQuery(*binding, out->contrep->index.vocab());
+    return base::Status::Ok();
+  }
+
+  base::Result<GetBLEvidence> CompileGetBLEvidence(const ExprPtr& getbl,
+                                                   const Compiled& scope) {
+    GetBLEvidence out;
+    MIRROR_RETURN_IF_ERROR(ResolveGetBL(getbl, scope, &out));
+    const ContRepField* contrep = out.contrep;
 
     // Constant query BATs.
     std::vector<int64_t> q_terms;
     std::vector<double> q_weights;
-    for (const auto& [term, w] : query.present) {
+    for (const auto& [term, w] : out.query.present) {
       q_terms.push_back(term);
       q_weights.push_back(w);
     }
@@ -632,10 +725,6 @@ class Compiler {
 
     const ir::CollectionStats& stats = contrep->index.stats();
     const monet::BeliefParams& params = contrep->network->params();
-
-    GetBLEvidence out;
-    out.contrep = contrep;
-    out.query = std::move(query);
 
     if (options_.optimize) {
       // Inverted evaluation: restrict the postings BEFORE computing
@@ -692,30 +781,13 @@ class Compiler {
     if (agg == AggKind::kCount) {
       // count(getBL(...)) is the number of distinct query terms, for
       // every element (duplicates merge at resolution, see ResolveQuery).
-      const ExprPtr& rep = getbl->children[0];
-      if (rep->op != Expr::Op::kField ||
-          rep->children[0]->op != Expr::Op::kThis) {
-        return base::Status::Unimplemented(
-            "getBL's first argument must be THIS.<contrep field>");
-      }
-      const ContRepField* contrep = scope.set->FindContRep(rep->name);
-      if (contrep == nullptr) {
-        return base::Status::NotFound("no CONTREP field '" + rep->name +
-                                      "' in " + scope.set->name);
-      }
-      const std::vector<WeightedTerm>* binding = ctx_->Find(getbl->qvar);
-      if (binding == nullptr) {
-        return base::Status::NotFound("unbound query variable: " +
-                                      getbl->qvar);
-      }
-      ResolvedQuery resolved =
-          ResolveQuery(*binding, contrep->index.vocab());
+      GetBLEvidence resolved;
+      MIRROR_RETURN_IF_ERROR(ResolveGetBL(getbl, scope, &resolved));
       auto base = BaseReg(scope);
       if (!base.ok()) return base.status();
-      Compiled c;
-      c.kind = Compiled::Kind::kBat;
-      c.reg = EmitFill(base.value(), Value::MakeInt(resolved.term_count));
-      return c;
+      return Compiled{.reg = EmitFill(
+                          base.value(),
+                          Value::MakeInt(resolved.query.term_count))};
     }
     if (agg != AggKind::kSum && agg != AggKind::kAvg &&
         agg != AggKind::kMax && agg != AggKind::kProd &&
@@ -866,13 +938,7 @@ class Compiler {
       // min) instruction (OptimizerReport.fold_rewrites), which skips the
       // bounded sort and doubles as the shard engine's cross-shard merge
       // form; this emission stays as the O0 baseline.
-      mil::Instr top;
-      top.op = mil::OpCode::kTopN;
-      top.src0 = base.reg;
-      top.n = 1;
-      top.flag0 = expr->agg == AggKind::kMax;  // descending
-      top.dst = prog_.NewReg();
-      int one = prog_.Emit(std::move(top));
+      int one = EmitTopN(base.reg, 1, expr->agg == AggKind::kMax);
       c.reg = EmitUnary(mil::OpCode::kScalarSum, one);
       return c;
     }

@@ -17,10 +17,14 @@ struct FlattenOptions {
   ///  - getBL evaluates inverted: postings are restricted to the query's
   ///    terms (and to candidate documents from enclosing selections)
   ///    BEFORE the belief computation;
-  ///  - selection candidates are pushed into content plans.
+  ///  - selection candidates are pushed into content plans;
+  ///  - conjuncts filter sequentially, each over the previous one's
+  ///    candidates, and the first lower bound (> or >=) and first upper
+  ///    bound (< or <=) against literals on one field (or on THIS over a
+  ///    mapped set) compile to one select.range instead of two selects.
   /// When false, beliefs are computed for every posting and filtered
-  /// afterwards (the un-optimized algebraic translation): experiment E2's
-  /// baseline.
+  /// afterwards, and conjuncts are evaluated independently and intersected
+  /// (the un-optimized algebraic translation): experiment E2's baseline.
   bool optimize = true;
 };
 
@@ -35,7 +39,8 @@ struct FlattenOptions {
 ///  - `map[...]` with scalar bodies (field access, arithmetic);
 ///  - the content-ranking pattern
 ///    `map[sum(THIS)](map[getBL(THIS.f, q, stats)](X))` (also `count`);
-///  - aggregates `sum/count` over mapped sets; `topN`.
+///  - scalar aggregates `sum/count/avg/max/min` over mapped sets;
+///    `topN`.
 ///
 /// A bare `map[getBL(...)](X)` compiles to the sparse evidence BAT
 /// (beliefs of query terms present in each document); the total map

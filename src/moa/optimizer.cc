@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "base/str_util.h"
-#include "monet/exec.h"
-#include "monet/recycler.h"
 
 namespace mirror::moa {
 
@@ -123,72 +121,6 @@ std::vector<int> CountRegisterUses(const mil::Program& program) {
   return uses;
 }
 
-bool IsLowerBoundCmp(monet::CmpOp op) {
-  return op == monet::CmpOp::kGe || op == monet::CmpOp::kGt;
-}
-
-bool IsUpperBoundCmp(monet::CmpOp op) {
-  return op == monet::CmpOp::kLe || op == monet::CmpOp::kLt;
-}
-
-/// Fuses `select.cmp(select.cmp(X, lower), upper)` (either bound order)
-/// into one `select.range(X, lo, hi)` when the inner select has no other
-/// consumer. Selection preserves tails, so restricting the outer predicate
-/// over the inner's survivors equals the conjunction over X; the fused
-/// instruction scans once, and the engine's candidate pipeline then emits
-/// a single candidate list for the pair. The orphaned inner select is left
-/// for DCE.
-void FuseSelectRanges(mil::Program* program, OptimizerReport* report) {
-  std::vector<int> uses = CountRegisterUses(*program);
-  // Producer index per register (straight-line SSA).
-  std::vector<int> producer(static_cast<size_t>(program->num_regs()), -1);
-  const std::vector<mil::Instr>& instrs = program->instrs();
-  for (size_t idx = 0; idx < instrs.size(); ++idx) {
-    int dst = instrs[idx].dst;
-    if (dst < 0 || producer[static_cast<size_t>(dst)] != -1) return;  // not SSA
-    producer[static_cast<size_t>(dst)] = static_cast<int>(idx);
-  }
-  mil::Program rewritten;
-  while (rewritten.num_regs() < program->num_regs()) rewritten.NewReg();
-  for (size_t idx = 0; idx < instrs.size(); ++idx) {
-    mil::Instr copy = instrs[idx];
-    if (copy.op == mil::OpCode::kSelectCmp && copy.src0 >= 0 &&
-        (IsLowerBoundCmp(copy.cmp_op) || IsUpperBoundCmp(copy.cmp_op))) {
-      int p = producer[static_cast<size_t>(copy.src0)];
-      if (p >= 0 && uses[static_cast<size_t>(copy.src0)] == 1) {
-        const mil::Instr& inner = instrs[static_cast<size_t>(p)];
-        bool complementary =
-            inner.op == mil::OpCode::kSelectCmp &&
-            ((IsLowerBoundCmp(inner.cmp_op) && IsUpperBoundCmp(copy.cmp_op)) ||
-             (IsUpperBoundCmp(inner.cmp_op) && IsLowerBoundCmp(copy.cmp_op)));
-        if (complementary) {
-          // One of the two bounds is `copy` itself: read both into locals
-          // before any field of `copy` is overwritten.
-          const mil::Instr& lower_i =
-              IsLowerBoundCmp(inner.cmp_op) ? inner : copy;
-          const mil::Instr& upper_i =
-              IsLowerBoundCmp(inner.cmp_op) ? copy : inner;
-          monet::Value lo = lower_i.imm0;
-          monet::Value hi = upper_i.imm0;
-          const bool lo_incl = lower_i.cmp_op == monet::CmpOp::kGe;
-          const bool hi_incl = upper_i.cmp_op == monet::CmpOp::kLe;
-          copy.op = mil::OpCode::kSelectRange;
-          copy.src0 = inner.src0;
-          copy.imm0 = std::move(lo);
-          copy.imm1 = std::move(hi);
-          copy.flag0 = lo_incl;
-          copy.flag1 = hi_incl;
-          copy.cmp_op = monet::CmpOp::kEq;
-          if (report != nullptr) report->range_fusions++;
-        }
-      }
-    }
-    rewritten.Emit(std::move(copy));
-  }
-  rewritten.set_result_reg(program->result_reg());
-  *program = std::move(rewritten);
-}
-
 /// Pushes scalar sums through multiplex add/sub: when a `scalar.sum`'s
 /// source is a `map.bin(x, y, add|sub)` with no other consumer, the sum
 /// distributes over the arithmetic —
@@ -295,129 +227,9 @@ void RewriteScalarFolds(mil::Program* program, OptimizerReport* report) {
   *program = std::move(rewritten);
 }
 
-/// Counts select→select/semijoin/slice chain links: each is one tuple
-/// copy the candidate-vector engine avoids relative to the materializing
-/// interpreter. (mil::IsCandidatePipelineOp is the engine's own notion of
-/// the candidate family.)
-int CountCandidateChainLinks(const mil::Program& program) {
-  std::vector<mil::OpCode> producer_op(
-      static_cast<size_t>(program.num_regs()), mil::OpCode::kLoadNamed);
-  std::vector<bool> produced(static_cast<size_t>(program.num_regs()), false);
-  int links = 0;
-  for (const mil::Instr& i : program.instrs()) {
-    if (mil::IsCandidatePipelineOp(i.op) && i.src0 >= 0 &&
-        produced[static_cast<size_t>(i.src0)] &&
-        mil::IsCandidatePipelineOp(
-            producer_op[static_cast<size_t>(i.src0)])) {
-      ++links;
-    }
-    if (i.dst >= 0) {
-      produced[static_cast<size_t>(i.dst)] = true;
-      producer_op[static_cast<size_t>(i.dst)] = i.op;
-    }
-  }
-  return links;
-}
-
-/// Counts the instructions the shard-parallel engine will fan out
-/// shard-locally: a register is "shardable" when it is fed by a load (of
-/// what would be a sharded name) or by a shard-preserving operator over a
-/// shardable source, and every shard-local-class instruction consuming a
-/// shardable src0 counts — the unary family verbatim
-/// (mil::IsShardLocalUnaryOp, the engine's own notion), plus semijoins,
-/// join probes, topN partials and scalar-fold partials, whose side
-/// conditions the engine re-checks per register at run time.
-int CountShardFanouts(const mil::Program& program) {
-  std::vector<bool> shardable(static_cast<size_t>(program.num_regs()), false);
-  int fanouts = 0;
-  for (const mil::Instr& i : program.instrs()) {
-    bool src_sharded =
-        i.src0 >= 0 && shardable[static_cast<size_t>(i.src0)];
-    bool out_sharded = false;
-    if (i.op == mil::OpCode::kLoadNamed) {
-      out_sharded = true;
-    } else if (src_sharded) {
-      switch (i.op) {
-        case mil::OpCode::kSemiJoinHead:
-        case mil::OpCode::kAntiJoinHead:
-        case mil::OpCode::kSemiJoinTail:
-        case mil::OpCode::kJoin:
-          ++fanouts;
-          out_sharded = true;
-          break;
-        case mil::OpCode::kTopN:
-        case mil::OpCode::kScalarSum:
-        case mil::OpCode::kScalarCount:
-        case mil::OpCode::kScalarFold:
-          // Fan out per shard, then merge: the dst is global.
-          ++fanouts;
-          break;
-        default:
-          if (mil::IsShardLocalUnaryOp(i.op)) {
-            ++fanouts;
-            out_sharded = true;
-          }
-          break;
-      }
-    }
-    if (i.dst >= 0) shardable[static_cast<size_t>(i.dst)] = out_sharded;
-  }
-  return fanouts;
-}
-
-/// Counts join inputs produced by candidate-pipeline operators: each is
-/// one Materialize() the radix join engine avoids by probing (src0) or
-/// building (src1) directly over the candidate view.
-int CountJoinInputFusions(const mil::Program& program) {
-  std::vector<bool> is_candidate(static_cast<size_t>(program.num_regs()),
-                                 false);
-  int fusions = 0;
-  for (const mil::Instr& i : program.instrs()) {
-    if (i.op == mil::OpCode::kJoin) {
-      for (int src : {i.src0, i.src1}) {
-        if (src >= 0 && is_candidate[static_cast<size_t>(src)]) ++fusions;
-      }
-    }
-    if (i.dst >= 0) {
-      is_candidate[static_cast<size_t>(i.dst)] =
-          mil::IsCandidatePipelineOp(i.op);
-    }
-  }
-  return fusions;
-}
-
-/// Counts selects the recycler can key: their input register's sole
-/// writer is a kLoadNamed and the predicate normalizes to an interval in
-/// double space (the same SelectPredicate::FromInstr the engine uses, so
-/// the diagnostic and the runtime agree on eligibility).
-int CountRecycleEligibleSelects(const mil::Program& program) {
-  const size_t num_regs = static_cast<size_t>(program.num_regs());
-  std::vector<int> writers(num_regs, 0);
-  std::vector<std::string> load_name(num_regs);
-  for (const mil::Instr& i : program.instrs()) {
-    if (i.dst >= 0 && i.dst < static_cast<int>(num_regs)) {
-      ++writers[static_cast<size_t>(i.dst)];
-      load_name[static_cast<size_t>(i.dst)] =
-          i.op == mil::OpCode::kLoadNamed ? i.name : std::string();
-    }
-  }
-  int eligible = 0;
-  for (const mil::Instr& i : program.instrs()) {
-    if (i.src0 < 0 || i.src0 >= static_cast<int>(num_regs)) continue;
-    const size_t src = static_cast<size_t>(i.src0);
-    if (writers[src] != 1 || load_name[src].empty()) continue;
-    monet::SelectPredicate pred;
-    if (monet::SelectPredicate::FromInstr(i, load_name[src], &pred)) {
-      ++eligible;
-    }
-  }
-  return eligible;
-}
-
 }  // namespace
 
 void OptimizeMil(mil::Program* program, OptimizerReport* report) {
-  FuseSelectRanges(program, report);
   FuseScalarAggregates(program, report);
   RewriteScalarFolds(program, report);
 
@@ -456,12 +268,6 @@ void OptimizeMil(mil::Program* program, OptimizerReport* report) {
 
   size_t dce = rewritten.EliminateDeadCode();
   if (report != nullptr) report->dce_removed += dce;
-  if (report != nullptr) {
-    report->candidate_chain_links += CountCandidateChainLinks(rewritten);
-    report->join_input_fusions += CountJoinInputFusions(rewritten);
-    report->shard_fanouts += CountShardFanouts(rewritten);
-    report->recycle_eligible_selects += CountRecycleEligibleSelects(rewritten);
-  }
   *program = std::move(rewritten);
 }
 

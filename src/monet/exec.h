@@ -184,16 +184,14 @@ class ExecutionContext {
 };
 
 /// True for the opcodes the engine can run over candidate vectors (the
-/// select/semijoin/slice family). Single source of truth shared with the
-/// optimizer's candidate-chain diagnostics.
+/// select/semijoin/slice family).
 bool IsCandidatePipelineOp(OpCode op);
 
 /// True for the unary opcodes whose output provably stays inside the
 /// input's shard fragment (rows subset or map 1:1, head oids preserved),
-/// so the shard engine runs them shard-locally without a gather. Shared
-/// with the optimizer's shard-fanout diagnostic; semijoins, joins, topN
-/// and scalar folds fan out too but under side conditions the engine
-/// checks at run time.
+/// so the shard engine runs them shard-locally without a gather.
+/// Semijoins, joins, topN and scalar folds fan out too but under side
+/// conditions the engine checks at run time.
 bool IsShardLocalUnaryOp(OpCode op);
 
 /// Data-flow MIL executor: builds the SSA register dependency DAG of a
