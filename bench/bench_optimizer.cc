@@ -1,8 +1,10 @@
 // Experiment E2 (paper §2): "the translation from the logical data model
 // into a different physical model provides an excellent basis for
 // algebraic query optimization". Compares the optimized translation
-// (rewrites + inverted getBL + MIL CSE/DCE) against the naive algebraic
-// translation: kernel operations executed, tuples touched, wall time.
+// (logical rewrites, then the optimizing flattener: inverted getBL,
+// threaded conjuncts, range pairing, shared instructions emitted once)
+// against the naive algebraic translation: kernel operations executed,
+// tuples touched, wall time.
 
 #include <cstdio>
 
@@ -69,7 +71,7 @@ Measurement Measure(const MirrorDb& db, const moa::QueryContext& ctx,
 
 int main() {
   std::printf(
-      "E2: algebraic optimization (rewrites + inverted getBL + CSE/DCE)\n"
+      "E2: algebraic optimization (rewrites + optimizing flattener)\n"
       "vs the naive algebraic translation, N = 20000 documents.\n\n");
   MirrorDb db;
   BuildLibrary(&db, 20000, /*seed=*/99);

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (configure, build, ctest), a smoke run of
-# the kernel and retrieval benchmarks gated on the ratios they write to
-# BENCH_retrieval.json, the end-to-end benchmark's self-test and quick
-# run, an ASan+UBSan job over the full ctest, and a TSan job
-# over the concurrent daemon and engine tests.
+# CI entry point: tier-1 verify (configure, build, ctest), smoke runs of
+# the kernel, retrieval, optimizer and ablation benchmarks gated on the
+# ratios and counts they write to BENCH_retrieval.json, the end-to-end
+# benchmark's self-test and quick run, an ASan+UBSan job over the full
+# ctest, and a TSan job over the concurrent daemon and engine tests.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -45,6 +45,11 @@ echo "== bench smoke: BAT kernel =="
 
 echo "== bench smoke: retrieval (E3a/E3b/E3c) =="
 (cd build && ./bench_retrieval)
+
+echo "== bench smoke: optimizer (E2) and belief ablation (E11a) =="
+# Both compile their queries through MirrorDb's Prepare path; any query
+# that fails to compile or run aborts the binary (MIRROR_CHECK).
+(cd build && ./bench_optimizer && ./bench_ablation)
 
 echo "== speedup gate (E3c selection-heavy plan, 400k rows) =="
 # Baseline is the materializing sequential mil::Executor on the same

@@ -386,14 +386,14 @@ size_t MirrorDb::registered_session_count() const {
 
 base::Result<PreparedQuery> MirrorDb::Prepare(
     const std::string& query_text, const moa::QueryContext& ctx,
-    const QueryOptions& options, mil::ExecutionContext* session) const {
+    const QueryOptions& options) const {
   std::shared_lock<QuiesceGate> gate(gate_);
-  return PrepareLocked(query_text, ctx, options, session);
+  return PrepareLocked(query_text, ctx, options);
 }
 
 base::Result<PreparedQuery> MirrorDb::PrepareLocked(
     const std::string& query_text, const moa::QueryContext& ctx,
-    const QueryOptions& options, mil::ExecutionContext* session) const {
+    const QueryOptions& options) const {
   auto parsed = moa::ParseExpr(query_text);
   if (!parsed.ok()) return parsed.status();
   PreparedQuery prepared;
@@ -403,14 +403,10 @@ base::Result<PreparedQuery> MirrorDb::PrepareLocked(
         moa::RewriteLogical(prepared.logical, &prepared.optimizer);
   }
   moa::Flattener flattener(&logical_, &ctx,
-                           moa::FlattenOptions{.optimize = options.optimize},
-                           session);
+                           moa::FlattenOptions{.optimize = options.optimize});
   auto program = flattener.Compile(prepared.logical);
   if (!program.ok()) return program.status();
   prepared.program = program.TakeValue();
-  if (options.optimize) {
-    moa::OptimizeMil(&prepared.program, &prepared.optimizer);
-  }
   return prepared;
 }
 
@@ -488,10 +484,7 @@ base::Result<moa::EvalOutput> MirrorDb::Query(
       return ExecuteProgramLocked(*plan, options, session);
     }
   }
-  // Prepare without the session: Query caches the fully optimized plan
-  // under its own key below, and letting the Flattener insert a second
-  // "flat:" entry for the same query would only burn cache capacity.
-  auto prepared = PrepareLocked(query_text, ctx, options, nullptr);
+  auto prepared = PrepareLocked(query_text, ctx, options);
   if (!prepared.ok()) return prepared.status();
   if (session != nullptr) {
     session->CachePlan(key, prepared.value().program);

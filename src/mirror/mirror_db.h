@@ -31,7 +31,8 @@ struct QueryOptions {
   /// false, the naive tuple-at-a-time object interpreter runs instead
   /// (the [BWK98] baseline, kept as the semantic oracle).
   bool flattened = true;
-  /// Algebraic rewriting + optimized physical translation + MIL peephole.
+  /// Algebraic rewriting + optimized physical translation (the flattener
+  /// emits the final MIL; see moa::FlattenOptions).
   bool optimize = true;
   /// Vectorized engine knobs: threads, shards, pruning, recycling.
   monet::mil::ExecOptions exec;
@@ -69,7 +70,7 @@ struct RecoveryStats {
 struct PreparedQuery {
   moa::ExprPtr logical;           // after rewriting
   monet::mil::Program program;    // physical plan (flattened mode)
-  moa::OptimizerReport optimizer; // what the optimizer did
+  moa::OptimizerReport optimizer; // what the logical rewrites did
 };
 
 /// The Mirror DBMS: "a research database system ... to better understand
@@ -193,17 +194,15 @@ class MirrorDb {
   /// Number of currently registered sessions (diagnostics/tests).
   size_t registered_session_count() const;
 
-  /// Parses, optimizes and compiles a query without running it. A
-  /// non-null `session` consults/fills the session's flatten-level plan
-  /// cache.
-  base::Result<PreparedQuery> Prepare(
-      const std::string& query_text, const moa::QueryContext& ctx,
-      const QueryOptions& options,
-      monet::mil::ExecutionContext* session = nullptr) const;
+  /// Parses, optimizes and compiles a query without running it: parse,
+  /// RewriteLogical, flatten. No plan cache is consulted (Query's is).
+  base::Result<PreparedQuery> Prepare(const std::string& query_text,
+                                      const moa::QueryContext& ctx,
+                                      const QueryOptions& options) const;
 
   /// Executes a query in the paper's surface syntax. With a `session`,
-  /// repeated queries (same normalized text and bindings) skip parsing,
-  /// flattening and MIL optimization via the session plan cache.
+  /// repeated queries (same normalized text and bindings) skip parsing
+  /// and compilation via the session plan cache.
   /// RegisterSession()ed sessions are invalidated automatically on Load;
   /// unregistered ones must call session->InvalidatePlans() after a
   /// re-Load themselves.
@@ -282,9 +281,9 @@ class MirrorDb {
   /// Prepare/ExecuteProgram bodies without the gate — Query holds the
   /// shared side once for its whole pipeline and calls these, while the
   /// public wrappers acquire it for external callers.
-  base::Result<PreparedQuery> PrepareLocked(
-      const std::string& query_text, const moa::QueryContext& ctx,
-      const QueryOptions& options, monet::mil::ExecutionContext* session) const;
+  base::Result<PreparedQuery> PrepareLocked(const std::string& query_text,
+                                            const moa::QueryContext& ctx,
+                                            const QueryOptions& options) const;
   base::Result<moa::EvalOutput> ExecuteProgramLocked(
       const monet::mil::Program& program, const QueryOptions& options,
       monet::mil::ExecutionContext* session) const;

@@ -78,8 +78,16 @@ class Compiler {
  private:
   // -- Emission helpers ----------------------------------------------------
 
-  // Appends `i` writing a fresh register; returns that register.
+  // Appends `i` writing a fresh register; returns that register. Under
+  // optimization an instruction identical to an earlier one (all MIL
+  // operators are pure) returns the earlier register instead, so shared
+  // column loads and semijoins are emitted once.
   int Emit(mil::Instr i) {
+    if (options_.optimize) {
+      for (const mil::Instr& prior : prog_.instrs()) {
+        if (prior.SameOperation(i)) return prior.dst;
+      }
+    }
     i.dst = prog_.NewReg();
     return prog_.Emit(std::move(i));
   }
@@ -187,6 +195,14 @@ class Compiler {
     i.src0 = src;
     i.n = n;
     i.flag0 = descending;
+    return Emit(std::move(i));
+  }
+
+  int EmitScalarFold(int src, monet::FoldOp op) {
+    mil::Instr i;
+    i.op = mil::OpCode::kScalarFold;
+    i.src0 = src;
+    i.fold_op = op;
     return Emit(std::move(i));
   }
 
@@ -548,20 +564,24 @@ class Compiler {
       if (base.kind != Compiled::Kind::kScope) {
         return base::Status::TypeError("getBL needs a stored set");
       }
-      auto evidence = CompileGetBLEvidence(body, base);
+      auto evidence = CompileGetBLEvidence(body, base, /*with_weights=*/false);
       if (!evidence.ok()) return evidence.status();
       return Compiled{.reg = evidence.value().weighted_beliefs_by_doc};
     }
 
+    auto reg = CompileMapBody(body, base);
+    if (!reg.ok()) return reg.status();
+    return Compiled{.reg = reg.value()};
+  }
+
+  // Scalar map body over a compiled source: a stored-set scope or an
+  // already-mapped BAT.
+  base::Result<int> CompileMapBody(const ExprPtr& body, const Compiled& base) {
     if (base.kind == Compiled::Kind::kScope) {
-      auto reg = CompileScalarMap(body, base);
-      if (!reg.ok()) return reg.status();
-      return Compiled{.reg = reg.value()};
+      return CompileScalarMap(body, base);
     }
     if (base.kind == Compiled::Kind::kBat) {
-      auto reg = CompileScalarMapOverBat(body, base.reg);
-      if (!reg.ok()) return reg.status();
-      return Compiled{.reg = reg.value()};
+      return CompileScalarMapOverBat(body, base.reg);
     }
     return base::Status::TypeError("map over a scalar");
   }
@@ -671,7 +691,7 @@ class Compiler {
 
   struct GetBLEvidence {
     int weighted_beliefs_by_doc = -1;  // (doc -> w*bel), present terms only
-    int weights_by_doc = -1;           // (doc -> w), aligned
+    int weights_by_doc = -1;           // (doc -> w), aligned, if emitted
     const ContRepField* contrep = nullptr;
     ResolvedQuery query;
   };
@@ -700,8 +720,13 @@ class Compiler {
     return base::Status::Ok();
   }
 
+  // Emits the query's evidence over the scope's postings. Under
+  // optimization `weights_by_doc` is emitted only `with_weights` (the
+  // sum/avg scores read it); the un-optimized translation, E2's
+  // baseline, always emits it.
   base::Result<GetBLEvidence> CompileGetBLEvidence(const ExprPtr& getbl,
-                                                   const Compiled& scope) {
+                                                   const Compiled& scope,
+                                                   bool with_weights) {
     GetBLEvidence out;
     MIRROR_RETURN_IF_ERROR(ResolveGetBL(getbl, scope, &out));
     const ContRepField* contrep = out.contrep;
@@ -747,7 +772,9 @@ class Compiler {
       int docr = EmitUnary(mil::OpCode::kReverse, doc_k);
       out.weighted_beliefs_by_doc =
           EmitBinary(mil::OpCode::kJoin, docr, wbel);
-      out.weights_by_doc = EmitBinary(mil::OpCode::kJoin, docr, w_k);
+      if (with_weights) {
+        out.weights_by_doc = EmitBinary(mil::OpCode::kJoin, docr, w_k);
+      }
       return out;
     }
 
@@ -795,7 +822,9 @@ class Compiler {
       return base::Status::Unimplemented(
           "min over getBL is not flattened; use the naive engine");
     }
-    auto evidence = CompileGetBLEvidence(getbl, scope);
+    auto evidence = CompileGetBLEvidence(
+        getbl, scope,
+        /*with_weights=*/agg == AggKind::kSum || agg == AggKind::kAvg);
     if (!evidence.ok()) return evidence.status();
     const GetBLEvidence& ev = evidence.value();
     double alpha = ev.contrep->network->params().alpha;
@@ -893,6 +922,10 @@ class Compiler {
   }
 
   base::Result<Compiled> CompileAgg(const ExprPtr& expr) {
+    if (options_.optimize && expr->agg == AggKind::kSum &&
+        IsMapOfSumOrDifference(*expr->children[0])) {
+      return CompileSplitSum(*expr->children[0]);
+    }
     auto inner = CompileNode(expr->children[0]);
     if (!inner.ok()) return inner;
     Compiled base = inner.TakeValue();
@@ -929,21 +962,57 @@ class Compiler {
     }
     if ((expr->agg == AggKind::kMax || expr->agg == AggKind::kMin) &&
         base.kind == Compiled::Kind::kBat) {
-      // max = sum(topN(1, descending)), min the ascending mirror: the
-      // bounded top-1 selection keeps the extremum's single row and the
-      // scalar sum of a one-row BAT reads it out. Both instructions fuse
-      // over candidate views, and topN(1) of the empty set is empty,
-      // whose sum is 0 — the naive oracle's extremum of the empty set.
-      // Under OptimizeMil the pair collapses into one scalar.fold(max|
-      // min) instruction (OptimizerReport.fold_rewrites), which skips the
-      // bounded sort and doubles as the shard engine's cross-shard merge
-      // form; this emission stays as the O0 baseline.
-      int one = EmitTopN(base.reg, 1, expr->agg == AggKind::kMax);
+      const bool max = expr->agg == AggKind::kMax;
+      if (options_.optimize) {
+        // One scalar.fold reads the column once, fuses over candidate
+        // views and is the form the shard engine merges across shards.
+        // Its empty value is 0, the naive oracle's extremum of the empty
+        // set.
+        c.reg = EmitScalarFold(base.reg,
+                               max ? monet::FoldOp::kMax : monet::FoldOp::kMin);
+        return c;
+      }
+      // The un-optimized spelling: max = sum(topN(1, descending)), min
+      // the ascending mirror. The bounded top-1 selection keeps the
+      // extremum's single row and the scalar sum of a one-row BAT reads
+      // it out; topN(1) of the empty set is empty, whose sum is 0.
+      int one = EmitTopN(base.reg, 1, max);
       c.reg = EmitUnary(mil::OpCode::kScalarSum, one);
       return c;
     }
     return base::Status::Unimplemented(
         "only sum/count/avg/max/min scalar aggregates are flattened");
+  }
+
+  // map[a + b](X) or map[a - b](X) where neither operand is a literal:
+  // the body that compiles to one multiplex map.bin.
+  static bool IsMapOfSumOrDifference(const Expr& expr) {
+    if (expr.op != Expr::Op::kMap) return false;
+    const Expr& body = *expr.children[0];
+    return body.op == Expr::Op::kArith &&
+           (body.arith == ArithKind::kAdd || body.arith == ArithKind::kSub) &&
+           body.children[0]->op != Expr::Op::kLit &&
+           body.children[1]->op != Expr::Op::kLit;
+  }
+
+  // sum(map[a ± b](X)) = sum(map[a](X)) ± sum(map[b](X)): two scalar.sum
+  // and one scalar.bin instead of a multiplex map.bin, which would force
+  // both inputs to materialize, while the two sums run fused over the
+  // candidate views. One level only: the operands compile as ordinary
+  // map bodies. Heads are positionally aligned by construction, and int
+  // sums widen to double either way.
+  base::Result<Compiled> CompileSplitSum(const Expr& map) {
+    auto inner = CompileNode(map.children[1]);
+    if (!inner.ok()) return inner;
+    const Expr& body = *map.children[0];
+    auto l = CompileMapBody(body.children[0], inner.value());
+    if (!l.ok()) return l.status();
+    auto r = CompileMapBody(body.children[1], inner.value());
+    if (!r.ok()) return r.status();
+    int sum_l = EmitUnary(mil::OpCode::kScalarSum, l.value());
+    int sum_r = EmitUnary(mil::OpCode::kScalarSum, r.value());
+    return Compiled{.kind = Compiled::Kind::kScalar,
+                    .reg = EmitScalarBin(sum_l, sum_r, ToBinOp(body.arith))};
   }
 
   const Database* db_;
@@ -955,24 +1024,7 @@ class Compiler {
 }  // namespace
 
 base::Result<mil::Program> Flattener::Compile(const ExprPtr& expr) const {
-  std::string key;
-  if (exec_ctx_ != nullptr) {
-    // Flattened programs embed the resolved query bindings (constant
-    // query-term BATs), so the key covers expression text, options and
-    // bindings. Valid until the database is re-loaded; see
-    // ExecutionContext::InvalidatePlans.
-    key = std::string("flat:") + (options_.optimize ? "O1:" : "O0:") +
-          mil::ExecutionContext::NormalizeText(expr->ToString()) + "|" +
-          ctx_->CacheKey();
-    if (std::shared_ptr<const mil::Program> plan = exec_ctx_->CachedPlan(key)) {
-      return *plan;
-    }
-  }
-  auto program = Compiler(db_, ctx_, options_).Run(expr);
-  if (program.ok() && exec_ctx_ != nullptr) {
-    exec_ctx_->CachePlan(key, program.value());
-  }
-  return program;
+  return Compiler(db_, ctx_, options_).Run(expr);
 }
 
 }  // namespace mirror::moa

@@ -5,7 +5,6 @@
 #include "moa/database.h"
 #include "moa/expr.h"
 #include "moa/query_context.h"
-#include "monet/exec.h"
 #include "monet/mil.h"
 
 namespace mirror::moa {
@@ -22,9 +21,20 @@ struct FlattenOptions {
   ///    candidates, and the first lower bound (> or >=) and first upper
   ///    bound (< or <=) against literals on one field (or on THIS over a
   ///    mapped set) compile to one select.range instead of two selects.
+  /// Its emission is the final MIL, by four rules:
+  ///  - an instruction identical to an earlier one reuses its register
+  ///    (mil::Instr::SameOperation), so shared loads and semijoins are
+  ///    emitted once;
+  ///  - max/min compile to one scalar.fold(max|min);
+  ///  - sum(map[a ± b](X)) compiles to two scalar.sum and one scalar.bin
+  ///    (one level; no map.bin);
+  ///  - getBL's (doc -> weight) join is emitted only for sum/avg scores,
+  ///    the only ones that read it.
   /// When false, beliefs are computed for every posting and filtered
-  /// afterwards, and conjuncts are evaluated independently and intersected
-  /// (the un-optimized algebraic translation): experiment E2's baseline.
+  /// afterwards, conjuncts are evaluated independently and intersected,
+  /// max/min are sum(topN(1)) and every instruction is emitted as
+  /// translated (the un-optimized algebraic translation): experiment E2's
+  /// baseline.
   bool optimize = true;
 };
 
@@ -49,14 +59,10 @@ struct FlattenOptions {
 /// agree exactly.
 class Flattener {
  public:
-  /// `db`, `ctx` and `exec_ctx` must outlive the flattener. A non-null
-  /// `exec_ctx` enables the session plan cache: repeated compilations of
-  /// the same expression under the same query bindings return the cached
-  /// MIL program instead of re-flattening.
+  /// `db` and `ctx` must outlive the flattener.
   Flattener(const Database* db, const QueryContext* ctx,
-            FlattenOptions options = FlattenOptions(),
-            monet::mil::ExecutionContext* exec_ctx = nullptr)
-      : db_(db), ctx_(ctx), options_(options), exec_ctx_(exec_ctx) {}
+            FlattenOptions options = FlattenOptions())
+      : db_(db), ctx_(ctx), options_(options) {}
 
   /// Translates `expr` into a MIL program ready for the ExecutionEngine
   /// (or the legacy mil::Executor) bound to `db->catalog()`.
@@ -66,7 +72,6 @@ class Flattener {
   const Database* db_;
   const QueryContext* ctx_;
   FlattenOptions options_;
-  monet::mil::ExecutionContext* exec_ctx_;
 };
 
 }  // namespace mirror::moa

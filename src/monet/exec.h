@@ -135,8 +135,9 @@ struct RegValue {
 };
 
 /// Session-scoped execution state: the per-query register file (reused
-/// across runs to avoid reallocation) and a plan cache keyed by normalized
-/// program text, so repeated Moa queries skip re-flattening entirely.
+/// across runs to avoid reallocation) and the plan cache MirrorDb::Query
+/// keys by normalized query text, options and bindings, so repeated Moa
+/// queries skip compilation entirely.
 ///
 /// One context serves one session: a single query runs on it at a time
 /// (the process-wide worker pool parallelizes WITHIN that query; the

@@ -1,5 +1,7 @@
 #include "monet/mil.h"
 
+#include <bit>
+#include <cstdint>
 #include <variant>
 
 #include "base/str_util.h"
@@ -165,6 +167,29 @@ std::string Instr::ToString() const {
   return out;
 }
 
+namespace {
+
+bool SameImmediate(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() == ValueType::kDbl) {
+    return std::bit_cast<uint64_t>(a.d()) == std::bit_cast<uint64_t>(b.d());
+  }
+  return a == b;
+}
+
+}  // namespace
+
+bool Instr::SameOperation(const Instr& o) const {
+  return op == o.op && src0 == o.src0 && src1 == o.src1 && src2 == o.src2 &&
+         SameImmediate(imm0, o.imm0) && SameImmediate(imm1, o.imm1) &&
+         flag0 == o.flag0 && flag1 == o.flag1 && n == o.n && n2 == o.n2 &&
+         bin_op == o.bin_op && un_op == o.un_op && cmp_op == o.cmp_op &&
+         fold_op == o.fold_op && name == o.name && const_bat == o.const_bat &&
+         belief.alpha == o.belief.alpha && belief.k_tf == o.belief.k_tf &&
+         belief.k_len == o.belief.k_len && num_docs == o.num_docs &&
+         avg_doclen == o.avg_doclen;
+}
+
 int Program::Emit(Instr instr) {
   MIRROR_CHECK_GE(instr.dst, 0);
   MIRROR_CHECK_LT(instr.dst, num_regs_);
@@ -178,36 +203,6 @@ size_t Program::KernelOpCount() const {
     if (i.op != OpCode::kLoadNamed && i.op != OpCode::kConstBat) ++count;
   }
   return count;
-}
-
-size_t Program::EliminateDeadCode() {
-  if (result_reg_ < 0) return 0;
-  // Backward liveness over straight-line SSA-ish code: a register is live
-  // if it is the result or feeds a live instruction.
-  std::vector<bool> live(static_cast<size_t>(num_regs_), false);
-  live[static_cast<size_t>(result_reg_)] = true;
-  std::vector<bool> keep(instrs_.size(), false);
-  for (size_t idx = instrs_.size(); idx-- > 0;) {
-    const Instr& i = instrs_[idx];
-    if (i.dst >= 0 && live[static_cast<size_t>(i.dst)]) {
-      keep[idx] = true;
-      for (int src : {i.src0, i.src1, i.src2}) {
-        if (src >= 0) live[static_cast<size_t>(src)] = true;
-      }
-    }
-  }
-  size_t removed = 0;
-  std::vector<Instr> kept;
-  kept.reserve(instrs_.size());
-  for (size_t idx = 0; idx < instrs_.size(); ++idx) {
-    if (keep[idx]) {
-      kept.push_back(std::move(instrs_[idx]));
-    } else {
-      ++removed;
-    }
-  }
-  instrs_ = std::move(kept);
-  return removed;
 }
 
 std::string Program::ToString() const {

@@ -14,9 +14,9 @@
 namespace mirror::monet::mil {
 
 /// Opcodes of the physical plan language ("MIL"): a thin sequential IR over
-/// the BAT kernel. Moa's flattener emits MIL programs; the optimizer's
-/// peephole pass and the op-count reports of experiments E1/E2 operate on
-/// this representation.
+/// the BAT kernel. Moa's flattener emits the final MIL program (no pass
+/// rewrites it afterwards); the engines and the op-count reports of
+/// experiments E1/E2 operate on this representation.
 enum class OpCode {
   kLoadNamed,          // dst = catalog[name]
   kConstBat,           // dst = embedded literal BAT
@@ -96,6 +96,13 @@ struct Instr {
 
   /// Renders e.g. "r3 := join(r1, r2)".
   std::string ToString() const;
+
+  /// True when `o` computes the same value: every field but `dst` is
+  /// equal. Immediates must have the same type and, for dbl, the same
+  /// bits (int 1 is not dbl 1.0, 1.0000001 is not 1.0000002); constant
+  /// BATs compare by identity. All MIL operators are pure, so such an
+  /// instruction can reuse the earlier one's register.
+  bool SameOperation(const Instr& o) const;
 };
 
 /// A straight-line MIL program: SSA-ish register code whose final value is
@@ -116,10 +123,6 @@ class Program {
   /// Number of kernel-operator instructions (excludes loads/constants):
   /// the "BAT operations" metric of experiments E1/E2.
   size_t KernelOpCount() const;
-
-  /// Removes instructions whose results cannot reach `result_reg`.
-  /// Returns the number of instructions removed.
-  size_t EliminateDeadCode();
 
   /// Full disassembly listing.
   std::string ToString() const;

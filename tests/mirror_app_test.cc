@@ -3,6 +3,7 @@
 // retrieval and relevance feedback on the synthetic library.
 
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +82,38 @@ TEST(MirrorDbTest, NaiveModeMatchesFlattenedMode) {
   ASSERT_TRUE(a.value().is_scalar);
   ASSERT_TRUE(b.value().is_scalar);
   EXPECT_DOUBLE_EQ(a.value().scalar.AsDouble(), b.value().scalar.AsDouble());
+}
+
+TEST(MirrorDbTest, SessionPlanCacheTellsNearlyEqualLiteralsApart) {
+  // Both literals render as 500.5 under %g; the session's plan cache is
+  // keyed on the query text, so each query gets its own plan.
+  MirrorDb db;
+  ASSERT_TRUE(db.Define("define S as SET<TUPLE<Atomic<dbl>: x>>;").ok());
+  std::vector<moa::MoaValue> objects;
+  for (int i = 0; i < 10; ++i) {
+    objects.push_back(
+        moa::MoaValue::Tuple({moa::MoaValue::Dbl(500.5 + (i + 0.5) * 1e-7)}));
+  }
+  ASSERT_TRUE(db.Load("S", std::move(objects)).ok());
+  moa::QueryContext ctx;
+  QueryOptions naive;
+  naive.flattened = false;
+  monet::mil::ExecutionContext session;
+  const std::pair<const char*, double> cases[] = {
+      {"count(select[THIS.x > 500.5000001](S));", 9},
+      {"count(select[THIS.x > 500.5000004](S));", 6},
+      {"count(select[THIS.x > 500.5000001](S));", 9},
+  };
+  for (const auto& [text, want] : cases) {
+    SCOPED_TRACE(text);
+    auto oracle = db.Query(text, ctx, naive);
+    auto flat = db.Query(text, ctx, QueryOptions(), &session);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+    EXPECT_EQ(oracle.value().scalar.AsDouble(), want);
+    EXPECT_EQ(flat.value().scalar.AsDouble(), want);
+  }
+  EXPECT_EQ(session.plan_cache_hits(), 1u);
 }
 
 class RetrievalAppTest : public ::testing::Test {

@@ -10,6 +10,7 @@
 #include "moa/flatten.h"
 #include "moa/naive_eval.h"
 #include "moa/optimizer.h"
+#include "monet/exec.h"
 #include "monet/profiler.h"
 
 namespace mirror::moa {
@@ -90,7 +91,6 @@ std::map<Oid, double> RunFlattened(const Database& db, const QueryContext& ctx,
   auto program = flattener.Compile(logical);
   EXPECT_TRUE(program.ok()) << program.status().ToString();
   monet::mil::Program prog = program.TakeValue();
-  if (optimize) OptimizeMil(&prog, &report);
   monet::ResetKernelStats();
   auto run = monet::mil::Executor(&db.catalog()).Run(prog);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
@@ -151,28 +151,6 @@ TEST(OptimizerEffectTest, InvertedGetBLTouchesFewerTuples) {
   EXPECT_LT(with_opt.tuples_in, without_opt.tuples_in);
 }
 
-TEST(MilCseTest, DuplicateLoadsCollapse) {
-  Database db;
-  BuildAnnotated(&db, 50, /*seed=*/3);
-  QueryContext ctx;
-  ctx.BindTerms("query", {"sun"});
-  auto expr = ParseExpr(
-                  "map[sum(THIS)](map[getBL(THIS.a, query, stats)](Lib))")
-                  .TakeValue();
-  Flattener flattener(&db, &ctx, FlattenOptions{.optimize = true});
-  auto program = flattener.Compile(expr);
-  ASSERT_TRUE(program.ok());
-  monet::mil::Program prog = program.TakeValue();
-  size_t before = prog.instrs().size();
-  OptimizerReport report;
-  OptimizeMil(&prog, &report);
-  EXPECT_LE(prog.instrs().size(), before);
-  // Re-execution after CSE+DCE still works.
-  auto run = monet::mil::Executor(db.catalog()).Run(prog);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(run.value().bat->size(), 50u);
-}
-
 int CountOps(const monet::mil::Program& prog, monet::mil::OpCode op) {
   int n = 0;
   for (const monet::mil::Instr& i : prog.instrs()) n += i.op == op ? 1 : 0;
@@ -185,18 +163,24 @@ int CountSelects(const monet::mil::Program& prog) {
          CountOps(prog, monet::mil::OpCode::kSelectEq);
 }
 
-// The optimized Prepare path: logical rewrites, flatten, MIL peepholes.
+// The Prepare path: logical rewrites (when optimizing), then flatten.
+monet::mil::Program Compile(const Database& db, const QueryContext& ctx,
+                            const std::string& text, bool optimize) {
+  auto expr = ParseExpr(text);
+  EXPECT_TRUE(expr.ok()) << expr.status().ToString();
+  ExprPtr logical = expr.value();
+  if (optimize) logical = RewriteLogical(logical, nullptr);
+  auto program =
+      Flattener(&db, &ctx, FlattenOptions{.optimize = optimize})
+          .Compile(logical);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  return program.TakeValue();
+}
+
 monet::mil::Program CompileOptimized(const Database& db,
                                      const QueryContext& ctx,
                                      const std::string& text) {
-  auto expr = ParseExpr(text);
-  EXPECT_TRUE(expr.ok()) << expr.status().ToString();
-  ExprPtr logical = RewriteLogical(expr.value(), nullptr);
-  auto program = Flattener(&db, &ctx).Compile(logical);
-  EXPECT_TRUE(program.ok()) << program.status().ToString();
-  monet::mil::Program prog = program.TakeValue();
-  OptimizeMil(&prog, nullptr);
-  return prog;
+  return Compile(db, ctx, text, /*optimize=*/true);
 }
 
 TEST(RangeSelectTest, BoundPairsCompileToOneRangeWithBothBoundsAndFlags) {
@@ -349,72 +333,96 @@ TEST(RangeSelectTest, ScanAnalyticConjunctionTuplesIn) {
   EXPECT_EQ(tuples_in, 2 * kRows + 2 * in_years + in_both);
 }
 
-TEST(MilFoldRewriteTest, ScalarMaxCollapsesToFoldAndPreservesResults) {
-  // The flattener spells scalar max/min as scalar.sum(topn(x, 1));
-  // OptimizeMil must rewrite the pair into one scalar.fold and DCE the
-  // orphaned topn, and the rewritten plan must still agree with the
-  // unoptimized one on both engines.
+double RunScalar(const Database& db, const monet::mil::Program& prog,
+                 int threads) {
+  monet::mil::ExecutionEngine engine(
+      &db.catalog(), monet::mil::ExecOptions{.num_threads = threads});
+  auto run = engine.Run(prog);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run.value().is_scalar);
+  return run.value().scalar;
+}
+
+double RunNaiveScalar(const Database& db, const QueryContext& ctx,
+                      const std::string& text) {
+  auto result = NaiveEvaluator(&db, &ctx).Evaluate(ParseExpr(text).TakeValue());
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.value().scalar.AsDouble();
+}
+
+TEST(ScalarFoldTest, MaxAndMinCompileToOneFoldWhenOptimized) {
+  // Optimized, max/min compile to one scalar.fold; unoptimized they keep
+  // the sum(topn(x, 1)) spelling. Both agree with the naive oracle on
+  // the sequential Executor and the engine.
   Database db;
   BuildNumbers(&db, 500);
   QueryContext ctx;
-  auto expr =
-      ParseExpr("max(map[THIS.x - THIS.y * 2](select[THIS.y < 9](N)))")
-          .TakeValue();
-  Flattener flattener(&db, &ctx, FlattenOptions{.optimize = true});
-  auto program = flattener.Compile(expr);
-  ASSERT_TRUE(program.ok());
-  monet::mil::Program prog = program.TakeValue();
-  auto count_op = [&](monet::mil::OpCode op) {
-    int n = 0;
-    for (const monet::mil::Instr& i : prog.instrs()) n += i.op == op ? 1 : 0;
-    return n;
-  };
-  ASSERT_EQ(count_op(monet::mil::OpCode::kTopN), 1);
-  ASSERT_EQ(count_op(monet::mil::OpCode::kScalarFold), 0);
-  auto baseline = monet::mil::Executor(db.catalog()).Run(prog);
-  ASSERT_TRUE(baseline.ok());
-
-  OptimizerReport report;
-  OptimizeMil(&prog, &report);
-  EXPECT_EQ(report.fold_rewrites, 1);
-  EXPECT_EQ(count_op(monet::mil::OpCode::kTopN), 0);       // DCE'd
-  EXPECT_EQ(count_op(monet::mil::OpCode::kScalarSum), 0);  // rewritten
-  EXPECT_EQ(count_op(monet::mil::OpCode::kScalarFold), 1);
-
-  auto seq = monet::mil::Executor(db.catalog()).Run(prog);
-  ASSERT_TRUE(seq.ok());
-  ASSERT_TRUE(seq.value().is_scalar);
-  EXPECT_DOUBLE_EQ(seq.value().scalar, baseline.value().scalar);
-  monet::mil::ExecutionEngine engine(db.catalog());
-  auto fused = engine.Run(prog);
-  ASSERT_TRUE(fused.ok());
-  EXPECT_DOUBLE_EQ(fused.value().scalar, baseline.value().scalar);
+  for (const char* agg : {"max", "min"}) {
+    const std::string text =
+        std::string(agg) + "(map[THIS.x - THIS.y * 2](select[THIS.y < 9](N)))";
+    SCOPED_TRACE(text);
+    const double want = RunNaiveScalar(db, ctx, text);
+    monet::mil::Program o1 = Compile(db, ctx, text, /*optimize=*/true);
+    EXPECT_EQ(CountOps(o1, monet::mil::OpCode::kScalarFold), 1);
+    EXPECT_EQ(CountOps(o1, monet::mil::OpCode::kTopN), 0);
+    EXPECT_EQ(CountOps(o1, monet::mil::OpCode::kScalarSum), 0);
+    for (const monet::mil::Instr& i : o1.instrs()) {
+      if (i.op != monet::mil::OpCode::kScalarFold) continue;
+      EXPECT_EQ(i.fold_op, std::string(agg) == "max" ? monet::FoldOp::kMax
+                                                     : monet::FoldOp::kMin);
+    }
+    monet::mil::Program o0 = Compile(db, ctx, text, /*optimize=*/false);
+    EXPECT_EQ(CountOps(o0, monet::mil::OpCode::kScalarFold), 0);
+    ASSERT_EQ(CountOps(o0, monet::mil::OpCode::kTopN), 1);
+    EXPECT_EQ(CountOps(o0, monet::mil::OpCode::kScalarSum), 1);
+    for (const monet::mil::Instr& i : o0.instrs()) {
+      if (i.op != monet::mil::OpCode::kTopN) continue;
+      EXPECT_EQ(i.n, 1);
+      EXPECT_EQ(i.flag0, std::string(agg) == "max");
+    }
+    for (const monet::mil::Program* prog : {&o1, &o0}) {
+      auto seq = monet::mil::Executor(db.catalog()).Run(*prog);
+      ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+      EXPECT_DOUBLE_EQ(seq.value().scalar, want);
+      EXPECT_DOUBLE_EQ(RunScalar(db, *prog, 4), want);
+    }
+  }
+  // A sum over a wider topN is a sum, not an extremum.
+  monet::mil::Program top5 =
+      CompileOptimized(db, ctx, "sum(topN(map[THIS.x](N), 5))");
+  EXPECT_EQ(CountOps(top5, monet::mil::OpCode::kScalarFold), 0);
+  EXPECT_EQ(CountOps(top5, monet::mil::OpCode::kTopN), 1);
+  EXPECT_EQ(CountOps(top5, monet::mil::OpCode::kScalarSum), 1);
 }
 
-TEST(MilFoldRewriteTest, MultiUseAndDeeperTopNsAreLeftAlone) {
-  namespace mil = monet::mil;
-  mil::Program p;
-  auto emit = [&p](mil::Instr i) {
-    i.dst = p.NewReg();
-    return p.Emit(std::move(i));
-  };
-  mil::Instr load;
-  load.op = mil::OpCode::kLoadNamed;
-  load.name = "t.a";
-  int a = emit(std::move(load));
-  mil::Instr top;
-  top.op = mil::OpCode::kTopN;
-  top.src0 = a;
-  top.n = 5;  // not a scalar extremum
-  top.flag0 = true;
-  int top5 = emit(std::move(top));
-  mil::Instr sum;
-  sum.op = mil::OpCode::kScalarSum;
-  sum.src0 = top5;
-  p.set_result_reg(emit(std::move(sum)));
-  OptimizerReport report;
-  OptimizeMil(&p, &report);
-  EXPECT_EQ(report.fold_rewrites, 0);
+TEST(ScalarSumSplitTest, SumOfSumOrDifferenceSplitsIntoTwoSums) {
+  // Optimized, sum(map[a ± b](X)) compiles to scalar.sum(a) ± scalar.sum(b)
+  // with no multiplex map.bin, so both sums run fused over the selection's
+  // candidate views without a Materialize call; unoptimized, the map.bin
+  // stays.
+  Database db;
+  BuildNumbers(&db, 3000);
+  QueryContext ctx;
+  for (const char* op : {"+", "-"}) {
+    const std::string text = std::string("sum(map[THIS.x ") + op +
+                             " THIS.y](select[THIS.x >= 100 and "
+                             "THIS.y != 4](N)))";
+    SCOPED_TRACE(text);
+    const double want = RunNaiveScalar(db, ctx, text);
+    monet::mil::Program o1 = Compile(db, ctx, text, /*optimize=*/true);
+    EXPECT_EQ(CountOps(o1, monet::mil::OpCode::kScalarSum), 2);
+    EXPECT_EQ(CountOps(o1, monet::mil::OpCode::kScalarBin), 1);
+    EXPECT_EQ(CountOps(o1, monet::mil::OpCode::kMapBinary), 0);
+    monet::ResetKernelStats();
+    EXPECT_DOUBLE_EQ(RunScalar(db, o1, 4), want);
+    EXPECT_EQ(monet::SnapshotKernelStats().materializations, 0u);
+
+    monet::mil::Program o0 = Compile(db, ctx, text, /*optimize=*/false);
+    EXPECT_EQ(CountOps(o0, monet::mil::OpCode::kMapBinary), 1);
+    EXPECT_EQ(CountOps(o0, monet::mil::OpCode::kScalarSum), 1);
+    EXPECT_EQ(CountOps(o0, monet::mil::OpCode::kScalarBin), 0);
+    EXPECT_DOUBLE_EQ(RunScalar(db, o0, 4), want);
+  }
 }
 
 }  // namespace

@@ -78,10 +78,8 @@ BothResults RunBoth(Database* db, const QueryContext& ctx,
   Flattener flattener(db, &ctx, FlattenOptions{.optimize = optimize});
   auto program = flattener.Compile(logical);
   EXPECT_TRUE(program.ok()) << program.status().ToString();
-  monet::mil::Program prog = program.TakeValue();
-  if (optimize) OptimizeMil(&prog, &report);
   monet::mil::Executor executor(db->catalog());
-  auto run = executor.Run(prog);
+  auto run = executor.Run(program.value());
   EXPECT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_FALSE(run.value().is_scalar);
   out.flattened = BatToMap(*run.value().bat);
@@ -94,7 +92,8 @@ struct ScalarResults {
 };
 
 ScalarResults RunScalarBoth(Database* db, const QueryContext& ctx,
-                            const std::string& query_text) {
+                            const std::string& query_text,
+                            bool optimize = true) {
   ScalarResults out;
   auto expr = ParseExpr(query_text);
   EXPECT_TRUE(expr.ok()) << expr.status().ToString();
@@ -108,8 +107,10 @@ ScalarResults RunScalarBoth(Database* db, const QueryContext& ctx,
     out.naive = naive_result.value().scalar.AsDouble();
   }
 
-  Flattener flattener(db, &ctx, FlattenOptions{});
-  auto program = flattener.Compile(expr.value());
+  ExprPtr logical = expr.value();
+  if (optimize) logical = RewriteLogical(logical, nullptr);
+  Flattener flattener(db, &ctx, FlattenOptions{.optimize = optimize});
+  auto program = flattener.Compile(logical);
   EXPECT_TRUE(program.ok()) << program.status().ToString();
   if (!program.ok()) return out;
   monet::mil::Executor executor(db->catalog());
@@ -280,6 +281,31 @@ TEST_P(PaperQueryTest, ProbabilisticAndIsMorePeakedThanOr) {
   for (const auto& [oid, and_score] : pand.flattened) {
     EXPECT_GE(por.flattened.at(oid) + 1e-12, and_score) << "oid " << oid;
   }
+}
+
+TEST_P(PaperQueryTest, NearlyEqualDblImmediatesStayDistinct) {
+  // The two multipliers agree to 6 significant digits (a %g rendering
+  // prints both as 1): instructions must be told apart by their
+  // immediates' bits, or the two products merge and the sum reads 0.
+  // sum(a - b) compiles to sum(a) - sum(b) when optimized.
+  Database db;
+  ASSERT_TRUE(db.Define("define S as SET<TUPLE<Atomic<int>: x>>;").ok());
+  std::vector<MoaValue> objects;
+  for (int i = 1; i <= 1000; ++i) {
+    objects.push_back(MoaValue::Tuple({MoaValue::Int(i)}));
+  }
+  ASSERT_TRUE(db.Load("S", std::move(objects)).ok());
+  QueryContext ctx;
+  ScalarResults r = RunScalarBoth(
+      &db, ctx, "sum(map[(THIS.x * 1.0000001) - (THIS.x * 1.0000002)](S));",
+      GetParam());
+  EXPECT_NEAR(r.naive, -0.05005, 1e-9);
+  EXPECT_NEAR(r.flattened, r.naive, 1e-9);
+  BothResults mapped = RunBoth(
+      &db, ctx, "map[(THIS.x * 1.0000001) - (THIS.x * 1.0000002)](S);",
+      GetParam());
+  ExpectSameScores(mapped.naive, mapped.flattened);
+  EXPECT_NEAR(mapped.flattened.at(999), -1e-4, 1e-9);
 }
 
 // A Load that fails part-way (here on the last row of the last field)

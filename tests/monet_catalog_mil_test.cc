@@ -238,37 +238,6 @@ TEST(MilTest, MissingBatReportsNotFound) {
   EXPECT_EQ(result.status().code(), base::StatusCode::kNotFound);
 }
 
-TEST(MilTest, DeadCodeEliminationDropsUnusedOps) {
-  Catalog catalog;
-  catalog.Put("a", Bat::DenseInts({1}));
-  mil::Program prog;
-  mil::Instr load;
-  load.op = mil::OpCode::kLoadNamed;
-  load.name = "a";
-  load.dst = prog.NewReg();
-  prog.Emit(load);
-  // Dead: reversed but never used.
-  mil::Instr dead;
-  dead.op = mil::OpCode::kReverse;
-  dead.src0 = load.dst;
-  dead.dst = prog.NewReg();
-  prog.Emit(dead);
-  mil::Instr live;
-  live.op = mil::OpCode::kMirror;
-  live.src0 = load.dst;
-  live.dst = prog.NewReg();
-  prog.Emit(live);
-  prog.set_result_reg(live.dst);
-
-  EXPECT_EQ(prog.instrs().size(), 3u);
-  size_t removed = prog.EliminateDeadCode();
-  EXPECT_EQ(removed, 1u);
-  EXPECT_EQ(prog.instrs().size(), 2u);
-  auto result = mil::Executor(&catalog).Run(prog);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().bat->size(), 1u);
-}
-
 TEST(MilTest, DisassemblyMentionsOpcodesAndRegisters) {
   mil::Program prog;
   mil::Instr load;
