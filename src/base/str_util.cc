@@ -1,9 +1,16 @@
 #include "base/str_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
 namespace mirror::base {
+
+std::string ShortestDouble(double d) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), d);
+  return std::string(buf, result.ptr);
+}
 
 std::vector<std::string> SplitNonEmpty(std::string_view s, char sep) {
   std::vector<std::string> out;

@@ -29,6 +29,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// True iff `s` ends with `suffix`.
 bool EndsWith(std::string_view s, std::string_view suffix);
 
+/// The shortest spelling of `d` that parses back to exactly `d`
+/// (std::to_chars): 0.5 prints "0.5", and two doubles differing in the
+/// ninth digit print differently, unlike "%g".
+std::string ShortestDouble(double d);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

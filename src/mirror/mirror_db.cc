@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "base/str_util.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::db {
 
@@ -319,11 +320,16 @@ base::Status MirrorDb::Load(const std::string& set_name,
 base::Status MirrorDb::LoadLocked(const std::string& set_name,
                                   std::vector<moa::MoaValue> objects) {
   recycler_.Fence();  // see Append: double fence around the apply
+  // The logical Load shreds and interns on the shared pool; grow it to
+  // the count an auto-threaded query would, so the first Load of a
+  // process is parallel too.
+  monet::SharedWorkerPool().EnsureWorkers(monet::AutoThreads());
   base::Status status = logical_.Load(set_name, std::move(objects));
   if (!status.ok()) return status;
-  // Warm the zone maps eagerly: Load dropped the stale statistics with
-  // the rest of the derived caches, and building them here (one scan per
-  // BAT) keeps the first pruned query out of the build cost.
+  // Warm the zone maps eagerly: the statistics of the BATs this Load
+  // replaced are stale, and rebuilding them here (one parallel scan per
+  // new BAT; unchanged BATs keep theirs) keeps the first pruned query out
+  // of the build cost.
   logical_.catalog()->EnsureZones();
   recycler_.Fence();
   load_generation_.fetch_add(1, std::memory_order_relaxed);
@@ -347,7 +353,8 @@ base::Status MirrorDb::LoadSharded(const std::string& set_name,
     return status;
   }
   // Pre-build the layout so the first sharded query doesn't pay the
-  // fragment slicing; the cache also rebuilds lazily after later Loads.
+  // fragment slicing; after later Loads the next query reslices only the
+  // BATs they replaced.
   const monet::ShardedCatalog* layout = logical_.catalog()->Shards(num_shards);
   if (layout != nullptr) {
     // Per-shard zone maps (whole-shard top-k pruning reads the fragment

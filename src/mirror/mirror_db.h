@@ -100,6 +100,11 @@ class MirrorDb {
   /// swaps the contents, then resumes. Queries concurrent with a reload
   /// therefore see either the entire old contents or the entire new
   /// contents, never a torn mix.
+  ///
+  /// The set is shredded on the shared worker pool, grown first to the
+  /// thread count of an auto-threaded query; the zone maps of its new
+  /// BATs are built before intake resumes, and every other BAT keeps its
+  /// zone maps and shard fragments.
   base::Status Load(const std::string& set_name,
                     std::vector<moa::MoaValue> objects);
 

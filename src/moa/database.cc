@@ -1,8 +1,10 @@
 #include "moa/database.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "base/str_util.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::moa {
 
@@ -58,41 +60,57 @@ base::Status Database::DefineParsed(const SchemaDef& def) {
 
 namespace {
 
-base::Status CheckAtomic(const MoaValue& v, BaseType base,
-                         const std::string& context) {
+/// Why `v` is not a `base` value, or nullptr when it is one. Allocates
+/// nothing, so shredding workers can call it.
+const char* AtomicMismatch(const MoaValue& v, BaseType base) {
   if (base == BaseType::kVector) {
-    if (v.kind() != MoaValue::Kind::kVector) {
-      return base::Status::TypeError(context + ": expected Vector value");
-    }
-    return base::Status::Ok();
+    return v.kind() == MoaValue::Kind::kVector ? nullptr
+                                                : "expected Vector value";
   }
-  if (v.kind() != MoaValue::Kind::kAtomic) {
-    return base::Status::TypeError(context + ": expected atomic value");
-  }
+  if (v.kind() != MoaValue::Kind::kAtomic) return "expected atomic value";
   monet::ValueType vt = v.atomic().type();
   switch (base) {
     case BaseType::kInt:
-      if (vt != monet::ValueType::kInt) {
-        return base::Status::TypeError(context + ": expected int");
-      }
-      break;
+      return vt == monet::ValueType::kInt ? nullptr : "expected int";
     case BaseType::kDbl:
-      if (vt != monet::ValueType::kDbl && vt != monet::ValueType::kInt) {
-        return base::Status::TypeError(context + ": expected dbl");
-      }
-      break;
+      return vt == monet::ValueType::kDbl || vt == monet::ValueType::kInt
+                 ? nullptr
+                 : "expected dbl";
     case BaseType::kStr:
     case BaseType::kUrl:
     case BaseType::kText:
     case BaseType::kImage:
-      if (vt != monet::ValueType::kStr) {
-        return base::Status::TypeError(context + ": expected str");
-      }
-      break;
+      return vt == monet::ValueType::kStr ? nullptr : "expected str";
     default:
-      return base::Status::TypeError(context + ": unsupported base type");
+      return "unsupported base type";
   }
-  return base::Status::Ok();
+}
+
+base::Status CheckAtomic(const MoaValue& v, BaseType base,
+                         const std::string& context) {
+  const char* mismatch = AtomicMismatch(v, base);
+  if (mismatch == nullptr) return base::Status::Ok();
+  return base::Status::TypeError(context + ": " + mismatch);
+}
+
+/// Runs `shred(lo, hi)` over row morsels of `n` rows on the shared worker
+/// pool, at whatever size it has. Each call returns the first row of its
+/// morsel it rejects (or `hi`); the result is the lowest rejected row, or
+/// n when every row passed. Workers write only into storage the calling
+/// thread sized beforehand.
+size_t ShredRows(size_t n, const std::function<size_t(size_t, size_t)>& shred) {
+  constexpr size_t kMinMorselRows = 16 * 1024;
+  monet::WorkerPool& pool = monet::SharedWorkerPool();
+  const size_t threads = static_cast<size_t>(pool.size()) + 1;
+  const size_t morsels =
+      std::max<size_t>(1, std::min(n / kMinMorselRows, 4 * threads));
+  std::vector<size_t> rejected(morsels, n);
+  monet::ParallelForChunks(&pool, n, morsels,
+                           [&](size_t m, size_t lo, size_t hi) {
+                             const size_t bad = shred(lo, hi);
+                             if (bad < hi) rejected[m] = bad;
+                           });
+  return *std::min_element(rejected.begin(), rejected.end());
 }
 
 }  // namespace
@@ -105,22 +123,31 @@ base::Status Database::LoadField(const std::string& set_name,
   const std::string prefix = set_name + "." + binding->name;
   switch (ftype->kind()) {
     case StructType::Kind::kAtomic: {
-      if (ftype->base() == BaseType::kVector) {
-        // Determine dimensionality from the first object.
-        size_t dims = 0;
-        if (!objects.empty()) {
-          dims = objects[0].field(field_index).vec().size();
-        }
-        std::vector<std::vector<double>> cols(dims);
-        for (const MoaValue& obj : objects) {
-          const MoaValue& v = obj.field(field_index);
-          MIRROR_RETURN_IF_ERROR(
-              CheckAtomic(v, BaseType::kVector, prefix));
-          if (v.vec().size() != dims) {
-            return base::Status::TypeError(prefix +
-                                           ": inconsistent vector dims");
+      // Row morsels shred in parallel into columns sized here; the lowest
+      // rejected row reports the error, and nothing is staged for it.
+      const size_t n = objects.size();
+      auto value_at = [&](size_t row) -> const MoaValue& {
+        return objects[row].field(field_index);
+      };
+      const BaseType base = ftype->base();
+      if (base == BaseType::kVector) {
+        // Dimensionality comes from the first object.
+        const size_t dims = n > 0 ? value_at(0).vec().size() : 0;
+        std::vector<std::vector<double>> cols(dims, std::vector<double>(n));
+        const size_t bad = ShredRows(n, [&](size_t lo, size_t hi) {
+          for (size_t row = lo; row < hi; ++row) {
+            const MoaValue& v = value_at(row);
+            if (AtomicMismatch(v, base) != nullptr || v.vec().size() != dims) {
+              return row;
+            }
+            for (size_t d = 0; d < dims; ++d) cols[d][row] = v.vec()[d];
           }
-          for (size_t d = 0; d < dims; ++d) cols[d].push_back(v.vec()[d]);
+          return hi;
+        });
+        if (bad < n) {
+          MIRROR_RETURN_IF_ERROR(CheckAtomic(value_at(bad), base, prefix));
+          return base::Status::TypeError(prefix +
+                                         ": inconsistent vector dims");
         }
         binding->dim_bat_names.clear();
         for (size_t d = 0; d < dims; ++d) {
@@ -132,54 +159,63 @@ base::Status Database::LoadField(const std::string& set_name,
         return base::Status::Ok();
       }
       // Scalar atomic column.
-      switch (ftype->base()) {
+      size_t bad = n;
+      switch (base) {
         case BaseType::kInt: {
-          std::vector<int64_t> vals;
-          vals.reserve(objects.size());
-          for (const MoaValue& obj : objects) {
-            const MoaValue& v = obj.field(field_index);
-            MIRROR_RETURN_IF_ERROR(CheckAtomic(v, BaseType::kInt, prefix));
-            vals.push_back(v.atomic().i());
+          std::vector<int64_t> vals(n);
+          bad = ShredRows(n, [&](size_t lo, size_t hi) {
+            for (size_t row = lo; row < hi; ++row) {
+              const MoaValue& v = value_at(row);
+              if (AtomicMismatch(v, base) != nullptr) return row;
+              vals[row] = v.atomic().i();
+            }
+            return hi;
+          });
+          if (bad == n) {
+            staged->bats.emplace_back(prefix, Bat::DenseInts(std::move(vals)));
           }
-          staged->bats.emplace_back(prefix, Bat::DenseInts(std::move(vals)));
           break;
         }
         case BaseType::kDbl: {
-          std::vector<double> vals;
-          vals.reserve(objects.size());
-          for (const MoaValue& obj : objects) {
-            const MoaValue& v = obj.field(field_index);
-            MIRROR_RETURN_IF_ERROR(CheckAtomic(v, BaseType::kDbl, prefix));
-            vals.push_back(v.atomic().AsDouble());
+          std::vector<double> vals(n);
+          bad = ShredRows(n, [&](size_t lo, size_t hi) {
+            for (size_t row = lo; row < hi; ++row) {
+              const MoaValue& v = value_at(row);
+              if (AtomicMismatch(v, base) != nullptr) return row;
+              vals[row] = v.atomic().AsDouble();
+            }
+            return hi;
+          });
+          if (bad == n) {
+            staged->bats.emplace_back(prefix, Bat::DenseDbls(std::move(vals)));
           }
-          staged->bats.emplace_back(prefix, Bat::DenseDbls(std::move(vals)));
           break;
         }
         default: {  // all string flavors
-          // Intern straight from the objects into a heap sized once for
-          // the upper bound (every spelling distinct).
-          size_t bytes = 0;
-          for (const MoaValue& obj : objects) {
-            const MoaValue& v = obj.field(field_index);
-            MIRROR_RETURN_IF_ERROR(CheckAtomic(v, ftype->base(), prefix));
-            bytes += v.atomic().s().size() + 1;
-          }
-          auto heap = std::make_shared<monet::StringHeap>();
-          heap->Reserve(objects.size(), bytes);
+          // Check every row first, then intern straight from the objects.
+          bad = ShredRows(n, [&](size_t lo, size_t hi) {
+            for (size_t row = lo; row < hi; ++row) {
+              if (AtomicMismatch(value_at(row), base) != nullptr) return row;
+            }
+            return hi;
+          });
+          if (bad < n) break;
           std::vector<uint32_t> offsets;
-          offsets.reserve(objects.size());
-          for (const MoaValue& obj : objects) {
-            offsets.push_back(
-                heap->Intern(obj.field(field_index).atomic().s()));
-          }
-          heap->ShrinkToFit();
+          auto heap = std::make_shared<monet::StringHeap>(
+              monet::StringHeap::Build(
+                  n,
+                  [&](size_t row) -> std::string_view {
+                    return value_at(row).atomic().s();
+                  },
+                  &offsets, &monet::SharedWorkerPool()));
           staged->bats.emplace_back(
-              prefix, Bat(Column::MakeVoid(0, objects.size()),
+              prefix, Bat(Column::MakeVoid(0, n),
                           Column::MakeStrsShared(std::move(heap),
                                                  std::move(offsets))));
           break;
         }
       }
+      if (bad < n) return CheckAtomic(value_at(bad), base, prefix);
       binding->bat_name = prefix;
       return base::Status::Ok();
     }
@@ -278,13 +314,19 @@ base::Status Database::Load(const std::string& set_name,
   }
   FlatSet& set = it->second;
   const StructTypePtr elem = set.type->element();
-  for (size_t i = 0; i < objects.size(); ++i) {
-    if (objects[i].kind() != MoaValue::Kind::kTuple ||
-        objects[i].children().size() != elem->fields().size()) {
-      return base::Status::TypeError(base::StrFormat(
-          "%s: object %zu is not a %zu-field tuple", set_name.c_str(), i,
-          elem->fields().size()));
+  const size_t bad = ShredRows(objects.size(), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      if (objects[i].kind() != MoaValue::Kind::kTuple ||
+          objects[i].children().size() != elem->fields().size()) {
+        return i;
+      }
     }
+    return hi;
+  });
+  if (bad < objects.size()) {
+    return base::Status::TypeError(
+        base::StrFormat("%s: object %zu is not a %zu-field tuple",
+                        set_name.c_str(), bad, elem->fields().size()));
   }
   // Shred every field into staged BATs and bindings first; the catalog
   // and the set change only once all of them succeeded, so a failed Load

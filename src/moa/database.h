@@ -94,7 +94,9 @@ class Database {
   /// fields accept kContRep values (pre-tokenized terms) or atomic str
   /// values (run through the text pipeline). Builds all BATs and content
   /// indexes. All or nothing: on error the set and the catalog keep their
-  /// previous contents.
+  /// previous contents. Atomic fields shred in row morsels on the shared
+  /// worker pool at whatever size it has (MirrorDb::Load grows it first);
+  /// when several objects are bad, the lowest-indexed one is reported.
   base::Status Load(const std::string& set_name,
                     std::vector<MoaValue> objects);
 

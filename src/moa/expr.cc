@@ -156,7 +156,7 @@ std::string Expr::ToString() const {
         case monet::ValueType::kInt:
           return base::StrFormat("%lld", static_cast<long long>(literal.i()));
         case monet::ValueType::kDbl:
-          return base::StrFormat("%g", literal.d());
+          return base::ShortestDouble(literal.d());
         case monet::ValueType::kStr:
           return "'" + literal.s() + "'";
         default:

@@ -12,6 +12,7 @@
 
 #include "base/str_util.h"
 #include "monet/bat_io.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::monet {
 
@@ -34,7 +35,6 @@ base::Status Catalog::Register(const std::string& name, Bat bat) {
   e.base = std::make_shared<const Bat>(std::move(bat));
   bats_.emplace(name, std::move(e));
   generation_.fetch_add(1, std::memory_order_release);
-  DropDerivedCaches();
   return base::Status::Ok();
 }
 
@@ -44,7 +44,6 @@ void Catalog::Put(const std::string& name, Bat bat) {
   e.base = std::make_shared<const Bat>(std::move(bat));
   bats_[name] = std::move(e);
   generation_.fetch_add(1, std::memory_order_release);
-  DropDerivedCaches();
 }
 
 base::Result<BatPtr> Catalog::Get(const std::string& name) const {
@@ -67,7 +66,6 @@ base::Status Catalog::Drop(const std::string& name) {
     return base::Status::NotFound("no BAT named: " + name);
   }
   generation_.fetch_add(1, std::memory_order_release);
-  DropDerivedCaches();
   return base::Status::Ok();
 }
 
@@ -109,7 +107,6 @@ base::Status Catalog::Append(const std::string& name, Column values) {
   e.ins.push_back(std::move(values));
   e.merged.reset();
   generation_.fetch_add(1, std::memory_order_release);
-  DropDerivedCaches();
   return base::Status::Ok();
 }
 
@@ -149,7 +146,6 @@ base::Result<size_t> Catalog::DeleteRows(const std::string& name,
   e.dels = std::move(merged);
   e.merged.reset();
   generation_.fetch_add(1, std::memory_order_release);
-  DropDerivedCaches();
   return newly;
 }
 
@@ -525,29 +521,35 @@ std::vector<std::string> ShardedCatalog::ShardedNames() const {
 std::shared_ptr<const ShardedCatalog> Catalog::SharedShards(size_t n) const {
   if (n < 2) return nullptr;
   // Build-then-publish (the JoinBuild::LazyPublish discipline): slicing
-  // every BAT under shard_mu_ would serialize concurrent sessions behind
-  // a full O(data) build — possibly for a shard count they don't even
-  // want. The build runs under a shared bats_ lock (mutations excluded),
-  // stamped with the generation it read; publication re-checks the stamp
-  // so a layout of replaced data is thrown away and rebuilt, never
-  // cached. Racing builders of one count may slice twice; the first to
-  // publish wins.
+  // under shard_mu_ would serialize concurrent sessions behind the
+  // build — possibly for a shard count they don't even want. The visible
+  // BATs are read under a shared bats_ lock (mutations excluded) and
+  // stamped with the generation they belong to; publication re-checks
+  // the stamp, so a layout of replaced data is thrown away and rebuilt,
+  // never cached. Racing builders of one count may slice twice; the
+  // first to publish wins.
   for (;;) {
+    std::shared_ptr<const ShardedCatalog> prev;
     {
       std::lock_guard<std::mutex> lock(shard_mu_);
       auto cached = shard_cache_.find(n);
-      if (cached != shard_cache_.end()) return cached->second;
+      if (cached != shard_cache_.end()) {
+        if (cached->second->generation_ == generation()) return cached->second;
+        prev = cached->second;
+      }
     }
 
     auto layout = std::make_shared<ShardedCatalog>();
-    uint64_t gen0;
+    layout->shards_.reserve(n);
+    for (size_t s = 0; s < n; ++s) {
+      layout->shards_.push_back(std::make_unique<Catalog>());
+    }
+    // BATs still visible as the previous layout sliced them share its
+    // fragments; the rest are sliced below.
+    std::vector<std::pair<std::string, BatPtr>> fresh;
     {
       std::shared_lock<std::shared_mutex> rlock(mu_);
-      gen0 = generation_.load(std::memory_order_acquire);
-      layout->shards_.reserve(n);
-      for (size_t s = 0; s < n; ++s) {
-        layout->shards_.push_back(std::make_unique<Catalog>());
-      }
+      layout->generation_ = generation();
       for (const auto& [name, entry] : bats_) {
         BatPtr bat = Visible(entry);
         // Only dense oid domains shard: a void head guarantees every oid
@@ -555,30 +557,86 @@ std::shared_ptr<const ShardedCatalog> Catalog::SharedShards(size_t n) const {
         // fragments and rows of one group can never straddle shards.
         // Value-keyed BATs stay in the base catalog as replicated inputs.
         if (!bat->head().is_void()) continue;
-        size_t rows = bat->size();
-        Oid base = bat->head().void_base();
-        auto ranges = std::make_shared<std::vector<ShardRange>>();
-        ranges->reserve(n);
-        for (size_t s = 0; s < n; ++s) {
-          size_t lo = rows * s / n;
-          size_t hi = rows * (s + 1) / n;
-          ranges->push_back(ShardRange{base + lo, base + hi});
-          layout->shards_[s]->Put(
-              name, Bat(SliceColumn(bat->head(), lo, hi),
-                        SliceColumn(bat->tail(), lo, hi)));
+        layout->sources_.emplace(name, bat);
+        if (prev != nullptr) {
+          auto old = prev->sources_.find(name);
+          if (old != prev->sources_.end() && old->second == bat) {
+            layout->ranges_.emplace(name, prev->ranges_.at(name));
+            for (size_t s = 0; s < n; ++s) {
+              layout->shards_[s]->PutShared(
+                  name, prev->shards_[s]->bats_.at(name).base);
+            }
+            continue;
+          }
         }
-        layout->ranges_.emplace(name, std::move(ranges));
+        fresh.emplace_back(name, std::move(bat));
       }
     }
+    // One task per (new BAT, shard).
+    std::vector<BatPtr> fragments(fresh.size() * n);
+    ParallelFor(&SharedWorkerPool(), fragments.size(), [&](size_t k) {
+      const Bat& bat = *fresh[k / n].second;
+      const size_t s = k % n;
+      const size_t lo = bat.size() * s / n;
+      const size_t hi = bat.size() * (s + 1) / n;
+      fragments[k] = std::make_shared<const Bat>(
+          SliceColumn(bat.head(), lo, hi), SliceColumn(bat.tail(), lo, hi));
+    });
+    for (size_t j = 0; j < fresh.size(); ++j) {
+      auto ranges = std::make_shared<std::vector<ShardRange>>();
+      ranges->reserve(n);
+      for (size_t s = 0; s < n; ++s) {
+        BatPtr& fragment = fragments[j * n + s];
+        const Oid lo = fragment->head().void_base();
+        ranges->push_back(ShardRange{lo, lo + fragment->size()});
+        layout->shards_[s]->PutShared(fresh[j].first, std::move(fragment));
+      }
+      layout->ranges_.emplace(fresh[j].first, std::move(ranges));
+    }
+    // Each shard's zone maps start from the previous shard's: shared
+    // fragments keep theirs, new ones build on first use.
+    if (prev != nullptr) {
+      for (size_t s = 0; s < n; ++s) {
+        layout->shards_[s]->SeedZones(*prev->shards_[s]);
+      }
+    }
+
     std::lock_guard<std::mutex> lock(shard_mu_);
-    if (generation_.load(std::memory_order_acquire) != gen0) continue;
-    auto [it, inserted] = shard_cache_.emplace(n, std::move(layout));
-    return it->second;
+    if (generation() != layout->generation_) continue;
+    auto& cached = shard_cache_[n];
+    if (cached == nullptr || cached->generation_ != layout->generation_) {
+      cached = std::move(layout);
+    }
+    return cached;
   }
 }
 
 const ShardedCatalog* Catalog::Shards(size_t n) const {
   return SharedShards(n).get();
+}
+
+void Catalog::PutShared(const std::string& name, BatPtr bat) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  Entry e;
+  e.base = std::move(bat);
+  bats_[name] = std::move(e);
+  generation_.fetch_add(1, std::memory_order_release);
+}
+
+void Catalog::SeedZones(const Catalog& prev) {
+  ZoneSnapshot seed;
+  {
+    std::lock_guard<std::mutex> lock(prev.shard_mu_);
+    seed = prev.zone_cache_;
+  }
+  if (seed == nullptr) return;
+  std::lock_guard<std::mutex> lock(shard_mu_);
+  // A seed is never current: lift the generation past its stamp so the
+  // next PinZones rebuilds, sharing what still matches.
+  if (generation() <= seed->generation) {
+    generation_.store(seed->generation + 1, std::memory_order_release);
+  }
+  zone_cache_ = std::move(seed);
 }
 
 void Catalog::DropDerivedCaches() const {
@@ -593,28 +651,54 @@ void Catalog::DropDerivedCaches() const {
 Catalog::ZoneSnapshot Catalog::PinZones() const {
   // Same build-then-publish discipline as SharedShards(), including the
   // generation stamp that keeps a racing builder from publishing
-  // statistics for replaced data.
+  // statistics for replaced data, and the same per-BAT reuse: a BAT
+  // whose visible snapshot is unchanged keeps its maps.
   for (;;) {
+    ZoneSnapshot prev;
     {
       std::lock_guard<std::mutex> lock(shard_mu_);
-      if (zone_cache_) return zone_cache_;
+      if (zone_cache_ != nullptr &&
+          zone_cache_->generation == generation()) {
+        return zone_cache_;
+      }
+      prev = zone_cache_;
     }
 
     auto cache = std::make_shared<ZoneCache>();
-    uint64_t gen0;
+    std::vector<ZoneCache::Zoned*> fresh;
     {
       std::shared_lock<std::shared_mutex> rlock(mu_);
-      gen0 = generation_.load(std::memory_order_acquire);
+      cache->generation = generation();
       for (const auto& [name, entry] : bats_) {
-        BatPtr bat = Visible(entry);
-        cache->by_name.emplace(name, BuildBatZones(*bat));
-        cache->by_ptr.emplace(bat.get(), &cache->by_name.at(name));
+        ZoneCache::Zoned& zoned = cache->by_name[name];
+        zoned.bat = Visible(entry);
+        if (prev != nullptr) {
+          auto old = prev->by_name.find(name);
+          if (old != prev->by_name.end() && old->second.bat == zoned.bat) {
+            zoned.zones = old->second.zones;
+            continue;
+          }
+        }
+        fresh.push_back(&zoned);
       }
+    }
+    // One BAT at a time on this thread, each scanning block ranges in
+    // parallel: the maps outlive the build, and allocated here they stay
+    // out of the workers' malloc arenas, which then trim back to empty.
+    for (ZoneCache::Zoned* zoned : fresh) {
+      zoned->zones = std::make_shared<const BatZones>(
+          BuildBatZones(*zoned->bat, kZoneBlockRows, &SharedWorkerPool()));
+    }
+    for (const auto& [name, zoned] : cache->by_name) {
+      cache->by_ptr.emplace(zoned.bat.get(), zoned.zones.get());
     }
 
     std::lock_guard<std::mutex> lock(shard_mu_);
-    if (generation_.load(std::memory_order_acquire) != gen0) continue;
-    if (!zone_cache_) zone_cache_ = std::move(cache);
+    if (generation() != cache->generation) continue;
+    if (zone_cache_ == nullptr ||
+        zone_cache_->generation != cache->generation) {
+      zone_cache_ = std::move(cache);
+    }
     return zone_cache_;
   }
 }

@@ -74,6 +74,12 @@ class ShardedCatalog {
   /// domain compatibility.
   std::map<std::string, std::shared_ptr<const std::vector<ShardRange>>>
       ranges_;
+  /// name -> the visible BAT its fragments slice. The next layout of the
+  /// same catalog shares the fragments of every name whose visible BAT
+  /// is still this one.
+  std::map<std::string, BatPtr> sources_;
+  /// The base catalog's generation this layout describes.
+  uint64_t generation_ = 0;
 };
 
 /// Named-BAT registry: the physical schema of a Mirror database instance.
@@ -86,9 +92,12 @@ class ShardedCatalog {
 /// see a consistent *visible snapshot* — Get() returns the base pointer
 /// itself while no deltas exist (zero-copy), and a lazily merged BAT
 /// otherwise — so the read kernels never learn about mutation. Every
-/// mutation bumps `generation()`, invalidates the merged snapshots and
-/// drops the derived caches (shard layouts, zone maps), which rebuild
-/// against the new visible state on next use.
+/// mutation bumps `generation()` and invalidates the mutated entry's
+/// merged snapshot. The derived caches (shard layouts, zone maps) are
+/// stamped with the generation they describe; the first use after a
+/// mutation rebuilds them per BAT: entries whose visible BAT is unchanged
+/// share their zone maps and shard fragments with the previous cache, and
+/// only the new ones are built, in parallel on the shared worker pool.
 ///
 /// Thread safety: reads (Get/Contains/Names/Shards/Zones/SaveTo) may run
 /// concurrently with each other AND with mutations; mutations serialize
@@ -201,11 +210,13 @@ class Catalog {
 
   /// The n-way oid-range sharding of this catalog's visible snapshot,
   /// built on first use and cached per shard count (a 2-way and a 4-way
-  /// layout can coexist). Returns nullptr for n < 2. Any mutation drops
-  /// the cached layouts; the returned shared_ptr keeps a layout alive
-  /// for callers that obtained it before a mutation (they compute a
-  /// stale-but-consistent answer only if they also hold the matching
-  /// stale BatPtrs — the engine pins both together at Run() start).
+  /// layout can coexist). Returns nullptr for n < 2. After a mutation the
+  /// next call builds a new layout that shares the previous one's
+  /// fragments (and their shard-local zone maps) for every unchanged
+  /// BAT; the returned shared_ptr keeps a layout alive for callers that
+  /// obtained it before a mutation (they compute a stale-but-consistent
+  /// answer only if they also hold the matching stale BatPtrs — the
+  /// engine pins both together at Run() start).
   std::shared_ptr<const ShardedCatalog> SharedShards(size_t n) const;
 
   /// SharedShards() without the pin: the raw pointer is valid until the
@@ -214,17 +225,22 @@ class Catalog {
 
   /// Zone-map statistics of every visible BAT, one immutable snapshot
   /// per generation. ForBat resolves statistics of a BAT the engine
-  /// holds by pointer; lookups of BATs from another generation miss (by
-  /// design: stale bounds never prune fresh data, and vice versa).
+  /// holds by pointer; lookups of BATs this snapshot does not hold miss
+  /// (by design: stale bounds never prune fresh data, and vice versa).
+  /// A BAT unchanged across generations keeps one shared BatZones.
   struct ZoneCache {
-    std::map<std::string, BatZones> by_name;
-    /// Keys are the visible BATs' addresses; values point into by_name
-    /// nodes (stable under std::map).
+    struct Zoned {
+      BatPtr bat;  // held, so no other BAT can reuse its address
+      std::shared_ptr<const BatZones> zones;
+    };
+    uint64_t generation = 0;  // the catalog generation it describes
+    std::map<std::string, Zoned> by_name;
+    /// Keys are the visible BATs' addresses.
     std::map<const Bat*, const BatZones*> by_ptr;
 
     const BatZones* ForName(const std::string& name) const {
       auto it = by_name.find(name);
-      return it == by_name.end() ? nullptr : &it->second;
+      return it == by_name.end() ? nullptr : it->second.zones.get();
     }
     const BatZones* ForBat(const Bat* bat) const {
       auto it = by_ptr.find(bat);
@@ -244,9 +260,9 @@ class Catalog {
   const BatZones* Zones(const std::string& name) const;
   const BatZones* ZonesFor(const Bat* bat) const;
 
-  /// Builds (and caches) zone maps for every registered BAT if they are
-  /// not already current. Called eagerly at load time so queries never
-  /// pay the scan.
+  /// Builds (and caches) zone maps for every registered BAT whose maps
+  /// are not already current. Called eagerly at load time so queries
+  /// never pay the scan.
   void EnsureZones() const;
 
  private:
@@ -271,6 +287,18 @@ class Catalog {
   /// Reads and decodes one SaveTo data file (magic-prefixed EncodeBat).
   static base::Result<Bat> ReadBatFile(const std::string& path);
 
+  /// Registers `bat` under `name` as is (shard fragments, shared between
+  /// layouts). Only for catalogs no other thread sees yet.
+  void PutShared(const std::string& name, BatPtr bat);
+
+  /// Seeds this (unpublished) catalog's zone maps with `prev`'s current
+  /// snapshot, marked stale so the first PinZones rebuilds per BAT.
+  void SeedZones(const Catalog& prev);
+
+  /// Releases the derived caches outright: for whole-catalog
+  /// replacement (LoadFrom, move assignment), which leaves no entry to
+  /// carry over. Single-entry mutations keep them as the seed of the
+  /// next per-BAT rebuild.
   void DropDerivedCaches() const;
 
   std::map<std::string, Entry> bats_;
@@ -280,7 +308,9 @@ class Catalog {
   std::atomic<uint64_t> generation_{0};
   /// Lazily built derived caches (shard layouts keyed by shard count,
   /// zone-map statistics), guarded by one mutex; mutable so a const-held
-  /// catalog (the execution engines' view) can build them.
+  /// catalog (the execution engines' view) can build them. Each is
+  /// current only while its generation stamp matches generation_;
+  /// otherwise it seeds the next rebuild.
   mutable std::mutex shard_mu_;
   mutable std::map<size_t, std::shared_ptr<const ShardedCatalog>>
       shard_cache_;

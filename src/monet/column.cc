@@ -1,5 +1,7 @@
 #include "monet/column.h"
 
+#include "monet/worker_pool.h"
+
 namespace mirror::monet {
 
 Column Column::MakeVoid(Oid base, size_t n) {
@@ -35,14 +37,10 @@ Column Column::MakeDbls(std::vector<double> v) {
 }
 
 Column Column::MakeStrs(const std::vector<std::string>& v) {
-  size_t bytes = 0;
-  for (const auto& s : v) bytes += s.size() + 1;
-  auto heap = std::make_shared<StringHeap>();
-  heap->Reserve(v.size(), bytes);
   std::vector<uint32_t> offsets;
-  offsets.reserve(v.size());
-  for (const auto& s : v) offsets.push_back(heap->Intern(s));
-  heap->ShrinkToFit();
+  auto heap = std::make_shared<StringHeap>(StringHeap::Build(
+      v.size(), [&v](size_t i) -> std::string_view { return v[i]; },
+      &offsets, &SharedWorkerPool()));
   return MakeStrsShared(std::move(heap), std::move(offsets));
 }
 

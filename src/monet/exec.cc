@@ -6,7 +6,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <map>
-#include <thread>
 
 #include "monet/bat_ops.h"
 #include "monet/prob_ops.h"
@@ -1379,10 +1378,7 @@ base::Result<RunResult> ExecutionEngine::Run(const Program& program,
   // without a session, schedules on the one process-wide pool, grown to
   // the largest count any query asks for.
   int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads =
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  }
+  if (threads <= 0) threads = AutoThreads();
   WorkerPool& pool = SharedWorkerPool();
 
   // Outlives the branch below: st.load_names points into it.

@@ -5,6 +5,8 @@
 #include <functional>
 
 #include "base/logging.h"
+#include "monet/cache_info.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::monet {
 
@@ -20,7 +22,163 @@ size_t SlotsFor(size_t strings) {
 
 size_t HashOf(std::string_view s) { return std::hash<std::string_view>{}(s); }
 
+/// Bulk builds keep row ids and slot indexes in 32 bits, with UINT32_MAX
+/// free as a marker: at most 2^30 rows, so at most 2^31 slots.
+constexpr size_t kMaxBuildRows = size_t{1} << 30;
+
+/// Row chunks of a bulk pass over `n` rows: a few per thread of `pool`
+/// for balance, none under 16K rows (smaller inputs run inline).
+size_t ChunksFor(size_t n, WorkerPool* pool) {
+  constexpr size_t kMinChunkRows = 16 * 1024;
+  const size_t threads =
+      pool == nullptr ? 1 : static_cast<size_t>(pool->size()) + 1;
+  return std::max<size_t>(1, std::min(n / kMinChunkRows, 4 * threads));
+}
+
 }  // namespace
+
+size_t StringHeap::BuildRegionSlots() {
+  constexpr size_t kMaxRegionBytes = 1024 * 1024;
+  const size_t bytes = std::min(L2CacheBytes() / 2, kMaxRegionBytes);
+  // The largest power of two that fits, so regions tile the table.
+  return NextPowerOfTwo(bytes / sizeof(uint32_t) + 1) / 2;
+}
+
+void StringHeap::FillWithFirstRows(size_t n, const SpellingFn& spelling,
+                                   uint32_t* slot_of, uint32_t* sizes,
+                                   uint8_t* first, WorkerPool* pool) {
+  const size_t table = slots_.size();
+  const size_t mask = table - 1;
+  const size_t region = std::min(table, BuildRegionSlots());
+  const size_t regions = table / region;
+  const int shift = __builtin_ctzll(region);
+  const size_t chunks = ChunksFor(n, pool);
+
+  // Hash every row (the table has at most 2^31 slots, so the low 32 bits
+  // give the home slot) and count each chunk's rows per region.
+  std::vector<uint32_t> hashes(n);
+  std::vector<size_t> next(chunks * regions, 0);
+  ParallelForChunks(pool, n, chunks, [&](size_t c, size_t lo, size_t hi) {
+    size_t* count = &next[c * regions];
+    for (size_t r = lo; r < hi; ++r) {
+      const std::string_view s = spelling(r);
+      const auto h = static_cast<uint32_t>(HashOf(s));
+      hashes[r] = h;
+      sizes[r] = static_cast<uint32_t>(s.size());
+      ++count[(h & mask) >> shift];
+    }
+  });
+  // Region-major prefix sum, then a stable scatter: each region's rows
+  // land contiguously and in row order.
+  std::vector<size_t> region_begin(regions + 1);
+  size_t at = 0;
+  for (size_t p = 0; p < regions; ++p) {
+    region_begin[p] = at;
+    for (size_t c = 0; c < chunks; ++c) {
+      const size_t count = next[c * regions + p];
+      next[c * regions + p] = at;
+      at += count;
+    }
+  }
+  region_begin[regions] = at;
+  std::vector<uint32_t> rows(n);
+  ParallelForChunks(pool, n, chunks, [&](size_t c, size_t lo, size_t hi) {
+    size_t* cursor = &next[c * regions];
+    for (size_t r = lo; r < hi; ++r) {
+      rows[cursor[(hashes[r] & mask) >> shift]++] = static_cast<uint32_t>(r);
+    }
+  });
+
+  // Every row of one spelling shares a home slot, hence a region, and
+  // arrives there in row order, so the first row claims the slot. Once a
+  // spelling's first row is deferred, its later rows run past the region
+  // end too (slots only fill up) and are deferred behind it.
+  auto same = [&](uint32_t q, size_t r) {
+    return hashes[q] == hashes[r] && sizes[q] == sizes[r] &&
+           spelling(q) == spelling(r);
+  };
+  ParallelFor(pool, regions, [&](size_t p) {
+    const size_t end = (p + 1) * region;
+    for (size_t k = region_begin[p]; k < region_begin[p + 1]; ++k) {
+      const uint32_t r = rows[k];
+      size_t i = hashes[r] & mask;
+      while (i < end && slots_[i] != kEmpty && !same(slots_[i], r)) ++i;
+      if (i == end) {
+        slot_of[r] = kEmpty;  // deferred
+        continue;
+      }
+      if (slots_[i] == kEmpty) {
+        slots_[i] = r;
+        first[r] = 1;
+      }
+      slot_of[r] = static_cast<uint32_t>(i);
+    }
+  });
+  for (size_t r = 0; r < n; ++r) {
+    if (slot_of[r] != kEmpty) continue;
+    size_t i = hashes[r] & mask;
+    while (slots_[i] != kEmpty && !same(slots_[i], r)) i = (i + 1) & mask;
+    if (slots_[i] == kEmpty) {
+      slots_[i] = static_cast<uint32_t>(r);
+      first[r] = 1;
+    }
+    slot_of[r] = static_cast<uint32_t>(i);
+  }
+}
+
+StringHeap StringHeap::Build(size_t n, const SpellingFn& spelling,
+                             std::vector<uint32_t>* offsets,
+                             WorkerPool* pool) {
+  MIRROR_CHECK_LE(n, kMaxBuildRows) << "string heap bulk build too large";
+  StringHeap heap;
+  offsets->resize(n);
+  if (n == 0) return heap;
+  heap.slots_.assign(SlotsFor(n), kEmpty);
+  uint32_t* slot_of = offsets->data();
+  std::vector<uint32_t> sizes(n);
+  std::vector<uint8_t> first(n);
+  heap.FillWithFirstRows(n, spelling, slot_of, sizes.data(), first.data(),
+                         pool);
+
+  // First occurrences are laid out in row order: byte totals per chunk, a
+  // prefix sum, then each chunk copies its first occurrences to their
+  // final offsets and points their slots there.
+  const size_t chunks = ChunksFor(n, pool);
+  std::vector<size_t> chunk_at(chunks + 1, 0);
+  std::vector<size_t> chunk_firsts(chunks, 0);
+  ParallelForChunks(pool, n, chunks, [&](size_t c, size_t lo, size_t hi) {
+    size_t bytes = 0;
+    for (size_t r = lo; r < hi; ++r) {
+      if (!first[r]) continue;
+      bytes += sizes[r] + 1;
+      ++chunk_firsts[c];
+    }
+    chunk_at[c + 1] = bytes;
+  });
+  for (size_t c = 0; c < chunks; ++c) {
+    chunk_at[c + 1] += chunk_at[c];
+    heap.count_ += chunk_firsts[c];
+  }
+  MIRROR_CHECK_LT(chunk_at[chunks], static_cast<size_t>(UINT32_MAX))
+      << "string heap overflow";
+  // Zero-filled, so every terminator is already in place.
+  heap.buffer_.resize(chunk_at[chunks]);
+  char* buf = heap.buffer_.data();
+  ParallelForChunks(pool, n, chunks, [&](size_t c, size_t lo, size_t hi) {
+    size_t at = chunk_at[c];
+    for (size_t r = lo; r < hi; ++r) {
+      if (!first[r]) continue;
+      std::memcpy(buf + at, spelling(r).data(), sizes[r]);
+      heap.slots_[slot_of[r]] = static_cast<uint32_t>(at);
+      at += sizes[r] + 1;
+    }
+  });
+  ParallelForChunks(pool, n, chunks, [&](size_t, size_t lo, size_t hi) {
+    for (size_t r = lo; r < hi; ++r) slot_of[r] = heap.slots_[slot_of[r]];
+  });
+  heap.ShrinkToFit();
+  return heap;
+}
 
 size_t StringHeap::Probe(std::string_view s) const {
   const size_t mask = slots_.size() - 1;
@@ -93,21 +251,32 @@ StringHeap StringHeap::FromBuffer(std::string buffer) {
   StringHeap heap;
   heap.buffer_ = std::move(buffer);
   const std::string& buf = heap.buffer_;
-  auto strings =
-      static_cast<size_t>(std::count(buf.begin(), buf.end(), '\0'));
-  if (!buf.empty() && buf.back() != '\0') ++strings;
-  heap.Reserve(strings, 0);
-  size_t pos = 0;
-  while (pos < buf.size()) {
-    const char* p = buf.data() + pos;
-    const size_t len = std::strlen(p);
-    const size_t slot = heap.Probe(std::string_view(p, len));
-    if (heap.slots_[slot] == kEmpty) {  // else a repeat: keep the first
-      heap.slots_[slot] = static_cast<uint32_t>(pos);
-      ++heap.count_;
-    }
-    pos += len + 1;
+  // Row r is the spelling starting at starts[r]; the last one may lack
+  // its terminator (std::string's own ends it).
+  std::vector<uint32_t> starts;
+  for (size_t pos = 0; pos < buf.size();) {
+    starts.push_back(static_cast<uint32_t>(pos));
+    const void* nul = std::memchr(buf.data() + pos, '\0', buf.size() - pos);
+    pos = nul == nullptr ? buf.size()
+                         : static_cast<const char*>(nul) - buf.data() + 1;
   }
+  const size_t n = starts.size();
+  if (n == 0) return heap;
+  MIRROR_CHECK_LE(n, kMaxBuildRows) << "string heap bulk build too large";
+  heap.slots_.assign(SlotsFor(n), kEmpty);
+  std::vector<uint32_t> slot_of(n);
+  std::vector<uint32_t> sizes(n);
+  std::vector<uint8_t> first(n);
+  heap.FillWithFirstRows(
+      n,
+      [&](size_t r) { return std::string_view(buf.data() + starts[r]); },
+      slot_of.data(), sizes.data(), first.data(), &SharedWorkerPool());
+  // Every spelling stays where the buffer has it: a slot takes its first
+  // row's offset, and a repeat keeps its bytes but no slot.
+  for (uint32_t& slot : heap.slots_) {
+    if (slot != kEmpty) slot = starts[slot];
+  }
+  heap.count_ = static_cast<size_t>(std::count(first.begin(), first.end(), 1));
   return heap;
 }
 

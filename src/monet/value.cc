@@ -58,7 +58,7 @@ std::string Value::ToString() const {
     case ValueType::kInt:
       return base::StrFormat("int:%lld", static_cast<long long>(i()));
     case ValueType::kDbl:
-      return base::StrFormat("dbl:%g", d());
+      return "dbl:" + base::ShortestDouble(d());
     case ValueType::kStr:
       return "str:\"" + s() + "\"";
     default:

@@ -86,6 +86,10 @@ WorkerPool& SharedWorkerPool() {
   return pool;
 }
 
+int AutoThreads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 void ParallelFor(WorkerPool* pool, size_t tasks,
                  const std::function<void(size_t)>& fn) {
   if (pool == nullptr || tasks <= 1) {

@@ -55,6 +55,11 @@ class WorkerPool {
 /// sessions, not their sum.
 WorkerPool& SharedWorkerPool();
 
+/// The thread count of an auto-threaded query: one per hardware thread
+/// (at least 1). Bulk loads grow the shared pool to this count too, so
+/// loading never adds threads a query would not.
+int AutoThreads();
+
 /// Runs `fn(0) .. fn(tasks-1)` and returns when all calls have finished.
 /// Indices are claimed from the group's own counter by the calling
 /// thread and by at most min(tasks - 1, pool size) helper tasks

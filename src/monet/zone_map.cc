@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "monet/worker_pool.h"
+
 namespace mirror::monet {
 
 namespace {
@@ -41,51 +43,70 @@ size_t ZoneMap::BlocksIn(size_t lo, size_t hi) const {
   return (hi - 1) / block_rows - lo / block_rows + 1;
 }
 
-ZoneMap BuildZoneMap(const Column& c, size_t block_rows) {
+ZoneMap BuildZoneMap(const Column& c, size_t block_rows, WorkerPool* pool) {
   ZoneMap z;
   z.block_rows = block_rows == 0 ? kZoneBlockRows : block_rows;
   size_t n = c.size();
-  if (n == 0) return z;
+  if (n == 0 || c.type() == ValueType::kStr) return z;  // strings: no bounds
   size_t blocks = (n + z.block_rows - 1) / z.block_rows;
   z.block_min.assign(blocks, kInf);
   z.block_max.assign(blocks, -kInf);
-  switch (c.type()) {
-    case ValueType::kVoid: {
-      // Dense oid sequence: bounds are arithmetic, no scan needed.
-      Oid base = c.void_base();
-      for (size_t b = 0; b < blocks; ++b) {
-        size_t lo = b * z.block_rows;
-        size_t hi = std::min(n, lo + z.block_rows);
-        z.block_min[b] = static_cast<double>(base + lo);
-        z.block_max[b] = static_cast<double>(base + hi - 1);
-      }
-      break;
+  // Blocks are independent: ranges of them scan in parallel, each block
+  // writing only its own bounds.
+  std::atomic<bool> has_nan{false};
+  auto scan = [&](size_t b) {
+    const size_t lo = b * z.block_rows;
+    const size_t hi = std::min(n, lo + z.block_rows);
+    double mn = kInf;
+    double mx = -kInf;
+    switch (c.type()) {
+      case ValueType::kVoid:
+        // Dense oid sequence: bounds are arithmetic, no scan needed.
+        mn = static_cast<double>(c.void_base() + lo);
+        mx = static_cast<double>(c.void_base() + hi - 1);
+        break;
+      case ValueType::kOid:
+        for (size_t i = lo; i < hi; ++i) {
+          const auto v = static_cast<int64_t>(c.oids()[i]);
+          mn = std::min(mn, DoubleLowerBound(v));
+          mx = std::max(mx, DoubleUpperBound(v));
+        }
+        break;
+      case ValueType::kInt:
+        for (size_t i = lo; i < hi; ++i) {
+          const int64_t v = c.ints()[i];
+          mn = std::min(mn, DoubleLowerBound(v));
+          mx = std::max(mx, DoubleUpperBound(v));
+        }
+        break;
+      case ValueType::kDbl:
+        for (size_t i = lo; i < hi; ++i) {
+          const double v = c.dbls()[i];
+          if (std::isnan(v)) {  // NaN defeats interval logic
+            has_nan.store(true, std::memory_order_relaxed);
+            return;
+          }
+          mn = std::min(mn, v);
+          mx = std::max(mx, v);
+        }
+        break;
+      case ValueType::kStr:
+        return;
     }
-    case ValueType::kOid:
-    case ValueType::kInt: {
-      for (size_t i = 0; i < n; ++i) {
-        int64_t v = c.type() == ValueType::kOid
-                        ? static_cast<int64_t>(c.OidAt(i))
-                        : c.IntAt(i);
-        size_t b = i / z.block_rows;
-        z.block_min[b] = std::min(z.block_min[b], DoubleLowerBound(v));
-        z.block_max[b] = std::max(z.block_max[b], DoubleUpperBound(v));
-      }
-      break;
-    }
-    case ValueType::kDbl: {
-      for (size_t i = 0; i < n; ++i) {
-        double v = c.DblAt(i);
-        if (std::isnan(v)) return ZoneMap{};  // NaN defeats interval logic
-        size_t b = i / z.block_rows;
-        z.block_min[b] = std::min(z.block_min[b], v);
-        z.block_max[b] = std::max(z.block_max[b], v);
-      }
-      break;
-    }
-    case ValueType::kStr:
-      return z;  // strings carry no numeric bounds
-  }
+    z.block_min[b] = mn;
+    z.block_max[b] = mx;
+  };
+  constexpr size_t kMinChunkBlocks = 8;
+  const size_t chunks =
+      pool == nullptr || c.is_void()
+          ? 1
+          : std::min(blocks / kMinChunkBlocks,
+                     4 * (static_cast<size_t>(pool->size()) + 1));
+  ParallelForChunks(pool, blocks, chunks,
+                    [&](size_t, size_t b_lo, size_t b_hi) {
+                      for (size_t b = b_lo; b < b_hi; ++b) scan(b);
+                    });
+  if (has_nan.load(std::memory_order_relaxed)) return ZoneMap{};
   z.min = kInf;
   z.max = -kInf;
   for (size_t b = 0; b < blocks; ++b) {
@@ -96,10 +117,10 @@ ZoneMap BuildZoneMap(const Column& c, size_t block_rows) {
   return z;
 }
 
-BatZones BuildBatZones(const Bat& b, size_t block_rows) {
+BatZones BuildBatZones(const Bat& b, size_t block_rows, WorkerPool* pool) {
   BatZones zones;
-  zones.head = BuildZoneMap(b.head(), block_rows);
-  zones.tail = BuildZoneMap(b.tail(), block_rows);
+  zones.head = BuildZoneMap(b.head(), block_rows, pool);
+  zones.tail = BuildZoneMap(b.tail(), block_rows, pool);
   return zones;
 }
 

@@ -59,12 +59,17 @@ enum class ZoneMatch {
   kAll,   // every row of the block satisfies the predicate
 };
 
+class WorkerPool;
+
 /// Builds the zone map of one column. Void columns derive their bounds
-/// arithmetically (no scan); oid/int/dbl columns scan once.
-ZoneMap BuildZoneMap(const Column& c, size_t block_rows = kZoneBlockRows);
+/// arithmetically (no scan); oid/int/dbl columns scan once, ranges of
+/// blocks in parallel on `pool` (nullptr: the calling thread alone).
+ZoneMap BuildZoneMap(const Column& c, size_t block_rows = kZoneBlockRows,
+                     WorkerPool* pool = nullptr);
 
 /// Zone maps for both columns of `b`.
-BatZones BuildBatZones(const Bat& b, size_t block_rows = kZoneBlockRows);
+BatZones BuildBatZones(const Bat& b, size_t block_rows = kZoneBlockRows,
+                       WorkerPool* pool = nullptr);
 
 /// Double-space bounds containing the exact int64 value: values beyond
 /// 2^53 (where double rounds) widen outward by one ulp, so

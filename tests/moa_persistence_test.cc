@@ -1,6 +1,9 @@
 // Database persistence: a loaded database (schemas, atomic columns,
 // nested sets, vectors, CONTREP indexes) round-trips through disk, and
-// both engines produce identical answers on the restored instance.
+// both engines produce identical answers on the restored instance. Also
+// covers the parallel bulk Load: its BATs encode byte for byte like the
+// sequential shredding's at any pool size, and a rejected Load reports
+// the lowest bad row and changes nothing.
 
 #include <filesystem>
 #include <fstream>
@@ -13,7 +16,9 @@
 #include "moa/database.h"
 #include "moa/flatten.h"
 #include "moa/naive_eval.h"
+#include "monet/bat_io.h"
 #include "monet/mil.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::moa {
 namespace {
@@ -326,6 +331,168 @@ TEST(PersistenceTest, SaveFoldsDeltaTailsAndRestoredCatalogIsClean) {
     EXPECT_NEAR(naive.at(oid), score, 1e-9);
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Parallel bulk Load.
+
+constexpr int kLoadRows = 100000;  // several 16K-row morsels per column
+
+constexpr const char* kMixedSchema =
+    "define S as SET<TUPLE<Atomic<URL>: u, Atomic<int>: i, Atomic<dbl>: d, "
+    "Atomic<str>: s, Atomic<Vector>: v>>;";
+
+struct MixedRow {
+  std::string u;
+  int64_t i;
+  double d;
+  std::string s;
+  double v0, v1;
+};
+
+std::vector<MixedRow> MixedRows(uint64_t seed) {
+  base::Rng rng(seed);
+  static const char* const kWords[] = {"", "sun", "sea", "rock", "tree"};
+  std::vector<MixedRow> rows;
+  for (int r = 0; r < kLoadRows; ++r) {
+    rows.push_back(MixedRow{
+        "u" + std::to_string(rng.Uniform(kLoadRows / 2)),
+        static_cast<int64_t>(rng.Uniform(1000)) - 500,
+        rng.UniformDouble(-1.0, 1.0),
+        kWords[rng.Uniform(std::size(kWords))],
+        rng.UniformDouble(), rng.UniformDouble()});
+  }
+  return rows;
+}
+
+std::vector<MoaValue> MixedObjects(const std::vector<MixedRow>& rows) {
+  std::vector<MoaValue> objects;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const MixedRow& row = rows[r];
+    // Every third dbl arrives as an int, which the dbl column widens.
+    MoaValue d = r % 3 == 0 ? MoaValue::Int(row.i) : MoaValue::Dbl(row.d);
+    objects.push_back(MoaValue::Tuple(
+        {MoaValue::Str(row.u), MoaValue::Int(row.i), std::move(d),
+         MoaValue::Str(row.s), MoaValue::Vector({row.v0, row.v1})}));
+  }
+  return objects;
+}
+
+/// The BATs the sequential shredding builds: per-row pushes and an
+/// Intern loop per string column.
+std::map<std::string, std::vector<uint8_t>> SequentialEncodings(
+    const std::vector<MixedRow>& rows) {
+  auto strs = [&](std::string MixedRow::*field) {
+    auto heap = std::make_shared<monet::StringHeap>();
+    std::vector<uint32_t> offsets;
+    for (const MixedRow& row : rows) {
+      offsets.push_back(heap->Intern(row.*field));
+    }
+    heap->ShrinkToFit();
+    return monet::Bat(monet::Column::MakeVoid(0, rows.size()),
+                      monet::Column::MakeStrsShared(heap, std::move(offsets)));
+  };
+  std::vector<int64_t> ints;
+  std::vector<double> dbls, v0, v1;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ints.push_back(rows[r].i);
+    dbls.push_back(r % 3 == 0 ? static_cast<double>(rows[r].i) : rows[r].d);
+    v0.push_back(rows[r].v0);
+    v1.push_back(rows[r].v1);
+  }
+  std::map<std::string, monet::Bat> bats;
+  bats.emplace("S.u", strs(&MixedRow::u));
+  bats.emplace("S.i", monet::Bat::DenseInts(ints));
+  bats.emplace("S.d", monet::Bat::DenseDbls(dbls));
+  bats.emplace("S.s", strs(&MixedRow::s));
+  bats.emplace("S.v.d0", monet::Bat::DenseDbls(v0));
+  bats.emplace("S.v.d1", monet::Bat::DenseDbls(v1));
+  std::map<std::string, std::vector<uint8_t>> out;
+  for (const auto& [name, bat] : bats) monet::EncodeBat(bat, &out[name]);
+  return out;
+}
+
+/// Every BAT of `db`'s catalog, encoded.
+std::map<std::string, std::vector<uint8_t>> CatalogEncodings(
+    const Database& db) {
+  std::map<std::string, std::vector<uint8_t>> out;
+  for (const std::string& name : db.catalog().Names()) {
+    monet::EncodeBat(*db.catalog().Get(name).value(), &out[name]);
+  }
+  return out;
+}
+
+/// Loads the mixed set into a fresh database; true iff every BAT encodes
+/// exactly as `want`.
+bool LoadEncodesAs(const std::vector<MixedRow>& rows,
+                   const std::map<std::string, std::vector<uint8_t>>& want) {
+  Database db;
+  if (!db.Define(kMixedSchema).ok()) return false;
+  if (!db.Load("S", MixedObjects(rows)).ok()) return false;
+  return CatalogEncodings(db) == want;
+}
+
+TEST(ParallelLoadTest, BatsMatchTheSequentialShreddingOnOneAndFourThreads) {
+  const std::vector<MixedRow> rows = MixedRows(7);
+  const auto want = SequentialEncodings(rows);
+  // The shared pool never shrinks, so the 1-thread load runs in a child
+  // process, whose pool starts empty (the pool joins around fork).
+  EXPECT_EXIT(
+      {
+        monet::SharedWorkerPool().EnsureWorkers(1);
+        const bool same = LoadEncodesAs(rows, want) &&
+                          monet::SharedWorkerPool().size() == 1;
+        std::exit(same ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  monet::SharedWorkerPool().EnsureWorkers(4);
+  EXPECT_TRUE(LoadEncodesAs(rows, want));
+}
+
+TEST(ParallelLoadTest, RejectedLoadReportsTheLowestBadRowAndChangesNothing) {
+  monet::SharedWorkerPool().EnsureWorkers(4);
+  const std::vector<MixedRow> rows = MixedRows(11);
+  Database db;
+  ASSERT_TRUE(db.Define(kMixedSchema).ok());
+  ASSERT_TRUE(db.Load("S", MixedObjects(rows)).ok());
+  const auto before = CatalogEncodings(db);
+
+  auto load_with = [&](const std::vector<std::pair<size_t, MoaValue>>& bad) {
+    std::vector<MoaValue> objects = MixedObjects(MixedRows(12));
+    for (const auto& [row, value] : bad) objects[row] = value;
+    base::Status status = db.Load("S", std::move(objects));
+    EXPECT_EQ(CatalogEncodings(db), before);
+    EXPECT_EQ(db.GetSet("S").value()->cardinality, rows.size());
+    return status.ToString();
+  };
+  auto with_field = [&](size_t row, size_t field, MoaValue value) {
+    std::vector<MoaValue> fields =
+        MixedObjects({MixedRows(13)[row]})[0].children();
+    fields[field] = std::move(value);
+    return std::make_pair(row, MoaValue::Tuple(std::move(fields)));
+  };
+  const MoaValue not_a_tuple = MoaValue::Int(1);
+
+  // Bad rows in different morsels: the lowest one is named.
+  EXPECT_NE(load_with({{90000, not_a_tuple}, {70000, not_a_tuple}})
+                .find("S: object 70000 is not a 5-field tuple"),
+            std::string::npos);
+  // Fields shred in schema order; within one, the lowest row decides.
+  EXPECT_NE(load_with({with_field(80000, 1, MoaValue::Str("x")),
+                       with_field(30000, 2, MoaValue::Str("y"))})
+                .find("S.i: expected int"),
+            std::string::npos);
+  EXPECT_NE(load_with({with_field(60000, 4, MoaValue::Vector({1.0})),
+                       with_field(50000, 4, MoaValue::Int(3))})
+                .find("S.v: expected Vector value"),
+            std::string::npos);
+  EXPECT_NE(load_with({with_field(60000, 4, MoaValue::Int(3)),
+                       with_field(50000, 4, MoaValue::Vector({1.0}))})
+                .find("S.v: inconsistent vector dims"),
+            std::string::npos);
+  EXPECT_NE(load_with({with_field(99999, 3, MoaValue::Dbl(1.0))})
+                .find("S.s: expected str"),
+            std::string::npos);
 }
 
 }  // namespace

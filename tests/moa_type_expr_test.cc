@@ -7,6 +7,7 @@
 #include "moa/moa_value.h"
 #include "moa/structure_registry.h"
 #include "moa/structure_type.h"
+#include "monet/mil.h"
 
 namespace mirror::moa {
 namespace {
@@ -178,6 +179,39 @@ TEST(MoaValueTest, CopyAndMoveKeepNestedPayloads) {
   for (const MoaValue& row : rows) EXPECT_EQ(row.ToString(), rendered);
   copy = rows[0];
   EXPECT_EQ(copy.ToString(), rendered);
+}
+
+TEST(MoaValueTest, NearbyDoublesPrintApartInValuesExprsAndMil) {
+  // "%g" keeps six significant digits and prints both as 1.0688; the
+  // shortest round-trip spelling keeps them apart (and 0.5 stays 0.5).
+  const double a = 1.068797024;
+  const double b = 1.068797124;
+  const monet::Value va = monet::Value::MakeDbl(a);
+  const monet::Value vb = monet::Value::MakeDbl(b);
+  EXPECT_EQ(va.ToString(), "dbl:1.068797024");
+  EXPECT_EQ(vb.ToString(), "dbl:1.068797124");
+  EXPECT_EQ(monet::Value::MakeDbl(0.5).ToString(), "dbl:0.5");
+
+  const std::string ea = Expr::Lit(va)->ToString();
+  const std::string eb = Expr::Lit(vb)->ToString();
+  EXPECT_EQ(ea, "1.068797024");
+  EXPECT_NE(ea, eb);
+  // The spelling parses back to the same literal.
+  auto parsed = ParseExpr(ea);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value()->literal.d(), a);
+
+  monet::mil::Instr ia;
+  ia.op = monet::mil::OpCode::kSelectRange;
+  ia.dst = 1;
+  ia.src0 = 0;
+  ia.imm0 = va;
+  ia.imm1 = monet::Value::MakeDbl(2.0);
+  monet::mil::Instr ib = ia;
+  ib.imm0 = vb;
+  EXPECT_NE(ia.ToString(), ib.ToString());
+  EXPECT_NE(ia.ToString().find("dbl:1.068797024"), std::string::npos)
+      << ia.ToString();
 }
 
 TEST(MoaValueTest, ToStringPerKind) {

@@ -1,11 +1,16 @@
 // Unit tests for the BAT building blocks: values, string heap, columns.
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "monet/bat.h"
 #include "monet/bat_io.h"
 #include "monet/string_heap.h"
 #include "monet/value.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::monet {
 namespace {
@@ -168,6 +173,123 @@ TEST(StringHeapTest, BulkBuildReleasesTheUnusedUpperBound) {
   EXPECT_EQ(c.heap()->size(), 3u);
   EXPECT_LT(c.heap()->footprint_bytes(), 1024u);
   for (size_t i = 0; i < v.size(); ++i) ASSERT_EQ(c.StrAt(i), v[i]);
+}
+
+// ---------------------------------------------------------------------------
+// Bulk builds: StringHeap::Build must give the buffer and offsets of the
+// sequential Intern loop, on any pool.
+
+/// Builds `rows` with StringHeap::Build on a private pool of `threads`
+/// workers and checks it against the sequential Intern loop: same buffer,
+/// same offsets, same distinct count, and later Intern/At calls agree.
+void ExpectBuildMatchesInternLoop(const std::vector<std::string>& rows,
+                                  int threads) {
+  SCOPED_TRACE(std::to_string(rows.size()) + " rows, " +
+               std::to_string(threads) + " threads");
+  StringHeap want;
+  std::vector<uint32_t> want_offsets;
+  for (const std::string& s : rows) want_offsets.push_back(want.Intern(s));
+  want.ShrinkToFit();
+
+  WorkerPool pool;
+  pool.EnsureWorkers(threads);
+  std::vector<uint32_t> offsets = {7, 7, 7};  // overwritten
+  StringHeap got = StringHeap::Build(
+      rows.size(), [&](size_t i) -> std::string_view { return rows[i]; },
+      &offsets, &pool);
+  ASSERT_EQ(got.buffer(), want.buffer());
+  ASSERT_EQ(offsets, want_offsets);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(got.At(offsets[i]), rows[i]) << i;
+    ASSERT_EQ(got.Intern(rows[i]), offsets[i]) << i;
+  }
+  EXPECT_EQ(got.buffer(), want.buffer());  // the Interns found everything
+  EXPECT_EQ(got.Intern("a spelling no row has"), want.buffer().size());
+}
+
+void ExpectBuildMatchesAtOneAndFourThreads(
+    const std::vector<std::string>& rows) {
+  ExpectBuildMatchesInternLoop(rows, 1);
+  ExpectBuildMatchesInternLoop(rows, 4);
+}
+
+TEST(StringHeapBuildTest, EmptyInput) {
+  ExpectBuildMatchesAtOneAndFourThreads({});
+  std::vector<uint32_t> offsets;
+  StringHeap heap = StringHeap::Build(
+      0, [](size_t) { return std::string_view(); }, &offsets, nullptr);
+  EXPECT_EQ(heap.size(), 0u);
+  EXPECT_EQ(heap.Intern("x"), 0u);
+}
+
+TEST(StringHeapBuildTest, AllDuplicates) {
+  ExpectBuildMatchesAtOneAndFourThreads(
+      std::vector<std::string>(200000, "same"));
+}
+
+TEST(StringHeapBuildTest, EmptyStrings) {
+  std::vector<std::string> rows;
+  for (int i = 0; i < 100000; ++i) {
+    rows.push_back(i % 3 == 0 ? "" : "e" + std::to_string(i % 1000));
+  }
+  ExpectBuildMatchesAtOneAndFourThreads(rows);
+  ExpectBuildMatchesAtOneAndFourThreads({"", "", ""});
+}
+
+TEST(StringHeapBuildTest, MillionDistinctSpellings) {
+  std::vector<std::string> rows;
+  rows.reserve(1000000);
+  for (int i = 0; i < 1000000; ++i) rows.push_back("c" + std::to_string(i));
+  ExpectBuildMatchesAtOneAndFourThreads(rows);
+}
+
+TEST(StringHeapBuildTest, ProbesThatRunPastTheirRegionAreDeferred) {
+  // `region` rows make a table of 2 * region slots: two regions, split at
+  // slot `region`. Sixteen spellings whose home slots sit in the last
+  // eight slots of the first region cannot all fit there, so their probes
+  // run past the region's end; each repeats later (found after the
+  // deferred insert) among distinct fillers.
+  const size_t region = StringHeap::BuildRegionSlots();
+  const size_t mask = 2 * region - 1;
+  std::vector<std::string> crafted;
+  for (uint64_t k = 0; crafted.size() < 16; ++k) {
+    std::string s = "k" + std::to_string(k);
+    const size_t home = std::hash<std::string_view>{}(s) & mask;
+    if (home >= region - 8 && home < region) crafted.push_back(std::move(s));
+  }
+  std::vector<std::string> rows;
+  for (size_t i = 0; rows.size() < region / 2; ++i) {
+    rows.push_back("f" + std::to_string(i));
+  }
+  for (const std::string& s : crafted) rows.push_back(s);
+  for (size_t i = 0; rows.size() < region - crafted.size(); ++i) {
+    rows.push_back("g" + std::to_string(i));
+  }
+  for (const std::string& s : crafted) rows.push_back(s);
+  ASSERT_EQ(rows.size(), region);
+  ExpectBuildMatchesAtOneAndFourThreads(rows);
+}
+
+TEST(StringHeapBuildTest, FromBufferOnThePoolKeepsFirstOffsets) {
+  // A persisted buffer holding every spelling twice: the index keeps each
+  // spelling's first offset, and the repeats stay readable.
+  SharedWorkerPool().EnsureWorkers(4);
+  StringHeap heap;
+  std::vector<uint32_t> first;
+  for (int i = 0; i < 200000; ++i) {
+    first.push_back(heap.Intern("p" + std::to_string(i)));
+  }
+  std::string buffer = heap.buffer() + heap.buffer();
+  StringHeap restored = StringHeap::FromBuffer(buffer);
+  EXPECT_EQ(restored.size(), first.size());
+  EXPECT_EQ(restored.buffer(), buffer);
+  for (int i = 0; i < 200000; ++i) {
+    const std::string s = "p" + std::to_string(i);
+    ASSERT_EQ(restored.Intern(s), first[i]) << s;
+    ASSERT_EQ(restored.At(first[i] + heap.buffer().size()), s);
+  }
+  EXPECT_EQ(restored.Intern("fresh"), buffer.size());
 }
 
 TEST(ColumnTest, VoidColumnIsVirtual) {

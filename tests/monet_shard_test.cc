@@ -22,6 +22,7 @@
 #include "monet/exec.h"
 #include "monet/mil.h"
 #include "monet/profiler.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::monet {
 namespace {
@@ -156,6 +157,67 @@ TEST(ShardedCatalogTest, LayoutsAreCachedPerCountAndDropOnMutation) {
   auto frag = rebuilt->shard(0).Get("a");
   ASSERT_TRUE(frag.ok());
   EXPECT_EQ(frag.value()->tail().IntAt(0), 9);
+}
+
+/// Shard s's fragment of `name` in `layout`.
+const Bat* Fragment(const ShardedCatalog& layout, size_t s,
+                    const std::string& name) {
+  return layout.shard(s).Get(name).value().get();
+}
+
+TEST(ShardedCatalogTest, MutationsResliceOnlyTheChangedBat) {
+  SharedWorkerPool().EnsureWorkers(4);  // the parallel slicer runs
+  constexpr size_t kShards = 4;
+  std::vector<int64_t> ints(1000);
+  for (size_t i = 0; i < ints.size(); ++i) ints[i] = static_cast<int64_t>(i);
+  std::vector<std::string> strs;
+  for (int i = 0; i < 999; ++i) strs.push_back("w" + std::to_string(i % 37));
+  Catalog catalog;
+  catalog.Put("A.v", Bat::DenseInts(ints));
+  catalog.Put("B.s", Bat::DenseStrs(strs));
+  auto first = catalog.SharedShards(kShards);
+  ASSERT_NE(first, nullptr);
+  std::vector<const BatZones*> a_zones;
+  for (size_t s = 0; s < kShards; ++s) {
+    a_zones.push_back(first->shard(s).PinZones()->ForName("A.v"));
+    ASSERT_NE(a_zones.back(), nullptr);
+  }
+
+  // Loading a second set: A and B keep their fragments, ranges and
+  // shard-local zone maps.
+  catalog.Put("C.v", Bat::DenseInts({7, 8, 9, 10, 11}));
+  auto second = catalog.SharedShards(kShards);
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->RangesFor("A.v"), first->RangesFor("A.v"));
+  EXPECT_EQ(second->RangesFor("B.s"), first->RangesFor("B.s"));
+  ASSERT_TRUE(second->IsSharded("C.v"));
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(Fragment(*second, s, "A.v"), Fragment(*first, s, "A.v"));
+    EXPECT_EQ(Fragment(*second, s, "B.s"), Fragment(*first, s, "B.s"));
+    EXPECT_EQ(second->shard(s).PinZones()->ForName("A.v"), a_zones[s]);
+    EXPECT_NE(second->shard(s).PinZones()->ForName("C.v"), nullptr);
+  }
+
+  // Appending to A reslices A alone, over its new visible snapshot.
+  ASSERT_TRUE(catalog.Append("A.v", Column::MakeInts({5000, 5001})).ok());
+  auto third = catalog.SharedShards(kShards);
+  ASSERT_NE(third, nullptr);
+  size_t a_rows = 0;
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(Fragment(*third, s, "B.s"), Fragment(*first, s, "B.s"));
+    EXPECT_EQ(Fragment(*third, s, "C.v"), Fragment(*second, s, "C.v"));
+    EXPECT_NE(Fragment(*third, s, "A.v"), Fragment(*first, s, "A.v"));
+    a_rows += Fragment(*third, s, "A.v")->size();
+  }
+  EXPECT_EQ(a_rows, 1002u);
+  EXPECT_EQ((*third->RangesFor("A.v"))[kShards - 1].end, 1002u);
+  const Bat* last = Fragment(*third, kShards - 1, "A.v");
+  EXPECT_EQ(last->tail().IntAt(last->size() - 1), 5001);
+  EXPECT_DOUBLE_EQ(
+      third->shard(kShards - 1).PinZones()->ForName("A.v")->tail.max, 5001.0);
+  // The old layout still reads the old snapshot.
+  EXPECT_EQ((*first->RangesFor("A.v"))[kShards - 1].end, 1000u);
 }
 
 TEST(ShardedCatalogTest, StringFragmentsShareTheBaseHeap) {
@@ -623,6 +685,37 @@ TEST(MirrorDbShardingTest, LoadShardedAppliesDefaultShardCount) {
   ResetKernelStats();
   ASSERT_TRUE(database.Query(queries[0], ctx, pinned).ok());
   EXPECT_EQ(SnapshotKernelStats().shard_fanouts, 0u);
+}
+
+TEST(MirrorDbShardingTest, LoadingASecondSetKeepsTheShardedSetsLayout) {
+  db::MirrorDb database;
+  ASSERT_TRUE(database.Define("define N as SET<TUPLE<Atomic<int>: x>>;").ok());
+  ASSERT_TRUE(database.Define("define P as SET<TUPLE<Atomic<int>: v>>;").ok());
+  std::vector<moa::MoaValue> objects;
+  for (int i = 0; i < 50000; ++i) {
+    objects.push_back(moa::MoaValue::Tuple({moa::MoaValue::Int(i % 997)}));
+  }
+  ASSERT_TRUE(database.LoadSharded("N", std::move(objects), 4).ok());
+  const Catalog& catalog = *database.catalog();
+  auto before = catalog.SharedShards(4);
+  auto zones = catalog.PinZones();
+  ASSERT_TRUE(database
+                  .Load("P", {moa::MoaValue::Tuple({moa::MoaValue::Int(1)})})
+                  .ok());
+  EXPECT_EQ(catalog.PinZones()->ForName("N.x"), zones->ForName("N.x"));
+  auto after = catalog.SharedShards(4);
+  ASSERT_TRUE(after->IsSharded("P.v"));
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(Fragment(*after, s, "N.x"), Fragment(*before, s, "N.x"));
+    EXPECT_EQ(after->shard(s).PinZones()->ForName("N.x"),
+              before->shard(s).PinZones()->ForName("N.x"));
+  }
+  moa::QueryContext ctx;
+  auto sum = database.Query("sum(map[THIS.x](select[THIS.x >= 500](N)));", ctx);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  double want = 0;
+  for (int i = 0; i < 50000; ++i) want += i % 997 >= 500 ? i % 997 : 0;
+  EXPECT_DOUBLE_EQ(sum.value().scalar.AsDouble(), want);
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // engines bit for bit: zoned selects, threshold-pruned ranking plans
 // with boundary ties, whole-shard prunes, and partition-wise probe
 // joins. Also covers the derived-cache invalidation contract: replacing
-// a BAT must drop its zone maps so stale bounds can never mis-prune.
+// a BAT must drop its zone maps so stale bounds can never mis-prune,
+// while every BAT a mutation leaves alone keeps its maps, shared.
 
 #include <cmath>
 #include <cstdint>
@@ -406,6 +407,97 @@ TEST(ZoneInvalidationTest, ReplacingABatDropsItsZoneMapsAndShardLayouts) {
   auto got = mil::ExecutionEngine(&catalog, {}).Run(p);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value().bat->size(), kZoneBlockRows / 2);
+}
+
+TEST(ZoneInvalidationTest, MutationsRebuildOnlyTheChangedBatsZoneMaps) {
+  SharedWorkerPool().EnsureWorkers(4);  // the parallel builders run
+  // Clustered values, so block b holds [10 b, 10 b + 9].
+  const size_t n = 40 * kZoneBlockRows;
+  std::vector<int64_t> clustered(n);
+  for (size_t i = 0; i < n; ++i) {
+    clustered[i] = static_cast<int64_t>(i / kZoneBlockRows) * 10 +
+                   static_cast<int64_t>(i % 10);
+  }
+  Catalog catalog;
+  catalog.Put("A.v", Bat::DenseInts(clustered));
+  catalog.Put("B.v", Bat::DenseInts(clustered));
+  Catalog::ZoneSnapshot first = catalog.PinZones();
+  const BatZones* a = first->ForName("A.v");
+  const BatZones* b = first->ForName("B.v");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->tail.num_blocks(), 40u);
+  EXPECT_DOUBLE_EQ(b->tail.max, 399.0);
+
+  // Loading a second set keeps both maps, shared.
+  catalog.Put("C.v", Bat::DenseInts({1, 2, 3}));
+  Catalog::ZoneSnapshot second = catalog.PinZones();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->ForName("A.v"), a);
+  EXPECT_EQ(second->ForName("B.v"), b);
+  ASSERT_NE(second->ForName("C.v"), nullptr);
+
+  // Appending to B rebuilds B's maps alone.
+  ASSERT_TRUE(
+      catalog.Append("B.v", Column::MakeInts(std::vector<int64_t>(
+                                kZoneBlockRows, 5000)))
+          .ok());
+  Catalog::ZoneSnapshot third = catalog.PinZones();
+  EXPECT_EQ(third->ForName("A.v"), a);
+  EXPECT_EQ(third->ForName("C.v"), second->ForName("C.v"));
+  const BatZones* grown = third->ForName("B.v");
+  ASSERT_NE(grown, nullptr);
+  EXPECT_NE(grown, b);
+  EXPECT_EQ(grown->tail.num_blocks(), 41u);
+  EXPECT_DOUBLE_EQ(grown->tail.max, 5000.0);
+  EXPECT_EQ(third->ForBat(catalog.Get("B.v").value().get()), grown);
+  // The pinned older snapshot still describes the older data.
+  EXPECT_DOUBLE_EQ(first->ForName("B.v")->tail.max, 399.0);
+
+  // The rebuilt maps prune soundly: a select for the appended rows finds
+  // all of them and skips every old block.
+  mil::Program p;
+  auto emit = [&p](mil::Instr i) {
+    i.dst = p.NewReg();
+    return p.Emit(std::move(i));
+  };
+  int v = emit(Load("B.v"));
+  mil::Instr sel;
+  sel.op = mil::OpCode::kSelectCmp;
+  sel.src0 = v;
+  sel.cmp_op = CmpOp::kGt;
+  sel.imm0 = Value::MakeInt(1000);
+  p.set_result_reg(emit(std::move(sel)));
+  mil::ExecOptions options;
+  options.num_threads = 4;
+  ResetKernelStats();
+  auto got = mil::ExecutionEngine(&catalog, options).Run(p);
+  KernelStats stats = SnapshotKernelStats();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().bat->size(), kZoneBlockRows);
+  EXPECT_GE(stats.zone_blocks_skipped, 40u);
+}
+
+TEST(ZoneMapBuildTest, ParallelBuildMatchesSequential) {
+  SharedWorkerPool().EnsureWorkers(4);
+  base::Rng rng(3);
+  std::vector<int64_t> ints(37 * kZoneBlockRows + 5);
+  for (int64_t& x : ints) x = static_cast<int64_t>(rng.Uniform(1 << 20));
+  std::vector<double> dbls(ints.begin(), ints.end());
+  for (const Column& c :
+       {Column::MakeInts(ints), Column::MakeDbls(dbls)}) {
+    const ZoneMap seq = BuildZoneMap(c);
+    const ZoneMap par = BuildZoneMap(c, kZoneBlockRows, &SharedWorkerPool());
+    ASSERT_TRUE(par.valid);
+    EXPECT_EQ(par.block_min, seq.block_min);
+    EXPECT_EQ(par.block_max, seq.block_max);
+    EXPECT_EQ(par.min, seq.min);
+    EXPECT_EQ(par.max, seq.max);
+  }
+  dbls[20 * kZoneBlockRows] = std::nan("");
+  EXPECT_FALSE(
+      BuildZoneMap(Column::MakeDbls(dbls), kZoneBlockRows, &SharedWorkerPool())
+          .valid);
 }
 
 // ---------------------------------------------------------------------------
