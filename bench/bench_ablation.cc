@@ -10,6 +10,7 @@
 #include "base/str_util.h"
 #include "base/table_printer.h"
 #include "ir/inference_network.h"
+#include "monet/worker_pool.h"
 
 namespace {
 
@@ -30,6 +31,7 @@ TopicCollection MakeTopicCollection(int docs, int topics, uint64_t seed) {
   TopicCollection out;
   base::Rng rng(seed);
   out.relevant.resize(static_cast<size_t>(topics));
+  std::vector<std::vector<std::string>> doc_terms(static_cast<size_t>(docs));
   // Topic vocabularies overlap: topic t draws from a 3-word window
   // {shared_{2t}, shared_{2t+1}, shared_{2t+2}} of a circular pool, so
   // neighbouring topics share a word and single words are ambiguous.
@@ -60,11 +62,17 @@ TopicCollection MakeTopicCollection(int docs, int topics, uint64_t seed) {
       terms.push_back(base::StrFormat(
           "common%llu", static_cast<unsigned long long>(rng.Zipf(40, 1.2))));
     }
-    out.index.AddDocument(static_cast<monet::Oid>(d), terms);
+    doc_terms[static_cast<size_t>(d)] = std::move(terms);
     out.relevant[static_cast<size_t>(topic)].insert(
         static_cast<monet::Oid>(d));
   }
-  out.index.Finalize();
+  out.index = ir::ContentIndex::Build(
+                  doc_terms.size(),
+                  [&](size_t d, std::vector<std::string>*) {
+                    return &doc_terms[d];
+                  },
+                  &monet::SharedWorkerPool())
+                  .TakeValue();
   out.topic_terms.resize(static_cast<size_t>(topics));
   for (int t = 0; t < topics; ++t) {
     for (int w = 0; w < 3; ++w) {

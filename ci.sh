@@ -282,7 +282,7 @@ echo "== end-to-end benchmark: self-test and quick run =="
 bash bench/e2e/run.sh --selftest
 bash bench/e2e/run.sh --quick
 
-echo "== TSan: daemon and engine concurrency (event loop, worker pool, chaos storm, shared views, string appends, shared join builds, WAL group commit, recycler decodes, bulk builders) =="
+echo "== TSan: daemon and engine concurrency (event loop, worker pool, chaos storm, shared views, string appends, shared join builds, WAL group commit, recycler decodes, bulk builders, CONTREP builds) =="
 # The event-driven connection layer is lock-order sensitive (loop_mu_ ->
 # mu_, the quiesce gate, the coalescing map) and the recycler fast path
 # reads the cache from the poll loop while workers insert and writers
@@ -298,7 +298,10 @@ echo "== TSan: daemon and engine concurrency (event loop, worker pool, chaos sto
 # recycler's mutex while one thread inserts and another fences, and the
 # BAT, zone-map and shard tests, which run the parallel bulk builders:
 # string-heap builds fill table regions from several workers, zone maps
-# scan block ranges in parallel, and layouts slice fragments per task.
+# scan block ranges in parallel, and layouts slice fragments per task,
+# and the IR and persistence tests, whose CONTREP builds count document
+# morsels and scatter postings from several workers of the shared pool
+# (the persistence test also runs the parallel Load in a forked child).
 # Skipped with a notice when the toolchain lacks libtsan.
 if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_probe 2>/dev/null; then
   rm -f /tmp/tsan_probe
@@ -311,7 +314,7 @@ if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_pr
     daemon_recycler_test daemon_observability_test monet_trace_test \
     monet_morsel_test moa_fuzz_equivalence_test monet_catalog_mil_test \
     monet_join_test monet_wal_test monet_recycler_test monet_bat_test \
-    monet_zone_map_test monet_shard_test
+    monet_zone_map_test monet_shard_test ir_test moa_persistence_test
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_server_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_recovery_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_chaos_test)
@@ -327,6 +330,8 @@ if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_pr
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_bat_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_zone_map_test)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_shard_test)
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./ir_test)
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./moa_persistence_test)
 else
   echo "libtsan unavailable: skipping the TSan job"
 fi

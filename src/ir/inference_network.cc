@@ -103,7 +103,6 @@ InferenceNetwork::InferenceNetwork(const ContentIndex* index,
                                    monet::BeliefParams params)
     : index_(index), params_(params) {
   MIRROR_CHECK(index_ != nullptr);
-  MIRROR_CHECK(index_->finalized()) << "index must be finalized";
 }
 
 double InferenceNetwork::Belief(Oid doc, int64_t term) const {

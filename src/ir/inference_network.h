@@ -52,7 +52,7 @@ struct ScoredDoc {
 /// the two must agree (tested).
 class InferenceNetwork {
  public:
-  /// The index must be finalized and must outlive the network.
+  /// The index must outlive the network.
   InferenceNetwork(const ContentIndex* index,
                    monet::BeliefParams params = monet::BeliefParams());
 

@@ -4,29 +4,38 @@
 #include <unordered_set>
 
 #include "base/str_util.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::ir {
 
 ContentIndex MakeSyntheticIndex(const SyntheticTextOptions& options) {
+  // Draw every document's term ranks first (the generator is sequential),
+  // then index them on the shared pool.
   base::Rng rng(options.seed);
-  ContentIndex index;
-  for (int64_t d = 0; d < options.num_docs; ++d) {
+  std::vector<std::vector<uint64_t>> ranks(
+      static_cast<size_t>(std::max<int64_t>(options.num_docs, 0)));
+  for (std::vector<uint64_t>& doc : ranks) {
     int64_t len = options.doc_len_mean +
                   rng.UniformInt(-options.doc_len_spread,
                                  options.doc_len_spread);
     len = std::max<int64_t>(len, 1);
-    std::vector<std::string> terms;
-    terms.reserve(static_cast<size_t>(len));
+    doc.reserve(static_cast<size_t>(len));
     for (int64_t i = 0; i < len; ++i) {
-      uint64_t rank = rng.Zipf(static_cast<uint64_t>(options.vocab_size),
-                               options.zipf_skew);
-      terms.push_back(
-          base::StrFormat("t%llu", static_cast<unsigned long long>(rank)));
+      doc.push_back(rng.Zipf(static_cast<uint64_t>(options.vocab_size),
+                             options.zipf_skew));
     }
-    index.AddDocument(static_cast<monet::Oid>(d), terms);
   }
-  index.Finalize();
-  return index;
+  return ContentIndex::Build(
+             ranks.size(),
+             [&](size_t d, std::vector<std::string>* storage) {
+               for (uint64_t rank : ranks[d]) {
+                 storage->push_back(base::StrFormat(
+                     "t%llu", static_cast<unsigned long long>(rank)));
+               }
+               return storage;
+             },
+             &monet::SharedWorkerPool())
+      .TakeValue();
 }
 
 std::vector<int64_t> SampleQueryTerms(const ContentIndex& index, int length,

@@ -21,7 +21,7 @@ struct SyntheticTextOptions {
   uint64_t seed = 42;
 };
 
-/// Builds a finalized index of synthetic documents with oids 0..n-1.
+/// Builds the index of synthetic documents with oids 0..n-1.
 /// Terms are spelled "t<k>" with k the Zipf rank (t0 most frequent).
 ContentIndex MakeSyntheticIndex(const SyntheticTextOptions& options);
 

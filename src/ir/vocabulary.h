@@ -1,6 +1,7 @@
 #ifndef MIRROR_IR_VOCABULARY_H_
 #define MIRROR_IR_VOCABULARY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -11,7 +12,9 @@
 namespace mirror::ir {
 
 /// Bidirectional term dictionary: maps index terms (text stems or visual
-/// cluster labels like "gabor_21") to dense term ids.
+/// cluster labels like "gabor_21") to dense term ids. Probes hash the
+/// `string_view` itself (transparent lookup), so neither Intern of a
+/// known term nor Lookup builds a `std::string`.
 class Vocabulary {
  public:
   Vocabulary() = default;
@@ -19,7 +22,7 @@ class Vocabulary {
   /// Returns the id of `term`, adding it if new. Ids are dense from 0 in
   /// insertion order.
   int64_t Intern(std::string_view term) {
-    auto it = ids_.find(std::string(term));
+    auto it = ids_.find(term);
     if (it != ids_.end()) return it->second;
     int64_t id = static_cast<int64_t>(terms_.size());
     terms_.emplace_back(term);
@@ -29,7 +32,7 @@ class Vocabulary {
 
   /// Returns the id of `term`, or -1 if unknown.
   int64_t Lookup(std::string_view term) const {
-    auto it = ids_.find(std::string(term));
+    auto it = ids_.find(term);
     return it == ids_.end() ? -1 : it->second;
   }
 
@@ -43,8 +46,15 @@ class Vocabulary {
   int64_t size() const { return static_cast<int64_t>(terms_.size()); }
 
  private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> terms_;
-  std::unordered_map<std::string, int64_t> ids_;
+  std::unordered_map<std::string, int64_t, Hash, std::equal_to<>> ids_;
 };
 
 }  // namespace mirror::ir

@@ -224,20 +224,27 @@ base::Status Database::LoadField(const std::string& set_name,
       contrep->set_name = set_name;
       contrep->field_name = binding->name;
       contrep->media = ftype->base();
-      for (size_t i = 0; i < objects.size(); ++i) {
-        const MoaValue& v = objects[i].field(field_index);
-        if (v.kind() == MoaValue::Kind::kContRep) {
-          contrep->index.AddDocument(static_cast<Oid>(i), v.terms());
-        } else if (v.kind() == MoaValue::Kind::kAtomic &&
-                   v.atomic().type() == monet::ValueType::kStr) {
-          contrep->index.AddDocument(static_cast<Oid>(i),
-                                     text_pipeline_.Process(v.atomic().s()));
-        } else {
-          return base::Status::TypeError(prefix +
-                                         ": CONTREP needs terms or text");
-        }
+      // Document morsels count terms on the shared pool; text rows run
+      // through the (stateless) text pipeline inside their morsel.
+      auto built = ir::ContentIndex::Build(
+          objects.size(),
+          [&](size_t row, std::vector<std::string>* storage)
+              -> const std::vector<std::string>* {
+            const MoaValue& v = objects[row].field(field_index);
+            if (v.kind() == MoaValue::Kind::kContRep) return &v.terms();
+            if (v.kind() == MoaValue::Kind::kAtomic &&
+                v.atomic().type() == monet::ValueType::kStr) {
+              *storage = text_pipeline_.Process(v.atomic().s());
+              return storage;
+            }
+            return nullptr;
+          },
+          &monet::SharedWorkerPool());
+      if (!built.ok()) {
+        return base::Status::TypeError(prefix +
+                                       ": CONTREP needs terms or text");
       }
-      contrep->index.Finalize();
+      contrep->index = built.TakeValue();
       contrep->network =
           std::make_unique<ir::InferenceNetwork>(&contrep->index);
       contrep->doc_bat = prefix + ".doc";
@@ -251,14 +258,7 @@ base::Status Database::LoadField(const std::string& set_name,
       staged->bats.emplace_back(contrep->tf_bat, contrep->index.TfBat());
       staged->bats.emplace_back(contrep->df_bat, contrep->index.DfBat());
       staged->bats.emplace_back(contrep->len_bat, contrep->index.DocLenBat());
-      {
-        std::vector<std::string> terms;
-        terms.reserve(static_cast<size_t>(contrep->index.vocab().size()));
-        for (int64_t t = 0; t < contrep->index.vocab().size(); ++t) {
-          terms.push_back(contrep->index.vocab().TermOf(t));
-        }
-        staged->bats.emplace_back(contrep->vocab_bat, Bat::DenseStrs(terms));
-      }
+      staged->bats.emplace_back(contrep->vocab_bat, contrep->index.VocabBat());
       binding->contrep_index = static_cast<int>(staged->contreps.size());
       staged->contreps.push_back(std::move(contrep));
       return base::Status::Ok();

@@ -273,33 +273,15 @@ base::Status Database::RestoreField(FlatSet* set, FieldBinding* binding,
       MIRROR_ASSIGN_OR_RETURN(BatPtr doc, catalog_.Get(contrep->doc_bat));
       MIRROR_ASSIGN_OR_RETURN(BatPtr term, catalog_.Get(contrep->term_bat));
       MIRROR_ASSIGN_OR_RETURN(BatPtr tf, catalog_.Get(contrep->tf_bat));
+      MIRROR_ASSIGN_OR_RETURN(BatPtr df, catalog_.Get(contrep->df_bat));
       MIRROR_ASSIGN_OR_RETURN(BatPtr len, catalog_.Get(contrep->len_bat));
-      // Re-intern the vocabulary in id order, then replay each document's
-      // term multiset from the postings.
-      std::vector<std::string> spell;
-      spell.reserve(vocab->size());
-      for (size_t i = 0; i < vocab->size(); ++i) {
-        spell.emplace_back(vocab->tail().StrAt(i));
+      auto restored =
+          ir::ContentIndex::FromBats(*vocab, *doc, *term, *tf, *df, *len);
+      if (!restored.ok()) {
+        return base::Status::InvalidArgument(
+            prefix + ": " + restored.status().message());
       }
-      std::map<Oid, std::vector<std::string>> docs;
-      for (size_t i = 0; i < len->size(); ++i) {
-        docs[len->head().OidAt(i)];  // ensure empty docs exist
-      }
-      for (size_t i = 0; i < doc->size(); ++i) {
-        Oid d = doc->tail().OidAt(i);
-        auto t = static_cast<size_t>(term->tail().IntAt(i));
-        int64_t count = tf->tail().IntAt(i);
-        for (int64_t c = 0; c < count; ++c) docs[d].push_back(spell[t]);
-      }
-      for (const auto& [d, terms] : docs) {
-        contrep->index.AddDocument(d, terms);
-      }
-      // Vocabulary ids must survive the round trip even for terms that
-      // lost all their postings: intern any stragglers in order.
-      for (const std::string& s : spell) {
-        contrep->index.mutable_vocab()->Intern(s);
-      }
-      contrep->index.Finalize();
+      contrep->index = restored.TakeValue();
       contrep->network =
           std::make_unique<ir::InferenceNetwork>(&contrep->index);
       binding->contrep_index = static_cast<int>(set->contreps.size());

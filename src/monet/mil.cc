@@ -100,6 +100,68 @@ const char* FoldOpName(FoldOp op) {
   return "?";
 }
 
+namespace {
+
+const char* CmpOpSymbol(CmpOp op) {
+  switch (op) {
+    case CmpOp::kEq:
+      return "==";
+    case CmpOp::kNeq:
+      return "!=";
+    case CmpOp::kLt:
+      return "<";
+    case CmpOp::kLe:
+      return "<=";
+    case CmpOp::kGt:
+      return ">";
+    case CmpOp::kGe:
+      return ">=";
+  }
+  return "?";
+}
+
+const char* BinOpName(BinOp op) {
+  switch (op) {
+    case BinOp::kAdd:
+      return "+";
+    case BinOp::kSub:
+      return "-";
+    case BinOp::kMul:
+      return "*";
+    case BinOp::kDiv:
+      return "/";
+    case BinOp::kMax:
+      return "max";
+    case BinOp::kMin:
+      return "min";
+    case BinOp::kPow:
+      return "pow";
+  }
+  return "?";
+}
+
+const char* UnOpName(UnOp op) {
+  switch (op) {
+    case UnOp::kLog:
+      return "log";
+    case UnOp::kLog1p:
+      return "log1p";
+    case UnOp::kExp:
+      return "exp";
+    case UnOp::kSqrt:
+      return "sqrt";
+    case UnOp::kNeg:
+      return "neg";
+    case UnOp::kAbs:
+      return "abs";
+    case UnOp::kOneMinus:
+      return "oneminus";
+  }
+  return "?";
+}
+
+}  // namespace
+
 std::optional<AggKind> PerHeadAggKind(OpCode op) {
   switch (op) {
     case OpCode::kSumPerHead:
@@ -139,15 +201,31 @@ std::string Instr::ToString() const {
   switch (op) {
     case OpCode::kSelectEq:
     case OpCode::kSelectNeq:
-    case OpCode::kMapBinaryScalar:
+    case OpCode::kFillTail:
       append(imm0.ToString());
       break;
-    case OpCode::kScalarBin:
-      if (src1 < 0) append(imm0.ToString());
+    case OpCode::kSelectCmp:
+      append(CmpOpSymbol(cmp_op));
+      append(imm0.ToString());
       break;
     case OpCode::kSelectRange:
+      // Interval notation: [ ] inclusive bounds, ( ) exclusive ones.
+      append(std::string(flag0 ? "[" : "(") + imm0.ToString());
+      append(imm1.ToString() + (flag1 ? "]" : ")"));
+      break;
+    case OpCode::kMapBinary:
+      append(BinOpName(bin_op));
+      break;
+    case OpCode::kMapBinaryScalar:
+      append(BinOpName(bin_op));
       append(imm0.ToString());
-      append(imm1.ToString());
+      break;
+    case OpCode::kMapUnary:
+      append(UnOpName(un_op));
+      break;
+    case OpCode::kScalarBin:
+      append(BinOpName(bin_op));
+      if (src1 < 0) append(imm0.ToString());
       break;
     case OpCode::kTopN:
     case OpCode::kMark:

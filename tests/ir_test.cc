@@ -1,16 +1,22 @@
 // IR engine tests: text pipeline, Porter stemmer vectors, content index
-// statistics, inference network semantics and relevance feedback.
+// statistics, the parallel bulk builder and the BAT restore, inference
+// network semantics and relevance feedback.
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "ir/content_index.h"
 #include "ir/feedback.h"
 #include "ir/inference_network.h"
 #include "ir/porter_stemmer.h"
 #include "ir/synthetic_text.h"
 #include "ir/text_pipeline.h"
+#include "monet/bat_io.h"
+#include "monet/worker_pool.h"
 
 namespace mirror::ir {
 namespace {
@@ -112,13 +118,19 @@ TEST(TextPipelineTest, FullChain) {
   EXPECT_EQ(terms, (std::vector<std::string>{"connect", "river", "flow"}));
 }
 
+using Docs = std::vector<std::vector<std::string>>;
+
+/// Indexes `docs` (document d is docs[d]) with the bulk builder.
+ContentIndex IndexOf(const Docs& docs, monet::WorkerPool* pool = nullptr) {
+  auto built = ContentIndex::Build(
+      docs.size(),
+      [&](size_t d, std::vector<std::string>*) { return &docs[d]; }, pool);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return built.TakeValue();
+}
+
 ContentIndex SmallIndex() {
-  ContentIndex index;
-  index.AddDocument(0, {"cat", "dog", "cat"});
-  index.AddDocument(1, {"dog", "bird"});
-  index.AddDocument(2, {"fish"});
-  index.Finalize();
-  return index;
+  return IndexOf({{"cat", "dog", "cat"}, {"dog", "bird"}, {"fish"}});
 }
 
 TEST(ContentIndexTest, StatsAndFrequencies) {
@@ -165,6 +177,255 @@ TEST(ContentIndexTest, BatExportShapes) {
   for (size_t i = 1; i < terms.size(); ++i) {
     EXPECT_LE(terms.tail().IntAt(i - 1), terms.tail().IntAt(i));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The bulk builder against a sequential reference: per-document map counts
+// with ids interned in document order, then one sort by (term, doc).
+
+struct ReferenceIndex {
+  std::vector<std::string> vocab;
+  std::vector<Posting> postings;
+  std::vector<int64_t> df;
+  std::vector<int64_t> len;
+  CollectionStats stats;
+};
+
+ReferenceIndex BuildReference(const Docs& docs) {
+  ReferenceIndex ref;
+  std::map<std::string, int64_t> ids;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    std::map<int64_t, int64_t> counts;
+    for (const std::string& t : docs[d]) {
+      auto [it, fresh] = ids.emplace(t, static_cast<int64_t>(ids.size()));
+      if (fresh) ref.vocab.push_back(t);
+      counts[it->second]++;
+    }
+    for (const auto& [term, tf] : counts) {
+      ref.postings.push_back(Posting{d, term, tf});
+    }
+    ref.len.push_back(static_cast<int64_t>(docs[d].size()));
+    ref.stats.total_terms += ref.len.back();
+  }
+  std::sort(ref.postings.begin(), ref.postings.end(),
+            [](const Posting& a, const Posting& b) {
+              return a.term != b.term ? a.term < b.term : a.doc < b.doc;
+            });
+  ref.df.assign(ref.vocab.size(), 0);
+  for (const Posting& p : ref.postings) ref.df[static_cast<size_t>(p.term)]++;
+  ref.stats.num_docs = static_cast<int64_t>(docs.size());
+  ref.stats.vocab_size = static_cast<int64_t>(ref.vocab.size());
+  ref.stats.num_postings = static_cast<int64_t>(ref.postings.size());
+  ref.stats.avg_doclen = docs.empty()
+                             ? 0.0
+                             : static_cast<double>(ref.stats.total_terms) /
+                                   static_cast<double>(docs.size());
+  return ref;
+}
+
+std::vector<uint8_t> Encoded(const monet::Bat& bat) {
+  std::vector<uint8_t> out;
+  monet::EncodeBat(bat, &out);
+  return out;
+}
+
+/// The reference's six BATs, in the export layout.
+std::vector<std::vector<uint8_t>> ReferenceBats(const ReferenceIndex& ref) {
+  std::vector<monet::Oid> docs, heads;
+  std::vector<int64_t> terms, tfs;
+  for (const Posting& p : ref.postings) {
+    docs.push_back(p.doc);
+    terms.push_back(p.term);
+    tfs.push_back(p.tf);
+  }
+  for (size_t d = 0; d < ref.len.size(); ++d) heads.push_back(d);
+  return {Encoded(monet::Bat::DenseOids(docs)),
+          Encoded(monet::Bat::DenseInts(terms)),
+          Encoded(monet::Bat::DenseInts(tfs)),
+          Encoded(monet::Bat::DenseInts(ref.df)),
+          Encoded(monet::Bat(monet::Column::MakeOids(heads),
+                             monet::Column::MakeInts(ref.len))),
+          Encoded(monet::Bat::DenseStrs(ref.vocab))};
+}
+
+std::vector<std::vector<uint8_t>> ExportedBats(const ContentIndex& index) {
+  return {Encoded(index.DocBat()), Encoded(index.TermBat()),
+          Encoded(index.TfBat()),  Encoded(index.DfBat()),
+          Encoded(index.DocLenBat()), Encoded(index.VocabBat())};
+}
+
+/// Field-for-field equality of `index` with the reference.
+void ExpectMatchesReference(const ContentIndex& index,
+                            const ReferenceIndex& ref) {
+  ASSERT_EQ(index.vocab().size(), static_cast<int64_t>(ref.vocab.size()));
+  for (size_t t = 0; t < ref.vocab.size(); ++t) {
+    ASSERT_EQ(index.vocab().TermOf(static_cast<int64_t>(t)), ref.vocab[t]);
+    ASSERT_EQ(index.DocFreq(static_cast<int64_t>(t)), ref.df[t]) << t;
+  }
+  ASSERT_EQ(index.postings().size(), ref.postings.size());
+  for (size_t i = 0; i < ref.postings.size(); ++i) {
+    const Posting& got = index.postings()[i];
+    const Posting& want = ref.postings[i];
+    ASSERT_TRUE(got.doc == want.doc && got.term == want.term &&
+                got.tf == want.tf)
+        << "posting " << i;
+  }
+  for (size_t d = 0; d < ref.len.size(); ++d) {
+    ASSERT_EQ(index.DocLen(d), ref.len[d]) << d;
+  }
+  EXPECT_EQ(index.stats().num_docs, ref.stats.num_docs);
+  EXPECT_EQ(index.stats().vocab_size, ref.stats.vocab_size);
+  EXPECT_EQ(index.stats().num_postings, ref.stats.num_postings);
+  EXPECT_EQ(index.stats().total_terms, ref.stats.total_terms);
+  EXPECT_EQ(index.stats().avg_doclen, ref.stats.avg_doclen);  // same bits
+  EXPECT_EQ(ExportedBats(index), ReferenceBats(ref));
+}
+
+/// Builds `docs` inline and on private 1- and 4-thread pools; each must
+/// match the reference.
+void ExpectBuildsLikeReference(const Docs& docs) {
+  const ReferenceIndex ref = BuildReference(docs);
+  ExpectMatchesReference(IndexOf(docs), ref);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    monet::WorkerPool pool;
+    pool.EnsureWorkers(threads);
+    ExpectMatchesReference(IndexOf(docs, &pool), ref);
+  }
+}
+
+/// `n` documents of 0-40 zipf-drawn terms over `vocab` spellings.
+Docs RandomDocs(size_t n, uint64_t vocab, uint64_t seed) {
+  base::Rng rng(seed);
+  Docs docs(n);
+  for (auto& doc : docs) {
+    const uint64_t len = rng.Uniform(41);
+    for (uint64_t t = 0; t < len; ++t) {
+      doc.push_back("w" + std::to_string(rng.Zipf(vocab, 1.0)));
+    }
+  }
+  return docs;
+}
+
+TEST(ContentIndexBuildTest, NoDocumentsOneDocumentAndEmptyDocuments) {
+  ExpectBuildsLikeReference({});
+  ExpectBuildsLikeReference({{"solo", "doc", "solo"}});
+  ExpectBuildsLikeReference({{}, {}, {}});
+  Docs gaps = RandomDocs(5000, 50, 3);
+  for (size_t d = 0; d < gaps.size(); d += 3) gaps[d].clear();
+  ExpectBuildsLikeReference(gaps);
+}
+
+TEST(ContentIndexBuildTest, AllDuplicateTerms) {
+  ExpectBuildsLikeReference(Docs(6000, std::vector<std::string>(7, "same")));
+}
+
+TEST(ContentIndexBuildTest, VocabularyFirstSeenInALateMorsel) {
+  // Early documents use two terms; only the last ones (the last morsel at
+  // any pool size) introduce new spellings, in an order unlike their sort
+  // order, and reuse the early terms too.
+  Docs docs = RandomDocs(20000, 2, 5);
+  for (size_t d = 19900; d < docs.size(); ++d) {
+    docs[d].push_back("late_" + std::to_string((docs.size() - d) % 37));
+    docs[d].push_back("w0");
+  }
+  ExpectBuildsLikeReference(docs);
+}
+
+TEST(ContentIndexBuildTest, FiftyThousandDocuments) {
+  ExpectBuildsLikeReference(RandomDocs(50000, 3000, 7));
+}
+
+TEST(ContentIndexBuildTest, RejectedDocumentsNameTheLowest) {
+  const Docs docs = RandomDocs(40000, 100, 9);
+  monet::WorkerPool pool;
+  pool.EnsureWorkers(4);
+  auto built = ContentIndex::Build(
+      docs.size(),
+      [&](size_t d,
+          std::vector<std::string>*) -> const std::vector<std::string>* {
+        return d == 35000 || d == 21000 ? nullptr : &docs[d];
+      },
+      &pool);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), base::StatusCode::kInvalidArgument);
+  EXPECT_NE(built.status().message().find("document 21000"),
+            std::string::npos)
+      << built.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// FromBats: the recovery path's linear restore from the six BATs.
+
+struct IndexBats {
+  monet::Bat vocab, doc, term, tf, df, len;
+};
+
+IndexBats BatsOf(const ContentIndex& index) {
+  return {index.VocabBat(), index.DocBat(), index.TermBat(),
+          index.TfBat(),    index.DfBat(),  index.DocLenBat()};
+}
+
+base::Result<ContentIndex> Restore(const IndexBats& b) {
+  return ContentIndex::FromBats(b.vocab, b.doc, b.term, b.tf, b.df, b.len);
+}
+
+TEST(ContentIndexFromBatsTest, RoundTripsTheExportIncludingUnpostedTerms) {
+  const Docs docs = RandomDocs(3000, 200, 11);
+  const ContentIndex index = IndexOf(docs);
+  auto restored = Restore(BatsOf(index));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectMatchesReference(restored.value(), BuildReference(docs));
+
+  // A vocabulary term without postings keeps its id and gets df 0.
+  IndexBats bats = BatsOf(index);
+  ReferenceIndex ref = BuildReference(docs);
+  ref.vocab.push_back("unposted");
+  ref.df.push_back(0);
+  ref.stats.vocab_size += 1;
+  bats.vocab = monet::Bat::DenseStrs(ref.vocab);
+  bats.df = monet::Bat::DenseInts(ref.df);
+  auto widened = Restore(bats);
+  ASSERT_TRUE(widened.ok()) << widened.status().ToString();
+  ExpectMatchesReference(widened.value(), ref);
+  EXPECT_EQ(widened.value().vocab().Lookup("unposted"),
+            static_cast<int64_t>(ref.vocab.size()) - 1);
+}
+
+TEST(ContentIndexFromBatsTest, InconsistentBatsGiveTypedErrors) {
+  const ContentIndex index = SmallIndex();  // 5 postings, 4 terms, 3 docs
+  auto expect_invalid = [](const IndexBats& bats, const char* what) {
+    auto restored = Restore(bats);
+    ASSERT_FALSE(restored.ok()) << what;
+    EXPECT_EQ(restored.status().code(), base::StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_NE(restored.status().message().find(what), std::string::npos)
+        << restored.status().ToString();
+  };
+  auto ints = [](const monet::Bat& bat) { return bat.tail().ints(); };
+
+  IndexBats bad_term = BatsOf(index);
+  std::vector<int64_t> terms = ints(bad_term.term);
+  terms.back() = 4;  // one past the vocabulary
+  bad_term.term = monet::Bat::DenseInts(terms);
+  expect_invalid(bad_term, "unknown term id 4");
+
+  IndexBats unordered = BatsOf(index);
+  std::vector<monet::Oid> docs = unordered.doc.tail().oids();
+  std::swap(docs[1], docs[2]);  // dog's two postings trade places
+  unordered.doc = monet::Bat::DenseOids(docs);
+  expect_invalid(unordered, "ascending (term, doc) order");
+
+  IndexBats bad_df = BatsOf(index);
+  std::vector<int64_t> df = ints(bad_df.df);
+  df[0] += 1;
+  bad_df.df = monet::Bat::DenseInts(df);
+  expect_invalid(bad_df, "df of term 0");
+
+  IndexBats sparse_len = BatsOf(index);
+  sparse_len.len = monet::Bat(monet::Column::MakeOids({0, 2, 3}),
+                              monet::Column::MakeInts({3, 2, 1}));
+  expect_invalid(sparse_len, "not dense");
 }
 
 TEST(InferenceNetworkTest, BeliefBoundsAndDefault) {
@@ -277,13 +538,11 @@ TEST(SyntheticTextTest, QuerySamplingAvoidsExtremes) {
 }
 
 TEST(FeedbackTest, ExpansionAddsRelevantTerms) {
-  ContentIndex index;
   // Relevant docs share "sunset"/"beach"; irrelevant are about cities.
-  index.AddDocument(0, {"sunset", "beach", "sand"});
-  index.AddDocument(1, {"sunset", "beach", "wave"});
-  index.AddDocument(2, {"city", "street", "car"});
-  index.AddDocument(3, {"city", "building", "car"});
-  index.Finalize();
+  ContentIndex index = IndexOf({{"sunset", "beach", "sand"},
+                                {"sunset", "beach", "wave"},
+                                {"city", "street", "car"},
+                                {"city", "building", "car"}});
   InferenceNetwork network(&index);
   RelevanceFeedback feedback(FeedbackOptions{.expansion_terms = 2});
 

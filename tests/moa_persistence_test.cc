@@ -1,10 +1,11 @@
 // Database persistence: a loaded database (schemas, atomic columns,
 // nested sets, vectors, CONTREP indexes) round-trips through disk, and
 // both engines produce identical answers on the restored instance. Also
-// covers the parallel bulk Load: its BATs encode byte for byte like the
-// sequential shredding's at any pool size, and a rejected Load reports
-// the lowest bad row and changes nothing.
+// covers the parallel bulk Load: its BATs (CONTREP indexes included)
+// encode byte for byte like the sequential builders' at any pool size,
+// and a rejected Load reports the lowest bad row and changes nothing.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -493,6 +494,259 @@ TEST(ParallelLoadTest, RejectedLoadReportsTheLowestBadRowAndChangesNothing) {
   EXPECT_NE(load_with({with_field(99999, 3, MoaValue::Dbl(1.0))})
                 .find("S.s: expected str"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Parallel CONTREP build on a rank_mix-shaped set: a terms CONTREP and a
+// text CONTREP, both indexed in document morsels on the shared pool.
+
+constexpr int kIndexDocs = 40000;  // many document morsels at 4 threads
+
+constexpr const char* kIndexedSchema =
+    "define Lib as SET<TUPLE<Atomic<URL>: u, Atomic<int>: year, "
+    "CONTREP<Text>: doc, CONTREP<Text>: text>>;";
+
+struct IndexedRow {
+  std::vector<std::string> terms;
+  std::string text;
+};
+
+std::vector<IndexedRow> IndexedRows(uint64_t seed) {
+  base::Rng rng(seed);
+  static const char* const kTerms[] = {"sun",  "sea",  "sky",  "rock",
+                                       "tree", "bird", "sand", "wave"};
+  // Stopwords and inflections, so the text pipeline stops and stems.
+  static const char* const kWords[] = {
+      "The", "rivers",    "are",        "flowing",  "and", "the",    "river",
+      "flows", "connected", "CONNECTION", "gabor_21", "a",   "cities", "city"};
+  std::vector<IndexedRow> rows(kIndexDocs);
+  for (IndexedRow& row : rows) {
+    const uint64_t len = rng.Uniform(25);  // empty documents included
+    for (uint64_t t = 0; t < len; ++t) {
+      row.terms.push_back(kTerms[rng.Zipf(std::size(kTerms), 1.0)]);
+    }
+    const uint64_t words = rng.Uniform(12);
+    for (uint64_t w = 0; w < words; ++w) {
+      if (!row.text.empty()) row.text += rng.Uniform(2) == 0 ? " " : ", ";
+      row.text += kWords[rng.Zipf(std::size(kWords), 0.8)];
+    }
+  }
+  // Spellings that only the last documents use.
+  for (int d = kIndexDocs - 50; d < kIndexDocs; ++d) {
+    rows[static_cast<size_t>(d)].terms.push_back("late" +
+                                                 std::to_string(d % 7));
+  }
+  return rows;
+}
+
+std::vector<MoaValue> IndexedObjects(const std::vector<IndexedRow>& rows) {
+  std::vector<MoaValue> objects;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    objects.push_back(MoaValue::Tuple(
+        {MoaValue::Str("d" + std::to_string(r)),
+         MoaValue::Int(1970 + static_cast<int64_t>(r % 56)),
+         MoaValue::ContRep(rows[r].terms), MoaValue::Str(rows[r].text)}));
+  }
+  return objects;
+}
+
+/// The six BATs of a sequentially built index over `docs`: ids interned
+/// in document order, per-document map counts, one sort by (term, doc).
+void SequentialIndexBats(const std::string& prefix,
+                         const std::vector<std::vector<std::string>>& docs,
+                         std::map<std::string, std::vector<uint8_t>>* out) {
+  std::map<std::string, int64_t> ids;
+  std::vector<std::string> vocab;
+  struct Entry {
+    int64_t term;
+    Oid doc;
+    int64_t tf;
+  };
+  std::vector<Entry> postings;
+  std::vector<int64_t> lens;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    std::map<int64_t, int64_t> counts;
+    for (const std::string& t : docs[d]) {
+      auto [it, fresh] = ids.emplace(t, static_cast<int64_t>(vocab.size()));
+      if (fresh) vocab.push_back(t);
+      counts[it->second]++;
+    }
+    for (const auto& [term, tf] : counts) postings.push_back({term, d, tf});
+    lens.push_back(static_cast<int64_t>(docs[d].size()));
+  }
+  std::sort(postings.begin(), postings.end(),
+            [](const Entry& a, const Entry& b) {
+              return a.term != b.term ? a.term < b.term : a.doc < b.doc;
+            });
+  std::vector<Oid> doc_col, heads;
+  std::vector<int64_t> term_col, tf_col, df(vocab.size(), 0);
+  for (const Entry& e : postings) {
+    doc_col.push_back(e.doc);
+    term_col.push_back(e.term);
+    tf_col.push_back(e.tf);
+    df[static_cast<size_t>(e.term)]++;
+  }
+  for (size_t d = 0; d < docs.size(); ++d) heads.push_back(d);
+  monet::EncodeBat(monet::Bat::DenseOids(doc_col), &(*out)[prefix + ".doc"]);
+  monet::EncodeBat(monet::Bat::DenseInts(term_col), &(*out)[prefix + ".term"]);
+  monet::EncodeBat(monet::Bat::DenseInts(tf_col), &(*out)[prefix + ".tf"]);
+  monet::EncodeBat(monet::Bat::DenseInts(df), &(*out)[prefix + ".df"]);
+  monet::EncodeBat(monet::Bat(monet::Column::MakeOids(heads),
+                              monet::Column::MakeInts(lens)),
+                   &(*out)[prefix + ".len"]);
+  monet::EncodeBat(monet::Bat::DenseStrs(vocab), &(*out)[prefix + ".vocab"]);
+}
+
+/// The twelve CONTREP BATs of the indexed set, built sequentially.
+std::map<std::string, std::vector<uint8_t>> SequentialContRepEncodings(
+    const std::vector<IndexedRow>& rows) {
+  Database db;  // for its text pipeline
+  std::vector<std::vector<std::string>> terms, texts;
+  for (const IndexedRow& row : rows) {
+    terms.push_back(row.terms);
+    texts.push_back(db.text_pipeline().Process(row.text));
+  }
+  std::map<std::string, std::vector<uint8_t>> out;
+  SequentialIndexBats("Lib.doc", terms, &out);
+  SequentialIndexBats("Lib.text", texts, &out);
+  return out;
+}
+
+/// `db`'s catalog encodings of the BATs named in `want`.
+std::map<std::string, std::vector<uint8_t>> EncodingsLike(
+    const Database& db,
+    const std::map<std::string, std::vector<uint8_t>>& want) {
+  std::map<std::string, std::vector<uint8_t>> out;
+  for (const auto& [name, bytes] : want) {
+    auto bat = db.catalog().Get(name);
+    if (bat.ok()) monet::EncodeBat(*bat.value(), &out[name]);
+  }
+  return out;
+}
+
+bool IndexedLoadEncodesAs(
+    const std::vector<IndexedRow>& rows,
+    const std::map<std::string, std::vector<uint8_t>>& want) {
+  Database db;
+  if (!db.Define(kIndexedSchema).ok()) return false;
+  if (!db.Load("Lib", IndexedObjects(rows)).ok()) return false;
+  return EncodingsLike(db, want) == want;
+}
+
+TEST(ParallelContRepLoadTest, IndexBatsMatchTheSequentialBuildOnOneAndFour) {
+  const std::vector<IndexedRow> rows = IndexedRows(17);
+  const auto want = SequentialContRepEncodings(rows);
+  ASSERT_EQ(want.size(), 12u);
+  // The 1-thread load runs in a child, whose shared pool starts empty.
+  EXPECT_EXIT(
+      {
+        monet::SharedWorkerPool().EnsureWorkers(1);
+        const bool same = IndexedLoadEncodesAs(rows, want) &&
+                          monet::SharedWorkerPool().size() == 1;
+        std::exit(same ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  monet::SharedWorkerPool().EnsureWorkers(4);
+  EXPECT_TRUE(IndexedLoadEncodesAs(rows, want));
+}
+
+TEST(ParallelContRepLoadTest, BadRowInALateMorselChangesNothing) {
+  monet::SharedWorkerPool().EnsureWorkers(4);
+  Database db;
+  ASSERT_TRUE(db.Define(kIndexedSchema).ok());
+  ASSERT_TRUE(db.Load("Lib", IndexedObjects(IndexedRows(19))).ok());
+  const auto before = CatalogEncodings(db);
+
+  for (size_t field : {2u, 3u}) {
+    std::vector<MoaValue> objects = IndexedObjects(IndexedRows(23));
+    std::vector<MoaValue> fields = objects[kIndexDocs - 3].children();
+    fields[field] = MoaValue::Int(3);  // neither terms nor text
+    objects[kIndexDocs - 3] = MoaValue::Tuple(std::move(fields));
+    const base::Status status = db.Load("Lib", std::move(objects));
+    EXPECT_EQ(status.code(), base::StatusCode::kTypeError);
+    EXPECT_NE(status.message().find(field == 2 ? "Lib.doc" : "Lib.text"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("CONTREP needs terms or text"),
+              std::string::npos);
+    EXPECT_EQ(CatalogEncodings(db), before);
+    EXPECT_EQ(db.GetSet("Lib").value()->cardinality,
+              static_cast<size_t>(kIndexDocs));
+  }
+}
+
+TEST(ContRepRestoreTest, RoundTripEqualsTheLoadedIndexWithAnUnpostedTerm) {
+  std::string dir = TempDir("contrep_restore");
+  Database original;
+  const std::vector<std::vector<std::string>> docs =
+      BuildTermLibrary(&original, 3000, 43);
+  // A vocabulary term without postings, as the BATs may carry one: it
+  // must keep its id and df 0 through the restore.
+  monet::Catalog* catalog = original.catalog();
+  const monet::Bat vocab = *catalog->Get("Docs.body.vocab").value();
+  std::vector<std::string> spellings;
+  for (size_t t = 0; t < vocab.size(); ++t) {
+    spellings.emplace_back(vocab.tail().StrAt(t));
+  }
+  spellings.push_back("unposted");
+  std::vector<int64_t> df = catalog->Get("Docs.body.df").value()->tail().ints();
+  df.push_back(0);
+  catalog->Put("Docs.body.vocab", monet::Bat::DenseStrs(spellings));
+  catalog->Put("Docs.body.df", monet::Bat::DenseInts(df));
+  ASSERT_TRUE(original.SaveTo(dir).ok());
+  Database restored;
+  auto status = restored.LoadFrom(dir);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  const ir::ContentIndex& before =
+      original.GetSet("Docs").value()->FindContRep("body")->index;
+  const ir::ContentIndex& after =
+      restored.GetSet("Docs").value()->FindContRep("body")->index;
+  ASSERT_EQ(after.vocab().size(), before.vocab().size() + 1);
+  for (int64_t t = 0; t < before.vocab().size(); ++t) {
+    EXPECT_EQ(after.vocab().TermOf(t), before.vocab().TermOf(t));
+    EXPECT_EQ(after.DocFreq(t), before.DocFreq(t));
+  }
+  EXPECT_EQ(after.vocab().Lookup("unposted"), before.vocab().size());
+  EXPECT_EQ(after.DocFreq(before.vocab().size()), 0);
+  ASSERT_EQ(after.postings().size(), before.postings().size());
+  for (size_t i = 0; i < before.postings().size(); ++i) {
+    const ir::Posting& a = after.postings()[i];
+    const ir::Posting& b = before.postings()[i];
+    ASSERT_TRUE(a.doc == b.doc && a.term == b.term && a.tf == b.tf) << i;
+  }
+  for (size_t d = 0; d < docs.size(); ++d) {
+    ASSERT_EQ(after.DocLen(d), before.DocLen(d)) << d;
+  }
+  EXPECT_EQ(after.stats().num_docs, before.stats().num_docs);
+  EXPECT_EQ(after.stats().vocab_size, before.stats().vocab_size + 1);
+  EXPECT_EQ(after.stats().num_postings, before.stats().num_postings);
+  EXPECT_EQ(after.stats().total_terms, before.stats().total_terms);
+  EXPECT_EQ(after.stats().avg_doclen, before.stats().avg_doclen);
+  // The restored index exports the BATs it was restored from.
+  std::vector<uint8_t> a, b;
+  monet::EncodeBat(after.DocBat(), &a);
+  monet::EncodeBat(*restored.catalog()->Get("Docs.body.doc").value(), &b);
+  EXPECT_EQ(a, b);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ContRepRestoreTest, InconsistentIndexBatsFailTheRestore) {
+  std::string dir = TempDir("contrep_bad");
+  Database original;
+  BuildTermLibrary(&original, 500, 47);
+  std::vector<int64_t> df =
+      original.catalog()->Get("Docs.body.df").value()->tail().ints();
+  df[0] += 1;
+  original.catalog()->Put("Docs.body.df", monet::Bat::DenseInts(df));
+  ASSERT_TRUE(original.SaveTo(dir).ok());
+  Database restored;
+  const base::Status status = restored.LoadFrom(dir);
+  EXPECT_EQ(status.code(), base::StatusCode::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find("Docs.body"), std::string::npos)
+      << status.ToString();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string_view>
 #include <thread>
 
@@ -249,6 +250,79 @@ TEST(MilTest, DisassemblyMentionsOpcodesAndRegisters) {
   std::string text = prog.ToString();
   EXPECT_NE(text.find("r0 := load(\"postings\")"), std::string::npos);
   EXPECT_NE(text.find("return r0"), std::string::npos);
+}
+
+TEST(MilTest, DisassemblyShowsOperatorsImmediatesAndInclusivity) {
+  // year >= 1980 and rating < 5 compile to the same opcode; EXPLAIN must
+  // tell them apart.
+  mil::Instr ge;
+  ge.op = mil::OpCode::kSelectCmp;
+  ge.dst = 1;
+  ge.src0 = 0;
+  ge.cmp_op = CmpOp::kGe;
+  ge.imm0 = Value::MakeInt(1980);
+  EXPECT_EQ(ge.ToString(), "r1 := select.cmp(r0, >=, int:1980)");
+  mil::Instr lt = ge;
+  lt.cmp_op = CmpOp::kLt;
+  lt.imm0 = Value::MakeInt(5);
+  EXPECT_EQ(lt.ToString(), "r1 := select.cmp(r0, <, int:5)");
+  mil::Instr gt = ge;
+  gt.cmp_op = CmpOp::kGt;
+  EXPECT_NE(gt.ToString(), ge.ToString());
+
+  // Inclusivity of each range bound.
+  mil::Instr range;
+  range.op = mil::OpCode::kSelectRange;
+  range.dst = 2;
+  range.src0 = 0;
+  range.imm0 = Value::MakeInt(1);
+  range.imm1 = Value::MakeInt(9);
+  range.flag0 = true;
+  range.flag1 = false;
+  EXPECT_EQ(range.ToString(), "r2 := select.range(r0, [int:1, int:9))");
+  std::set<std::string> spellings;
+  for (bool lo : {false, true}) {
+    for (bool hi : {false, true}) {
+      range.flag0 = lo;
+      range.flag1 = hi;
+      spellings.insert(range.ToString());
+    }
+  }
+  EXPECT_EQ(spellings.size(), 4u);
+
+  // The arithmetic operator of the three binary-op opcodes.
+  for (mil::OpCode op : {mil::OpCode::kMapBinary,
+                         mil::OpCode::kMapBinaryScalar,
+                         mil::OpCode::kScalarBin}) {
+    mil::Instr add;
+    add.op = op;
+    add.dst = 3;
+    add.src0 = 0;
+    if (op == mil::OpCode::kMapBinary) add.src1 = 1;
+    add.imm0 = Value::MakeDbl(2.0);
+    add.bin_op = BinOp::kAdd;
+    mil::Instr mul = add;
+    mul.bin_op = BinOp::kMul;
+    EXPECT_NE(add.ToString(), mul.ToString()) << add.ToString();
+    EXPECT_NE(mul.ToString().find("*"), std::string::npos) << mul.ToString();
+  }
+
+  // The unary function of map.un and the constant of fill.
+  mil::Instr log;
+  log.op = mil::OpCode::kMapUnary;
+  log.dst = 4;
+  log.src0 = 0;
+  log.un_op = UnOp::kLog;
+  mil::Instr exp = log;
+  exp.un_op = UnOp::kExp;
+  EXPECT_EQ(log.ToString(), "r4 := map.un(r0, log)");
+  EXPECT_EQ(exp.ToString(), "r4 := map.un(r0, exp)");
+  mil::Instr fill;
+  fill.op = mil::OpCode::kFillTail;
+  fill.dst = 5;
+  fill.src0 = 0;
+  fill.imm0 = Value::MakeDbl(0.4);
+  EXPECT_EQ(fill.ToString(), "r5 := fill(r0, dbl:0.4)");
 }
 
 // ---------------------------------------------------------------------------
