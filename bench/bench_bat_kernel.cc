@@ -282,8 +282,7 @@ void BM_StrColumnBuild(benchmark::State& state) {
   {
     Column c = Column::MakeStrs(v);
     state.counters["heap_bytes"] = static_cast<double>(
-        AllocatedBytes() - before -
-        c.str_offsets().capacity() * sizeof(uint32_t));
+        AllocatedBytes() - before - c.str_offsets().size_bytes());
   }
   for (auto _ : state) benchmark::DoNotOptimize(Column::MakeStrs(v));
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -298,10 +298,11 @@ echo "== TSan: daemon and engine concurrency (event loop, worker pool, chaos sto
 # recycler's mutex while one thread inserts and another fences, and the
 # BAT, zone-map and shard tests, which run the parallel bulk builders:
 # string-heap builds fill table regions from several workers, zone maps
-# scan block ranges in parallel, and layouts slice fragments per task,
-# and the IR and persistence tests, whose CONTREP builds count document
-# morsels and scatter postings from several workers of the shared pool
-# (the persistence test also runs the parallel Load in a forked child).
+# scan block ranges in parallel, and shard fragments view buffers that
+# replaced base BATs may drop, and the IR and persistence tests, whose
+# CONTREP builds count document morsels and scatter postings from
+# several workers of the shared pool (the persistence test also runs the
+# parallel Load in a forked child).
 # Skipped with a notice when the toolchain lacks libtsan.
 if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_probe 2>/dev/null; then
   rm -f /tmp/tsan_probe
@@ -309,29 +310,15 @@ if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_pr
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -O1" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan -j"${JOBS}" \
-    --target daemon_server_test daemon_recovery_test daemon_chaos_test \
-    daemon_recycler_test daemon_observability_test monet_trace_test \
-    monet_morsel_test moa_fuzz_equivalence_test monet_catalog_mil_test \
-    monet_join_test monet_wal_test monet_recycler_test monet_bat_test \
-    monet_zone_map_test monet_shard_test ir_test moa_persistence_test
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_server_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_recovery_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_chaos_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_recycler_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./daemon_observability_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_trace_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_morsel_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./moa_fuzz_equivalence_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_catalog_mil_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_join_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_wal_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_recycler_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_bat_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_zone_map_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./monet_shard_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./ir_test)
-  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./moa_persistence_test)
+  tsan_tests=(daemon_server_test daemon_recovery_test daemon_chaos_test
+    daemon_recycler_test daemon_observability_test monet_trace_test
+    monet_morsel_test moa_fuzz_equivalence_test monet_catalog_mil_test
+    monet_join_test monet_wal_test monet_recycler_test monet_bat_test
+    monet_zone_map_test monet_shard_test ir_test moa_persistence_test)
+  cmake --build build-tsan -j"${JOBS}" --target "${tsan_tests[@]}"
+  for t in "${tsan_tests[@]}"; do
+    (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" "./$t")
+  done
 else
   echo "libtsan unavailable: skipping the TSan job"
 fi

@@ -22,22 +22,27 @@ double Rng::Gaussian() {
 
 uint64_t Rng::Zipf(uint64_t n, double s) {
   MIRROR_CHECK_GT(n, 0u);
-  if (zipf_n_ != n || zipf_s_ != s) {
+  auto cached = std::find_if(
+      zipf_cdfs_.begin(), zipf_cdfs_.end(),
+      [&](const ZipfCdf& z) { return z.n == n && z.s == s; });
+  if (cached == zipf_cdfs_.end()) {
     // Build the CDF once per (n, s); sampling is then a binary search.
-    zipf_cdf_.resize(n);
+    if (zipf_cdfs_.size() == kZipfCdfs) zipf_cdfs_.erase(zipf_cdfs_.begin());
+    std::vector<double> cdf(n);
     double sum = 0.0;
     for (uint64_t k = 0; k < n; ++k) {
       sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
-      zipf_cdf_[k] = sum;
+      cdf[k] = sum;
     }
-    for (uint64_t k = 0; k < n; ++k) zipf_cdf_[k] /= sum;
-    zipf_n_ = n;
-    zipf_s_ = s;
+    for (uint64_t k = 0; k < n; ++k) cdf[k] /= sum;
+    zipf_cdfs_.push_back(ZipfCdf{n, s, std::move(cdf)});
+    cached = zipf_cdfs_.end() - 1;
   }
+  const std::vector<double>& cdf = cached->cdf;
   double u = UniformDouble();
-  auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  if (it == zipf_cdf_.end()) return n - 1;
-  return static_cast<uint64_t>(it - zipf_cdf_.begin());
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) return n - 1;
+  return static_cast<uint64_t>(it - cdf.begin());
 }
 
 }  // namespace mirror::base

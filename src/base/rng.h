@@ -91,10 +91,16 @@ class Rng {
   uint64_t state_[4];
   bool have_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
-  // Zipf sampling caches the harmonic normalizer per (n, s).
-  uint64_t zipf_n_ = 0;
-  double zipf_s_ = -1.0;
-  std::vector<double> zipf_cdf_;
+  // Zipf sampling keeps the CDFs of up to kZipfCdfs (n, s) pairs in the
+  // order they were built, evicting the oldest, so a generator that
+  // alternates distributions builds each CDF once.
+  struct ZipfCdf {
+    uint64_t n = 0;
+    double s = 0.0;
+    std::vector<double> cdf;
+  };
+  static constexpr size_t kZipfCdfs = 4;
+  std::vector<ZipfCdf> zipf_cdfs_;
 };
 
 }  // namespace mirror::base

@@ -662,7 +662,7 @@ base::Result<DeleteRequest> DecodeDeleteRequest(
   if (oids.value().type() != monet::ValueType::kOid) {
     return Malformed("DELETE");
   }
-  m.oids = oids.value().oids();
+  m.oids.assign(oids.value().oids().begin(), oids.value().oids().end());
   return m;
 }
 

@@ -35,6 +35,11 @@ class Bat {
   size_t size() const { return head_.size(); }
   bool empty() const { return size() == 0; }
 
+  /// Rows [lo, lo+count) as views of both columns (Column::View).
+  Bat View(size_t lo, size_t count) const {
+    return Bat(head_.View(lo, count), tail_.View(lo, count));
+  }
+
   /// Boxed row access (primarily for tests and debugging).
   std::pair<Value, Value> Row(size_t i) const {
     return {head_.ValueAt(i), tail_.ValueAt(i)};

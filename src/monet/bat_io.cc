@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "monet/string_heap.h"
@@ -81,7 +82,7 @@ base::Status CheckUnpacked(uint64_t count, size_t elem_bytes,
 /// LSB-first. Values and deltas are taken as uint64_t words (two's
 /// complement for ints), so a span of 2^64 - 1 packs at width 64.
 template <typename T>
-void PackFor(const std::vector<T>& v, uint64_t min_word, uint64_t span,
+void PackFor(std::span<const T> v, uint64_t min_word, uint64_t span,
              std::vector<uint8_t>* out) {
   const unsigned width = WidthOf(span);
   AppendPod<uint8_t>(static_cast<uint8_t>(width), out);
@@ -198,19 +199,19 @@ void EncodeColumn(const Column& c, std::vector<uint8_t>* out) {
       break;
     case ValueType::kOid: {
       if (c.size() == 0) break;
-      const auto [lo, hi] =
-          std::minmax_element(c.oids().begin(), c.oids().end());
+      const auto oids = c.oids();
+      const auto [lo, hi] = std::minmax_element(oids.begin(), oids.end());
       AppendVarint(*lo, out);
-      PackFor(c.oids(), *lo, *hi - *lo, out);
+      PackFor(oids, *lo, *hi - *lo, out);
       break;
     }
     case ValueType::kInt: {
       if (c.size() == 0) break;
-      const auto [lo, hi] =
-          std::minmax_element(c.ints().begin(), c.ints().end());
+      const auto ints = c.ints();
+      const auto [lo, hi] = std::minmax_element(ints.begin(), ints.end());
       AppendVarint(ZigZag(*lo), out);
       const auto min = static_cast<uint64_t>(*lo);
-      PackFor(c.ints(), min, static_cast<uint64_t>(*hi) - min, out);
+      PackFor(ints, min, static_cast<uint64_t>(*hi) - min, out);
       break;
     }
     case ValueType::kDbl: {
@@ -222,7 +223,7 @@ void EncodeColumn(const Column& c, std::vector<uint8_t>* out) {
       const std::string& heap = c.heap()->buffer();
       AppendBytes(heap.data(), heap.size(), out);
       if (c.size() == 0) break;
-      const auto& offs = c.str_offsets();
+      const auto offs = c.str_offsets();
       const auto [lo, hi] = std::minmax_element(offs.begin(), offs.end());
       AppendVarint(*lo, out);
       PackFor(offs, *lo, uint64_t{*hi - *lo}, out);

@@ -373,9 +373,7 @@ Bat Slice(const Bat& b, size_t start, size_t count) {
   start = std::min(start, b.size());
   count = std::min(count, b.size() - start);
   TrackKernelOp(KernelOp::kSlice, b.size(), count);
-  std::vector<size_t> positions(count);
-  for (size_t i = 0; i < count; ++i) positions[i] = start + i;
-  return GatherBat(b, positions);
+  return b.View(start, count);
 }
 
 namespace {
@@ -776,9 +774,10 @@ CandidateList SelectRangeCand(const Bat& b, const Value& lo, const Value& hi,
 
 namespace {
 
+// A dense range is a view of `b`'s buffers; sparse positions gather.
 Bat GatherFragment(const Bat& b, const CandidateList& cands) {
   if (!cands.is_dense()) return GatherBat(b, cands.sparse_positions());
-  return GatherBat(b, cands.ToPositions());
+  return b.View(cands.first(), cands.size());
 }
 
 }  // namespace
@@ -2654,7 +2653,7 @@ void UnaryStep(UnOp op, double* x, size_t n) {
 // Copies the values at domain indexes [lo, lo+n) — rows of `src` when
 // `cands` is null, the candidate positions otherwise — into `out`.
 template <typename T>
-void GatherBlock(const std::vector<T>& src, const CandidateList* cands,
+void GatherBlock(std::span<const T> src, const CandidateList* cands,
                  size_t lo, size_t n, T* out) {
   if (cands == nullptr || cands->is_dense()) {
     size_t first = lo + (cands == nullptr ? 0 : cands->first());
@@ -2840,10 +2839,11 @@ Bat MaterializeMapped(const Bat& b, const CandidateList* cands,
   }
   TrackMappedSteps(chain, m);
   const Column& head = b.head();
-  // Void and oid heads gather alongside the tail; other head types (rare
-  // under a candidate view) take the generic column gather.
+  // Under sparse candidates, void and oid heads gather alongside the
+  // tail; other head types (rare under a candidate view) take the generic
+  // column gather. A dense range views the head.
   const bool gather_oids =
-      cands != nullptr &&
+      cands != nullptr && !cands->is_dense() &&
       (head.type() == ValueType::kVoid || head.type() == ValueType::kOid);
   std::vector<Oid> oids(gather_oids ? m : 0);
   const bool int_out = chain.out_type() == ValueType::kInt;
@@ -2879,7 +2879,7 @@ Bat MaterializeMapped(const Bat& b, const CandidateList* cands,
   auto out_head = [&]() -> Column {
     if (cands == nullptr) return head;
     if (gather_oids) return Column::MakeOids(std::move(oids));
-    return cands->is_dense() ? head.Gather(cands->ToPositions())
+    return cands->is_dense() ? head.View(cands->first(), cands->size())
                              : head.Gather(cands->sparse_positions());
   };
   Bat out(out_head(), int_out ? Column::MakeInts(std::move(out_ints))

@@ -118,7 +118,7 @@ Bat Mirror(const Bat& b);
 /// (h,t) -> (h, void(base)): numbers the rows densely from `base`.
 Bat Mark(const Bat& b, Oid base = 0);
 
-/// Rows [start, start+count) (clamped to size).
+/// Rows [start, start+count) (clamped to size): a view of `b`'s buffers.
 Bat Slice(const Bat& b, size_t start, size_t count);
 
 /// Appends `b` to `a`; column types must match (numeric widening int->dbl
@@ -205,8 +205,9 @@ CandidateList SemiJoinTailCand(const Bat& l, const Bat& r,
 /// Copies the candidate rows of `b` into a materialized BAT: the single
 /// tuple-copy point of a candidate pipeline (sort, join build sides and
 /// result delivery are the pipeline breakers; candidate-aware aggregates
-/// below no longer are). Large gathers split into per-morsel fragment
-/// BATs that are appended once at the end.
+/// below no longer are). A dense candidate range copies nothing: it is a
+/// view of `b`'s buffers, like Slice. Large sparse gathers split into
+/// per-morsel fragment BATs that are appended once at the end.
 Bat Materialize(const Bat& b, const CandidateList& cands,
                 const MorselExec& mx = {});
 
@@ -214,7 +215,8 @@ Bat Materialize(const Bat& b, const CandidateList& cands,
 /// memory accounting (MorselExec::Charge). Fixed-width columns count
 /// 8 bytes per row; string columns count their 4-byte offset vectors only
 /// (the interned heap is shared with the base BAT and not re-copied by
-/// gathers). Void columns are free.
+/// gathers). Void columns are free. A view counts its own rows, not the
+/// buffer it pins.
 uint64_t ApproxBatBytes(const Bat& b);
 
 // ---------------------------------------------------------------------------

@@ -471,40 +471,6 @@ base::Status Catalog::LoadBatFile(const std::string& path,
 // ---------------------------------------------------------------------------
 // Oid-range sharding.
 
-namespace {
-
-/// Slices rows [lo, hi) of a column. A void column stays void with its
-/// base shifted — the property that keeps fragment oids global. String
-/// fragments share the base heap, so cross-shard appends stay offset
-/// appends and equal spellings keep equal offsets.
-Column SliceColumn(const Column& c, size_t lo, size_t hi) {
-  switch (c.type()) {
-    case ValueType::kVoid:
-      return Column::MakeVoid(c.void_base() + lo, hi - lo);
-    case ValueType::kOid:
-      return Column::MakeOids(
-          std::vector<Oid>(c.oids().begin() + static_cast<ptrdiff_t>(lo),
-                           c.oids().begin() + static_cast<ptrdiff_t>(hi)));
-    case ValueType::kInt:
-      return Column::MakeInts(std::vector<int64_t>(
-          c.ints().begin() + static_cast<ptrdiff_t>(lo),
-          c.ints().begin() + static_cast<ptrdiff_t>(hi)));
-    case ValueType::kDbl:
-      return Column::MakeDbls(std::vector<double>(
-          c.dbls().begin() + static_cast<ptrdiff_t>(lo),
-          c.dbls().begin() + static_cast<ptrdiff_t>(hi)));
-    case ValueType::kStr:
-      return Column::MakeStrsShared(
-          c.heap(), std::vector<uint32_t>(
-                        c.str_offsets().begin() + static_cast<ptrdiff_t>(lo),
-                        c.str_offsets().begin() + static_cast<ptrdiff_t>(hi)));
-  }
-  MIRROR_UNREACHABLE();
-  return Column::MakeVoid(0, 0);
-}
-
-}  // namespace
-
 const std::vector<ShardRange>* ShardedCatalog::RangesFor(
     const std::string& name) const {
   auto it = ranges_.find(name);
@@ -572,26 +538,21 @@ std::shared_ptr<const ShardedCatalog> Catalog::SharedShards(size_t n) const {
         fresh.emplace_back(name, std::move(bat));
       }
     }
-    // One task per (new BAT, shard).
-    std::vector<BatPtr> fragments(fresh.size() * n);
-    ParallelFor(&SharedWorkerPool(), fragments.size(), [&](size_t k) {
-      const Bat& bat = *fresh[k / n].second;
-      const size_t s = k % n;
-      const size_t lo = bat.size() * s / n;
-      const size_t hi = bat.size() * (s + 1) / n;
-      fragments[k] = std::make_shared<const Bat>(
-          SliceColumn(bat.head(), lo, hi), SliceColumn(bat.tail(), lo, hi));
-    });
-    for (size_t j = 0; j < fresh.size(); ++j) {
+    // Fragments are row-range views of the base BAT: a void head stays
+    // void with its base shifted (fragment oids stay global), and every
+    // other column shares the base buffer and string heap.
+    for (const auto& [name, bat] : fresh) {
       auto ranges = std::make_shared<std::vector<ShardRange>>();
       ranges->reserve(n);
       for (size_t s = 0; s < n; ++s) {
-        BatPtr& fragment = fragments[j * n + s];
-        const Oid lo = fragment->head().void_base();
-        ranges->push_back(ShardRange{lo, lo + fragment->size()});
-        layout->shards_[s]->PutShared(fresh[j].first, std::move(fragment));
+        const size_t lo = bat->size() * s / n;
+        const size_t count = bat->size() * (s + 1) / n - lo;
+        auto fragment = std::make_shared<const Bat>(bat->View(lo, count));
+        const Oid base = fragment->head().void_base();
+        ranges->push_back(ShardRange{base, base + count});
+        layout->shards_[s]->PutShared(name, std::move(fragment));
       }
-      layout->ranges_.emplace(fresh[j].first, std::move(ranges));
+      layout->ranges_.emplace(name, std::move(ranges));
     }
     // Each shard's zone maps start from the previous shard's: shared
     // fragments keep theirs, new ones build on first use.

@@ -12,28 +12,27 @@ Column Column::MakeVoid(Oid base, size_t n) {
   return c;
 }
 
-Column Column::MakeOids(std::vector<Oid> v) {
+template <typename T>
+Column Column::Adopt(ValueType type, std::vector<T> v) {
   Column c;
-  c.type_ = ValueType::kOid;
+  c.type_ = type;
   c.size_ = v.size();
-  c.oids_ = std::move(v);
+  auto owner = std::make_shared<const std::vector<T>>(std::move(v));
+  c.data_ = owner->data();
+  c.buffer_ = std::move(owner);
   return c;
+}
+
+Column Column::MakeOids(std::vector<Oid> v) {
+  return Adopt(ValueType::kOid, std::move(v));
 }
 
 Column Column::MakeInts(std::vector<int64_t> v) {
-  Column c;
-  c.type_ = ValueType::kInt;
-  c.size_ = v.size();
-  c.ints_ = std::move(v);
-  return c;
+  return Adopt(ValueType::kInt, std::move(v));
 }
 
 Column Column::MakeDbls(std::vector<double> v) {
-  Column c;
-  c.type_ = ValueType::kDbl;
-  c.size_ = v.size();
-  c.dbls_ = std::move(v);
-  return c;
+  return Adopt(ValueType::kDbl, std::move(v));
 }
 
 Column Column::MakeStrs(const std::vector<std::string>& v) {
@@ -47,10 +46,7 @@ Column Column::MakeStrs(const std::vector<std::string>& v) {
 Column Column::MakeStrsShared(std::shared_ptr<StringHeap> heap,
                               std::vector<uint32_t> offsets) {
   MIRROR_CHECK(heap != nullptr);
-  Column c;
-  c.type_ = ValueType::kStr;
-  c.size_ = offsets.size();
-  c.str_offsets_ = std::move(offsets);
+  Column c = Adopt(ValueType::kStr, std::move(offsets));
   c.heap_ = std::move(heap);
   return c;
 }
@@ -62,14 +58,29 @@ Value Column::ValueAt(size_t i) const {
     case ValueType::kOid:
       return Value::MakeOid(OidAt(i));
     case ValueType::kInt:
-      return Value::MakeInt(ints_[i]);
+      return Value::MakeInt(IntAt(i));
     case ValueType::kDbl:
-      return Value::MakeDbl(dbls_[i]);
+      return Value::MakeDbl(DblAt(i));
     case ValueType::kStr:
       return Value::MakeStr(std::string(StrAt(i)));
   }
   MIRROR_UNREACHABLE();
   return Value();
+}
+
+Column Column::View(size_t lo, size_t count) const {
+  MIRROR_CHECK_LE(lo, size_);
+  MIRROR_CHECK_LE(count, size_ - lo);
+  Column c = *this;
+  c.size_ = count;
+  if (type_ == ValueType::kVoid) {
+    c.void_base_ += lo;
+  } else if (lo > 0) {
+    const size_t width =
+        type_ == ValueType::kStr ? sizeof(uint32_t) : sizeof(int64_t);
+    c.data_ = static_cast<const char*>(data_) + lo * width;
+  }
+  return c;
 }
 
 Column Column::Materialized() const {
@@ -103,15 +114,15 @@ Column Column::GatherImpl(const Positions& positions) const {
           [](std::vector<Oid> v) { return MakeOids(std::move(v)); });
     case ValueType::kInt:
       return GatherAs(
-          positions, [&](size_t p) { return ints_[p]; },
+          positions, [&](size_t p) { return IntAt(p); },
           [](std::vector<int64_t> v) { return MakeInts(std::move(v)); });
     case ValueType::kDbl:
       return GatherAs(
-          positions, [&](size_t p) { return dbls_[p]; },
+          positions, [&](size_t p) { return DblAt(p); },
           [](std::vector<double> v) { return MakeDbls(std::move(v)); });
     case ValueType::kStr:
       return GatherAs(
-          positions, [&](size_t p) { return str_offsets_[p]; },
+          positions, [&](size_t p) { return StrOffsetAt(p); },
           [&](std::vector<uint32_t> v) {
             return MakeStrsShared(heap_, std::move(v));
           });

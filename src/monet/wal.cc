@@ -312,7 +312,8 @@ base::Status Wal::ReplayInto(Catalog* catalog, const std::string& name) {
       if (payload.value().type() != ValueType::kOid) {
         return base::Status::ParseError("WAL delete payload is not oids");
       }
-      auto deleted = catalog->DeleteRows(rec.name, payload.value().oids());
+      const auto oids = payload.value().oids();
+      auto deleted = catalog->DeleteRows(rec.name, {oids.begin(), oids.end()});
       if (!deleted.ok()) return deleted.status();
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.replayed_records;

@@ -1,11 +1,15 @@
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,6 +131,38 @@ TEST(RngTest, ZipfRankZeroMostFrequent) {
   }
   EXPECT_GT(counts[0], counts[4]);
   EXPECT_GT(counts[4], counts[9]);
+}
+
+// Zipf rank from a CDF built afresh for this draw, from the uniform
+// `u` the draw consumed: the sampler with no cache at all.
+uint64_t FreshZipf(uint64_t n, double s, double u) {
+  std::vector<double> cdf(n);
+  double sum = 0.0;
+  for (uint64_t k = 0; k < n; ++k) {
+    sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
+    cdf[k] = sum;
+  }
+  for (uint64_t k = 0; k < n; ++k) cdf[k] /= sum;
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? n - 1 : static_cast<uint64_t>(it - cdf.begin());
+}
+
+TEST(RngTest, ZipfAlternatingDistributionsMatchFreshCdfs) {
+  // Two alternating pairs, then a cycle through more pairs than the
+  // cache keeps, so entries are evicted and built again.
+  const std::vector<std::pair<uint64_t, double>> alternating = {
+      {12, 0.9}, {3000, 1.0}};
+  const std::vector<std::pair<uint64_t, double>> cycling = {
+      {12, 0.9}, {3000, 1.0}, {7, 1.2}, {1, 1.0}, {40, 0.5}, {3000, 0.9}};
+  for (const auto* pairs : {&alternating, &cycling}) {
+    Rng rng(29);
+    Rng ref(29);
+    for (int i = 0; i < 600; ++i) {
+      const auto [n, s] = (*pairs)[static_cast<size_t>(i) % pairs->size()];
+      ASSERT_EQ(rng.Zipf(n, s), FreshZipf(n, s, ref.UniformDouble()))
+          << "draw " << i << " of Zipf(" << n << ", " << s << ")";
+    }
+  }
 }
 
 TEST(RngTest, ShuffleIsPermutation) {

@@ -402,7 +402,10 @@ TEST(ContentIndexFromBatsTest, InconsistentBatsGiveTypedErrors) {
     EXPECT_NE(restored.status().message().find(what), std::string::npos)
         << restored.status().ToString();
   };
-  auto ints = [](const monet::Bat& bat) { return bat.tail().ints(); };
+  auto ints = [](const monet::Bat& bat) {
+    const auto rows = bat.tail().ints();
+    return std::vector<int64_t>(rows.begin(), rows.end());
+  };
 
   IndexBats bad_term = BatsOf(index);
   std::vector<int64_t> terms = ints(bad_term.term);
@@ -411,7 +414,8 @@ TEST(ContentIndexFromBatsTest, InconsistentBatsGiveTypedErrors) {
   expect_invalid(bad_term, "unknown term id 4");
 
   IndexBats unordered = BatsOf(index);
-  std::vector<monet::Oid> docs = unordered.doc.tail().oids();
+  const auto doc_rows = unordered.doc.tail().oids();
+  std::vector<monet::Oid> docs(doc_rows.begin(), doc_rows.end());
   std::swap(docs[1], docs[2]);  // dog's two postings trade places
   unordered.doc = monet::Bat::DenseOids(docs);
   expect_invalid(unordered, "ascending (term, doc) order");

@@ -689,7 +689,8 @@ TEST(ContRepRestoreTest, RoundTripEqualsTheLoadedIndexWithAnUnpostedTerm) {
     spellings.emplace_back(vocab.tail().StrAt(t));
   }
   spellings.push_back("unposted");
-  std::vector<int64_t> df = catalog->Get("Docs.body.df").value()->tail().ints();
+  const auto df_rows = catalog->Get("Docs.body.df").value()->tail().ints();
+  std::vector<int64_t> df(df_rows.begin(), df_rows.end());
   df.push_back(0);
   catalog->Put("Docs.body.vocab", monet::Bat::DenseStrs(spellings));
   catalog->Put("Docs.body.df", monet::Bat::DenseInts(df));
@@ -735,8 +736,9 @@ TEST(ContRepRestoreTest, InconsistentIndexBatsFailTheRestore) {
   std::string dir = TempDir("contrep_bad");
   Database original;
   BuildTermLibrary(&original, 500, 47);
-  std::vector<int64_t> df =
+  const auto df_rows =
       original.catalog()->Get("Docs.body.df").value()->tail().ints();
+  std::vector<int64_t> df(df_rows.begin(), df_rows.end());
   df[0] += 1;
   original.catalog()->Put("Docs.body.df", monet::Bat::DenseInts(df));
   ASSERT_TRUE(original.SaveTo(dir).ok());

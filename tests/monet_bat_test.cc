@@ -8,9 +8,12 @@
 
 #include "monet/bat.h"
 #include "monet/bat_io.h"
+#include "monet/bat_ops.h"
+#include "monet/candidate.h"
 #include "monet/string_heap.h"
 #include "monet/value.h"
 #include "monet/worker_pool.h"
+#include "monet/zone_map.h"
 
 namespace mirror::monet {
 namespace {
@@ -325,6 +328,148 @@ TEST(ColumnTest, TypeCompatibility) {
   EXPECT_TRUE(Column::MakeVoid(0, 1).TypeCompatible(ValueType::kOid));
   EXPECT_FALSE(Column::MakeStrs({"x"}).TypeCompatible(ValueType::kInt));
   EXPECT_FALSE(Column::MakeOids({1}).TypeCompatible(ValueType::kInt));
+}
+
+// The first row's address in a column's buffer (null for void).
+const void* FirstRow(const Column& c) {
+  switch (c.type()) {
+    case ValueType::kVoid:
+      return nullptr;
+    case ValueType::kOid:
+      return c.oids().data();
+    case ValueType::kInt:
+      return c.ints().data();
+    case ValueType::kDbl:
+      return c.dbls().data();
+    case ValueType::kStr:
+      return c.str_offsets().data();
+  }
+  return nullptr;
+}
+
+std::vector<uint8_t> Encoded(const Column& c) {
+  std::vector<uint8_t> out;
+  EncodeColumn(c, &out);
+  return out;
+}
+
+std::vector<uint8_t> Encoded(const Bat& b) {
+  std::vector<uint8_t> out;
+  EncodeBat(b, &out);
+  return out;
+}
+
+// Rows [lo, lo+count) of `c` in storage of their own: the form a view
+// stands in for.
+Column OwnedCopy(const Column& c, size_t lo, size_t count) {
+  if (c.is_void()) return Column::MakeVoid(c.void_base() + lo, count);
+  std::vector<size_t> positions(count);
+  for (size_t i = 0; i < count; ++i) positions[i] = lo + i;
+  return c.Gather(positions);
+}
+
+std::vector<Column> ColumnsOfAllTypes(size_t n) {
+  std::vector<Oid> oids;
+  std::vector<int64_t> ints;
+  std::vector<double> dbls;
+  std::vector<std::string> strs;
+  for (size_t i = 0; i < n; ++i) {
+    oids.push_back(1000 + 7 * i);
+    ints.push_back(static_cast<int64_t>(i * i) - 50);
+    dbls.push_back(0.25 * static_cast<double>(i % 13));
+    strs.push_back("s" + std::to_string(i % 9));
+  }
+  return {Column::MakeVoid(40, n), Column::MakeOids(oids),
+          Column::MakeInts(ints), Column::MakeDbls(dbls),
+          Column::MakeStrs(strs)};
+}
+
+TEST(ColumnViewTest, CopiesAndStructuralOperatorsShareTheBuffer) {
+  for (const Column& c : ColumnsOfAllTypes(6)) {
+    if (c.is_void()) continue;
+    const Column copy = c;
+    EXPECT_EQ(FirstRow(copy), FirstRow(c));
+    EXPECT_EQ(FirstRow(c.Materialized()), FirstRow(c));
+    const Bat bat(Column::MakeVoid(0, c.size()), c);
+    const Bat bat_copy = bat;
+    EXPECT_EQ(FirstRow(bat_copy.tail()), FirstRow(c));
+    EXPECT_EQ(FirstRow(Reverse(bat).head()), FirstRow(c));
+    EXPECT_EQ(FirstRow(Mark(Reverse(bat), 0).head()), FirstRow(c));
+    EXPECT_EQ(FirstRow(Mirror(Reverse(bat)).tail()), FirstRow(c));
+  }
+  const Column strs = Column::MakeStrs({"a", "b"});
+  const Column copy = strs;
+  EXPECT_EQ(copy.heap(), strs.heap());
+}
+
+TEST(ColumnViewTest, ViewsPointIntoTheBaseBuffer) {
+  const size_t n = 10;
+  for (const Column& c : ColumnsOfAllTypes(n)) {
+    Column v = c.View(3, 4);
+    EXPECT_EQ(v.type(), c.type());
+    ASSERT_EQ(v.size(), 4u);
+    if (c.is_void()) {
+      EXPECT_EQ(v.void_base(), c.void_base() + 3);
+      continue;
+    }
+    const auto width = c.type() == ValueType::kStr ? 4 : 8;
+    EXPECT_EQ(FirstRow(v), static_cast<const char*>(FirstRow(c)) + 3 * width);
+    EXPECT_EQ(v.heap(), c.heap());
+    // A view of a view is a view of the base.
+    EXPECT_EQ(FirstRow(v.View(1, 2)), FirstRow(c.View(4, 2)));
+    for (size_t i = 0; i < v.size(); ++i) {
+      EXPECT_EQ(v.ValueAt(i).ToString(), c.ValueAt(3 + i).ToString());
+    }
+  }
+  EXPECT_DEATH(Column::MakeInts({1, 2}).View(1, 2), "CHECK");
+}
+
+TEST(ColumnViewTest, ViewsEncodeZoneAndSliceLikeOwnedCopies) {
+  const size_t n = 700;
+  const size_t block_rows = 64;
+  // Middle, empty, at the end, empty at the end, whole column.
+  const std::vector<std::pair<size_t, size_t>> ranges = {
+      {130, 300}, {50, 0}, {n - 77, 77}, {n, 0}, {0, n}};
+  for (const Column& c : ColumnsOfAllTypes(n)) {
+    for (const auto& [lo, count] : ranges) {
+      const std::string at = std::string(ValueTypeName(c.type())) + " [" +
+                             std::to_string(lo) + ", +" +
+                             std::to_string(count) + ")";
+      const Column view = c.View(lo, count);
+      const Column owned = OwnedCopy(c, lo, count);
+      EXPECT_EQ(Encoded(view), Encoded(owned)) << at;
+
+      const ZoneMap zv = BuildZoneMap(view, block_rows);
+      const ZoneMap zo = BuildZoneMap(owned, block_rows);
+      EXPECT_EQ(zv.valid, zo.valid) << at;
+      EXPECT_EQ(zv.min, zo.min) << at;
+      EXPECT_EQ(zv.max, zo.max) << at;
+      EXPECT_EQ(zv.block_min, zo.block_min) << at;
+      EXPECT_EQ(zv.block_max, zo.block_max) << at;
+
+      const Bat bv(Column::MakeVoid(0, count), view);
+      const Bat bo(Column::MakeVoid(0, count), owned);
+      EXPECT_EQ(Encoded(Slice(bv, count / 3, count / 2)),
+                Encoded(Slice(bo, count / 3, count / 2)))
+          << at;
+      const CandidateList dense = CandidateList::Dense(count / 4, count / 2);
+      EXPECT_EQ(Encoded(Materialize(bv, dense)),
+                Encoded(Materialize(bo, dense)))
+          << at;
+    }
+  }
+}
+
+TEST(ColumnViewTest, SliceAndDenseMaterializeAreViews) {
+  Bat b = Bat::DenseDbls({0.5, 1.5, 2.5, 3.5, 4.5}, /*base=*/20);
+  Bat sliced = Slice(b, 1, 3);
+  EXPECT_EQ(sliced.tail().dbls().data(), b.tail().dbls().data() + 1);
+  EXPECT_TRUE(sliced.head().is_void());
+  EXPECT_EQ(sliced.head().void_base(), 21u);
+  Bat mat = Materialize(b, CandidateList::Dense(2, 3));
+  EXPECT_EQ(mat.tail().dbls().data(), b.tail().dbls().data() + 2);
+  EXPECT_EQ(mat.head().void_base(), 22u);
+  EXPECT_EQ(mat.size(), 3u);
 }
 
 TEST(BatTest, DenseFactoriesAndRowAccess) {

@@ -205,8 +205,12 @@ TEST(FusedAggTest, EveryAggKindOverEveryViewMatchesMaterializeThenAggregate) {
               const std::string at = what + " / " + hlabel + " / kind " +
                                      std::to_string(static_cast<int>(kind));
               ExpectBatsEqual(ref, got, at.c_str());
-              EXPECT_EQ(ref.tail().ints(), got.tail().ints()) << at;
-              EXPECT_EQ(ref.tail().dbls(), got.tail().dbls()) << at;
+              EXPECT_TRUE(std::ranges::equal(ref.tail().ints(),
+                                             got.tail().ints()))
+                  << at;
+              EXPECT_TRUE(std::ranges::equal(ref.tail().dbls(),
+                                             got.tail().dbls()))
+                  << at;
             }
           }
           EXPECT_EQ(ScalarSum(mat), ScalarSumMapped(h.bat, cands, nullptr, mx))
@@ -616,8 +620,12 @@ TEST(MappedViewTest, KernelsMatchMaterializeThenMap) {
           EXPECT_EQ(collapsed.tail().type(), ref.tail().type()) << what;
           ExpectBatsEqual(ref, collapsed, what.c_str());
           // Row strings print doubles with %g: compare the tails' bits.
-          EXPECT_EQ(ref.tail().ints(), collapsed.tail().ints()) << what;
-          EXPECT_EQ(ref.tail().dbls(), collapsed.tail().dbls()) << what;
+          EXPECT_TRUE(
+              std::ranges::equal(ref.tail().ints(), collapsed.tail().ints()))
+              << what;
+          EXPECT_TRUE(
+              std::ranges::equal(ref.tail().dbls(), collapsed.tail().dbls()))
+              << what;
           // Without morsels the sum adds in ScalarSum's order; int chains
           // sum exactly under any grouping.
           const bool exact_sum =

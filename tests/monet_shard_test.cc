@@ -166,7 +166,7 @@ const Bat* Fragment(const ShardedCatalog& layout, size_t s,
 }
 
 TEST(ShardedCatalogTest, MutationsResliceOnlyTheChangedBat) {
-  SharedWorkerPool().EnsureWorkers(4);  // the parallel slicer runs
+  SharedWorkerPool().EnsureWorkers(4);  // zone maps build on the pool
   constexpr size_t kShards = 4;
   std::vector<int64_t> ints(1000);
   for (size_t i = 0; i < ints.size(); ++i) ints[i] = static_cast<int64_t>(i);
@@ -218,6 +218,58 @@ TEST(ShardedCatalogTest, MutationsResliceOnlyTheChangedBat) {
       third->shard(kShards - 1).PinZones()->ForName("A.v")->tail.max, 5001.0);
   // The old layout still reads the old snapshot.
   EXPECT_EQ((*first->RangesFor("A.v"))[kShards - 1].end, 1000u);
+}
+
+TEST(ShardedCatalogTest, FragmentsAreViewsOfTheBaseBuffers) {
+  constexpr size_t kShards = 4;
+  constexpr size_t kRows = 1001;
+  std::vector<int64_t> ints(kRows);
+  std::vector<std::string> strs(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    ints[i] = static_cast<int64_t>(3 * i);
+    strs[i] = "w" + std::to_string(i % 17);
+  }
+  Catalog catalog;
+  catalog.Put("A.v", Bat::DenseInts(ints, /*base=*/50));
+  catalog.Put("A.s", Bat::DenseStrs(strs, /*base=*/50));
+  BatPtr base_v = catalog.Get("A.v").value();
+  BatPtr base_s = catalog.Get("A.s").value();
+  const ShardedCatalog* layout = catalog.Shards(kShards);
+  ASSERT_NE(layout, nullptr);
+  // The layout allocates no column storage: every fragment points into
+  // its base BAT's buffer at the fragment's first row.
+  std::vector<BatPtr> kept;
+  for (size_t s = 0; s < kShards; ++s) {
+    const ShardRange range = (*layout->RangesFor("A.v"))[s];
+    const size_t lo = range.begin - 50;
+    BatPtr v = layout->shard(s).Get("A.v").value();
+    BatPtr str = layout->shard(s).Get("A.s").value();
+    EXPECT_EQ(v->tail().ints().data(), base_v->tail().ints().data() + lo);
+    EXPECT_EQ(str->tail().str_offsets().data(),
+              base_s->tail().str_offsets().data() + lo);
+    EXPECT_EQ(str->tail().heap(), base_s->tail().heap());
+    kept.push_back(std::move(v));
+    kept.push_back(std::move(str));
+  }
+
+  // Fragments outlive their base: the catalog replaces both BATs, the
+  // layout is rebuilt, and the last base pointers go.
+  catalog.Put("A.v", Bat::DenseInts({1, 2}));
+  catalog.Put("A.s", Bat::DenseStrs({"x", "y"}));
+  ASSERT_NE(catalog.Shards(kShards), nullptr);
+  base_v.reset();
+  base_s.reset();
+  size_t row = 0;
+  for (size_t s = 0; s < kShards; ++s) {
+    const Bat& v = *kept[2 * s];
+    const Bat& str = *kept[2 * s + 1];
+    for (size_t i = 0; i < v.size(); ++i, ++row) {
+      EXPECT_EQ(v.head().OidAt(i), 50 + row);
+      EXPECT_EQ(v.tail().IntAt(i), static_cast<int64_t>(3 * row));
+      EXPECT_EQ(str.tail().StrAt(i), strs[row]);
+    }
+  }
+  EXPECT_EQ(row, kRows);
 }
 
 TEST(ShardedCatalogTest, StringFragmentsShareTheBaseHeap) {

@@ -144,15 +144,15 @@ bool BitIdentical(const Column& a, const Column& b) {
     case ValueType::kVoid:
       return a.void_base() == b.void_base();
     case ValueType::kOid:
-      return a.oids() == b.oids();
+      return std::ranges::equal(a.oids(), b.oids());
     case ValueType::kInt:
-      return a.ints() == b.ints();
+      return std::ranges::equal(a.ints(), b.ints());
     case ValueType::kDbl:
       return a.size() == 0 ||
              std::memcmp(a.dbls().data(), b.dbls().data(),
                          a.size() * sizeof(double)) == 0;
     case ValueType::kStr:
-      return a.str_offsets() == b.str_offsets() &&
+      return std::ranges::equal(a.str_offsets(), b.str_offsets()) &&
              a.heap()->buffer() == b.heap()->buffer();
   }
   return false;
