@@ -1,10 +1,11 @@
 // Experiment E10: microbenchmarks of the binary relational kernel (the
 // physical substrate of §2) using google-benchmark: selection, joins,
 // grouped aggregation, sorting and the probabilistic belief operator,
-// over a sweep of column sizes — plus the vectorized-engine comparison:
-// the same selection-heavy MIL plan on the materializing sequential
-// Executor vs. the candidate-vector ExecutionEngine — and the string
-// heap's bulk build and restore (time plus the bytes the heap holds).
+// over a sweep of column sizes, and select by selectivity at 1 and 4
+// threads — plus the vectorized-engine comparison: the same
+// selection-heavy MIL plan on the materializing sequential Executor vs.
+// the candidate-vector ExecutionEngine — and the string heap's bulk
+// build and restore (time plus the bytes the heap holds).
 
 #include <malloc.h>
 
@@ -12,6 +13,7 @@
 
 #include "base/rng.h"
 #include "monet/bat_ops.h"
+#include "monet/cache_info.h"
 #include "monet/exec.h"
 #include "monet/prob_ops.h"
 
@@ -47,6 +49,29 @@ void BM_SelectRange(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SelectRange)->Range(1 << 10, 1 << 18);
+
+// One candidate select over 1M uniform int64 rows in [0, 1000) keeping
+// range(0) per mille of them (2%, 25%, 50% or all), inline (range(1) = 1)
+// or in morsels on 4 threads.
+void BM_SelectBySelectivity(benchmark::State& state) {
+  constexpr int64_t kRows = 1000000;
+  Bat b = RandomInts(kRows, 1000, 7);
+  WorkerPool pool;
+  MorselExec mx;
+  if (state.range(1) > 1) {
+    pool.EnsureWorkers(static_cast<size_t>(state.range(1) - 1));
+    mx = MorselExec{&pool, DefaultMorselSize()};
+  }
+  const Value below = Value::MakeInt(state.range(0));
+  for (auto _ : state) {
+    CandidateList kept = SelectCmpCand(b, CmpOp::kLt, below, nullptr, mx);
+    benchmark::DoNotOptimize(kept.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_SelectBySelectivity)
+    ->ArgsProduct({{20, 250, 500, 1000}, {1, 4}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_HashJoin(benchmark::State& state) {
   int64_t n = state.range(0);

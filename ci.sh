@@ -38,7 +38,7 @@ cmake --build build-asan -j"${JOBS}"
 
 echo "== bench smoke: BAT kernel =="
 (cd build && ./bench_bat_kernel \
-    --benchmark_filter='MilPlan|TopNByTail' \
+    --benchmark_filter='MilPlan|TopNByTail|SelectBySelectivity' \
     --benchmark_min_time=0.05 \
     --benchmark_out=BENCH_bat_kernel.json \
     --benchmark_out_format=json)
@@ -302,7 +302,9 @@ echo "== TSan: daemon and engine concurrency (event loop, worker pool, chaos sto
 # replaced base BATs may drop, and the IR and persistence tests, whose
 # CONTREP builds count document morsels and scatter postings from
 # several workers of the shared pool (the persistence test also runs the
-# parallel Load in a forked child).
+# parallel Load in a forked child), and the ops test, whose morsel selects
+# write one shared position buffer at their own offsets before it is
+# compacted in place, beside the candidate set operations.
 # Skipped with a notice when the toolchain lacks libtsan.
 if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_probe 2>/dev/null; then
   rm -f /tmp/tsan_probe
@@ -314,7 +316,8 @@ if echo 'int main(){return 0;}' | g++ -fsanitize=thread -x c++ - -o /tmp/tsan_pr
     daemon_recycler_test daemon_observability_test monet_trace_test
     monet_morsel_test moa_fuzz_equivalence_test monet_catalog_mil_test
     monet_join_test monet_wal_test monet_recycler_test monet_bat_test
-    monet_zone_map_test monet_shard_test ir_test moa_persistence_test)
+    monet_zone_map_test monet_shard_test ir_test moa_persistence_test
+    monet_ops_test)
   cmake --build build-tsan -j"${JOBS}" --target "${tsan_tests[@]}"
   for t in "${tsan_tests[@]}"; do
     (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" "./$t")

@@ -4,11 +4,15 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "monet/cache_info.h"
 #include "monet/profiler.h"
@@ -106,20 +110,38 @@ void HashJoinPositions(size_t ln, LKeyFn lkey, size_t rn, RKeyFn rkey,
   }
 }
 
-// Iterates the candidate domain over an n-row column: all rows when
-// `cands` is null, only the candidate positions otherwise.
-template <typename Fn>
-void ForEachInDomain(size_t n, const CandidateList* cands, Fn fn) {
-  if (cands == nullptr) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  } else {
-    size_t m = cands->size();
-    for (size_t j = 0; j < m; ++j) fn(cands->PositionAt(j));
-  }
-}
+// A kernel's domain or one morsel's slice of it: domain indexes [lo, hi)
+// of `cands`, or rows [lo, hi) when `cands` is null. Morsels read their
+// slice of the one candidate list in place; cutting a domain copies
+// nothing.
+struct DomainSpan {
+  const CandidateList* cands = nullptr;
+  size_t lo = 0;
+  size_t hi = 0;
+
+  size_t size() const { return hi - lo; }
+};
 
 size_t DomainSize(size_t n, const CandidateList* cands) {
   return cands == nullptr ? n : cands->size();
+}
+
+// The whole domain over an n-row column: all rows when `cands` is null,
+// the candidate positions otherwise.
+DomainSpan WholeDomain(size_t n, const CandidateList* cands) {
+  return {cands, 0, DomainSize(n, cands)};
+}
+
+// Calls fn(row) for every row position of `d`, in ascending order.
+template <typename Fn>
+void ForEachInDomain(const DomainSpan& d, Fn fn) {
+  if (d.cands == nullptr || d.cands->is_dense()) {
+    const size_t first = d.cands == nullptr ? 0 : d.cands->first();
+    for (size_t i = first + d.lo; i < first + d.hi; ++i) fn(i);
+    return;
+  }
+  const uint32_t* pos = d.cands->sparse_positions().data();
+  for (size_t j = d.lo; j < d.hi; ++j) fn(size_t{pos[j]});
 }
 
 // --------------------------------------------------------------------------
@@ -159,193 +181,87 @@ void MorselForChunks(const MorselExec& mx, const char* label,
 
 // --------------------------------------------------------------------------
 // Morsel splitting. A kernel's domain (all n rows, or the candidate list)
-// is cut into contiguous sub-domains in candidate order; because every
-// sub-domain covers a later slice than its predecessor, per-morsel results
-// are disjoint and ordered, and fragments concatenate without merging.
+// is cut into contiguous spans in candidate order; because every span
+// covers a later slice than its predecessor, per-morsel results are
+// disjoint and ordered.
 
-// The per-morsel sub-domains of a domain of `m` rows split `morsels` ways.
-std::vector<CandidateList> SplitDomain(size_t n, const CandidateList* cands,
-                                       size_t morsels) {
-  CandidateList all;
-  if (cands == nullptr) {
-    all = CandidateList::All(n);
-    cands = &all;
-  }
-  size_t m = cands->size();
-  size_t chunk = (m + morsels - 1) / morsels;
-  std::vector<CandidateList> out;
-  out.reserve(morsels);
-  for (size_t j = 0; j < morsels; ++j) {
-    out.push_back(cands->Sliced(j * chunk, chunk));
-  }
-  return out;
+// Morsel j of a domain of `m` rows split `morsels` ways (trailing morsels
+// may be short or empty).
+DomainSpan MorselSpan(const CandidateList* cands, size_t m, size_t morsels,
+                      size_t j) {
+  const size_t chunk = (m + morsels - 1) / morsels;
+  const size_t lo = std::min(m, j * chunk);
+  return {cands, lo, std::min(m, lo + chunk)};
 }
 
-// Runs a position-computing core over the (possibly split) domain.
-// `pos_fn(domain)` must return ascending positions within `domain`.
-template <typename PosFn>
+// Runs a position core over the domain into one buffer sized to it.
+// `core(span, out)` writes the ascending row positions of `span` it keeps
+// to `out` and returns their count, at most span.size(). Each morsel
+// writes at its own domain offset, and the regions then slide down in
+// morsel order, so the buffer is the result: one allocation per call,
+// whose pages past what the cores wrote are never touched
+// (PositionVector).
+template <typename Core>
 CandidateList MorselizedPositions(size_t n, const CandidateList* cands,
-                                  const MorselExec& mx, PosFn pos_fn) {
-  size_t morsels = mx.MorselsFor(DomainSize(n, cands));
-  if (morsels <= 1) return CandidateList::FromPositions(pos_fn(cands));
-  std::vector<CandidateList> domains = SplitDomain(n, cands, morsels);
-  std::vector<CandidateList> fragments(domains.size());
-  MorselFor(mx, "scan.morsel", mx.pool, domains.size(), [&](size_t j) {
+                                  const MorselExec& mx, Core core) {
+  const size_t m = DomainSize(n, cands);
+  PositionVector out;
+  out.resize(m);
+  const size_t morsels = mx.MorselsFor(m);
+  if (morsels <= 1) {
+    out.resize(core(WholeDomain(n, cands), out.data()));
+    TrimCapacity(&out);
+    return CandidateList::FromPositions(std::move(out));
+  }
+  std::vector<size_t> kept(morsels, 0);
+  MorselFor(mx, "scan.morsel", mx.pool, morsels, [&](size_t j) {
     // Morsel-boundary abort check: an expired or over-budget query
     // abandons its remaining morsels (the engine discards the partial
     // kernel output and errors at the next instruction boundary).
     if (mx.Aborted()) return;
-    fragments[j] = CandidateList::FromPositions(pos_fn(&domains[j]));
+    const DomainSpan span = MorselSpan(cands, m, morsels, j);
+    kept[j] = core(span, out.data() + span.lo);
   });
-  TrackMorselTasks(domains.size());
-  return CandidateList::ConcatSorted(std::move(fragments));
-}
-
-Bat GatherBat(const Bat& b, const std::vector<size_t>& positions) {
-  return Bat(b.head().Gather(positions), b.tail().Gather(positions));
-}
-
-Bat GatherBat(const Bat& b, const std::vector<uint32_t>& positions) {
-  return Bat(b.head().Gather(positions), b.tail().Gather(positions));
-}
-
-// Selection positions by tail predicate within the candidate domain,
-// dispatched once on type.
-template <typename PredI, typename PredD, typename PredS>
-std::vector<uint32_t> SelectPositions(const Column& tail,
-                                      const CandidateList* cands,
-                                      PredI pred_i, PredD pred_d,
-                                      PredS pred_s) {
-  std::vector<uint32_t> out;
-  size_t n = tail.size();
-  switch (tail.type()) {
-    case ValueType::kVoid:
-    case ValueType::kOid:
-      ForEachInDomain(n, cands, [&](size_t i) {
-        if (pred_i(static_cast<int64_t>(tail.OidAt(i)))) {
-          out.push_back(static_cast<uint32_t>(i));
-        }
-      });
-      break;
-    case ValueType::kInt:
-      ForEachInDomain(n, cands, [&](size_t i) {
-        if (pred_i(tail.IntAt(i))) out.push_back(static_cast<uint32_t>(i));
-      });
-      break;
-    case ValueType::kDbl:
-      ForEachInDomain(n, cands, [&](size_t i) {
-        if (pred_d(tail.DblAt(i))) out.push_back(static_cast<uint32_t>(i));
-      });
-      break;
-    case ValueType::kStr:
-      ForEachInDomain(n, cands, [&](size_t i) {
-        if (pred_s(tail.StrAt(i))) out.push_back(static_cast<uint32_t>(i));
-      });
-      break;
+  TrackMorselTasks(morsels);
+  size_t total = 0;
+  for (size_t j = 0; j < morsels; ++j) {
+    const size_t lo = MorselSpan(cands, m, morsels, j).lo;
+    if (kept[j] > 0 && lo != total) {
+      std::memmove(out.data() + total, out.data() + lo,
+                   kept[j] * sizeof(uint32_t));
+    }
+    total += kept[j];
   }
-  return out;
+  out.resize(total);
+  // Later morsels wrote pages past the compacted result; return them.
+  TrimCapacity(&out);
+  return CandidateList::FromPositions(std::move(out));
 }
 
-// Converts a selection bound Value to the numeric domain of the column.
-double BoundAsDouble(const Value& v) {
-  if (v.type() == ValueType::kOid) return static_cast<double>(v.oid());
-  return v.AsDouble();
+// The branch-free selection loop (MonetDB/X100's selection primitives):
+// every row of `d` is written to out[k], and k moves past it only when
+// `keep` accepts it, so no branch depends on the data.
+template <typename Keep>
+size_t SelectInto(const DomainSpan& d, Keep keep, uint32_t* out) {
+  size_t k = 0;
+  ForEachInDomain(d, [&](size_t i) {
+    out[k] = static_cast<uint32_t>(i);
+    k += static_cast<size_t>(keep(i));
+  });
+  return k;
 }
 
-int64_t BoundAsInt(const Value& v) {
-  if (v.type() == ValueType::kOid) return static_cast<int64_t>(v.oid());
-  if (v.type() == ValueType::kInt) return v.i();
-  MIRROR_CHECK(false) << "expected integral bound, got " << v.ToString();
-  return 0;
+Bat GatherBat(const Bat& b, std::span<const uint32_t> positions) {
+  return Bat(b.head().Gather(positions), b.tail().Gather(positions));
+}
+
+Bat GatherBat(const Bat& b, std::span<const size_t> positions) {
+  return Bat(b.head().Gather(positions), b.tail().Gather(positions));
 }
 
 bool IsNumericOrOid(ValueType t) {
   return t == ValueType::kVoid || t == ValueType::kOid ||
          t == ValueType::kInt || t == ValueType::kDbl;
-}
-
-// --------------------------------------------------------------------------
-// Zone-map pruning for selections. A numeric predicate is summarized as a
-// double-space keep-interval; over dense sub-domains the per-block
-// [min, max] bounds classify whole blocks as dead (skipped without
-// reading a row), fully matching (positions appended wholesale), or
-// mixed (scanned by the unchanged position core). Positions produced are
-// identical to the unpruned scan.
-
-// The interval of tail values a selection keeps, in double space.
-struct ZoneInterval {
-  bool usable = false;
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  bool lo_inc = true;
-  bool hi_inc = true;
-  // Whether ZoneMatch::kAll may append a block unscanned. Only sound for
-  // predicates the kernel evaluates in double space (Cmp/Range): the
-  // exact int64 equality path must rescan, since two distinct ints can
-  // round to one double and zone bounds live in double space.
-  bool allow_all = false;
-};
-
-ZoneInterval EqZoneInterval(const Column& tail, const Value& v) {
-  ZoneInterval iv;
-  if (!IsNumericOrOid(tail.type()) || v.type() == ValueType::kStr) return iv;
-  if (tail.type() == ValueType::kDbl || v.type() == ValueType::kDbl) {
-    iv.lo = iv.hi = BoundAsDouble(v);
-  } else {
-    // The kernel compares exact int64s; widen the literal outward the
-    // same way the zone builder widens stored values, so the interval
-    // can never round away from a block that contains the value.
-    int64_t want = BoundAsInt(v);
-    iv.lo = DoubleLowerBound(want);
-    iv.hi = DoubleUpperBound(want);
-  }
-  iv.usable = true;
-  return iv;
-}
-
-ZoneInterval CmpZoneInterval(const Column& tail, CmpOp cmp, const Value& v) {
-  if (cmp == CmpOp::kEq) return EqZoneInterval(tail, v);
-  ZoneInterval iv;
-  if (cmp == CmpOp::kNeq) return iv;  // != excludes one point: no pruning
-  if (!IsNumericOrOid(tail.type()) || v.type() == ValueType::kStr) return iv;
-  double want = BoundAsDouble(v);
-  switch (cmp) {
-    case CmpOp::kLt:
-      iv.hi = want;
-      iv.hi_inc = false;
-      break;
-    case CmpOp::kLe:
-      iv.hi = want;
-      break;
-    case CmpOp::kGt:
-      iv.lo = want;
-      iv.lo_inc = false;
-      break;
-    case CmpOp::kGe:
-      iv.lo = want;
-      break;
-    default:
-      return iv;
-  }
-  iv.usable = true;
-  iv.allow_all = true;
-  return iv;
-}
-
-ZoneInterval RangeZoneInterval(const Column& tail, const Value& lo,
-                               const Value& hi, bool lo_inc, bool hi_inc) {
-  ZoneInterval iv;
-  if (!IsNumericOrOid(tail.type()) || lo.type() == ValueType::kStr ||
-      hi.type() == ValueType::kStr) {
-    return iv;
-  }
-  iv.lo = BoundAsDouble(lo);
-  iv.hi = BoundAsDouble(hi);
-  iv.lo_inc = lo_inc;
-  iv.hi_inc = hi_inc;
-  iv.usable = true;
-  iv.allow_all = true;
-  return iv;
 }
 
 }  // namespace
@@ -487,300 +403,416 @@ Bat ConcatAll(const std::vector<const Bat*>& parts) {
 }
 
 // ---------------------------------------------------------------------------
-// Selection. Each predicate has one position-computing core shared by the
-// materializing form (classic Monet semantics) and the candidate form
-// (late materialization).
+// Selection. Every form normalizes its bounds once, at kernel entry, into
+// one inclusive interval in the tail column's own domain, then runs the
+// typed branch-free core of the column's type. The materializing forms
+// (classic Monet semantics) and the candidate forms (late
+// materialization) share the cores.
 
 namespace {
 
-std::vector<uint32_t> SelectEqPositions(const Bat& b, const Value& v,
-                                        const CandidateList* cands) {
-  const Column& tail = b.tail();
-  MIRROR_CHECK(tail.TypeCompatible(v.type()))
-      << "select type mismatch: column " << ValueTypeName(tail.type())
-      << " vs literal " << v.ToString();
-  if (Norm(tail.type()) == ValueType::kStr) {
-    const std::string& want = v.s();
-    return SelectPositions(
-        tail, cands, [](int64_t) { return false; },
-        [](double) { return false; },
-        [&](std::string_view s) { return s == want; });
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Rows at domain indexes [lo, hi) of `cands`: a dense range is a view of
+// `b`'s buffers; sparse positions gather, read in place.
+Bat GatherFragment(const Bat& b, const CandidateList& cands, size_t lo,
+                   size_t hi) {
+  if (!cands.is_dense()) {
+    return GatherBat(b, cands.sparse_positions().subspan(lo, hi - lo));
   }
-  if (tail.type() == ValueType::kDbl || v.type() == ValueType::kDbl) {
-    double want = BoundAsDouble(v);
-    return SelectPositions(
-        tail, cands,
-        [&](int64_t x) { return static_cast<double>(x) == want; },
-        [&](double x) { return x == want; },
-        [](std::string_view) { return false; });
-  }
-  int64_t want = BoundAsInt(v);
-  return SelectPositions(
-      tail, cands, [&](int64_t x) { return x == want; },
-      [&](double x) { return x == static_cast<double>(want); },
-      [](std::string_view) { return false; });
+  return b.View(cands.first() + lo, hi - lo);
 }
 
-std::vector<uint32_t> SelectNeqPositions(const Bat& b, const Value& v,
-                                         const CandidateList* cands) {
-  const Column& tail = b.tail();
-  MIRROR_CHECK(tail.TypeCompatible(v.type()));
-  if (Norm(tail.type()) == ValueType::kStr) {
-    const std::string& want = v.s();
-    return SelectPositions(
-        tail, cands, [](int64_t) { return true; },
-        [](double) { return true; },
-        [&](std::string_view s) { return s != want; });
-  }
-  double want = BoundAsDouble(v);
-  return SelectPositions(
-      tail, cands,
-      [&](int64_t x) { return static_cast<double>(x) != want; },
-      [&](double x) { return x != want; },
-      [](std::string_view) { return true; });
+Bat GatherFragment(const Bat& b, const CandidateList& cands) {
+  return GatherFragment(b, cands, 0, cands.size());
 }
 
-std::vector<uint32_t> SelectCmpPositions(const Bat& b, CmpOp cmp,
-                                         const Value& v,
-                                         const CandidateList* cands) {
-  if (cmp == CmpOp::kEq) return SelectEqPositions(b, v, cands);
-  if (cmp == CmpOp::kNeq) return SelectNeqPositions(b, v, cands);
-  const Column& tail = b.tail();
-  MIRROR_CHECK(tail.TypeCompatible(v.type()));
-  auto keep = [&](auto lhs, auto rhs) {
-    switch (cmp) {
-      case CmpOp::kLt:
-        return lhs < rhs;
-      case CmpOp::kLe:
-        return lhs <= rhs;
-      case CmpOp::kGt:
-        return lhs > rhs;
-      case CmpOp::kGe:
-        return lhs >= rhs;
-      default:
-        MIRROR_UNREACHABLE();
-        return false;
+// One side of a selection predicate: absent (null `v`), or `*v` with its
+// inclusivity.
+struct Bound {
+  const Value* v = nullptr;
+  bool inclusive = true;
+};
+
+// The bounds of `tail (cmp) v`; eq and neq bound v on both sides.
+std::pair<Bound, Bound> CmpBounds(CmpOp cmp, const Value& v) {
+  switch (cmp) {
+    case CmpOp::kLt:
+      return {Bound{}, Bound{&v, false}};
+    case CmpOp::kLe:
+      return {Bound{}, Bound{&v, true}};
+    case CmpOp::kGt:
+      return {Bound{&v, false}, Bound{}};
+    case CmpOp::kGe:
+      return {Bound{&v, true}, Bound{}};
+    default:
+      return {Bound{&v, true}, Bound{&v, true}};
+  }
+}
+
+// The interval of tail values a selection keeps, in the zone maps' double
+// space, both ends inclusive.
+struct ZoneInterval {
+  bool usable = false;
+  double lo = -kInf;
+  double hi = kInf;
+};
+
+// A selection predicate normalized at kernel entry. It keeps the rows
+// inside the interval, or outside it when `negate` is set (neq); `none`
+// means no row qualifies, so nothing is scanned.
+//  - int, oid and void tails: v - lo <= span in uint64 arithmetic, the
+//    one-comparison form of lo <= v <= hi (signed for int, unsigned for
+//    oid);
+//  - dbl tails: dlo <= v <= dhi, exclusive bounds moved one ulp inward;
+//  - str tails: the bounds as given.
+struct SelectPred {
+  bool none = false;
+  bool negate = false;
+  uint64_t lo = 0;
+  uint64_t span = 0;
+  double dlo = -kInf;
+  double dhi = kInf;
+  Bound slo;
+  Bound shi;
+  ZoneInterval zone;
+};
+
+// The least x with `x > v` (`x >= v` when inclusive) for an integral
+// literal in the column's own domain; nullopt past the type's maximum.
+template <typename T>
+std::optional<T> IntegralAbove(T v, bool inclusive) {
+  if (inclusive) return v;
+  if (v == std::numeric_limits<T>::max()) return std::nullopt;
+  return v + 1;
+}
+
+// The greatest x with `x < v` (`x <= v` when inclusive).
+template <typename T>
+std::optional<T> IntegralBelow(T v, bool inclusive) {
+  if (inclusive) return v;
+  if (v == std::numeric_limits<T>::min()) return std::nullopt;
+  return v - 1;
+}
+
+// The smallest int64 x with keep(x), for a keep that is false up to some
+// x and true from there on; nullopt when it holds for no int64.
+template <typename Keep>
+std::optional<int64_t> FirstInt(Keep keep) {
+  if (!keep(kI64Max)) return std::nullopt;
+  int64_t lo = kI64Min;
+  int64_t hi = kI64Max;
+  while (lo < hi) {
+    const int64_t mid =
+        lo + static_cast<int64_t>(
+                 (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / 2);
+    if (keep(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
     }
-  };
-  if (Norm(tail.type()) == ValueType::kStr) {
-    std::string_view want = v.s();
-    return SelectPositions(
-        tail, cands, [](int64_t) { return false; },
-        [](double) { return false; },
-        [&](std::string_view s) { return keep(s, want); });
   }
-  double want = BoundAsDouble(v);
-  return SelectPositions(
-      tail, cands,
-      [&](int64_t x) { return keep(static_cast<double>(x), want); },
-      [&](double x) { return keep(x, want); },
-      [](std::string_view) { return false; });
+  return lo;
 }
 
-std::vector<uint32_t> SelectRangePositions(const Bat& b, const Value& lo,
-                                           const Value& hi, bool lo_inclusive,
-                                           bool hi_inclusive,
-                                           const CandidateList* cands) {
-  const Column& tail = b.tail();
-  MIRROR_CHECK(tail.TypeCompatible(lo.type()));
-  MIRROR_CHECK(tail.TypeCompatible(hi.type()));
-  if (Norm(tail.type()) == ValueType::kStr) {
-    const std::string& slo = lo.s();
-    const std::string& shi = hi.s();
-    return SelectPositions(
-        tail, cands, [](int64_t) { return false; },
-        [](double) { return false; },
-        [&](std::string_view s) {
-          bool above = lo_inclusive ? s >= slo : s > slo;
-          bool below = hi_inclusive ? s <= shi : s < shi;
-          return above && below;
-        });
-  }
-  double dlo = BoundAsDouble(lo);
-  double dhi = BoundAsDouble(hi);
-  auto in_range = [&](double x) {
-    bool above = lo_inclusive ? x >= dlo : x > dlo;
-    bool below = hi_inclusive ? x <= dhi : x < dhi;
-    return above && below;
-  };
-  return SelectPositions(
-      tail, cands,
-      [&](int64_t x) { return in_range(static_cast<double>(x)); },
-      [&](double x) { return in_range(x); },
-      [](std::string_view) { return false; });
+// The least int64 x with `x > v` (`x >= v` when inclusive) as the naive
+// oracle compares an int with `v`: exactly for an int literal, as doubles
+// for a dbl one (Value::operator<). Int-to-double conversion is monotone,
+// so a bisection finds the bound exactly, where ceil and floor go wrong
+// past 2^53.
+std::optional<int64_t> IntLowerBound(const Value& v, bool inclusive) {
+  if (v.type() == ValueType::kInt) return IntegralAbove(v.i(), inclusive);
+  const double d = v.d();
+  return FirstInt([&](int64_t x) {
+    const double dx = static_cast<double>(x);
+    return inclusive ? dx >= d : dx > d;
+  });
 }
 
-// Runs a selection position core with zone-map block pruning. Dense
-// sub-domains walk the blocks they cover: dead blocks are skipped
-// outright, fully-matching blocks (when the predicate interval allows)
-// append their positions wholesale, and only runs of mixed blocks reach
-// `pos_fn`. Sparse sub-domains and unusable predicates fall through to
-// the plain morselized core.
-template <typename PosFn>
-CandidateList ZonedMorselizedPositions(size_t n, const CandidateList* cands,
-                                       const MorselExec& mx,
-                                       const ZoneMap* zones,
-                                       const ZoneInterval& iv, PosFn pos_fn) {
-  if (!iv.usable || zones == nullptr || !zones->valid) {
-    return MorselizedPositions(n, cands, mx, pos_fn);
+// The greatest int64 x with `x < v` (`x <= v` when inclusive), likewise.
+std::optional<int64_t> IntUpperBound(const Value& v, bool inclusive) {
+  if (v.type() == ValueType::kInt) return IntegralBelow(v.i(), inclusive);
+  if (std::isnan(v.d())) return std::nullopt;
+  // The ints past the bound are the least ones failing it.
+  const std::optional<int64_t> past = IntLowerBound(v, !inclusive);
+  if (!past) return kI64Max;
+  return IntegralBelow(*past, false);
+}
+
+// The least double >= d (> d when exclusive); NaN when none exists.
+double DblLowerBound(double d, bool inclusive) {
+  if (inclusive) return d;
+  return d == kInf ? std::nan("") : std::nextafter(d, kInf);
+}
+
+// The greatest double <= d (< d when exclusive); NaN when none exists.
+double DblUpperBound(double d, bool inclusive) {
+  if (inclusive) return d;
+  return d == -kInf ? std::nan("") : std::nextafter(d, -kInf);
+}
+
+// Stores the integral interval [lo, hi] (int64 or uint64 order) as lo and
+// span, with its zone interval. The zone bounds widen outward like the
+// zone builder's (DoubleUpperBound of lo, DoubleLowerBound of hi), so
+// kNone and kAll stay exact past 2^53; an open side is infinite.
+template <typename T>
+void SetIntegralInterval(T lo, T hi, SelectPred* p) {
+  p->lo = static_cast<uint64_t>(lo);
+  p->span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (p->negate) return;
+  // Zone maps hold oids as int64 (RunSelect checks that no oid is past
+  // int64's range), so an oid lower bound past it prunes nothing.
+  if constexpr (std::is_unsigned_v<T>) {
+    if (lo > static_cast<T>(kI64Max)) return;
   }
+  p->zone.usable = true;
+  if (lo != std::numeric_limits<T>::min()) {
+    p->zone.lo = DoubleUpperBound(static_cast<int64_t>(lo));
+  }
+  if (hi < static_cast<T>(kI64Max)) {
+    p->zone.hi = DoubleLowerBound(static_cast<int64_t>(hi));
+  }
+}
+
+template <typename T>
+void SetIntegralPred(std::optional<T> lo, std::optional<T> hi,
+                     SelectPred* p) {
+  if (lo && hi && *lo <= *hi) {
+    SetIntegralInterval(*lo, *hi, p);
+  } else if (p->negate) {
+    // neq of a value no row equals: every row qualifies.
+    p->negate = false;
+    p->lo = 0;
+    p->span = std::numeric_limits<uint64_t>::max();
+  } else {
+    p->none = true;
+  }
+}
+
+SelectPred NormalizeSelect(const Column& tail, Bound lo, Bound hi,
+                           bool negate) {
+  for (const Bound& b : {lo, hi}) {
+    MIRROR_CHECK(b.v == nullptr || tail.TypeCompatible(b.v->type()))
+        << "select type mismatch: column " << ValueTypeName(tail.type())
+        << " vs literal " << b.v->ToString();
+  }
+  SelectPred p;
+  p.negate = negate;
+  switch (tail.type()) {
+    case ValueType::kInt:
+      SetIntegralPred<int64_t>(
+          lo.v != nullptr ? IntLowerBound(*lo.v, lo.inclusive) : kI64Min,
+          hi.v != nullptr ? IntUpperBound(*hi.v, hi.inclusive) : kI64Max,
+          &p);
+      break;
+    case ValueType::kVoid:
+    case ValueType::kOid:
+      SetIntegralPred<uint64_t>(
+          lo.v != nullptr ? IntegralAbove(lo.v->oid(), lo.inclusive) : 0,
+          hi.v != nullptr ? IntegralBelow(hi.v->oid(), hi.inclusive)
+                          : std::numeric_limits<uint64_t>::max(),
+          &p);
+      break;
+    case ValueType::kDbl:
+      if (lo.v != nullptr) p.dlo = DblLowerBound(lo.v->AsDouble(), lo.inclusive);
+      if (hi.v != nullptr) p.dhi = DblUpperBound(hi.v->AsDouble(), hi.inclusive);
+      // An empty interval (NaN bounds compare false) negates to every row.
+      if (!(p.dlo <= p.dhi)) {
+        p.none = !negate;
+      } else if (!negate) {
+        p.zone = {true, p.dlo, p.dhi};
+      }
+      break;
+    case ValueType::kStr:
+      p.slo = lo;
+      p.shi = hi;
+      break;
+  }
+  return p;
+}
+
+// Zone-map pruning over a dense span: blocks whose [min, max] lies
+// outside the interval are skipped unread, blocks inside it write their
+// rows wholesale, and runs of the remaining blocks go to `core`. A sparse
+// span goes to `core` whole. Positions are those of the unpruned core;
+// skipped blocks count into `skipped`.
+template <typename Core>
+size_t ZonedSelectInto(const DomainSpan& d, const ZoneMap& zones,
+                       const ZoneInterval& iv, const Core& core,
+                       uint32_t* out, std::atomic<uint64_t>* skipped) {
+  if (d.cands != nullptr && !d.cands->is_dense()) return core(d, out);
+  const size_t first = (d.cands == nullptr ? 0 : d.cands->first()) + d.lo;
+  const size_t end = first + d.size();
+  if (first == end) return 0;
+  const size_t br = zones.block_rows;
+  size_t k = 0;
+  size_t run_lo = first;  // start of the pending run of mixed blocks
+  uint64_t dead = 0;
+  for (size_t blk = first / br; blk * br < end; ++blk) {
+    const size_t blo = std::max(first, blk * br);
+    const size_t bhi = std::min(end, (blk + 1) * br);
+    const ZoneMatch match =
+        ClassifyZone(zones.block_min[blk], zones.block_max[blk], iv.lo,
+                     /*lo_inc=*/true, iv.hi, /*hi_inc=*/true);
+    if (match == ZoneMatch::kSome) continue;
+    k += core(DomainSpan{nullptr, run_lo, blo}, out + k);
+    run_lo = bhi;
+    if (match == ZoneMatch::kNone) {
+      ++dead;
+      continue;
+    }
+    for (size_t i = blo; i < bhi; ++i) out[k++] = static_cast<uint32_t>(i);
+  }
+  k += core(DomainSpan{nullptr, run_lo, end}, out + k);
+  if (dead > 0) skipped->fetch_add(dead, std::memory_order_relaxed);
+  return k;
+}
+
+// Runs a normalized predicate over the domain with the typed core of the
+// tail's type, behind zone-map pruning when the interval allows it.
+CandidateList RunSelect(const Column& tail, const SelectPred& p,
+                        const CandidateList* cands, const MorselExec& mx,
+                        const ZoneMap* zones) {
+  if (p.none) return CandidateList::FromPositions({});
+  // Zone maps hold oids as int64: an oid past 2^63 (a negative zone
+  // minimum) would sit in the wrong place.
+  const bool oids = Norm(tail.type()) == ValueType::kOid;
+  const bool zoned = p.zone.usable && zones != nullptr && zones->valid &&
+                     (!oids || zones->min >= 0);
   std::atomic<uint64_t> skipped{0};
-  auto zoned_fn = [&](const CandidateList* dom) -> std::vector<uint32_t> {
-    size_t first = 0;
-    size_t count = n;
-    if (dom != nullptr) {
-      if (!dom->is_dense()) return pos_fn(dom);
-      first = dom->first();
-      count = dom->size();
-    }
-    if (count == 0) return {};
-    size_t end = first + count;
-    size_t br = zones->block_rows;
-    std::vector<uint32_t> out;
-    size_t run_lo = 0;
-    bool in_run = false;
-    auto flush_run = [&](size_t run_hi) {
-      if (!in_run) return;
-      in_run = false;
-      CandidateList run = CandidateList::Dense(run_lo, run_hi - run_lo);
-      std::vector<uint32_t> part = pos_fn(&run);
-      out.insert(out.end(), part.begin(), part.end());
+  auto run = [&](auto keep) {
+    auto core = [&](const DomainSpan& d, uint32_t* out) {
+      return SelectInto(d, keep, out);
     };
-    uint64_t dead = 0;
-    for (size_t blk = first / br; blk * br < end; ++blk) {
-      size_t blo = std::max(first, blk * br);
-      size_t bhi = std::min(end, (blk + 1) * br);
-      ZoneMatch match =
-          ClassifyZone(zones->block_min[blk], zones->block_max[blk], iv.lo,
-                       iv.lo_inc, iv.hi, iv.hi_inc);
-      if (match == ZoneMatch::kAll && !iv.allow_all) match = ZoneMatch::kSome;
-      if (match == ZoneMatch::kSome) {
-        if (!in_run) {
-          run_lo = blo;
-          in_run = true;
-        }
-        continue;
-      }
-      flush_run(blo);
-      if (match == ZoneMatch::kNone) {
-        ++dead;
-        continue;
-      }
-      for (size_t i = blo; i < bhi; ++i) {
-        out.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    flush_run(end);
-    if (dead > 0) skipped.fetch_add(dead, std::memory_order_relaxed);
-    return out;
+    if (!zoned) return MorselizedPositions(tail.size(), cands, mx, core);
+    return MorselizedPositions(
+        tail.size(), cands, mx, [&](const DomainSpan& d, uint32_t* out) {
+          return ZonedSelectInto(d, *zones, p.zone, core, out, &skipped);
+        });
   };
-  CandidateList out = MorselizedPositions(n, cands, mx, zoned_fn);
-  uint64_t s = skipped.load(std::memory_order_relaxed);
+  const uint64_t lo = p.lo;
+  const uint64_t span = p.span;
+  const bool neg = p.negate;
+  CandidateList out;
+  switch (tail.type()) {
+    case ValueType::kVoid: {
+      const uint64_t base = tail.void_base();
+      out = run([=](size_t i) { return (base + i - lo <= span) != neg; });
+      break;
+    }
+    case ValueType::kOid: {
+      const Oid* v = tail.oids().data();
+      out = run([=](size_t i) { return (v[i] - lo <= span) != neg; });
+      break;
+    }
+    case ValueType::kInt: {
+      const int64_t* v = tail.ints().data();
+      out = run([=](size_t i) {
+        return (static_cast<uint64_t>(v[i]) - lo <= span) != neg;
+      });
+      break;
+    }
+    case ValueType::kDbl: {
+      const double* v = tail.dbls().data();
+      const double dlo = p.dlo;
+      const double dhi = p.dhi;
+      out = run([=](size_t i) { return ((v[i] >= dlo) & (v[i] <= dhi)) != neg; });
+      break;
+    }
+    case ValueType::kStr: {
+      const std::string* slo = p.slo.v != nullptr ? &p.slo.v->s() : nullptr;
+      const std::string* shi = p.shi.v != nullptr ? &p.shi.v->s() : nullptr;
+      const bool eq = slo != nullptr && slo == shi;  // eq and neq
+      out = run([&, slo, shi, eq, neg](size_t i) {
+        const std::string_view s = tail.StrAt(i);
+        if (eq) return (s == *slo) != neg;
+        const bool above =
+            slo == nullptr || (p.slo.inclusive ? s >= *slo : s > *slo);
+        const bool below =
+            shi == nullptr || (p.shi.inclusive ? s <= *shi : s < *shi);
+        return (above && below) != neg;
+      });
+      break;
+    }
+  }
+  const uint64_t s = skipped.load(std::memory_order_relaxed);
   if (s > 0) TrackZoneBlocksSkipped(s);
   return out;
 }
 
-// Wraps a position core into the candidate form's tracking.
-CandidateList FinishCandidateSelect(KernelOp op, size_t domain,
-                                    CandidateList out) {
-  TrackKernelOp(op, domain, out.size());
+// The candidate forms' shared body.
+CandidateList SelectCand(const Bat& b, Bound lo, Bound hi, bool negate,
+                         const CandidateList* cands, const MorselExec& mx,
+                         const ZoneMap* zones) {
+  KernelTimer timer(KernelOp::kSelect);
+  CandidateList out = RunSelect(
+      b.tail(), NormalizeSelect(b.tail(), lo, hi, negate), cands, mx, zones);
+  TrackKernelOp(KernelOp::kSelect, DomainSize(b.size(), cands), out.size());
   TrackCandidateOp();
   return out;
+}
+
+// The materializing forms' shared body: the same core over every row,
+// then one gather.
+Bat SelectBat(const Bat& b, Bound lo, Bound hi, bool negate) {
+  KernelTimer timer(KernelOp::kSelect);
+  CandidateList kept =
+      RunSelect(b.tail(), NormalizeSelect(b.tail(), lo, hi, negate), nullptr,
+                MorselExec{}, nullptr);
+  TrackKernelOp(KernelOp::kSelect, b.size(), kept.size());
+  return GatherFragment(b, kept);
 }
 
 }  // namespace
 
 Bat SelectEq(const Bat& b, const Value& v) {
-  KernelTimer timer(KernelOp::kSelect);
-  std::vector<uint32_t> positions = SelectEqPositions(b, v, nullptr);
-  TrackKernelOp(KernelOp::kSelect, b.size(), positions.size());
-  return GatherBat(b, positions);
+  return SelectBat(b, Bound{&v}, Bound{&v}, /*negate=*/false);
 }
 
 Bat SelectNeq(const Bat& b, const Value& v) {
-  KernelTimer timer(KernelOp::kSelect);
-  std::vector<uint32_t> positions = SelectNeqPositions(b, v, nullptr);
-  TrackKernelOp(KernelOp::kSelect, b.size(), positions.size());
-  return GatherBat(b, positions);
+  return SelectBat(b, Bound{&v}, Bound{&v}, /*negate=*/true);
 }
 
 Bat SelectCmp(const Bat& b, CmpOp cmp, const Value& v) {
-  KernelTimer timer(KernelOp::kSelect);
-  std::vector<uint32_t> positions = SelectCmpPositions(b, cmp, v, nullptr);
-  TrackKernelOp(KernelOp::kSelect, b.size(), positions.size());
-  return GatherBat(b, positions);
+  auto [lo, hi] = CmpBounds(cmp, v);
+  return SelectBat(b, lo, hi, cmp == CmpOp::kNeq);
 }
 
 Bat SelectRange(const Bat& b, const Value& lo, const Value& hi,
                 bool lo_inclusive, bool hi_inclusive) {
-  KernelTimer timer(KernelOp::kSelect);
-  std::vector<uint32_t> positions =
-      SelectRangePositions(b, lo, hi, lo_inclusive, hi_inclusive, nullptr);
-  TrackKernelOp(KernelOp::kSelect, b.size(), positions.size());
-  return GatherBat(b, positions);
+  return SelectBat(b, Bound{&lo, lo_inclusive}, Bound{&hi, hi_inclusive},
+                   /*negate=*/false);
 }
 
 CandidateList SelectEqCand(const Bat& b, const Value& v,
                            const CandidateList* cands, const MorselExec& mx,
                            const ZoneMap* zones) {
-  KernelTimer timer(KernelOp::kSelect);
-  return FinishCandidateSelect(
-      KernelOp::kSelect, DomainSize(b.size(), cands),
-      ZonedMorselizedPositions(b.size(), cands, mx, zones,
-                               EqZoneInterval(b.tail(), v),
-                               [&](const CandidateList* dom) {
-                                 return SelectEqPositions(b, v, dom);
-                               }));
+  return SelectCand(b, Bound{&v}, Bound{&v}, /*negate=*/false, cands, mx,
+                    zones);
 }
 
 CandidateList SelectNeqCand(const Bat& b, const Value& v,
                             const CandidateList* cands, const MorselExec& mx) {
-  KernelTimer timer(KernelOp::kSelect);
-  return FinishCandidateSelect(
-      KernelOp::kSelect, DomainSize(b.size(), cands),
-      MorselizedPositions(b.size(), cands, mx, [&](const CandidateList* dom) {
-        return SelectNeqPositions(b, v, dom);
-      }));
+  return SelectCand(b, Bound{&v}, Bound{&v}, /*negate=*/true, cands, mx,
+                    nullptr);
 }
 
 CandidateList SelectCmpCand(const Bat& b, CmpOp cmp, const Value& v,
                             const CandidateList* cands, const MorselExec& mx,
                             const ZoneMap* zones) {
-  KernelTimer timer(KernelOp::kSelect);
-  return FinishCandidateSelect(
-      KernelOp::kSelect, DomainSize(b.size(), cands),
-      ZonedMorselizedPositions(b.size(), cands, mx, zones,
-                               CmpZoneInterval(b.tail(), cmp, v),
-                               [&](const CandidateList* dom) {
-                                 return SelectCmpPositions(b, cmp, v, dom);
-                               }));
+  auto [lo, hi] = CmpBounds(cmp, v);
+  return SelectCand(b, lo, hi, cmp == CmpOp::kNeq, cands, mx, zones);
 }
 
 CandidateList SelectRangeCand(const Bat& b, const Value& lo, const Value& hi,
                               bool lo_inclusive, bool hi_inclusive,
                               const CandidateList* cands, const MorselExec& mx,
                               const ZoneMap* zones) {
-  KernelTimer timer(KernelOp::kSelect);
-  return FinishCandidateSelect(
-      KernelOp::kSelect, DomainSize(b.size(), cands),
-      ZonedMorselizedPositions(
-          b.size(), cands, mx, zones,
-          RangeZoneInterval(b.tail(), lo, hi, lo_inclusive, hi_inclusive),
-          [&](const CandidateList* dom) {
-            return SelectRangePositions(b, lo, hi, lo_inclusive, hi_inclusive,
-                                        dom);
-          }));
+  return SelectCand(b, Bound{&lo, lo_inclusive}, Bound{&hi, hi_inclusive},
+                    /*negate=*/false, cands, mx, zones);
 }
-
-namespace {
-
-// A dense range is a view of `b`'s buffers; sparse positions gather.
-Bat GatherFragment(const Bat& b, const CandidateList& cands) {
-  if (!cands.is_dense()) return GatherBat(b, cands.sparse_positions());
-  return b.View(cands.first(), cands.size());
-}
-
-}  // namespace
 
 namespace {
 
@@ -812,17 +844,15 @@ Bat Materialize(const Bat& b, const CandidateList& cands,
     mx.Charge(ApproxBatBytes(out));
     return out;
   }
-  size_t chunk = (cands.size() + morsels - 1) / morsels;
   std::vector<std::optional<Bat>> fragments(morsels);
   MorselFor(mx, "materialize.morsel", mx.pool, morsels, [&](size_t j) {
-    if (mx.Aborted()) {
-      // Abandoned morsel: stand in an empty fragment so the merge below
-      // stays well-formed; the engine discards the partial result.
-      fragments[j].emplace(GatherFragment(b, cands.Sliced(0, 0)));
-      return;
-    }
-    fragments[j].emplace(GatherFragment(b, cands.Sliced(j * chunk, chunk)));
-    mx.Charge(ApproxBatBytes(*fragments[j]));
+    const DomainSpan span = MorselSpan(&cands, cands.size(), morsels, j);
+    // An abandoned morsel stands in an empty fragment so the merge below
+    // stays well-formed; the engine discards the partial result.
+    const bool aborted = mx.Aborted();
+    fragments[j].emplace(
+        GatherFragment(b, cands, span.lo, aborted ? span.lo : span.hi));
+    if (!aborted) mx.Charge(ApproxBatBytes(*fragments[j]));
   });
   TrackMorselTasks(morsels);
   std::vector<const Column*> heads;
@@ -1370,7 +1400,7 @@ struct JoinBuild::Impl {
       // (offset keys are only exact within one heap).
       auto index = std::make_shared<PosMap<std::string>>();
       const Column& head = r->head();
-      ForEachInDomain(r->size(), cands(), [&](size_t i) {
+      ForEachInDomain(WholeDomain(r->size(), cands()), [&](size_t i) {
         (*index)[std::string(head.StrAt(i))].push_back(
             static_cast<uint32_t>(i));
       });
@@ -1569,24 +1599,26 @@ CandidateList RadixMemberCand(size_t probe_n, ProbeKeyFn probe_key,
                                              /*dedup_chains=*/true,
                                              with_bloom);
   return MorselizedPositions(
-      probe_n, cands, mx, [&](const CandidateList* dom) {
-        std::vector<uint32_t> out;
+      probe_n, cands, mx, [&](const DomainSpan& dom, uint32_t* out) {
         uint64_t bloom_rejects = 0;
-        ForEachInDomain(probe_n, dom, [&](size_t i) {
-          K key = probe_key(i);
-          uint64_t h = RadixHash(key);
-          size_t p = h & members.part_mask;
-          bool in;
-          if (members.bloom_words > 0 && BloomRejects(members, h, p)) {
-            ++bloom_rejects;
-            in = false;
-          } else {
-            in = RadixContainsHashed(members, key, h, p);
-          }
-          if (in == keep_members) out.push_back(static_cast<uint32_t>(i));
-        });
+        const size_t kept = SelectInto(
+            dom,
+            [&](size_t i) {
+              K key = probe_key(i);
+              uint64_t h = RadixHash(key);
+              size_t p = h & members.part_mask;
+              bool in;
+              if (members.bloom_words > 0 && BloomRejects(members, h, p)) {
+                ++bloom_rejects;
+                in = false;
+              } else {
+                in = RadixContainsHashed(members, key, h, p);
+              }
+              return in == keep_members;
+            },
+            out);
         if (bloom_rejects > 0) TrackBloomHits(bloom_rejects);
-        return out;
+        return kept;
       });
 }
 
@@ -1600,13 +1632,13 @@ CandidateList StringMemberCand(size_t probe_n, ProbeKeyFn probe_key,
   members.reserve(keys_n * 2);
   for (size_t i = 0; i < keys_n; ++i) members.insert(keys_key(i));
   return MorselizedPositions(
-      probe_n, cands, mx, [&](const CandidateList* dom) {
-        std::vector<uint32_t> out;
-        ForEachInDomain(probe_n, dom, [&](size_t i) {
-          bool in = members.count(probe_key(i)) > 0;
-          if (in == keep_members) out.push_back(static_cast<uint32_t>(i));
-        });
-        return out;
+      probe_n, cands, mx, [&](const DomainSpan& dom, uint32_t* out) {
+        return SelectInto(
+            dom,
+            [&](size_t i) {
+              return (members.count(probe_key(i)) > 0) == keep_members;
+            },
+            out);
       });
 }
 
@@ -2002,11 +2034,11 @@ double AccInput(const Column& tail, size_t i, AggKind kind) {
   }
 }
 
-void AccumulateDomain(const Bat& b, const CandidateList* dom, AggKind kind,
+void AccumulateDomain(const Bat& b, const DomainSpan& dom, AggKind kind,
                       GroupMap* groups) {
   const Column& head = b.head();
   const Column& tail = b.tail();
-  ForEachInDomain(b.size(), dom, [&](size_t i) {
+  ForEachInDomain(dom, [&](size_t i) {
     (*groups)[I64KeyAt(head, i)].Add(AccInput(tail, i, kind));
   });
 }
@@ -2200,7 +2232,7 @@ Bat DenseRangeAgg(const Bat& b, const CandidateList* cands, AggKind kind,
   const Column& head = b.head();
   const Column& tail = b.tail();
   std::vector<Acc> accs(static_cast<size_t>(hi - lo));
-  ForEachInDomain(b.size(), cands, [&](size_t i) {
+  ForEachInDomain(WholeDomain(b.size(), cands), [&](size_t i) {
     Oid h = head.OidAt(i);
     MIRROR_CHECK(h >= lo && h < hi) << "head oid outside the declared range";
     accs[h - lo].Add(AccInput(tail, i, kind));
@@ -2274,14 +2306,14 @@ Bat AggregatePerHead(const Bat& b, const CandidateList* cands, AggKind kind,
   GroupMap groups;
   if (morsels <= 1) {
     groups.reserve(m);
-    AccumulateDomain(b, cands, kind, &groups);
+    AccumulateDomain(b, WholeDomain(b.size(), cands), kind, &groups);
   } else {
-    std::vector<CandidateList> domains = SplitDomain(b.size(), cands, morsels);
-    std::vector<GroupMap> partials(domains.size());
-    MorselFor(mx, "agg.morsel", mx.pool, domains.size(), [&](size_t j) {
-      AccumulateDomain(b, &domains[j], kind, &partials[j]);
+    std::vector<GroupMap> partials(morsels);
+    MorselFor(mx, "agg.morsel", mx.pool, morsels, [&](size_t j) {
+      AccumulateDomain(b, MorselSpan(cands, m, morsels, j), kind,
+                       &partials[j]);
     });
-    TrackMorselTasks(domains.size());
+    TrackMorselTasks(morsels);
     // Partials merge in morsel order, so each group's fold order is fixed
     // for a given morsel size.
     groups = std::move(partials[0]);

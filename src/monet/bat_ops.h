@@ -35,8 +35,9 @@ using BatPtr = std::shared_ptr<const Bat>;  // also declared in catalog.h
 /// Intra-operator (morsel) parallelism resources, threaded into the hot
 /// kernels by the ExecutionEngine. A kernel whose input domain exceeds
 /// `morsel_size` splits it into ceil(n / morsel_size) morsels dispatched
-/// on `pool` (per-morsel candidate fragments are concatenated
-/// order-preservingly; aggregates merge per-morsel partial accumulators).
+/// on `pool` (a select's morsels write into one domain-sized position
+/// buffer, compacted in morsel order; aggregates merge per-morsel partial
+/// accumulators).
 /// A null pool or morsel_size 0 — the default — runs the kernel on the
 /// calling thread, which is also the sequential Executor's mode.
 struct MorselExec {
@@ -164,9 +165,13 @@ Bat SelectCmp(const Bat& b, CmpOp cmp, const Value& v);
 // Eq/Cmp/Range additionally accept the tail column's zone map (`zones`,
 // nullable): over dense sub-domains, blocks whose [min, max] provably
 // fails the predicate are skipped without reading a row, and blocks that
-// provably satisfy it (Cmp/Range only — double-space predicates) append
-// their positions wholesale. Positions produced are identical either
-// way; skipped blocks count into KernelStats.zone_blocks_skipped.
+// provably satisfy it append their positions wholesale. Positions
+// produced are identical either way; skipped blocks count into
+// KernelStats.zone_blocks_skipped.
+//
+// Comparisons follow the naive oracle: an int or oid tail compares
+// exactly with an int or oid literal and in double space with a dbl one;
+// dbl tails compare as doubles, str tails bytewise.
 
 CandidateList SelectEqCand(const Bat& b, const Value& v,
                            const CandidateList* cands = nullptr,

@@ -17,7 +17,7 @@ CandidateList CandidateList::Dense(size_t first, size_t count) {
   return out;
 }
 
-CandidateList CandidateList::FromPositions(std::vector<uint32_t> positions) {
+CandidateList CandidateList::FromPositions(PositionVector positions) {
 #ifndef NDEBUG
   for (size_t i = 1; i < positions.size(); ++i) {
     MIRROR_CHECK(positions[i - 1] < positions[i])
@@ -40,14 +40,14 @@ CandidateList CandidateList::Intersect(const CandidateList& other) const {
   // contiguous run of the sorted vector; find it and copy it once.
   auto clamp_to_dense = [](const CandidateList& sparse,
                            const CandidateList& dense) {
-    const std::vector<uint32_t>& p = sparse.positions_;
+    const PositionVector& p = sparse.positions_;
     auto lo = std::lower_bound(p.begin(), p.end(), dense.first_);
     auto hi = std::lower_bound(lo, p.end(), dense.first_ + dense.count_);
-    return FromPositions(std::vector<uint32_t>(lo, hi));
+    return FromPositions(PositionVector(lo, hi));
   };
   if (dense_) return clamp_to_dense(other, *this);
   if (other.dense_) return clamp_to_dense(*this, other);
-  std::vector<uint32_t> out;
+  PositionVector out;
   out.reserve(std::min(positions_.size(), other.positions_.size()));
   std::set_intersection(positions_.begin(), positions_.end(),
                         other.positions_.begin(), other.positions_.end(),
@@ -65,23 +65,40 @@ CandidateList CandidateList::Union(const CandidateList& other) const {
     size_t hi = std::max(first_ + count_, other.first_ + other.count_);
     return Dense(lo, hi - lo);
   }
-  std::vector<size_t> a = ToPositions();
-  std::vector<size_t> b = other.ToPositions();
-  std::vector<uint32_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
+  // Both lists are read in place, a dense range as first_ + i and a
+  // sparse list as its uint32 positions: no widened copy of either side.
+  const size_t n = size();
+  const size_t m = other.size();
+  PositionVector out;
+  out.reserve(n + m);
+  size_t i = 0;
+  size_t j = 0;
+  while (i < n && j < m) {
+    const size_t a = PositionAt(i);
+    const size_t b = other.PositionAt(j);
+    out.push_back(static_cast<uint32_t>(std::min(a, b)));
+    i += a <= b ? 1 : 0;
+    j += b <= a ? 1 : 0;
+  }
+  for (; i < n; ++i) out.push_back(static_cast<uint32_t>(PositionAt(i)));
+  for (; j < m; ++j) out.push_back(static_cast<uint32_t>(other.PositionAt(j)));
   return FromPositions(std::move(out));
 }
 
 CandidateList CandidateList::Difference(const CandidateList& other) const {
   if (empty() || other.empty()) return *this;
-  std::vector<size_t> a = ToPositions();
-  std::vector<size_t> b = other.ToPositions();
-  std::vector<uint32_t> out;
-  out.reserve(a.size());
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
+  const size_t n = size();
+  const size_t m = other.size();
+  PositionVector out;
+  out.reserve(n);
+  size_t j = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t p = PositionAt(i);
+    while (j < m && other.PositionAt(j) < p) ++j;
+    if (j == m || other.PositionAt(j) != p) {
+      out.push_back(static_cast<uint32_t>(p));
+    }
+  }
   return FromPositions(std::move(out));
 }
 
@@ -90,60 +107,9 @@ CandidateList CandidateList::Sliced(size_t start, size_t count) const {
   start = std::min(start, n);
   count = std::min(count, n - start);
   if (dense_) return Dense(first_ + start, count);
-  return FromPositions(std::vector<uint32_t>(
+  return FromPositions(PositionVector(
       positions_.begin() + static_cast<ptrdiff_t>(start),
       positions_.begin() + static_cast<ptrdiff_t>(start + count)));
-}
-
-CandidateList CandidateList::ConcatSorted(std::vector<CandidateList> fragments) {
-  // Drop empty fragments up front; they carry no shape information.
-  size_t total = 0;
-  size_t kept = 0;
-  for (size_t i = 0; i < fragments.size(); ++i) {
-    if (fragments[i].empty()) continue;
-    total += fragments[i].size();
-    if (kept != i) fragments[kept] = std::move(fragments[i]);
-    ++kept;
-  }
-  fragments.resize(kept);
-  if (kept == 0) return CandidateList::FromPositions({});
-  if (kept == 1) return std::move(fragments[0]);
-#ifndef NDEBUG
-  for (size_t i = 1; i < kept; ++i) {
-    MIRROR_CHECK(fragments[i - 1].PositionAt(fragments[i - 1].size() - 1) <
-                 fragments[i].PositionAt(0))
-        << "candidate fragments must be disjoint and ordered";
-  }
-#endif
-  bool all_dense_adjacent = fragments[0].is_dense();
-  for (size_t i = 1; all_dense_adjacent && i < kept; ++i) {
-    all_dense_adjacent =
-        fragments[i].is_dense() &&
-        fragments[i].first() ==
-            fragments[i - 1].first() + fragments[i - 1].size();
-  }
-  if (all_dense_adjacent) return Dense(fragments[0].first(), total);
-  std::vector<uint32_t> positions;
-  // Splice into the first sparse fragment's storage when possible to
-  // avoid re-copying the (often dominant) head fragment.
-  size_t start = 0;
-  if (!fragments[0].is_dense()) {
-    positions = std::move(fragments[0].positions_);
-    start = 1;
-  }
-  positions.reserve(total);
-  for (size_t i = start; i < kept; ++i) {
-    const CandidateList& f = fragments[i];
-    if (f.is_dense()) {
-      for (size_t j = 0; j < f.size(); ++j) {
-        positions.push_back(static_cast<uint32_t>(f.first() + j));
-      }
-    } else {
-      positions.insert(positions.end(), f.positions_.begin(),
-                       f.positions_.end());
-    }
-  }
-  return FromPositions(std::move(positions));
 }
 
 PackedCandidates CandidateList::Pack() const {
@@ -181,12 +147,13 @@ CandidateList PackedCandidates::Unpack() const {
     case Form::kBitmap:
       break;
   }
-  std::vector<uint32_t> out;
-  out.reserve(count_);
+  PositionVector out;
+  out.resize(count_);
+  size_t k = 0;
   for (size_t w = 0; w < words_.size(); ++w) {
     const size_t base = first_ + w * 64;
     for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
-      out.push_back(static_cast<uint32_t>(base + std::countr_zero(bits)));
+      out[k++] = static_cast<uint32_t>(base + std::countr_zero(bits));
     }
   }
   return CandidateList::FromPositions(std::move(out));

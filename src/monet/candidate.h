@@ -2,8 +2,11 @@
 #define MIRROR_MONET_CANDIDATE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "monet/position_vector.h"
 
 namespace mirror::monet {
 
@@ -18,7 +21,9 @@ class PackedCandidates;
 /// Two encodings, mirroring MonetDB's candidate lists:
 ///  - dense: the contiguous position range [first, first+count), stored in
 ///    O(1) space (the "no selection yet" and Slice cases);
-///  - sparse: an explicitly sorted vector of row positions.
+///  - sparse: an explicitly sorted vector of row positions, held in
+///    page-granular storage (PositionVector): a freed list returns its
+///    pages to the OS.
 ///
 /// Positions are row indexes into the base BAT, NOT oids: a candidate list
 /// is only meaningful together with the BAT it was derived from.
@@ -35,7 +40,7 @@ class CandidateList {
 
   /// An explicit position vector; must be sorted ascending and free of
   /// duplicates (checked in debug builds).
-  static CandidateList FromPositions(std::vector<uint32_t> positions);
+  static CandidateList FromPositions(PositionVector positions);
 
   size_t size() const { return dense_ ? count_ : positions_.size(); }
   bool empty() const { return size() == 0; }
@@ -61,23 +66,15 @@ class CandidateList {
   /// unmaterialized pipeline (clamped like Slice).
   CandidateList Sliced(size_t start, size_t count) const;
 
-  /// Order-preserving concatenation of per-morsel result fragments: every
-  /// fragment is ascending and fragment i lies entirely before fragment
-  /// i+1 (which morsel splitting guarantees — each morsel scans a later
-  /// slice of the domain), so no merge is needed. Adjacent dense
-  /// fragments are rejoined into one dense range in O(#fragments); mixed
-  /// shapes collapse to one sorted position vector.
-  static CandidateList ConcatSorted(std::vector<CandidateList> fragments);
-
   /// The stored form of this list (see PackedCandidates).
   PackedCandidates Pack() const;
 
-  /// Positions as size_t, for Column::Gather.
+  /// Positions as size_t (tests and diagnostics compare lists by these).
   std::vector<size_t> ToPositions() const;
 
-  /// The underlying sorted position vector (sparse lists only) — lets
-  /// gathers run off the 32-bit form without widening.
-  const std::vector<uint32_t>& sparse_positions() const { return positions_; }
+  /// The underlying sorted positions (sparse lists only) — lets gathers
+  /// and morsels run off the 32-bit form in place.
+  std::span<const uint32_t> sparse_positions() const { return positions_; }
 
   /// e.g. "cand[dense 5..12)" or "cand[7 rows]".
   std::string DebugString() const;
@@ -86,7 +83,7 @@ class CandidateList {
   bool dense_ = true;
   size_t first_ = 0;
   size_t count_ = 0;
-  std::vector<uint32_t> positions_;
+  PositionVector positions_;
 };
 
 /// A CandidateList in the form a cache holds it, in the spirit of
@@ -120,7 +117,7 @@ class PackedCandidates {
   size_t count_ = 0;
   /// Bit j of word w marks position first_ + 64 * w + j.
   std::vector<uint64_t> words_;
-  std::vector<uint32_t> positions_;
+  PositionVector positions_;
 };
 
 }  // namespace mirror::monet

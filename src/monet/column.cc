@@ -131,11 +131,11 @@ Column Column::GatherImpl(const Positions& positions) const {
   return Column::MakeVoid(0, 0);
 }
 
-Column Column::Gather(const std::vector<size_t>& positions) const {
+Column Column::Gather(std::span<const uint32_t> positions) const {
   return GatherImpl(positions);
 }
 
-Column Column::Gather(const std::vector<uint32_t>& positions) const {
+Column Column::Gather(std::span<const size_t> positions) const {
   return GatherImpl(positions);
 }
 

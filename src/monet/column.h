@@ -84,10 +84,10 @@ class Column {
   Column Materialized() const;
 
   /// Gathers `positions` into a new column of the same type (void heads
-  /// materialize to oids). The 32-bit overload serves candidate lists
-  /// and kernel position vectors without widening them first.
-  Column Gather(const std::vector<size_t>& positions) const;
-  Column Gather(const std::vector<uint32_t>& positions) const;
+  /// materialize to oids). The 32-bit form serves candidate lists and
+  /// kernel position vectors in place, without widening them first.
+  Column Gather(std::span<const uint32_t> positions) const;
+  Column Gather(std::span<const size_t> positions) const;
 
   /// True if a Value of type `t` can be stored in / compared with this
   /// column (void matches oid; int and dbl inter-compare).

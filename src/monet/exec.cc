@@ -942,7 +942,7 @@ struct DagRun {
 // Shard-local instructions execute as one pool task per shard; fan-in
 // instructions gather a sharded register into its global value first —
 // per-shard candidate views materialize in parallel, fragments append
-// order-preservingly (ConcatSorted's BAT-level sibling, ConcatAll), and
+// order-preservingly (ConcatAll), and
 // a register fed by a bare load gathers for free off the base catalog.
 //
 // Exactness rests on one invariant: a sharded register's fragment i

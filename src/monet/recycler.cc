@@ -9,11 +9,13 @@ namespace mirror::monet {
 
 namespace {
 
-/// A selection bound usable for interval matching: a finite numeric that
-/// round-trips exactly through double. The kernels order int and dbl
-/// columns in double space, so containment of the *double* intervals is
-/// only sound when no two distinct literals collapse onto one double
-/// (int64 beyond 2^53 can; such predicates simply bypass the recycler).
+/// A selection bound usable for interval matching, as a double holding
+/// its exact value. An int column compares exactly with an int literal
+/// and as doubles with a dbl one (the naive oracle's order); both agree
+/// with plain real-number order when the int round-trips through double
+/// and the dbl lies within +-2^53, so interval containment is sound
+/// exactly then. Other bounds (a dbl at or past 2^53 selects the ints
+/// that round onto it) bypass the recycler.
 bool ExactDoubleBound(const Value& v, double* out) {
   switch (v.type()) {
     case ValueType::kInt: {
@@ -23,7 +25,7 @@ bool ExactDoubleBound(const Value& v, double* out) {
       return true;
     }
     case ValueType::kDbl:
-      if (!std::isfinite(v.d())) return false;
+      if (!(std::fabs(v.d()) < 0x1p53)) return false;  // NaN and inf too
       *out = v.d();
       return true;
     default:

@@ -45,8 +45,9 @@ struct SelectPredicate {
   bool hi_incl = true;
 
   /// Normalizes a select instruction over the named base BAT. False when
-  /// the instruction is not an interval selection (kSelectNeq, string or
-  /// non-round-tripping bounds) — such selects bypass the recycler.
+  /// the instruction is not an interval selection (kSelectNeq, string
+  /// bounds, ints that do not round-trip through double, dbls at or past
+  /// 2^53) — such selects bypass the recycler.
   static bool FromInstr(const mil::Instr& instr, std::string load_name,
                         SelectPredicate* out);
 

@@ -20,10 +20,8 @@ constexpr size_t kZoneBlockRows = 8192;
 
 /// Min/max statistics over one numeric column: whole-column bounds plus
 /// per-block bounds at `block_rows` granularity. Bounds are kept in
-/// double space, matching the space the comparison kernels evaluate
-/// numeric predicates in; int64 values beyond 2^53 are widened outward
-/// by one ulp so the double-space interval always contains the exact
-/// value. A zone map over a string column, an empty column, or a column
+/// double space; int64 values beyond 2^53 are widened outward by one ulp
+/// so the double-space interval always contains the exact value. A zone map over a string column, an empty column, or a column
 /// containing NaN is invalid (`valid == false`) and prunes nothing.
 struct ZoneMap {
   bool valid = false;
@@ -81,10 +79,9 @@ double DoubleUpperBound(int64_t v);
 
 /// Classifies the block interval [bmin, bmax] against the predicate
 /// interval lo..hi with the given endpoint inclusivities. Callers encode
-/// one-sided predicates with +-infinity endpoints. kAll is exact only
-/// for predicates evaluated in double space (Cmp/Range); equality over
-/// exact int64 pairs must downgrade kAll to kSome (two distinct ints can
-/// round to one double).
+/// one-sided predicates with +-infinity endpoints. For an exact int64
+/// interval [lo, hi], pass [DoubleUpperBound(lo), DoubleLowerBound(hi)]:
+/// kNone and kAll then never misjudge a block, past 2^53 as well.
 ZoneMatch ClassifyZone(double bmin, double bmax, double lo, bool lo_inc,
                        double hi, bool hi_inc);
 

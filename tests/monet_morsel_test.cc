@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <latch>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -28,6 +30,7 @@
 #include "monet/exec.h"
 #include "monet/mil.h"
 #include "monet/profiler.h"
+#include "monet/recycler.h"
 #include "monet/worker_pool.h"
 
 namespace mirror::monet {
@@ -84,7 +87,8 @@ TEST(MorselBoundaryTest, SelectFragmentsMatchInlineKernel) {
     for (size_t i = 0; i < n; i += 3) {
       every_third.push_back(static_cast<uint32_t>(i));
     }
-    CandidateList domain = CandidateList::FromPositions(every_third);
+    CandidateList domain =
+        CandidateList::FromPositions({every_third.begin(), every_third.end()});
     CandidateList inline_dom = SelectCmpCand(b, CmpOp::kGe, lo, &domain);
     CandidateList morsel_dom = SelectCmpCand(b, CmpOp::kGe, lo, &domain, mx);
     ExpectCandsEqual(inline_dom, morsel_dom, "select.cmp sparse domain");
@@ -859,6 +863,312 @@ TEST(MappedViewTest, AlignedSemijoinWithAFullColumnSharesTheList) {
               selected * sizeof(uint32_t))
         << "view_on_left=" << view_on_left;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Selection semantics pinned against the naive oracle. Every select the
+// engine runs keeps exactly the rows the naive Moa evaluator keeps
+// (moa/naive_eval.cc): int with int and oid with oid compare exactly, int
+// with dbl compares as double, strings compare bytewise. Each case runs
+// through the kernels (all rows, a dense and a sparse domain, with and
+// without zone maps, inline and in morsels) and through the engine
+// (unsharded and 4-sharded, zone maps on and off, through the recycler,
+// at 1 and 4 threads).
+
+constexpr int64_t k2p53 = int64_t{1} << 53;
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+
+// The naive evaluator's `cell (op) lit` (its CmpKind switch).
+bool NaiveCmp(const Value& cell, CmpOp op, const Value& lit) {
+  switch (op) {
+    case CmpOp::kEq:
+      return cell == lit;
+    case CmpOp::kNeq:
+      return !(cell == lit);
+    case CmpOp::kLt:
+      return cell < lit;
+    case CmpOp::kLe:
+      return cell < lit || cell == lit;
+    case CmpOp::kGt:
+      return lit < cell;
+    case CmpOp::kGe:
+      return lit < cell || cell == lit;
+  }
+  return false;
+}
+
+// One selection instruction (src0/dst unset) and the oracle's verdict.
+struct SelectCase {
+  std::string label;
+  mil::Instr sel;
+  std::function<bool(const Value&)> keep;
+};
+
+mil::Instr SelInstr(mil::OpCode op) {
+  mil::Instr i;
+  i.op = op;
+  return i;
+}
+
+// Every select.cmp (all six operators), select.eq and select.neq over
+// `lits`, and every select.range over pairs of `range_lits` with all four
+// inclusivity combinations: equal, contradictory and exclusive bounds
+// included.
+std::vector<SelectCase> SelectCases(const std::vector<Value>& lits,
+                                    const std::vector<Value>& range_lits) {
+  std::vector<SelectCase> out;
+  static constexpr CmpOp kOps[] = {CmpOp::kEq, CmpOp::kNeq, CmpOp::kLt,
+                                   CmpOp::kLe, CmpOp::kGt,  CmpOp::kGe};
+  for (const Value& v : lits) {
+    for (CmpOp op : kOps) {
+      SelectCase c{"select.cmp op" + std::to_string(static_cast<int>(op)) +
+                       " " + v.ToString(),
+                   SelInstr(mil::OpCode::kSelectCmp),
+                   [v, op](const Value& x) { return NaiveCmp(x, op, v); }};
+      c.sel.cmp_op = op;
+      c.sel.imm0 = v;
+      out.push_back(std::move(c));
+    }
+    SelectCase eq{"select.eq " + v.ToString(),
+                  SelInstr(mil::OpCode::kSelectEq),
+                  [v](const Value& x) { return NaiveCmp(x, CmpOp::kEq, v); }};
+    eq.sel.imm0 = v;
+    out.push_back(std::move(eq));
+    SelectCase neq{
+        "select.neq " + v.ToString(), SelInstr(mil::OpCode::kSelectNeq),
+        [v](const Value& x) { return NaiveCmp(x, CmpOp::kNeq, v); }};
+    neq.sel.imm0 = v;
+    out.push_back(std::move(neq));
+  }
+  for (const Value& lo : range_lits) {
+    for (const Value& hi : range_lits) {
+      for (int incl = 0; incl < 4; ++incl) {
+        const bool lo_inc = (incl & 1) != 0;
+        const bool hi_inc = (incl & 2) != 0;
+        SelectCase c{
+            "select.range " + std::string(lo_inc ? "[" : "(") +
+                lo.ToString() + ", " + hi.ToString() + (hi_inc ? "]" : ")"),
+            SelInstr(mil::OpCode::kSelectRange),
+            [=](const Value& x) {
+              return NaiveCmp(x, lo_inc ? CmpOp::kGe : CmpOp::kGt, lo) &&
+                     NaiveCmp(x, hi_inc ? CmpOp::kLe : CmpOp::kLt, hi);
+            }};
+        c.sel.imm0 = lo;
+        c.sel.imm1 = hi;
+        c.sel.flag0 = lo_inc;
+        c.sel.flag1 = hi_inc;
+        out.push_back(std::move(c));
+      }
+    }
+  }
+  return out;
+}
+
+// The candidate kernel a selection instruction runs.
+CandidateList RunSelectKernel(const Bat& b, const mil::Instr& sel,
+                              const CandidateList* dom, const MorselExec& mx,
+                              const ZoneMap* zones) {
+  switch (sel.op) {
+    case mil::OpCode::kSelectEq:
+      return SelectEqCand(b, sel.imm0, dom, mx, zones);
+    case mil::OpCode::kSelectNeq:
+      return SelectNeqCand(b, sel.imm0, dom, mx);
+    case mil::OpCode::kSelectCmp:
+      return SelectCmpCand(b, sel.cmp_op, sel.imm0, dom, mx, zones);
+    default:
+      return SelectRangeCand(b, sel.imm0, sel.imm1, sel.flag0, sel.flag1,
+                             dom, mx, zones);
+  }
+}
+
+// Whole zone blocks of one repeating pattern each, so the zone maps see
+// blocks that every bound keeps entirely, drops entirely or splits; the
+// row count is no multiple of the block or the morsel size.
+template <typename T>
+std::vector<T> ZonedPattern(const std::vector<std::vector<T>>& blocks) {
+  std::vector<T> out;
+  for (const std::vector<T>& pattern : blocks) {
+    for (size_t i = 0; i < kZoneBlockRows; ++i) {
+      out.push_back(pattern[(i * 7) % pattern.size()]);
+    }
+  }
+  for (size_t i = 0; i < 100; ++i) out.push_back(blocks[0][i % blocks[0].size()]);
+  return out;
+}
+
+// The engine configurations every case runs under. The recycled runs
+// share one recycler across a column's cases, so later selects replay or
+// are seeded by earlier cases' lists (int and dbl literals alike).
+struct EngineConfig {
+  int threads;
+  size_t shards;
+  bool zone_maps;
+  bool recycled;
+};
+constexpr EngineConfig kEngineConfigs[] = {
+    {1, 0, false, false}, {1, 0, true, false}, {1, 4, false, false},
+    {1, 4, true, false},  {1, 0, true, true},  {4, 0, false, false},
+    {4, 0, true, false},  {4, 4, false, false}, {4, 4, true, false},
+    {4, 0, true, true}};
+
+void ExpectSelectionsMatchOracle(const Bat& b,
+                                 const std::vector<SelectCase>& cases) {
+  const size_t n = b.size();
+  std::vector<Value> cells;
+  cells.reserve(n);
+  for (size_t i = 0; i < n; ++i) cells.push_back(b.tail().ValueAt(i));
+  std::vector<uint32_t> every_third;
+  for (size_t i = 0; i < n; i += 3) every_third.push_back(static_cast<uint32_t>(i));
+  const CandidateList sparse =
+      CandidateList::FromPositions({every_third.begin(), every_third.end()});
+  const CandidateList dense = CandidateList::Dense(37, n - 80);
+  const ZoneMap zones = BuildZoneMap(b.tail());
+  WorkerPool pool;
+  pool.EnsureWorkers(3);
+  const MorselExec morsels{&pool, 1000};
+
+  Catalog catalog;
+  catalog.Put("t.x", b);
+  Recycler recycler;
+  for (const SelectCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    std::vector<size_t> want;
+    for (size_t i = 0; i < n; ++i) {
+      if (c.keep(cells[i])) want.push_back(i);
+    }
+    auto within = [&](const CandidateList& dom) {
+      std::vector<size_t> out;
+      for (size_t j = 0; j < dom.size(); ++j) {
+        if (c.keep(cells[dom.PositionAt(j)])) out.push_back(dom.PositionAt(j));
+      }
+      return out;
+    };
+    const std::vector<size_t> want_sparse = within(sparse);
+    const std::vector<size_t> want_dense = within(dense);
+    for (const MorselExec& mx : {MorselExec{}, morsels}) {
+      for (const ZoneMap* z : {static_cast<const ZoneMap*>(nullptr), &zones}) {
+        EXPECT_EQ(RunSelectKernel(b, c.sel, nullptr, mx, z).ToPositions(),
+                  want);
+        EXPECT_EQ(RunSelectKernel(b, c.sel, &sparse, mx, z).ToPositions(),
+                  want_sparse);
+        EXPECT_EQ(RunSelectKernel(b, c.sel, &dense, mx, z).ToPositions(),
+                  want_dense);
+      }
+    }
+
+    mil::Program p;
+    mil::Instr load = SelInstr(mil::OpCode::kLoadNamed);
+    load.name = "t.x";
+    load.dst = p.NewReg();
+    mil::Instr sel = c.sel;
+    sel.src0 = p.Emit(std::move(load));
+    sel.dst = p.NewReg();
+    p.set_result_reg(p.Emit(std::move(sel)));
+    for (const EngineConfig& config : kEngineConfigs) {
+      mil::ExecOptions options{.num_threads = config.threads,
+                               .morsel_size = 1000,
+                               .num_shards = config.shards,
+                               .zone_maps = config.zone_maps};
+      if (config.recycled) {
+        options.recycler = &recycler;
+        options.recycler_generation = recycler.generation();
+      }
+      mil::ExecutionContext session;
+      mil::ExecutionEngine engine(&catalog, options);
+      auto run = engine.Run(p, &session);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const Bat& got = *run.value().bat;
+      std::vector<size_t> heads;
+      for (size_t i = 0; i < got.size(); ++i) {
+        heads.push_back(static_cast<size_t>(got.head().OidAt(i)));
+      }
+      EXPECT_EQ(heads, want)
+          << "threads=" << config.threads << " shards=" << config.shards
+          << " zone_maps=" << config.zone_maps
+          << " recycled=" << config.recycled;
+    }
+  }
+}
+
+TEST(SelectSemanticsTest, IntColumnMatchesNaiveOracle) {
+  const std::vector<int64_t> edges = {k2p53 - 1, k2p53,   k2p53 + 1,
+                                      kI64Min,   kI64Max, -1,
+                                      0,         1980,    1981};
+  std::vector<int64_t> years;
+  for (int64_t y = 1900; y <= 2025; ++y) years.push_back(y);
+  Bat b = Bat::DenseInts(ZonedPattern<int64_t>(
+      {years, edges, {k2p53 + 1}, {k2p53 - 1, k2p53}, {kI64Max}, {kI64Min}}));
+  const Value d2p53 = Value::MakeDbl(static_cast<double>(k2p53));
+  std::vector<Value> lits = {
+      Value::MakeInt(kI64Min),      Value::MakeInt(-1),
+      Value::MakeInt(1980),         Value::MakeInt(k2p53 - 1),
+      Value::MakeInt(k2p53),        Value::MakeInt(k2p53 + 1),
+      Value::MakeInt(kI64Max),      Value::MakeDbl(1980.5),
+      Value::MakeDbl(-0.5),         d2p53,
+      Value::MakeDbl(9007199254740994.0),
+      Value::MakeDbl(9223372036854775808.0),
+      Value::MakeDbl(-9223372036854775808.0),
+      Value::MakeDbl(1e300),        Value::MakeDbl(-1e300),
+      Value::MakeDbl(std::numeric_limits<double>::infinity()),
+      Value::MakeDbl(-std::numeric_limits<double>::infinity())};
+  std::vector<Value> range_lits = {
+      Value::MakeInt(1980), Value::MakeDbl(1980.5), Value::MakeInt(k2p53),
+      d2p53,                Value::MakeInt(k2p53 + 1),
+      Value::MakeInt(kI64Min), Value::MakeInt(kI64Max)};
+  ExpectSelectionsMatchOracle(b, SelectCases(lits, range_lits));
+}
+
+TEST(SelectSemanticsTest, OidColumnMatchesNaiveOracle) {
+  std::vector<Oid> small;
+  for (Oid o = 0; o < 300; ++o) small.push_back(o);
+  const Oid big = static_cast<Oid>(k2p53);
+  Bat b = Bat::DenseOids(ZonedPattern<Oid>(
+      {small, {big - 1, big, big + 1, 0, 7}, {big + 1}, {Oid{kI64Max}}}));
+  std::vector<Value> lits = {Value::MakeOid(0),       Value::MakeOid(5),
+                             Value::MakeOid(150),     Value::MakeOid(big - 1),
+                             Value::MakeOid(big),     Value::MakeOid(big + 1),
+                             Value::MakeOid(kI64Max)};
+  std::vector<Value> range_lits = {Value::MakeOid(0), Value::MakeOid(150),
+                                   Value::MakeOid(big), Value::MakeOid(big + 1),
+                                   Value::MakeOid(kI64Max)};
+  ExpectSelectionsMatchOracle(b, SelectCases(lits, range_lits));
+}
+
+TEST(SelectSemanticsTest, DblColumnMatchesNaiveOracle) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double d2p53 = static_cast<double>(k2p53);
+  Bat b = Bat::DenseDbls(ZonedPattern<double>(
+      {{1980.0, 1980.5, 1981.0, 2000.25},
+       {-0.0, 0.0, d2p53, d2p53 + 2, -inf, inf, 1980.5},
+       {1980.5},
+       {-1e300, 1e300}}));
+  std::vector<Value> lits = {
+      Value::MakeDbl(1980.5), Value::MakeDbl(1980.0), Value::MakeDbl(-0.0),
+      Value::MakeDbl(0.0),    Value::MakeDbl(d2p53),  Value::MakeDbl(inf),
+      Value::MakeDbl(-inf),   Value::MakeInt(1980),   Value::MakeInt(1981),
+      Value::MakeInt(0),      Value::MakeInt(k2p53 + 1),
+      Value::MakeInt(kI64Max)};
+  std::vector<Value> range_lits = {Value::MakeDbl(1980.0),
+                                   Value::MakeDbl(1980.5), Value::MakeInt(1981),
+                                   Value::MakeDbl(-0.0), Value::MakeDbl(inf),
+                                   Value::MakeInt(k2p53 + 1)};
+  ExpectSelectionsMatchOracle(b, SelectCases(lits, range_lits));
+}
+
+TEST(SelectSemanticsTest, StrColumnMatchesNaiveOracle) {
+  const std::vector<std::string> words = ZonedPattern<std::string>(
+      {{"apple", "banana", "cherry", "date", ""}, {"banana"}, {"Zebra", "zz"}});
+  Bat b = Bat::DenseStrs(words);
+  std::vector<Value> lits;
+  for (const char* s : {"", "banana", "c", "zzz", "apple", "Zebra"}) {
+    lits.push_back(Value::MakeStr(s));
+  }
+  std::vector<Value> range_lits;
+  for (const char* s : {"", "banana", "c", "zz"}) {
+    range_lits.push_back(Value::MakeStr(s));
+  }
+  ExpectSelectionsMatchOracle(b, SelectCases(lits, range_lits));
 }
 
 }  // namespace

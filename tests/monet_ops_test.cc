@@ -2,9 +2,12 @@
 // property tests (TEST_P sweeps over sizes and seeds) check algebraic
 // identities against brute-force reference implementations.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -537,6 +540,105 @@ TEST(CandidateListTest, DenseAndSparseBasics) {
   EXPECT_EQ(sliced.PositionAt(0), 4u);
 }
 
+TEST(CandidateListTest, DifferenceAndUnionMixDenseAndSparse) {
+  const CandidateList sparse = CandidateList::FromPositions({1, 4, 5, 9, 12});
+  const CandidateList dense = CandidateList::Dense(4, 6);  // 4..9
+  auto positions = [](const CandidateList& c) { return c.ToPositions(); };
+  EXPECT_EQ(positions(sparse.Difference(dense)),
+            (std::vector<size_t>{1, 12}));
+  EXPECT_EQ(positions(dense.Difference(sparse)),
+            (std::vector<size_t>{6, 7, 8}));
+  EXPECT_EQ(positions(dense.Difference(CandidateList::Dense(6, 2))),
+            (std::vector<size_t>{4, 5, 8, 9}));
+  EXPECT_EQ(positions(sparse.Union(dense)),
+            (std::vector<size_t>{1, 4, 5, 6, 7, 8, 9, 12}));
+  EXPECT_EQ(positions(dense.Union(CandidateList::Dense(20, 2))),
+            (std::vector<size_t>{4, 5, 6, 7, 8, 9, 20, 21}));
+  EXPECT_FALSE(sparse.Difference(dense).is_dense());
+  // Removing every row leaves an empty list; an empty side is a no-op.
+  EXPECT_TRUE(sparse.Difference(CandidateList::Dense(0, 13)).empty());
+  EXPECT_EQ(positions(sparse.Difference(CandidateList())), positions(sparse));
+}
+
+// Counts every block PageAllocator hands out and checks that each comes
+// back with the element count it was allocated with.
+template <typename T>
+struct CheckedPageAllocator : PageAllocator<T> {
+  static inline std::map<void*, size_t> live;
+  CheckedPageAllocator() = default;
+  template <typename U>
+  CheckedPageAllocator(const CheckedPageAllocator<U>&) {}
+  T* allocate(size_t n) {
+    T* p = PageAllocator<T>::allocate(n);
+    live[p] = n;
+    if (kPageMapsLargeBlocks && n * sizeof(T) >= kPageMapFloorBytes) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(p) %
+                    static_cast<uintptr_t>(sysconf(_SC_PAGESIZE)),
+                0u);
+    }
+    return p;
+  }
+  void deallocate(T* p, size_t n) {
+    auto it = live.find(p);
+    ASSERT_NE(it, live.end());
+    EXPECT_EQ(it->second, n);
+    live.erase(it);
+    PageAllocator<T>::deallocate(p, n);
+  }
+};
+
+TEST(PositionVectorTest, MappedBlocksGrowShrinkCopyMoveAndRelease) {
+  using Checked = std::vector<uint32_t, CheckedPageAllocator<uint32_t>>;
+  const size_t floor_elems = kPageMapFloorBytes / sizeof(uint32_t);
+  {
+    Checked v;
+    for (uint32_t i = 0; i < 3 * floor_elems; ++i) v.push_back(i);
+    EXPECT_GE(v.capacity() * sizeof(uint32_t), kPageMapFloorBytes);
+    Checked copy = v;
+    Checked moved = std::move(v);
+    EXPECT_EQ(copy, moved);
+    moved.resize(10);
+    moved.shrink_to_fit();
+    EXPECT_LT(moved.capacity() * sizeof(uint32_t), kPageMapFloorBytes);
+    EXPECT_EQ(moved[9], 9u);
+    copy.resize(4 * floor_elems);  // grows across the floor again
+    EXPECT_EQ(copy[floor_elems], floor_elems);
+    Checked assigned;
+    assigned = copy;
+    EXPECT_EQ(assigned.size(), copy.size());
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.size(), 10u);
+  }
+  EXPECT_TRUE(CheckedPageAllocator<uint32_t>::live.empty());
+  // Trimming keeps the live positions. A mapped block above the floor
+  // keeps its capacity and stays writable up to it; contents below the
+  // floor move to an exact-size block.
+  PositionVector trimmed(3 * floor_elems);
+  for (size_t i = 0; i < trimmed.size(); ++i) {
+    trimmed[i] = static_cast<uint32_t>(i);
+  }
+  trimmed.resize(2 * floor_elems);
+  TrimCapacity(&trimmed);
+  EXPECT_EQ(trimmed.back(), 2 * floor_elems - 1);
+  EXPECT_EQ(trimmed.capacity(),
+            (kPageMapsLargeBlocks ? 3 : 2) * floor_elems);
+  trimmed.resize(3 * floor_elems);
+  trimmed.back() = 7;
+  EXPECT_EQ(trimmed.back(), 7u);
+  trimmed.resize(10);
+  TrimCapacity(&trimmed);
+  EXPECT_EQ(trimmed.capacity(), 10u);
+  EXPECT_EQ(trimmed[9], 9u);
+  // The candidate lists built on it keep their positions through the
+  // same moves and copies.
+  PositionVector big(floor_elems + 1);
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<uint32_t>(2 * i);
+  const CandidateList list = CandidateList::FromPositions(std::move(big));
+  const CandidateList copy = list;
+  EXPECT_EQ(copy.PositionAt(floor_elems), 2 * floor_elems);
+  EXPECT_EQ(copy.Sliced(floor_elems, 5).PositionAt(0), 2 * floor_elems);
+}
+
 TEST(CandidateOpsTest, SelectCandMatchesMaterializingSelect) {
   base::Rng rng(99);
   Bat b = RandomIntBat(500, 40, &rng);
@@ -548,6 +650,29 @@ TEST(CandidateOpsTest, SelectCandMatchesMaterializingSelect) {
     EXPECT_EQ(classic.head().OidAt(i), late.head().OidAt(i));
     EXPECT_EQ(classic.tail().IntAt(i), late.tail().IntAt(i));
   }
+}
+
+TEST(CandidateOpsTest, MorselSelectsCompactOneBufferAcrossThreads) {
+  WorkerPool pool;
+  pool.EnsureWorkers(3);
+  const MorselExec mx{&pool, 100};
+  base::Rng rng(5);
+  Bat b = RandomIntBat(5000, 50, &rng);
+  const Value ten = Value::MakeInt(10);
+  const CandidateList wide = SelectCmpCand(b, CmpOp::kGe, ten, nullptr, mx);
+  EXPECT_EQ(wide.ToPositions(), SelectCmpCand(b, CmpOp::kGe, ten).ToPositions());
+  // Over a sparse domain each morsel reads its span of `wide` in place.
+  const Value lo = Value::MakeInt(20);
+  const Value hi = Value::MakeInt(30);
+  const CandidateList narrow =
+      SelectRangeCand(b, lo, hi, true, false, &wide, mx);
+  EXPECT_EQ(narrow.ToPositions(),
+            SelectRangeCand(b, lo, hi, true, false, &wide).ToPositions());
+  Bat keys = Bat::DenseInts({3, 7, 11, 42});
+  EXPECT_EQ(SemiJoinTailCand(b, keys, &wide, mx).ToPositions(),
+            SemiJoinTailCand(b, keys, &wide).ToPositions());
+  EXPECT_EQ(wide.Difference(narrow).Union(narrow).ToPositions(),
+            wide.ToPositions());
 }
 
 TEST(CandidateOpsTest, ChainedCandidatesMatchChainedSelects) {

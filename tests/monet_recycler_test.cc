@@ -77,7 +77,7 @@ std::shared_ptr<const std::vector<uint8_t>> Payload(size_t n, uint8_t fill) {
 }
 
 CandidateList Cands(std::vector<uint32_t> positions) {
-  return CandidateList::FromPositions(std::move(positions));
+  return CandidateList::FromPositions({positions.begin(), positions.end()});
 }
 
 /// Every `step`-th row of [0, n), from `first`.
@@ -144,6 +144,10 @@ TEST(SelectPredicateTest, RefusesUnsoundShapes) {
   // The exact power of two itself is fine.
   EXPECT_TRUE(SelectPredicate::FromInstr(
       SelectEq(Value::MakeInt(int64_t{1} << 53)), "id", &p));
+  // As a dbl it is not: over an int column it also selects 2^53 + 1,
+  // which rounds onto it, while the int literal selects exactly.
+  EXPECT_FALSE(SelectPredicate::FromInstr(
+      SelectEq(Value::MakeDbl(0x1p53)), "id", &p));
   // Non-finite double bounds are refused.
   EXPECT_FALSE(SelectPredicate::FromInstr(
       SelectEq(Value::MakeDbl(std::numeric_limits<double>::quiet_NaN())), "x",
