@@ -210,7 +210,6 @@ CandidateList MorselizedPositions(size_t n, const CandidateList* cands,
   const size_t morsels = mx.MorselsFor(m);
   if (morsels <= 1) {
     out.resize(core(WholeDomain(n, cands), out.data()));
-    TrimCapacity(&out);
     return CandidateList::FromPositions(std::move(out));
   }
   std::vector<size_t> kept(morsels, 0);
@@ -233,8 +232,6 @@ CandidateList MorselizedPositions(size_t n, const CandidateList* cands,
     total += kept[j];
   }
   out.resize(total);
-  // Later morsels wrote pages past the compacted result; return them.
-  TrimCapacity(&out);
   return CandidateList::FromPositions(std::move(out));
 }
 
@@ -372,17 +369,13 @@ Column AppendAllColumns(const std::vector<const Column*>& parts) {
   return Column::MakeDbls(std::move(out));
 }
 
-Column AppendColumns(const Column& a, const Column& b) {
-  return AppendAllColumns({&a, &b});
-}
-
 }  // namespace
 
 Bat Concat(const Bat& a, const Bat& b) {
   KernelTimer timer(KernelOp::kConcat);
   TrackKernelOp(KernelOp::kConcat, a.size() + b.size(), a.size() + b.size());
-  return Bat(AppendColumns(a.head(), b.head()),
-             AppendColumns(a.tail(), b.tail()));
+  return Bat(AppendAllColumns({&a.head(), &b.head()}),
+             AppendAllColumns({&a.tail(), &b.tail()}));
 }
 
 Bat ConcatAll(const std::vector<const Bat*>& parts) {
@@ -453,11 +446,15 @@ std::pair<Bound, Bound> CmpBounds(CmpOp cmp, const Value& v) {
 }
 
 // The interval of tail values a selection keeps, in the zone maps' double
-// space, both ends inclusive.
+// space, both ends inclusive: [lo, hi] holds every kept value (a block
+// outside it keeps no row), [all_lo, all_hi] only kept ones (a block
+// inside it keeps every row).
 struct ZoneInterval {
   bool usable = false;
   double lo = -kInf;
   double hi = kInf;
+  double all_lo = -kInf;
+  double all_hi = kInf;
 };
 
 // A selection predicate normalized at kernel entry. It keeps the rows
@@ -554,9 +551,10 @@ double DblUpperBound(double d, bool inclusive) {
 }
 
 // Stores the integral interval [lo, hi] (int64 or uint64 order) as lo and
-// span, with its zone interval. The zone bounds widen outward like the
-// zone builder's (DoubleUpperBound of lo, DoubleLowerBound of hi), so
-// kNone and kAll stay exact past 2^53; an open side is infinite.
+// span, with its zone intervals: the one that prunes widens outward
+// (DoubleLowerBound of lo, DoubleUpperBound of hi), the one that keeps
+// whole blocks narrows inward (DoubleUpperBound of lo, DoubleLowerBound of
+// hi), so kNone and kAll stay exact past 2^53; an open side is infinite.
 template <typename T>
 void SetIntegralInterval(T lo, T hi, SelectPred* p) {
   p->lo = static_cast<uint64_t>(lo);
@@ -569,10 +567,12 @@ void SetIntegralInterval(T lo, T hi, SelectPred* p) {
   }
   p->zone.usable = true;
   if (lo != std::numeric_limits<T>::min()) {
-    p->zone.lo = DoubleUpperBound(static_cast<int64_t>(lo));
+    p->zone.lo = DoubleLowerBound(static_cast<int64_t>(lo));
+    p->zone.all_lo = DoubleUpperBound(static_cast<int64_t>(lo));
   }
   if (hi < static_cast<T>(kI64Max)) {
-    p->zone.hi = DoubleLowerBound(static_cast<int64_t>(hi));
+    p->zone.hi = DoubleUpperBound(static_cast<int64_t>(hi));
+    p->zone.all_hi = DoubleLowerBound(static_cast<int64_t>(hi));
   }
 }
 
@@ -622,7 +622,7 @@ SelectPred NormalizeSelect(const Column& tail, Bound lo, Bound hi,
       if (!(p.dlo <= p.dhi)) {
         p.none = !negate;
       } else if (!negate) {
-        p.zone = {true, p.dlo, p.dhi};
+        p.zone = {true, p.dlo, p.dhi, p.dlo, p.dhi};
       }
       break;
     case ValueType::kStr:
@@ -653,9 +653,12 @@ size_t ZonedSelectInto(const DomainSpan& d, const ZoneMap& zones,
   for (size_t blk = first / br; blk * br < end; ++blk) {
     const size_t blo = std::max(first, blk * br);
     const size_t bhi = std::min(end, (blk + 1) * br);
-    const ZoneMatch match =
-        ClassifyZone(zones.block_min[blk], zones.block_max[blk], iv.lo,
-                     /*lo_inc=*/true, iv.hi, /*hi_inc=*/true);
+    const double bmin = zones.block_min[blk];
+    const double bmax = zones.block_max[blk];
+    ZoneMatch match = ClassifyZone(bmin, bmax, iv.lo, true, iv.hi, true);
+    if (match == ZoneMatch::kAll && (bmin < iv.all_lo || bmax > iv.all_hi)) {
+      match = ZoneMatch::kSome;
+    }
     if (match == ZoneMatch::kSome) continue;
     k += core(DomainSpan{nullptr, run_lo, blo}, out + k);
     run_lo = bhi;
@@ -724,7 +727,8 @@ CandidateList RunSelect(const Column& tail, const SelectPred& p,
     case ValueType::kStr: {
       const std::string* slo = p.slo.v != nullptr ? &p.slo.v->s() : nullptr;
       const std::string* shi = p.shi.v != nullptr ? &p.shi.v->s() : nullptr;
-      const bool eq = slo != nullptr && slo == shi;  // eq and neq
+      const bool eq = slo != nullptr && shi != nullptr && *slo == *shi &&
+                      p.slo.inclusive && p.shi.inclusive;  // eq and neq
       out = run([&, slo, shi, eq, neg](size_t i) {
         const std::string_view s = tail.StrAt(i);
         if (eq) return (s == *slo) != neg;

@@ -161,11 +161,7 @@ CandidateList PackedCandidates::Unpack() const {
 
 std::vector<size_t> CandidateList::ToPositions() const {
   std::vector<size_t> out(size());
-  if (dense_) {
-    for (size_t i = 0; i < out.size(); ++i) out[i] = first_ + i;
-  } else {
-    for (size_t i = 0; i < out.size(); ++i) out[i] = positions_[i];
-  }
+  for (size_t i = 0; i < out.size(); ++i) out[i] = PositionAt(i);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "monet/position_vector.h"
 
 #include <sys/mman.h>
-#include <unistd.h>
 
 #include <new>
 
@@ -18,22 +17,6 @@ void* MapPages(size_t bytes) {
 
 void UnmapPages(void* p, size_t bytes) {
   MIRROR_CHECK(munmap(p, bytes) == 0) << "munmap of " << bytes << " bytes";
-}
-
-void TrimCapacity(PositionVector* v) {
-  const size_t capacity = v->capacity() * sizeof(uint32_t);
-  if (!kPageMapsLargeBlocks ||
-      v->size() * sizeof(uint32_t) < kPageMapFloorBytes) {
-    v->shrink_to_fit();
-    return;
-  }
-  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-  const size_t used = (v->size() * sizeof(uint32_t) + page - 1) / page * page;
-  const size_t mapped = (capacity + page - 1) / page * page;
-  if (used >= mapped) return;
-  char* base = reinterpret_cast<char*>(v->data());
-  MIRROR_CHECK(madvise(base + used, mapped - used, MADV_DONTNEED) == 0)
-      << "madvise of " << mapped - used << " bytes";
 }
 
 }  // namespace mirror::monet

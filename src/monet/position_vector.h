@@ -88,12 +88,6 @@ class PageAllocator {
 /// Row positions of a candidate list or a kernel's selection output.
 using PositionVector = std::vector<uint32_t, PageAllocator<uint32_t>>;
 
-/// Gives back the capacity of `v` past its size. Contents below the
-/// mapping floor move to an exact-size block from operator new; a larger
-/// page-mapped block keeps its capacity but returns the whole pages past
-/// the size to the OS (a later write there faults in a zero page).
-void TrimCapacity(PositionVector* v);
-
 }  // namespace mirror::monet
 
 #endif  // MIRROR_MONET_POSITION_VECTOR_H_

@@ -80,8 +80,10 @@ double DoubleUpperBound(int64_t v);
 /// Classifies the block interval [bmin, bmax] against the predicate
 /// interval lo..hi with the given endpoint inclusivities. Callers encode
 /// one-sided predicates with +-infinity endpoints. For an exact int64
-/// interval [lo, hi], pass [DoubleUpperBound(lo), DoubleLowerBound(hi)]:
-/// kNone and kAll then never misjudge a block, past 2^53 as well.
+/// interval [lo, hi], trust kNone only against the outward interval
+/// [DoubleLowerBound(lo), DoubleUpperBound(hi)] and kAll only against the
+/// inward one [DoubleUpperBound(lo), DoubleLowerBound(hi)]: neither then
+/// misjudges a block, past 2^53 as well.
 ZoneMatch ClassifyZone(double bmin, double bmax, double lo, bool lo_inc,
                        double hi, bool hi_inc);
 

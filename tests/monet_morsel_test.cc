@@ -1097,13 +1097,18 @@ TEST(SelectSemanticsTest, IntColumnMatchesNaiveOracle) {
                                       0,         1980,    1981};
   std::vector<int64_t> years;
   for (int64_t y = 1900; y <= 2025; ++y) years.push_back(y);
+  // Blocks whose only extremes sit past 2^53, where a double stands for
+  // several ints: zone pruning must neither drop nor wholly keep them
+  // wrongly.
   Bat b = Bat::DenseInts(ZonedPattern<int64_t>(
-      {years, edges, {k2p53 + 1}, {k2p53 - 1, k2p53}, {kI64Max}, {kI64Min}}));
+      {years, edges, {k2p53 + 1}, {k2p53 - 1, k2p53}, {kI64Max}, {kI64Min},
+       {k2p53}, {k2p53 + 4}, {k2p53, k2p53 + 2}}));
   const Value d2p53 = Value::MakeDbl(static_cast<double>(k2p53));
   std::vector<Value> lits = {
       Value::MakeInt(kI64Min),      Value::MakeInt(-1),
       Value::MakeInt(1980),         Value::MakeInt(k2p53 - 1),
       Value::MakeInt(k2p53),        Value::MakeInt(k2p53 + 1),
+      Value::MakeInt(k2p53 + 3),    Value::MakeDbl(9007199254740996.0),
       Value::MakeInt(kI64Max),      Value::MakeDbl(1980.5),
       Value::MakeDbl(-0.5),         d2p53,
       Value::MakeDbl(9007199254740994.0),
@@ -1124,14 +1129,34 @@ TEST(SelectSemanticsTest, OidColumnMatchesNaiveOracle) {
   for (Oid o = 0; o < 300; ++o) small.push_back(o);
   const Oid big = static_cast<Oid>(k2p53);
   Bat b = Bat::DenseOids(ZonedPattern<Oid>(
-      {small, {big - 1, big, big + 1, 0, 7}, {big + 1}, {Oid{kI64Max}}}));
+      {small, {big - 1, big, big + 1, 0, 7}, {big + 1}, {Oid{kI64Max}},
+       {big}, {big + 4}, {big, big + 2}}));
   std::vector<Value> lits = {Value::MakeOid(0),       Value::MakeOid(5),
                              Value::MakeOid(150),     Value::MakeOid(big - 1),
                              Value::MakeOid(big),     Value::MakeOid(big + 1),
-                             Value::MakeOid(kI64Max)};
+                             Value::MakeOid(big + 3), Value::MakeOid(kI64Max)};
   std::vector<Value> range_lits = {Value::MakeOid(0), Value::MakeOid(150),
                                    Value::MakeOid(big), Value::MakeOid(big + 1),
                                    Value::MakeOid(kI64Max)};
+  ExpectSelectionsMatchOracle(b, SelectCases(lits, range_lits));
+}
+
+// A void (dense oid) column across 2^53: its zone bounds are the block's
+// first and last oid rounded to double, not widened like a scanned
+// column's, so a block ending at big + 8191 has a maximum of big + 8192
+// and one starting at big a minimum of big.
+TEST(SelectSemanticsTest, VoidColumnMatchesNaiveOracle) {
+  const Oid big = static_cast<Oid>(k2p53);
+  const Oid base = big - 2 * kZoneBlockRows;
+  const size_t n = 4 * kZoneBlockRows + 100;
+  Bat b(Column::MakeVoid(0, n), Column::MakeVoid(base, n));
+  std::vector<Value> lits;
+  for (Oid o : {base, big - 1, big, big + 1, big + 3, big + 8190, big + 8191,
+                big + 8192, base + n - 1}) {
+    lits.push_back(Value::MakeOid(o));
+  }
+  std::vector<Value> range_lits = {Value::MakeOid(big), Value::MakeOid(big + 1),
+                                   Value::MakeOid(big + 8191)};
   ExpectSelectionsMatchOracle(b, SelectCases(lits, range_lits));
 }
 
@@ -1169,6 +1194,26 @@ TEST(SelectSemanticsTest, StrColumnMatchesNaiveOracle) {
     range_lits.push_back(Value::MakeStr(s));
   }
   ExpectSelectionsMatchOracle(b, SelectCases(lits, range_lits));
+}
+
+// [v, v) keeps no row for any column type, also when both bounds are the
+// same Value object.
+TEST(SelectSemanticsTest, HalfOpenEqualBoundsKeepNothing) {
+  const Bat strs = Bat::DenseStrs({"a", "b", "b", "c"});
+  const Bat ints = Bat::DenseInts({1, 2, 2, 3});
+  const Bat dbls = Bat::DenseDbls({1.0, 2.0, 2.0, 3.0});
+  const Value s = Value::MakeStr("b");
+  const Value i = Value::MakeInt(2);
+  const Value d = Value::MakeDbl(2.0);
+  for (const auto& [bat, v] : {std::pair{&strs, &s}, std::pair{&ints, &i},
+                               std::pair{&dbls, &d}}) {
+    SCOPED_TRACE(v->ToString());
+    EXPECT_EQ(SelectRange(*bat, *v, *v, true, false).size(), 0u);
+    EXPECT_EQ(SelectRange(*bat, *v, *v, false, true).size(), 0u);
+    EXPECT_EQ(SelectRange(*bat, *v, *v, true, true).size(), 2u);
+    EXPECT_EQ(SelectRangeCand(*bat, *v, *v, true, false).size(), 0u);
+    EXPECT_EQ(SelectRangeCand(*bat, *v, *v, true, true).size(), 2u);
+  }
 }
 
 }  // namespace

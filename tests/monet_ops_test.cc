@@ -610,25 +610,6 @@ TEST(PositionVectorTest, MappedBlocksGrowShrinkCopyMoveAndRelease) {
     EXPECT_EQ(assigned.size(), 10u);
   }
   EXPECT_TRUE(CheckedPageAllocator<uint32_t>::live.empty());
-  // Trimming keeps the live positions. A mapped block above the floor
-  // keeps its capacity and stays writable up to it; contents below the
-  // floor move to an exact-size block.
-  PositionVector trimmed(3 * floor_elems);
-  for (size_t i = 0; i < trimmed.size(); ++i) {
-    trimmed[i] = static_cast<uint32_t>(i);
-  }
-  trimmed.resize(2 * floor_elems);
-  TrimCapacity(&trimmed);
-  EXPECT_EQ(trimmed.back(), 2 * floor_elems - 1);
-  EXPECT_EQ(trimmed.capacity(),
-            (kPageMapsLargeBlocks ? 3 : 2) * floor_elems);
-  trimmed.resize(3 * floor_elems);
-  trimmed.back() = 7;
-  EXPECT_EQ(trimmed.back(), 7u);
-  trimmed.resize(10);
-  TrimCapacity(&trimmed);
-  EXPECT_EQ(trimmed.capacity(), 10u);
-  EXPECT_EQ(trimmed[9], 9u);
   // The candidate lists built on it keep their positions through the
   // same moves and copies.
   PositionVector big(floor_elems + 1);
