@@ -7,9 +7,14 @@
 // cached encoded reply straight from the poll loop). One reply per
 // distinct query is kept from each phase and compared value-for-value.
 //
+// A reply is cached only on its key's second request, so the recycled
+// phase may hold at most one entry per pool query asked twice or more;
+// the per-client sequences are seeded, so that set is known in advance.
+//
 // Results merge into BENCH_retrieval.json under "result_reuse_e8";
 // ci.sh gates on speedup >= 3, result_cache_hits > 0,
-// bytes_held <= budget and replies_identical == 1.
+// bytes_held <= budget, replies_identical == 1 and
+// result_entries <= repeated_queries.
 
 #include <algorithm>
 #include <atomic>
@@ -94,6 +99,19 @@ class ZipfPicker {
   std::vector<double> cum_;
 };
 
+/// The pool query each client asks in each round. Same seed per client
+/// index across phases: both phases run the exact same request sequence.
+std::vector<std::vector<int>> RequestSequences() {
+  std::vector<std::vector<int>> sequences(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    ZipfPicker pick(static_cast<uint64_t>(c + 1));
+    for (int round = 0; round < kRoundsPerClient; ++round) {
+      sequences[c].push_back(pick.Next());
+    }
+  }
+  return sequences;
+}
+
 struct PhaseResult {
   double elapsed_s = 0;
   uint64_t completed = 0;
@@ -102,9 +120,10 @@ struct PhaseResult {
   double qps() const { return completed / std::max(1e-9, elapsed_s); }
 };
 
-/// Runs the zipfian mix: kClients sessions, each kRoundsPerClient
-/// queries against `server`, all through in-process channel pairs.
-PhaseResult RunMix(daemon::QueryServer* server) {
+/// Runs the zipfian mix: kClients sessions, each asking its `sequences`
+/// row against `server`, all through in-process channel pairs.
+PhaseResult RunMix(daemon::QueryServer* server,
+                   const std::vector<std::vector<int>>& sequences) {
   std::atomic<uint64_t> completed{0};
   std::mutex replies_mu;
   std::map<int, double> replies;
@@ -116,12 +135,8 @@ PhaseResult RunMix(daemon::QueryServer* server) {
       server->Serve(std::move(server_end));
       wire::WireClient client(std::move(client_end));
       MIRROR_CHECK(client.Hello("tenant" + std::to_string(c)).ok());
-      // Same seed per client index across phases: both phases run the
-      // exact same request sequence.
-      ZipfPicker pick(static_cast<uint64_t>(c + 1));
       moa::QueryContext ctx;
-      for (int round = 0; round < kRoundsPerClient; ++round) {
-        int idx = pick.Next();
+      for (int idx : sequences[c]) {
         auto result = client.Query(PoolQuery(idx), ctx);
         MIRROR_CHECK(result.ok()) << result.status().ToString();
         MIRROR_CHECK(result.value().is_scalar);
@@ -147,6 +162,14 @@ PhaseResult RunMix(daemon::QueryServer* server) {
 int main() {
   db::MirrorDb database;
   BuildDb(&database);
+  const std::vector<std::vector<int>> sequences = RequestSequences();
+  std::map<int, int> asked;
+  for (const std::vector<int>& row : sequences) {
+    for (int idx : row) ++asked[idx];
+  }
+  const auto repeated = static_cast<uint64_t>(
+      std::count_if(asked.begin(), asked.end(),
+                    [](const auto& kv) { return kv.second >= 2; }));
 
   std::printf(
       "E8: cross-request result reuse (the recycler)\n"
@@ -160,7 +183,7 @@ int main() {
   PhaseResult off;
   {
     daemon::QueryServer server(&database, off_opt);
-    off = RunMix(&server);
+    off = RunMix(&server, sequences);
     server.Shutdown();
   }
   MIRROR_CHECK(database.recycler()->stats().result_entries == 0)
@@ -171,7 +194,7 @@ int main() {
   wire::ServerWireStats stats;
   {
     daemon::QueryServer server(&database);
-    on = RunMix(&server);
+    on = RunMix(&server, sequences);
     stats = server.stats();
     server.Shutdown();
   }
@@ -188,6 +211,7 @@ int main() {
   }
 
   const uint64_t budget = database.recycler()->budget_bytes();
+  const uint64_t result_entries = database.recycler()->stats().result_entries;
   double speedup = on.qps() / std::max(1e-9, off.qps());
   base::TablePrinter table({"phase", "queries", "elapsed (s)", "q/s"});
   table.AddRow({"recycler off", std::to_string(off.completed),
@@ -200,13 +224,16 @@ int main() {
   std::printf(
       "\nspeedup: %.2fx   result-cache hits: %llu / misses: %llu\n"
       "bytes held: %llu of %llu budget   evictions: %llu   "
-      "admission rejects: %llu\nreplies identical: %s\n\n",
+      "admission rejects: %llu\nresult entries: %llu of %llu pool queries "
+      "asked twice or more (%zu asked)\nreplies identical: %s\n\n",
       speedup, static_cast<unsigned long long>(stats.result_cache_hits),
       static_cast<unsigned long long>(stats.result_cache_misses),
       static_cast<unsigned long long>(stats.recycler_bytes_held),
       static_cast<unsigned long long>(budget),
       static_cast<unsigned long long>(stats.recycler_evictions),
       static_cast<unsigned long long>(stats.recycler_admissions_rejected),
+      static_cast<unsigned long long>(result_entries),
+      static_cast<unsigned long long>(repeated), asked.size(),
       identical ? "yes" : "NO");
 
   bench::MergeIntoBenchJson("result_reuse_e8", base::StrFormat(
@@ -221,12 +248,17 @@ int main() {
       "    \"result_cache_misses\": %llu,\n"
       "    \"bytes_held\": %llu,\n"
       "    \"budget_bytes\": %llu,\n"
+      "    \"result_entries\": %llu,\n"
+      "    \"distinct_queries\": %zu,\n"
+      "    \"repeated_queries\": %llu,\n"
       "    \"replies_identical\": %d\n"
       "  }",
       kClients, kRoundsPerClient, kQueryPool, off.qps(), on.qps(), speedup,
       static_cast<unsigned long long>(stats.result_cache_hits),
       static_cast<unsigned long long>(stats.result_cache_misses),
       static_cast<unsigned long long>(stats.recycler_bytes_held),
-      static_cast<unsigned long long>(budget), identical ? 1 : 0));
+      static_cast<unsigned long long>(budget),
+      static_cast<unsigned long long>(result_entries), asked.size(),
+      static_cast<unsigned long long>(repeated), identical ? 1 : 0));
   return 0;
 }

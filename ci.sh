@@ -226,15 +226,20 @@ echo "== result-reuse gate (E8, zipfian multi-tenant mix, recycler on vs off) ==
 # pool against the daemon twice: recycler off (coalescing only, as the
 # server stood before this cache) and recycler on, cold. The gates: the
 # recycled phase is >= 3x faster, the result cache actually served hits,
-# the bytes held stay within the memory budget, and every distinct
-# query's reply agrees value-for-value across the phases.
+# the bytes held stay within the memory budget, every distinct
+# query's reply agrees value-for-value across the phases, and the result
+# section holds no more entries than there are pool queries asked at
+# least twice (a reply is admitted only on its key's second request; the
+# seeded sequences ask 64 distinct queries, 62 of them twice or more).
 (cd build && ./bench_recycler)
 E8_SPEEDUP=$(bench_val result_reuse_e8.speedup)
 E8_HITS=$(bench_val result_reuse_e8.result_cache_hits)
 E8_HELD=$(bench_val result_reuse_e8.bytes_held)
 E8_BUDGET=$(bench_val result_reuse_e8.budget_bytes)
 E8_IDENTICAL=$(bench_val result_reuse_e8.replies_identical)
-echo "recycler on vs off: ${E8_SPEEDUP}x (hits: ${E8_HITS}, held: ${E8_HELD}/${E8_BUDGET} bytes, identical: ${E8_IDENTICAL})"
+E8_ENTRIES=$(bench_val result_reuse_e8.result_entries)
+E8_REPEATED=$(bench_val result_reuse_e8.repeated_queries)
+echo "recycler on vs off: ${E8_SPEEDUP}x (hits: ${E8_HITS}, held: ${E8_HELD}/${E8_BUDGET} bytes, entries: ${E8_ENTRIES}/${E8_REPEATED} repeated, identical: ${E8_IDENTICAL})"
 awk -v s="${E8_SPEEDUP}" 'BEGIN { exit (s >= 3.0) ? 0 : 1 }' || {
   echo "FAIL: result-reuse speedup ${E8_SPEEDUP}x is below the 3x floor"
   exit 1
@@ -249,6 +254,10 @@ awk -v h="${E8_HELD}" -v b="${E8_BUDGET}" 'BEGIN { exit (h <= b) ? 0 : 1 }' || {
 }
 [ "${E8_IDENTICAL}" = "1" ] || {
   echo "FAIL: recycled replies deviated from the execute-every-time phase"
+  exit 1
+}
+[ "${E8_ENTRIES}" -le "${E8_REPEATED}" ] || {
+  echo "FAIL: ${E8_ENTRIES} cached results, more than the ${E8_REPEATED} pool queries asked twice or more"
   exit 1
 }
 

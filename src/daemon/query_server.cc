@@ -1202,12 +1202,14 @@ QueryServer::Reply QueryServer::ServeQuery(
     ++stats_.requests;
   }
   const std::string key = QueryCacheKey(request.value());
-  // Worker-side recycler lookup: catches results that landed while
+  // Worker-side recycler re-check: catches results that landed while
   // this item waited in the queue (the poll loop already answered
-  // anything that was cached at dispatch time).
+  // anything that was cached at dispatch time). It counts nothing: the
+  // poll loop's lookup counted this request, and admission reads that
+  // count as the number of requests.
   if (SessionUsesRecycler(session->options())) {
     monet::Recycler* recycler = db_->recycler();
-    if (auto hit = recycler->LookupResult(recycler->generation(), key)) {
+    if (auto hit = recycler->PeekResult(recycler->generation(), key)) {
       Reply r;
       r.type = wire::FrameType::kResult;
       r.payload = std::move(hit);

@@ -493,10 +493,14 @@ base::Result<moa::EvalOutput> MirrorDb::Query(
   }
   auto prepared = PrepareLocked(query_text, ctx, options);
   if (!prepared.ok()) return prepared.status();
-  if (session != nullptr) {
-    session->CachePlan(key, prepared.value().program);
+  if (session == nullptr) {
+    return ExecuteProgramLocked(prepared.value().program, options, session);
   }
-  return ExecuteProgramLocked(prepared.value().program, options, session);
+  // The session takes the plan (moved, not copied) and caches it when
+  // this key was compiled before; either way the shared copy runs.
+  std::shared_ptr<const mil::Program> plan =
+      session->CachePlan(key, std::move(prepared.value().program));
+  return ExecuteProgramLocked(*plan, options, session);
 }
 
 }  // namespace mirror::db

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 
 #include "monet/bat_ops.h"
@@ -49,15 +50,28 @@ std::shared_ptr<const Program> ExecutionContext::CachedPlan(
   return it->second;
 }
 
-void ExecutionContext::CachePlan(const std::string& key, Program program) {
+std::shared_ptr<const Program> ExecutionContext::CachePlan(
+    const std::string& key, Program program) {
+  auto plan = std::make_shared<const Program>(std::move(program));
+  const uint64_t hash = std::hash<std::string_view>{}(key);
   std::lock_guard<std::mutex> lock(mu_);
-  // Bounded: keys include query bindings, so sessions serving ad-hoc
-  // queries would otherwise grow without limit. Eviction is arbitrary —
-  // the cache targets verbatim-repeated queries, not working sets.
+  if (std::find(seen_.begin(), seen_.end(), hash) == seen_.end()) {
+    // First sighting: remember the key, cache nothing.
+    if (seen_.size() < kMaxPlans) {
+      seen_.push_back(hash);
+    } else {
+      seen_[seen_next_] = hash;
+      seen_next_ = (seen_next_ + 1) % kMaxPlans;
+    }
+    return plan;
+  }
+  // Bounded: eviction is arbitrary — the cache targets verbatim-repeated
+  // queries, not working sets.
   while (plans_.size() >= kMaxPlans && !plans_.empty()) {
     plans_.erase(plans_.begin());
   }
-  plans_[key] = std::make_shared<const Program>(std::move(program));
+  plans_[key] = plan;
+  return plan;
 }
 
 void ExecutionContext::InvalidatePlans() {

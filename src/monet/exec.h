@@ -139,6 +139,15 @@ struct RegValue {
 /// keys by normalized query text, options and bindings, so repeated Moa
 /// queries skip compilation entirely.
 ///
+/// The plan cache admits a plan on the second sighting of its key. Keys
+/// carry the query's bindings, so a session serving ad-hoc queries (fresh
+/// terms on every request) would otherwise fill all kMaxPlans slots with
+/// plans that never hit. The keys compiled once are remembered as 64-bit
+/// hashes in a ring of kMaxPlans slots, oldest overwritten first; a
+/// collision can only admit a plan early, never serve a wrong one, since
+/// plans_ keeps full keys. The ring survives InvalidatePlans(): how
+/// often a query is asked does not change with the data.
+///
 /// One context serves one session: a single query runs on it at a time
 /// (the process-wide worker pool parallelizes WITHIN that query; the
 /// context owns no threads). The plan
@@ -159,8 +168,11 @@ class ExecutionContext {
   /// Looks up a cached plan; null on miss. Counts toward hit statistics.
   std::shared_ptr<const Program> CachedPlan(const std::string& key) const;
 
-  /// Stores a compiled plan under `key` (replacing any previous entry).
-  void CachePlan(const std::string& key, Program program);
+  /// Takes a freshly compiled plan for `key` and returns it shared. The
+  /// plan is cached (replacing any previous entry) when `key` was
+  /// compiled before; a first sighting only records the key.
+  std::shared_ptr<const Program> CachePlan(const std::string& key,
+                                           Program program);
 
   /// Drops every cached plan (call after schema or data reloads).
   void InvalidatePlans();
@@ -169,7 +181,8 @@ class ExecutionContext {
   uint64_t plan_cache_hits() const { return hits_; }
   uint64_t plan_cache_lookups() const { return lookups_; }
 
-  /// Plan-cache capacity; oldest-by-bucket entries are evicted beyond it.
+  /// Plan-cache capacity, and the number of compiled-once keys
+  /// remembered; arbitrary entries are evicted beyond it.
   static constexpr size_t kMaxPlans = 256;
 
  private:
@@ -177,6 +190,8 @@ class ExecutionContext {
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<const Program>> plans_;
+  std::vector<uint64_t> seen_;  // ring of key hashes, at most kMaxPlans
+  size_t seen_next_ = 0;        // the slot the next sighting overwrites
   mutable uint64_t hits_ = 0;
   mutable uint64_t lookups_ = 0;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string_view>
 
 #include "base/str_util.h"
 
@@ -39,6 +41,23 @@ uint64_t CandidateBytes(const PackedCandidates& cands) {
 }
 
 constexpr size_t kMaxFreqEntries = 8192;
+
+static_assert(sizeof(size_t) == 8, "popularity keys are 64-bit hashes");
+
+/// Popularity-table keys: 64-bit hashes, so a request builds no string
+/// and the table holds no query text. A collision merges two keys'
+/// counts, which can change admission or score but never the bytes
+/// served: results_ and cands_ keep full keys.
+uint64_t ResultFreqKey(std::string_view key) {
+  return std::hash<std::string_view>{}(key);
+}
+
+uint64_t CandidateFreqKey(std::string_view bat, std::string_view ikey) {
+  const uint64_t h = std::hash<std::string_view>{}(bat);
+  // boost::hash_combine's mix of the two hashes.
+  return h ^ (std::hash<std::string_view>{}(ikey) + 0x9e3779b97f4a7c15ull +
+              (h << 6) + (h >> 2));
+}
 
 }  // namespace
 
@@ -136,7 +155,7 @@ uint64_t Recycler::Fence() {
   return generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
 }
 
-uint64_t Recycler::TouchFreq(const std::string& key) {
+uint64_t Recycler::TouchFreq(uint64_t key) {
   if (freq_.size() >= kMaxFreqEntries && freq_.find(key) == freq_.end()) {
     // Popularity table full: forget everything rather than pinning an
     // arbitrary old hot set forever. Live entries keep their own freq.
@@ -220,14 +239,22 @@ std::shared_ptr<const std::vector<uint8_t>> Recycler::LookupResult(
   auto it = results_.find(key);
   if (it == results_.end()) {
     ++stats_.result_misses;
-    TouchFreq("res:" + key);
+    TouchFreq(ResultFreqKey(key));
     return nullptr;
   }
   Entry& e = it->second;
-  e.freq = TouchFreq("res:" + key);
+  e.freq = TouchFreq(ResultFreqKey(key));
   e.last_used = ++clock_;
   ++stats_.result_hits;
   return e.payload;
+}
+
+std::shared_ptr<const std::vector<uint8_t>> Recycler::PeekResult(
+    uint64_t gen, const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (gen != generation_.load(std::memory_order_relaxed)) return nullptr;
+  auto it = results_.find(key);
+  return it == results_.end() ? nullptr : it->second.payload;
 }
 
 void Recycler::InsertResult(
@@ -237,18 +264,24 @@ void Recycler::InsertResult(
   if (payload == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (gen != generation_.load(std::memory_order_relaxed)) return;
-  Entry e;
-  e.bytes = payload->size() + key.size() + 128;
-  e.cost_micros = cost_micros;
-  auto f = freq_.find("res:" + key);
-  e.freq = f != freq_.end() ? f->second : 1;
-  e.last_used = ++clock_;
-  auto existing = results_.find(key);
-  if (existing != results_.end()) {
+  // Second-request admission (the doorkeeper): a reply is cached only
+  // when its key was requested before. Ad-hoc queries (fresh bindings on
+  // every request) would otherwise fill the budget with entries that
+  // never hit. The count is the key's popularity, one per request, kept
+  // across fences. A refusal here is not counted as admissions_rejected,
+  // which stays the budget's counter.
+  auto f = freq_.find(ResultFreqKey(key));
+  if (f == freq_.end() || f->second < 2) return;
+  if (results_.find(key) != results_.end()) {
     // Another execution of the same query already published this
     // generation's bytes; keep the incumbent (both are valid).
     return;
   }
+  Entry e;
+  e.bytes = payload->size() + key.size() + 128;
+  e.cost_micros = cost_micros;
+  e.freq = f->second;
+  e.last_used = ++clock_;
   if (!MakeRoom(e.bytes, e.score())) {
     ++stats_.admissions_rejected;
     return;
@@ -282,7 +315,7 @@ std::shared_ptr<const PackedCandidates> Recycler::FindCandidates(
     return nullptr;
   }
   const std::string ikey = pred.IntervalKey();
-  const std::string fkey = "cand:" + pred.bat + ":" + ikey;
+  const uint64_t fkey = CandidateFreqKey(pred.bat, ikey);
   auto bucket = cands_.find(pred.bat);
   if (bucket != cands_.end()) {
     auto exact = bucket->second.find(ikey);
@@ -303,8 +336,8 @@ std::shared_ptr<const PackedCandidates> Recycler::FindCandidates(
       }
     }
     if (best != nullptr) {
-      best->freq = TouchFreq("cand:" + pred.bat + ":" +
-                             best->pred.IntervalKey());
+      best->freq =
+          TouchFreq(CandidateFreqKey(pred.bat, best->pred.IntervalKey()));
       best->last_used = ++clock_;
       ++stats_.candidate_subsumption_hits;
       *subsumed = true;
@@ -327,11 +360,16 @@ void Recycler::InsertCandidates(uint64_t gen, const SelectPredicate& pred,
   const std::string ikey = pred.IntervalKey();
   auto& bucket = cands_[pred.bat];
   if (bucket.find(ikey) != bucket.end()) return;  // incumbent wins
+  // Candidates admit on first sighting, unlike results: a cached
+  // interval also serves every narrower predicate on its BAT through
+  // subsumption, so an entry's worth is not its own key's repeat count
+  // (the e2e rank_mix workload, whose requests never repeat, draws ~0.97
+  // candidate hits per query from such entries).
   Entry e;
   e.pred = pred;
   e.bytes = CandidateBytes(*cands);
   e.cost_micros = cost_micros;
-  auto f = freq_.find("cand:" + pred.bat + ":" + ikey);
+  auto f = freq_.find(CandidateFreqKey(pred.bat, ikey));
   e.freq = f != freq_.end() ? f->second : 1;
   e.last_used = ++clock_;
   if (!MakeRoom(e.bytes, e.score())) {

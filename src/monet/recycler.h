@@ -89,6 +89,11 @@ struct SelectPredicate {
 /// so no interleaving of concurrent queries and writers can publish or
 /// serve a stale entry.
 ///
+/// Results are admitted on their key's second request (a doorkeeper, as
+/// in TinyLFU): LookupResult counts each request once in a popularity
+/// table keyed by 64-bit hashes. Candidates admit on first sighting,
+/// since a cached interval also serves narrower predicates.
+///
 /// Admission is cost x frequency under the byte budget: an insert whose
 /// popularity-weighted cost cannot displace enough colder entries (LRU
 /// order among entries with lower scores) is rejected rather than
@@ -124,9 +129,15 @@ class Recycler {
   std::shared_ptr<const std::vector<uint8_t>> LookupResult(
       uint64_t gen, const std::string& key);
 
+  /// LookupResult without its counting: no hit, no miss, no popularity.
+  /// For a second look at a request LookupResult already counted once.
+  std::shared_ptr<const std::vector<uint8_t>> PeekResult(
+      uint64_t gen, const std::string& key) const;
+
   /// Offers a computed reply for admission. `cost_micros` is the
-  /// execution time the cache saves per future hit. Refused (silently,
-  /// counted) when `gen` is stale or admission fails.
+  /// execution time the cache saves per future hit. Refused silently
+  /// when `gen` is stale or `key` was not requested (LookupResult) at
+  /// least twice; counted as admissions_rejected when the budget refuses.
   void InsertResult(uint64_t gen, const std::string& key,
                     std::shared_ptr<const std::vector<uint8_t>> payload,
                     uint64_t cost_micros);
@@ -166,7 +177,7 @@ class Recycler {
 
   /// Bumps and returns the frequency count of `key` (kept across fences;
   /// reset wholesale when the table outgrows its cap).
-  uint64_t TouchFreq(const std::string& key);
+  uint64_t TouchFreq(uint64_t key);
 
   /// Evicts lower-score entries (coldest first) until `need` bytes fit in
   /// the budget; false (nothing changed beyond evictions) when entries
@@ -191,7 +202,9 @@ class Recycler {
   /// subsumption (buckets stay small: one per distinct predicate shape).
   std::unordered_map<std::string, std::unordered_map<std::string, Entry>>
       cands_;
-  std::unordered_map<std::string, uint64_t> freq_;
+  /// Popularity counts by 64-bit key hash (ResultFreqKey and
+  /// CandidateFreqKey in recycler.cc), at most 8192 keys.
+  std::unordered_map<uint64_t, uint64_t> freq_;
   RecyclerStats stats_;
 };
 

@@ -1,5 +1,7 @@
 // The recycler observed through the daemon: a hot query is answered
-// from the result cache bit-identically to direct execution, the
+// from the result cache bit-identically to direct execution, a reply is
+// cached only on its key's second request (each request counted once),
+// so ad-hoc ranking queries leave neither results nor plans behind, the
 // exec.recycle knob gates it per session (both SET spellings; every knob
 // the SET_OK echo lists takes both and rejects atomically), every
 // catalog mutation path — APPEND, DELETE, Load, Recover — bumps the
@@ -7,10 +9,13 @@
 // stale reply, including coalesced followers racing a concurrent
 // writer. Runs under TSan in CI (see ci.sh).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/str_util.h"
 #include "daemon/query_server.h"
 #include "daemon/wire.h"
 #include "daemon/wire_client.h"
@@ -47,6 +53,34 @@ void BuildDb(db::MirrorDb* database, uint64_t seed, int rows) {
          moa::MoaValue::Int(rng.UniformInt(0, 1000))}));
   }
   ASSERT_TRUE(database->Load("Cat", std::move(tuples)).ok());
+}
+
+constexpr const char* kLibWords[] = {"sun",  "sea",  "sky",  "rock",
+                                     "tree", "bird", "sand", "wave",
+                                     "moss", "dune", "reef", "palm",
+                                     "surf", "cliff", "cloud"};
+
+/// A small annotated library for ranking queries.
+void BuildLib(db::MirrorDb* database, uint64_t seed, int docs) {
+  base::Rng rng(seed);
+  ASSERT_TRUE(database
+                  ->Define("define Lib as SET<TUPLE<Atomic<URL>: u, "
+                           "Atomic<int>: year, CONTREP<Text>: doc>>;")
+                  .ok());
+  std::vector<moa::MoaValue> rows;
+  rows.reserve(static_cast<size_t>(docs));
+  for (int i = 0; i < docs; ++i) {
+    std::vector<std::string> terms;
+    const int len = 3 + static_cast<int>(rng.Uniform(8));
+    for (int t = 0; t < len; ++t) {
+      terms.push_back(kLibWords[rng.Uniform(std::size(kLibWords))]);
+    }
+    rows.push_back(moa::MoaValue::Tuple(
+        {moa::MoaValue::Str("d" + std::to_string(i)),
+         moa::MoaValue::Int(rng.UniformInt(1970, 2025)),
+         moa::MoaValue::ContRep(std::move(terms))}));
+  }
+  ASSERT_TRUE(database->Load("Lib", std::move(rows)).ok());
 }
 
 /// A SET_OK echo or STATS session entry's knobs, by key.
@@ -90,24 +124,113 @@ TEST(DaemonRecyclerTest, HotQueryIsServedFromCacheBitIdentically) {
   moa::QueryContext ctx;
   auto first = alice.Query(query, ctx);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  // The second arrival — a different session — replays the cached
-  // encoded bytes; the third exercises the repeat-hit path.
+  EXPECT_EQ(database.recycler()->stats().result_entries, 0u)
+      << "a first request is not cached";
+  // The second arrival — a different session — executes again, and its
+  // reply is admitted; the third and fourth replay the cached encoded
+  // bytes, across sessions.
   auto second = bob.Query(query, ctx);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(database.recycler()->stats().result_entries, 1u);
   auto third = alice.Query(query, ctx);
   ASSERT_TRUE(third.ok()) << third.status().ToString();
+  auto fourth = bob.Query(query, ctx);
+  ASSERT_TRUE(fourth.ok()) << fourth.status().ToString();
   ExpectRepliesIdentical(first.value(), second.value());
   ExpectRepliesIdentical(first.value(), third.value());
+  ExpectRepliesIdentical(first.value(), fourth.value());
 
   auto stats = alice.Stats();
   ASSERT_TRUE(stats.ok());
   const wire::ServerWireStats& s = stats.value().server;
-  EXPECT_GE(s.result_cache_hits, 2u);
-  EXPECT_GE(s.result_cache_misses, 1u);
+  EXPECT_EQ(s.result_cache_hits, 2u);
+  EXPECT_EQ(s.result_cache_misses, 2u);
   EXPECT_GT(s.recycler_bytes_held, 0u);
   EXPECT_LE(s.recycler_bytes_held, database.recycler()->budget_bytes());
   ASSERT_TRUE(alice.Close().ok());
   ASSERT_TRUE(bob.Close().ok());
+  server.Shutdown();
+}
+
+TEST(DaemonRecyclerTest, EachRequestIsCountedOnce) {
+  // A missed QUERY is looked up by the poll loop and re-checked by the
+  // worker; only the first look counts. Counted twice, a key asked once
+  // would already read as a repeat and its reply would be admitted.
+  db::MirrorDb database;
+  BuildDb(&database, /*seed=*/11, /*rows=*/1000);
+  QueryServer server(&database);
+  auto [client_end, server_end] = wire::CreateChannelPair();
+  server.Serve(std::move(server_end));
+  wire::WireClient client(std::move(client_end));
+  ASSERT_TRUE(client.Hello("counted").ok());
+  const std::string query = "count(select[THIS.rating >= 250](Cat));";
+  moa::QueryContext ctx;
+  constexpr uint64_t kRequests = 5;
+  for (uint64_t n = 1; n <= kRequests; ++n) {
+    ASSERT_TRUE(client.Query(query, ctx).ok());
+    const monet::RecyclerStats rs = database.recycler()->stats();
+    // Requests 1 and 2 miss, and the second one's reply is admitted;
+    // every later request hits.
+    EXPECT_EQ(rs.result_entries, n >= 2 ? 1u : 0u) << "request " << n;
+    EXPECT_EQ(rs.result_misses, std::min<uint64_t>(n, 2)) << "request " << n;
+    EXPECT_EQ(rs.result_hits + rs.result_misses, n) << "request " << n;
+  }
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().server.result_cache_misses, 2u);
+  EXPECT_EQ(stats.value().server.result_cache_hits, kRequests - 2);
+  ASSERT_TRUE(client.Close().ok());
+  server.Shutdown();
+}
+
+TEST(DaemonRecyclerTest, AdHocRankingQueriesCacheNoResultsOrPlans) {
+  // Fresh bindings on every request, as an ad-hoc ranking client sends
+  // them: no key repeats, so neither the result section nor any
+  // session's plan cache takes an entry. Candidate selections still
+  // admit on first sighting (they serve narrower predicates too).
+  db::MirrorDb database;
+  BuildDb(&database, /*seed=*/12, /*rows=*/500);
+  BuildLib(&database, /*seed=*/12, /*docs=*/400);
+  QueryServer server(&database);
+  constexpr int kSessions = 3;
+  std::vector<std::unique_ptr<wire::WireClient>> clients;
+  for (int c = 0; c < kSessions; ++c) {
+    auto [client_end, server_end] = wire::CreateChannelPair();
+    server.Serve(std::move(server_end));
+    clients.push_back(
+        std::make_unique<wire::WireClient>(std::move(client_end)));
+    ASSERT_TRUE(clients.back()->Hello("adhoc" + std::to_string(c)).ok());
+  }
+  constexpr int kQueries = 300;
+  constexpr size_t kWordCount = std::size(kLibWords);
+  int sent = 0;
+  for (size_t a = 0; a < kWordCount && sent < kQueries; ++a) {
+    for (size_t b = a + 1; b < kWordCount && sent < kQueries; ++b) {
+      for (int lo = 1970; lo < 2000 && sent < kQueries; lo += 10) {
+        moa::QueryContext ctx;
+        ctx.BindTerms("q", {kLibWords[a], kLibWords[b]});
+        const std::string query = base::StrFormat(
+            "topN(map[sum(THIS)](map[getBL(THIS.doc, q, stats)]"
+            "(select[THIS.year >= %d](Lib))), 10);",
+            lo);
+        auto result = clients[sent % kSessions]->Query(query, ctx);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ++sent;
+      }
+    }
+  }
+  ASSERT_EQ(sent, kQueries);
+  const monet::RecyclerStats rs = database.recycler()->stats();
+  EXPECT_EQ(rs.result_entries, 0u);
+  EXPECT_EQ(rs.result_misses, static_cast<uint64_t>(kQueries));
+  EXPECT_GT(rs.candidate_entries, 0u);
+  auto stats = clients[0]->Stats();
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(stats.value().sessions.size(), static_cast<size_t>(kSessions));
+  for (const auto& entry : stats.value().sessions) {
+    EXPECT_EQ(entry.plan_cache_size, 0u) << "session " << entry.session_id;
+  }
+  for (auto& client : clients) ASSERT_TRUE(client->Close().ok());
   server.Shutdown();
 }
 
@@ -140,15 +263,19 @@ TEST(DaemonRecyclerTest, RecycleKnobAcceptsBothSpellingsAndGatesTheCache) {
   EXPECT_EQ(rs.result_entries, 0u);
   EXPECT_EQ(rs.result_hits, 0u);
 
-  // Back on: the same query now populates and replays.
+  // Back on: the same query now populates and replays. The off-knob
+  // requests were never counted, so the entry lands on the second
+  // request with the knob on and the third hits.
   auto on = client.Set({{"recycle", 1}});
   ASSERT_TRUE(on.ok());
   EXPECT_EQ(Knobs(on.value().options).at("recycle"), 1);
   ASSERT_TRUE(client.Query("count(select[THIS.rating >= 0](Cat));", ctx).ok());
+  EXPECT_EQ(database.recycler()->stats().result_entries, 0u);
+  ASSERT_TRUE(client.Query("count(select[THIS.rating >= 0](Cat));", ctx).ok());
   ASSERT_TRUE(client.Query("count(select[THIS.rating >= 0](Cat));", ctx).ok());
   rs = database.recycler()->stats();
   EXPECT_EQ(rs.result_entries, 1u);
-  EXPECT_GE(rs.result_hits, 1u);
+  EXPECT_EQ(rs.result_hits, 1u);
   ASSERT_TRUE(client.Close().ok());
   server.Shutdown();
 }
@@ -230,7 +357,8 @@ TEST(DaemonRecyclerTest, EveryMutationPathInvalidatesAndBumpsGeneration) {
   const std::string query = "count(select[THIS.rating >= 0](Cat));";
   auto before = client.Query(query, ctx);
   ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(client.Query(query, ctx).ok());  // now cached + hit
+  ASSERT_TRUE(client.Query(query, ctx).ok());  // now cached
+  ASSERT_TRUE(client.Query(query, ctx).ok());  // and hit
   ASSERT_GE(database.recycler()->stats().result_hits, 1u);
 
   // APPEND: generation bumps, the cached count is NOT replayed.
@@ -284,11 +412,15 @@ TEST(DaemonRecyclerTest, RecoverFencesTheRecyclerAndBumpsGeneration) {
     ASSERT_TRUE(database.Checkpoint(dir).ok());
   }
   db::MirrorDb database;
-  // Seed the recycler before recovery; Recover must fence it out.
+  // Seed the recycler before recovery (a key asked twice is admitted);
+  // Recover must fence it out.
   const uint64_t stale_gen = database.recycler()->generation();
+  database.recycler()->LookupResult(stale_gen, "q");
+  database.recycler()->LookupResult(stale_gen, "q");
   database.recycler()->InsertResult(
       stale_gen, "q",
       std::make_shared<const std::vector<uint8_t>>(16, uint8_t{1}), 10);
+  ASSERT_EQ(database.recycler()->stats().result_entries, 1u);
   const uint64_t lg_before = database.load_generation();
   ASSERT_TRUE(database
                   .Recover(dir, dir + "/wal.log", db::RecoveryMode::kFull,

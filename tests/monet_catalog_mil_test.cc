@@ -530,15 +530,42 @@ TEST(ExecutionContextTest, PlanCacheHitsAndNormalization) {
   load.dst = prog.NewReg();
   prog.Emit(load);
   prog.set_result_reg(load.dst);
-  ctx.CachePlan("k", prog);
+  // First compile of "k": the plan comes back shared but is not cached.
+  auto first = ctx.CachePlan("k", prog);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->ToString(), prog.ToString());
+  EXPECT_EQ(ctx.plan_cache_size(), 0u);
+  EXPECT_EQ(ctx.CachedPlan("k"), nullptr);
+  // Second compile: admitted.
+  auto second = ctx.CachePlan("k", prog);
+  EXPECT_EQ(ctx.plan_cache_size(), 1u);
+  // Third ask: a hit on the admitted plan itself.
   auto hit = ctx.CachedPlan("k");
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->instrs().size(), 1u);
-  EXPECT_EQ(ctx.plan_cache_size(), 1u);
-  EXPECT_EQ(ctx.plan_cache_lookups(), 2u);
+  EXPECT_EQ(hit.get(), second.get());
+  EXPECT_EQ(hit->ToString(), prog.ToString());
+  EXPECT_EQ(ctx.plan_cache_lookups(), 3u);
   EXPECT_EQ(ctx.plan_cache_hits(), 1u);
   ctx.InvalidatePlans();
   EXPECT_EQ(ctx.plan_cache_size(), 0u);
+  // How often "k" was asked survives the invalidation: its next compile
+  // is admitted at once.
+  ctx.CachePlan("k", prog);
+  EXPECT_EQ(ctx.plan_cache_size(), 1u);
+}
+
+TEST(ExecutionContextTest, PlanCacheRemembersOnlyTheLatestSightings) {
+  mil::ExecutionContext ctx;
+  mil::Program prog;
+  const size_t n = mil::ExecutionContext::kMaxPlans;
+  // n + 1 distinct one-shot keys: none is cached, and the oldest
+  // sighting falls out of the bounded memory of compiled-once keys.
+  for (size_t i = 0; i <= n; ++i) ctx.CachePlan("k" + std::to_string(i), prog);
+  EXPECT_EQ(ctx.plan_cache_size(), 0u);
+  ctx.CachePlan("k0", prog);
+  EXPECT_EQ(ctx.plan_cache_size(), 0u) << "k0's sighting was forgotten";
+  ctx.CachePlan("k" + std::to_string(n), prog);
+  EXPECT_EQ(ctx.plan_cache_size(), 1u) << "the newest sighting is kept";
 }
 
 TEST(ExecutionContextTest, RegisterScratchReusedAcrossRuns) {

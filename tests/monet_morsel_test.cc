@@ -1238,11 +1238,15 @@ TEST(PlanCacheInvalidationTest, LoadNotifiesRegisteredSessions) {
 
   moa::QueryContext ctx;
   QueryOptions options;
-  auto first = db.Query("sum(map[THIS.x](S));", ctx, options, &session);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(first.value().is_scalar);
-  EXPECT_DOUBLE_EQ(first.value().scalar.AsDouble(), 6.0);
+  // A plan is cached on its second compile and hit on the third ask.
+  for (int round = 0; round < 3; ++round) {
+    auto first = db.Query("sum(map[THIS.x](S));", ctx, options, &session);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(first.value().is_scalar);
+    EXPECT_DOUBLE_EQ(first.value().scalar.AsDouble(), 6.0);
+  }
   EXPECT_GT(session.plan_cache_size(), 0u);
+  EXPECT_EQ(session.plan_cache_hits(), 1u);
 
   // Re-Load: the hook drops the stale plans, and the re-compiled query
   // sees the new contents (no manual InvalidatePlans()).
@@ -1251,6 +1255,7 @@ TEST(PlanCacheInvalidationTest, LoadNotifiesRegisteredSessions) {
   auto second = db.Query("sum(map[THIS.x](S));", ctx, options, &session);
   ASSERT_TRUE(second.ok());
   EXPECT_DOUBLE_EQ(second.value().scalar.AsDouble(), 30.0);
+  EXPECT_EQ(session.plan_cache_hits(), 1u) << "recompiled, not a stale hit";
 
   // Unregistered sessions are left alone again.
   db.UnregisterSession(&session);

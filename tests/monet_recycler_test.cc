@@ -2,7 +2,8 @@
 // refuse anything whose double-space interval is unsound (kSelectNeq,
 // strings, int64 literals past 2^53, non-finite doubles), subsumption
 // must respect inclusivity at shared endpoints, generation fencing must
-// make both stale lookups and stale inserts impossible, and the
+// make both stale lookups and stale inserts impossible, a result must be
+// admitted only on its key's second request, and the
 // cost x frequency admission policy must hold bytes under the budget
 // while keeping hot entries over cold ones — including across a fence,
 // which drops entries but not popularity. Candidate lists are held
@@ -74,6 +75,12 @@ SelectPredicate Pred(const std::string& bat, double lo, double hi,
 
 std::shared_ptr<const std::vector<uint8_t>> Payload(size_t n, uint8_t fill) {
   return std::make_shared<const std::vector<uint8_t>>(n, fill);
+}
+
+/// Requests `key` `times` times, as the daemon's poll loop does once per
+/// QUERY: a result is admitted only when its key was requested before.
+void Ask(Recycler& r, uint64_t gen, const std::string& key, int times = 2) {
+  for (int i = 0; i < times; ++i) r.LookupResult(gen, key);
 }
 
 CandidateList Cands(std::vector<uint32_t> positions) {
@@ -190,26 +197,72 @@ TEST(RecyclerTest, ResultRoundTripIsBitIdentical) {
   Recycler r;
   const uint64_t gen = r.generation();
   auto payload = Payload(1000, 0xAB);
+  // First request: a miss, and its computed reply is not cached.
+  EXPECT_EQ(r.LookupResult(gen, "q1"), nullptr);
+  r.InsertResult(gen, "q1", Payload(1000, 0xAB), 500);
+  EXPECT_EQ(r.stats().result_entries, 0u);
+  // Second request: a miss again, and now the reply is admitted.
+  EXPECT_EQ(r.LookupResult(gen, "q1"), nullptr);
   r.InsertResult(gen, "q1", payload, 500);
+  EXPECT_EQ(r.stats().result_entries, 1u);
+  // Third request: a hit on the very same bytes.
   auto hit = r.LookupResult(gen, "q1");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit.get(), payload.get()) << "the very same bytes, not a copy";
+  EXPECT_EQ(*hit, std::vector<uint8_t>(1000, 0xAB));
   EXPECT_EQ(r.LookupResult(gen, "q2"), nullptr);
   RecyclerStats s = r.stats();
   EXPECT_EQ(s.result_hits, 1u);
-  EXPECT_EQ(s.result_misses, 1u);
+  EXPECT_EQ(s.result_misses, 3u);
   EXPECT_EQ(s.result_entries, 1u);
+  EXPECT_EQ(s.admissions_rejected, 0u)
+      << "a first-request refusal is not the budget's rejection";
   EXPECT_GT(s.bytes_held, 1000u);
+}
+
+TEST(RecyclerTest, InsertWithoutARepeatedRequestIsNotAdmitted) {
+  Recycler r;
+  const uint64_t gen = r.generation();
+  // Never requested, then requested once: both inserts are refused.
+  r.InsertResult(gen, "q", Payload(100, 1), 10);
+  Ask(r, gen, "q", 1);
+  r.InsertResult(gen, "q", Payload(100, 1), 10);
+  EXPECT_EQ(r.stats().result_entries, 0u);
+  EXPECT_EQ(r.stats().bytes_held, 0u);
+}
+
+TEST(RecyclerTest, PeekCountsNothing) {
+  Recycler r;
+  const uint64_t gen = r.generation();
+  // A peek at a missing key neither counts a miss nor a request: the
+  // one real request that follows leaves the key unadmittable.
+  EXPECT_EQ(r.PeekResult(gen, "q"), nullptr);
+  Ask(r, gen, "q", 1);
+  r.InsertResult(gen, "q", Payload(100, 1), 10);
+  EXPECT_EQ(r.stats().result_entries, 0u);
+  EXPECT_EQ(r.stats().result_misses, 1u);
+  // Once admitted, a peek serves the bytes without counting a hit.
+  Ask(r, gen, "q", 1);
+  auto payload = Payload(100, 2);
+  r.InsertResult(gen, "q", payload, 10);
+  EXPECT_EQ(r.PeekResult(gen, "q").get(), payload.get());
+  EXPECT_EQ(r.PeekResult(r.Fence(), "q"), nullptr);
+  RecyclerStats s = r.stats();
+  EXPECT_EQ(s.result_hits, 0u);
+  EXPECT_EQ(s.result_misses, 2u);
 }
 
 TEST(RecyclerTest, StaleGenerationNeitherServesNorAdmits) {
   Recycler r;
   const uint64_t old_gen = r.generation();
+  Ask(r, old_gen, "q1");
   r.InsertResult(old_gen, "q1", Payload(100, 1), 10);
+  ASSERT_EQ(r.stats().result_entries, 1u);
   r.Fence();
   // The entry is gone and the old generation can do nothing.
   EXPECT_EQ(r.LookupResult(old_gen, "q1"), nullptr);
   EXPECT_EQ(r.LookupResult(r.generation(), "q1"), nullptr);
+  Ask(r, r.generation(), "q2");
   r.InsertResult(old_gen, "q2", Payload(100, 2), 10);
   EXPECT_EQ(r.LookupResult(r.generation(), "q2"), nullptr)
       << "an execution that started before the fence must not publish";
@@ -233,6 +286,7 @@ TEST(RecyclerTest, BudgetIsAHardCeiling) {
   Recycler r(/*budget_bytes=*/4096);
   const uint64_t gen = r.generation();
   for (int i = 0; i < 50; ++i) {
+    Ask(r, gen, "q" + std::to_string(i));
     r.InsertResult(gen, "q" + std::to_string(i), Payload(300, uint8_t(i)), 10);
     EXPECT_LE(r.stats().bytes_held, 4096u);
   }
@@ -246,8 +300,11 @@ TEST(RecyclerTest, HotEntriesDisplaceColdOnesButNotViceVersa) {
   Recycler r(/*budget_bytes=*/1200);
   const uint64_t gen = r.generation();
   // Make "hot" popular before it is ever admitted (misses count).
-  for (int i = 0; i < 10; ++i) r.LookupResult(gen, "hot");
-  // Two cold entries fill the budget (each ~431 bytes).
+  Ask(r, gen, "hot", 10);
+  // Two cold entries, each requested twice, fill the budget (each ~431
+  // bytes).
+  Ask(r, gen, "cold1");
+  Ask(r, gen, "cold2");
   r.InsertResult(gen, "cold1", Payload(300, 1), 10);
   r.InsertResult(gen, "cold2", Payload(300, 2), 10);
   ASSERT_EQ(r.stats().result_entries, 2u);
@@ -258,6 +315,7 @@ TEST(RecyclerTest, HotEntriesDisplaceColdOnesButNotViceVersa) {
   // A fresh cold entry cannot displace the hot one: the remaining cold
   // entry and the newcomer tie, and ties do not evict.
   const uint64_t rejected_before = r.stats().admissions_rejected;
+  Ask(r, gen, "cold3");
   r.InsertResult(gen, "cold3", Payload(300, 4), 10);
   EXPECT_NE(r.LookupResult(gen, "hot"), nullptr);
   EXPECT_GT(r.stats().admissions_rejected, rejected_before);
@@ -266,10 +324,12 @@ TEST(RecyclerTest, HotEntriesDisplaceColdOnesButNotViceVersa) {
 TEST(RecyclerTest, PopularitySurvivesTheFence) {
   Recycler r(/*budget_bytes=*/1200);
   uint64_t gen = r.generation();
-  for (int i = 0; i < 10; ++i) r.LookupResult(gen, "hot");
+  Ask(r, gen, "hot", 10);
   gen = r.Fence();
   // After the fence the cache is empty but "hot" is still hot: admitted
   // entries carry the surviving frequency, so it displaces cold ones.
+  Ask(r, gen, "cold1");
+  Ask(r, gen, "cold2");
   r.InsertResult(gen, "cold1", Payload(300, 1), 10);
   r.InsertResult(gen, "cold2", Payload(300, 2), 10);
   r.InsertResult(gen, "hot", Payload(300, 3), 10);
@@ -281,6 +341,7 @@ TEST(RecyclerTest, ShrinkingTheBudgetEvictsDownToFit) {
   Recycler r;
   const uint64_t gen = r.generation();
   for (int i = 0; i < 8; ++i) {
+    Ask(r, gen, "q" + std::to_string(i));
     r.InsertResult(gen, "q" + std::to_string(i), Payload(1000, uint8_t(i)),
                    10);
   }
@@ -295,6 +356,7 @@ TEST(RecyclerTest, DuplicateInsertKeepsTheIncumbent) {
   Recycler r;
   const uint64_t gen = r.generation();
   auto first = Payload(100, 1);
+  Ask(r, gen, "q");
   r.InsertResult(gen, "q", first, 10);
   r.InsertResult(gen, "q", Payload(100, 2), 10);
   auto hit = r.LookupResult(gen, "q");
