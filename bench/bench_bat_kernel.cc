@@ -62,9 +62,10 @@ void BM_SelectBySelectivity(benchmark::State& state) {
     pool.EnsureWorkers(static_cast<size_t>(state.range(1) - 1));
     mx = MorselExec{&pool, DefaultMorselSize()};
   }
-  const Value below = Value::MakeInt(state.range(0));
+  const SelectInterval below = SelectInterval::Cmp(
+      ValueType::kInt, CmpOp::kLt, Value::MakeInt(state.range(0)));
   for (auto _ : state) {
-    CandidateList kept = SelectCmpCand(b, CmpOp::kLt, below, nullptr, mx);
+    CandidateList kept = SelectCand(b, below, nullptr, mx);
     benchmark::DoNotOptimize(kept.size());
   }
   state.SetItemsProcessed(state.iterations() * kRows);

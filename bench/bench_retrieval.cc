@@ -1053,6 +1053,11 @@ struct TraceOverheadComparison {
   double on_ms = 0;      // knob on, thread-local span recording
   double off_b_ms = 0;   // knob off again (A/A noise floor vs off_a)
   uint64_t spans = 0;    // spans the traced pass recorded per query
+  // Count checks beside the clocks, exact on every run: a sink attached
+  // with the knob off records nothing, and tracing runs the same kernels.
+  uint64_t off_spans = 0;          // spans the knob-off passes recorded
+  uint64_t ops_per_query_off = 0;  // kernel ops per untraced query
+  uint64_t ops_per_query_on = 0;   // kernel ops per traced query
 };
 
 TraceOverheadComparison RunE9(const db::MirrorDb& database) {
@@ -1071,6 +1076,8 @@ TraceOverheadComparison RunE9(const db::MirrorDb& database) {
   monet::QueryTrace trace;
   on.exec.trace = true;
   on.exec.trace_sink = &trace;
+  monet::QueryTrace off_trace;
+  off.exec.trace_sink = &off_trace;
 
   // One warm-up populates the plan cache; the timed samples interleave
   // off-A / on / off-B round-robin (min-of-21 each) so clock drift and
@@ -1093,6 +1100,18 @@ TraceOverheadComparison RunE9(const db::MirrorDb& database) {
   }
   out.spans = trace.span_count();
   MIRROR_CHECK(out.spans > 0) << "traced pass recorded no spans";
+  out.off_spans = off_trace.span_count();
+  // Kernel ops of one untraced and one traced run at 1 thread. At 4
+  // threads the count varies with timing: consumers racing on one
+  // register may each materialize it (MatInput).
+  auto ops_of = [&](db::QueryOptions options) {
+    options.exec.num_threads = 1;
+    const uint64_t before = monet::SnapshotKernelStats().TotalOps();
+    time_one(options);
+    return monet::SnapshotKernelStats().TotalOps() - before;
+  };
+  out.ops_per_query_off = ops_of(off);
+  out.ops_per_query_on = ops_of(on);
 
   const double off_min = std::min(out.off_a_ms, out.off_b_ms);
   base::TablePrinter table({"path", "ms", "vs off"});
@@ -1104,8 +1123,12 @@ TraceOverheadComparison RunE9(const db::MirrorDb& database) {
   row("trace on", out.on_ms);
   row("trace off (pass B)", out.off_b_ms);
   table.Print();
-  std::printf("%llu spans per traced query\n",
-              static_cast<unsigned long long>(out.spans));
+  std::printf("%llu spans per traced query, %llu with the knob off\n",
+              static_cast<unsigned long long>(out.spans),
+              static_cast<unsigned long long>(out.off_spans));
+  std::printf("kernel ops per query at 1 thread: %llu untraced, %llu traced\n",
+              static_cast<unsigned long long>(out.ops_per_query_off),
+              static_cast<unsigned long long>(out.ops_per_query_on));
   return out;
 }
 
@@ -1241,12 +1264,18 @@ void WriteBenchJson(const EngineComparison& selection,
       "    \"trace_off_b_ms\": %.4f,\n"
       "    \"trace_on_ms\": %.4f,\n"
       "    \"spans_per_query\": %llu,\n"
+      "    \"spans_knob_off\": %llu,\n"
+      "    \"kernel_ops_per_query_off\": %llu,\n"
+      "    \"kernel_ops_per_query_traced\": %llu,\n"
       "    \"trace_off_aa_ratio\": %.4f,\n"
       "    \"traced_vs_off\": %.4f\n"
       "  }\n",
       tover.off_a_ms, tover.off_b_ms, tover.on_ms,
-      static_cast<unsigned long long>(tover.spans), off_max / off_min,
-      tover.on_ms / off_min);
+      static_cast<unsigned long long>(tover.spans),
+      static_cast<unsigned long long>(tover.off_spans),
+      static_cast<unsigned long long>(tover.ops_per_query_off),
+      static_cast<unsigned long long>(tover.ops_per_query_on),
+      off_max / off_min, tover.on_ms / off_min);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_retrieval.json\n");

@@ -63,7 +63,8 @@ awk -v s="${SPEEDUP}" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
 # Count gates behind the speedup, exact on every run: the year pair and
 # the rating pair compile to one select.range each, and the 1-thread
 # engine (unsharded, recycler off) reads no more tuples than recorded
-# when bound pairing landed (two chained select.cmp per field read more).
+# once an aligned semijoin that shares its list stopped charging both
+# sides (two chained select.cmp per field read more).
 SEL_INSTRS=$(bench_val selection_heavy_400k_rows.select_instrs)
 SEL_TUPLES=$(bench_val selection_heavy_400k_rows.tuples_in)
 echo "selection-heavy plan: ${SEL_INSTRS} select instructions, ${SEL_TUPLES} tuples in"
@@ -71,8 +72,8 @@ echo "selection-heavy plan: ${SEL_INSTRS} select instructions, ${SEL_TUPLES} tup
   echo "FAIL: selection-heavy plan has ${SEL_INSTRS} select instructions (want 2)"
   exit 1
 }
-[ "${SEL_TUPLES}" -le 2232314 ] || {
-  echo "FAIL: selection-heavy plan read ${SEL_TUPLES} tuples (want <= 2232314)"
+[ "${SEL_TUPLES}" -le 1464041 ] || {
+  echo "FAIL: selection-heavy plan read ${SEL_TUPLES} tuples (want <= 1464041)"
   exit 1
 }
 
@@ -267,10 +268,25 @@ echo "== trace-overhead gate (E9, exec.trace on/off on the E3c ranking plan) =="
 # two knob-off passes agree within 2% (the knob must cost one untaken
 # branch — this A/A ratio is also the noise floor of the measurement),
 # and the traced pass stays within 15% of the faster untraced pass.
+# Count gates beside them, exact on every run: the knob-off passes carry
+# a span sink too and must record no span, and one traced and one
+# untraced run at 1 thread must run the same number of kernel ops.
 E9_AA=$(bench_val trace_overhead_e9.trace_off_aa_ratio)
 E9_ON=$(bench_val trace_overhead_e9.traced_vs_off)
 E9_SPANS=$(bench_val trace_overhead_e9.spans_per_query)
+E9_OFF_SPANS=$(bench_val trace_overhead_e9.spans_knob_off)
+E9_OPS_OFF=$(bench_val trace_overhead_e9.kernel_ops_per_query_off)
+E9_OPS_ON=$(bench_val trace_overhead_e9.kernel_ops_per_query_traced)
 echo "trace off A/A: ${E9_AA}x, traced vs off: ${E9_ON}x (${E9_SPANS} spans/query)"
+echo "knob-off spans: ${E9_OFF_SPANS}; kernel ops/query: ${E9_OPS_OFF} untraced, ${E9_OPS_ON} traced"
+[ "${E9_OFF_SPANS}" = "0" ] || {
+  echo "FAIL: the knob-off passes recorded ${E9_OFF_SPANS} spans (want 0)"
+  exit 1
+}
+[ "${E9_OPS_OFF}" = "${E9_OPS_ON}" ] || {
+  echo "FAIL: tracing changed the kernel ops per query (${E9_OPS_OFF} untraced, ${E9_OPS_ON} traced)"
+  exit 1
+}
 awk -v r="${E9_AA}" 'BEGIN { exit (r <= 1.02) ? 0 : 1 }' || {
   echo "FAIL: knob-off A/A ratio ${E9_AA}x exceeds the 1.02 bound"
   exit 1

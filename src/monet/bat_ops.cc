@@ -396,11 +396,11 @@ Bat ConcatAll(const std::vector<const Bat*>& parts) {
 }
 
 // ---------------------------------------------------------------------------
-// Selection. Every form normalizes its bounds once, at kernel entry, into
-// one inclusive interval in the tail column's own domain, then runs the
-// typed branch-free core of the column's type. The materializing forms
-// (classic Monet semantics) and the candidate forms (late
-// materialization) share the cores.
+// Selection. Every form runs one SelectInterval, its bounds normalized
+// once into the tail column's own domain, through the typed branch-free
+// core of the column's type. The materializing forms (classic Monet
+// semantics) and the candidate form (late materialization) share the
+// cores.
 
 namespace {
 
@@ -444,38 +444,6 @@ std::pair<Bound, Bound> CmpBounds(CmpOp cmp, const Value& v) {
       return {Bound{&v, true}, Bound{&v, true}};
   }
 }
-
-// The interval of tail values a selection keeps, in the zone maps' double
-// space, both ends inclusive: [lo, hi] holds every kept value (a block
-// outside it keeps no row), [all_lo, all_hi] only kept ones (a block
-// inside it keeps every row).
-struct ZoneInterval {
-  bool usable = false;
-  double lo = -kInf;
-  double hi = kInf;
-  double all_lo = -kInf;
-  double all_hi = kInf;
-};
-
-// A selection predicate normalized at kernel entry. It keeps the rows
-// inside the interval, or outside it when `negate` is set (neq); `none`
-// means no row qualifies, so nothing is scanned.
-//  - int, oid and void tails: v - lo <= span in uint64 arithmetic, the
-//    one-comparison form of lo <= v <= hi (signed for int, unsigned for
-//    oid);
-//  - dbl tails: dlo <= v <= dhi, exclusive bounds moved one ulp inward;
-//  - str tails: the bounds as given.
-struct SelectPred {
-  bool none = false;
-  bool negate = false;
-  uint64_t lo = 0;
-  uint64_t span = 0;
-  double dlo = -kInf;
-  double dhi = kInf;
-  Bound slo;
-  Bound shi;
-  ZoneInterval zone;
-};
 
 // The least x with `x > v` (`x >= v` when inclusive) for an integral
 // literal in the column's own domain; nullopt past the type's maximum.
@@ -550,66 +518,44 @@ double DblUpperBound(double d, bool inclusive) {
   return d == -kInf ? std::nan("") : std::nextafter(d, -kInf);
 }
 
-// Stores the integral interval [lo, hi] (int64 or uint64 order) as lo and
-// span, with its zone intervals: the one that prunes widens outward
-// (DoubleLowerBound of lo, DoubleUpperBound of hi), the one that keeps
-// whole blocks narrows inward (DoubleUpperBound of lo, DoubleLowerBound of
-// hi), so kNone and kAll stay exact past 2^53; an open side is infinite.
+// Stores the integral interval [lo, hi] (int64 or uint64 order), empty
+// when a side has no bound in the domain or lo > hi. A neq of a value no
+// row equals keeps every row: the whole domain, not negated.
 template <typename T>
-void SetIntegralInterval(T lo, T hi, SelectPred* p) {
-  p->lo = static_cast<uint64_t>(lo);
-  p->span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-  if (p->negate) return;
-  // Zone maps hold oids as int64 (RunSelect checks that no oid is past
-  // int64's range), so an oid lower bound past it prunes nothing.
-  if constexpr (std::is_unsigned_v<T>) {
-    if (lo > static_cast<T>(kI64Max)) return;
-  }
-  p->zone.usable = true;
-  if (lo != std::numeric_limits<T>::min()) {
-    p->zone.lo = DoubleLowerBound(static_cast<int64_t>(lo));
-    p->zone.all_lo = DoubleUpperBound(static_cast<int64_t>(lo));
-  }
-  if (hi < static_cast<T>(kI64Max)) {
-    p->zone.hi = DoubleUpperBound(static_cast<int64_t>(hi));
-    p->zone.all_hi = DoubleLowerBound(static_cast<int64_t>(hi));
-  }
-}
-
-template <typename T>
-void SetIntegralPred(std::optional<T> lo, std::optional<T> hi,
-                     SelectPred* p) {
+void SetIntegral(std::optional<T> lo, std::optional<T> hi,
+                 SelectInterval* p) {
   if (lo && hi && *lo <= *hi) {
-    SetIntegralInterval(*lo, *hi, p);
+    p->lo = static_cast<uint64_t>(*lo);
+    p->hi = static_cast<uint64_t>(*hi);
   } else if (p->negate) {
-    // neq of a value no row equals: every row qualifies.
     p->negate = false;
-    p->lo = 0;
-    p->span = std::numeric_limits<uint64_t>::max();
+    p->lo = static_cast<uint64_t>(std::numeric_limits<T>::min());
+    p->hi = static_cast<uint64_t>(std::numeric_limits<T>::max());
   } else {
-    p->none = true;
+    p->empty = true;
   }
 }
 
-SelectPred NormalizeSelect(const Column& tail, Bound lo, Bound hi,
-                           bool negate) {
+SelectInterval NormalizeSelect(ValueType tail, Bound lo, Bound hi,
+                               bool negate) {
   for (const Bound& b : {lo, hi}) {
-    MIRROR_CHECK(b.v == nullptr || tail.TypeCompatible(b.v->type()))
-        << "select type mismatch: column " << ValueTypeName(tail.type())
+    MIRROR_CHECK(b.v == nullptr || TypesCompatible(tail, b.v->type()))
+        << "select type mismatch: column " << ValueTypeName(tail)
         << " vs literal " << b.v->ToString();
   }
-  SelectPred p;
+  SelectInterval p;
+  p.type = Norm(tail);
   p.negate = negate;
-  switch (tail.type()) {
+  switch (p.type) {
     case ValueType::kInt:
-      SetIntegralPred<int64_t>(
+      SetIntegral<int64_t>(
           lo.v != nullptr ? IntLowerBound(*lo.v, lo.inclusive) : kI64Min,
           hi.v != nullptr ? IntUpperBound(*hi.v, hi.inclusive) : kI64Max,
           &p);
       break;
     case ValueType::kVoid:
     case ValueType::kOid:
-      SetIntegralPred<uint64_t>(
+      SetIntegral<uint64_t>(
           lo.v != nullptr ? IntegralAbove(lo.v->oid(), lo.inclusive) : 0,
           hi.v != nullptr ? IntegralBelow(hi.v->oid(), hi.inclusive)
                           : std::numeric_limits<uint64_t>::max(),
@@ -618,29 +564,45 @@ SelectPred NormalizeSelect(const Column& tail, Bound lo, Bound hi,
     case ValueType::kDbl:
       if (lo.v != nullptr) p.dlo = DblLowerBound(lo.v->AsDouble(), lo.inclusive);
       if (hi.v != nullptr) p.dhi = DblUpperBound(hi.v->AsDouble(), hi.inclusive);
-      // An empty interval (NaN bounds compare false) negates to every row.
-      if (!(p.dlo <= p.dhi)) {
-        p.none = !negate;
-      } else if (!negate) {
-        p.zone = {true, p.dlo, p.dhi, p.dlo, p.dhi};
-      }
+      // An empty interval (NaN bounds compare false) negates to every row,
+      // NaN rows included, so it stays negated.
+      if (!(p.dlo <= p.dhi)) p.empty = !negate;
       break;
     case ValueType::kStr:
-      p.slo = lo;
-      p.shi = hi;
+      using StrBound = SelectInterval::StrBound;
+      if (lo.v != nullptr) p.slo = StrBound{lo.v->s(), lo.inclusive};
+      if (hi.v != nullptr) p.shi = StrBound{hi.v->s(), hi.inclusive};
       break;
   }
   return p;
 }
 
-// Zone-map pruning over a dense span: blocks whose [min, max] lies
-// outside the interval are skipped unread, blocks inside it write their
-// rows wholesale, and runs of the remaining blocks go to `core`. A sparse
-// span goes to `core` whole. Positions are those of the unpruned core;
-// skipped blocks count into `skipped`.
+// The zone intervals of the integral interval [lo, hi]: the outward one
+// widens (DoubleLowerBound of lo, DoubleUpperBound of hi), the inward one
+// narrows (DoubleUpperBound of lo, DoubleLowerBound of hi), so kNone and
+// kAll stay exact past 2^53; an open side is infinite.
+template <typename T>
+void IntegralZones(T lo, T hi, ZoneInterval* outward, ZoneInterval* inward) {
+  *outward = *inward = ZoneInterval{};
+  if (lo != std::numeric_limits<T>::min()) {
+    outward->lo = DoubleLowerBound(static_cast<int64_t>(lo));
+    inward->lo = DoubleUpperBound(static_cast<int64_t>(lo));
+  }
+  if (hi < static_cast<T>(kI64Max)) {
+    outward->hi = DoubleUpperBound(static_cast<int64_t>(hi));
+    inward->hi = DoubleLowerBound(static_cast<int64_t>(hi));
+  }
+}
+
+// Zone-map pruning over a dense span: blocks that ClassifyZone finds
+// outside the outward interval are skipped unread, blocks inside the
+// inward one write their rows wholesale, and runs of the remaining blocks
+// go to `core`. A sparse span goes to `core` whole. Positions are those
+// of the unpruned core; skipped blocks count into `skipped`.
 template <typename Core>
 size_t ZonedSelectInto(const DomainSpan& d, const ZoneMap& zones,
-                       const ZoneInterval& iv, const Core& core,
+                       const ZoneInterval& outward,
+                       const ZoneInterval& inward, const Core& core,
                        uint32_t* out, std::atomic<uint64_t>* skipped) {
   if (d.cands != nullptr && !d.cands->is_dense()) return core(d, out);
   const size_t first = (d.cands == nullptr ? 0 : d.cands->first()) + d.lo;
@@ -653,12 +615,8 @@ size_t ZonedSelectInto(const DomainSpan& d, const ZoneMap& zones,
   for (size_t blk = first / br; blk * br < end; ++blk) {
     const size_t blo = std::max(first, blk * br);
     const size_t bhi = std::min(end, (blk + 1) * br);
-    const double bmin = zones.block_min[blk];
-    const double bmax = zones.block_max[blk];
-    ZoneMatch match = ClassifyZone(bmin, bmax, iv.lo, true, iv.hi, true);
-    if (match == ZoneMatch::kAll && (bmin < iv.all_lo || bmax > iv.all_hi)) {
-      match = ZoneMatch::kSome;
-    }
+    const ZoneMatch match = ClassifyZone(
+        zones.block_min[blk], zones.block_max[blk], outward, inward);
     if (match == ZoneMatch::kSome) continue;
     k += core(DomainSpan{nullptr, run_lo, blo}, out + k);
     run_lo = bhi;
@@ -673,17 +631,22 @@ size_t ZonedSelectInto(const DomainSpan& d, const ZoneMap& zones,
   return k;
 }
 
-// Runs a normalized predicate over the domain with the typed core of the
+// Runs a normalized selection over the domain with the typed core of the
 // tail's type, behind zone-map pruning when the interval allows it.
-CandidateList RunSelect(const Column& tail, const SelectPred& p,
+CandidateList RunSelect(const Column& tail, const SelectInterval& p,
                         const CandidateList* cands, const MorselExec& mx,
                         const ZoneMap* zones) {
-  if (p.none) return CandidateList::FromPositions({});
+  MIRROR_CHECK(p.type == Norm(tail.type()))
+      << "select interval for " << ValueTypeName(p.type) << " over a "
+      << ValueTypeName(tail.type()) << " column";
+  if (p.empty) return CandidateList::FromPositions({});
   // Zone maps hold oids as int64: an oid past 2^63 (a negative zone
   // minimum) would sit in the wrong place.
-  const bool oids = Norm(tail.type()) == ValueType::kOid;
-  const bool zoned = p.zone.usable && zones != nullptr && zones->valid &&
-                     (!oids || zones->min >= 0);
+  ZoneInterval outward;
+  ZoneInterval inward;
+  const bool zoned = zones != nullptr && zones->valid &&
+                     (p.type != ValueType::kOid || zones->min >= 0) &&
+                     p.ZoneIntervals(&outward, &inward);
   std::atomic<uint64_t> skipped{0};
   auto run = [&](auto keep) {
     auto core = [&](const DomainSpan& d, uint32_t* out) {
@@ -692,11 +655,14 @@ CandidateList RunSelect(const Column& tail, const SelectPred& p,
     if (!zoned) return MorselizedPositions(tail.size(), cands, mx, core);
     return MorselizedPositions(
         tail.size(), cands, mx, [&](const DomainSpan& d, uint32_t* out) {
-          return ZonedSelectInto(d, *zones, p.zone, core, out, &skipped);
+          return ZonedSelectInto(d, *zones, outward, inward, core, out,
+                                 &skipped);
         });
   };
+  // lo <= v <= hi as v - lo <= hi - lo in uint64 arithmetic: one
+  // comparison, signed order for int and unsigned for oid alike.
   const uint64_t lo = p.lo;
-  const uint64_t span = p.span;
+  const uint64_t span = p.hi - p.lo;
   const bool neg = p.negate;
   CandidateList out;
   switch (tail.type()) {
@@ -725,17 +691,15 @@ CandidateList RunSelect(const Column& tail, const SelectPred& p,
       break;
     }
     case ValueType::kStr: {
-      const std::string* slo = p.slo.v != nullptr ? &p.slo.v->s() : nullptr;
-      const std::string* shi = p.shi.v != nullptr ? &p.shi.v->s() : nullptr;
-      const bool eq = slo != nullptr && shi != nullptr && *slo == *shi &&
-                      p.slo.inclusive && p.shi.inclusive;  // eq and neq
-      out = run([&, slo, shi, eq, neg](size_t i) {
+      const std::optional<SelectInterval::StrBound>& slo = p.slo;
+      const std::optional<SelectInterval::StrBound>& shi = p.shi;
+      const bool eq = slo && shi && slo->s == shi->s && slo->inclusive &&
+                      shi->inclusive;  // eq and neq
+      out = run([&, eq, neg](size_t i) {
         const std::string_view s = tail.StrAt(i);
-        if (eq) return (s == *slo) != neg;
-        const bool above =
-            slo == nullptr || (p.slo.inclusive ? s >= *slo : s > *slo);
-        const bool below =
-            shi == nullptr || (p.shi.inclusive ? s <= *shi : s < *shi);
+        if (eq) return (s == slo->s) != neg;
+        const bool above = !slo || (slo->inclusive ? s >= slo->s : s > slo->s);
+        const bool below = !shi || (shi->inclusive ? s <= shi->s : s < shi->s);
         return (above && below) != neg;
       });
       break;
@@ -746,76 +710,98 @@ CandidateList RunSelect(const Column& tail, const SelectPred& p,
   return out;
 }
 
-// The candidate forms' shared body.
-CandidateList SelectCand(const Bat& b, Bound lo, Bound hi, bool negate,
-                         const CandidateList* cands, const MorselExec& mx,
-                         const ZoneMap* zones) {
-  KernelTimer timer(KernelOp::kSelect);
-  CandidateList out = RunSelect(
-      b.tail(), NormalizeSelect(b.tail(), lo, hi, negate), cands, mx, zones);
-  TrackKernelOp(KernelOp::kSelect, DomainSize(b.size(), cands), out.size());
-  TrackCandidateOp();
-  return out;
-}
-
 // The materializing forms' shared body: the same core over every row,
 // then one gather.
-Bat SelectBat(const Bat& b, Bound lo, Bound hi, bool negate) {
+Bat SelectBat(const Bat& b, const SelectInterval& interval) {
   KernelTimer timer(KernelOp::kSelect);
   CandidateList kept =
-      RunSelect(b.tail(), NormalizeSelect(b.tail(), lo, hi, negate), nullptr,
-                MorselExec{}, nullptr);
+      RunSelect(b.tail(), interval, nullptr, MorselExec{}, nullptr);
   TrackKernelOp(KernelOp::kSelect, b.size(), kept.size());
   return GatherFragment(b, kept);
 }
 
 }  // namespace
 
+SelectInterval SelectInterval::Cmp(ValueType tail, CmpOp cmp,
+                                   const Value& v) {
+  auto [lo, hi] = CmpBounds(cmp, v);
+  return NormalizeSelect(tail, lo, hi, cmp == CmpOp::kNeq);
+}
+
+SelectInterval SelectInterval::Range(ValueType tail, const Value& lo,
+                                     const Value& hi, bool lo_inclusive,
+                                     bool hi_inclusive) {
+  return NormalizeSelect(tail, Bound{&lo, lo_inclusive},
+                         Bound{&hi, hi_inclusive}, /*negate=*/false);
+}
+
+bool SelectInterval::cacheable() const {
+  return !empty && !negate && type != ValueType::kStr;
+}
+
+bool SelectInterval::Contains(const SelectInterval& inner) const {
+  if (!cacheable() || !inner.cacheable() || type != inner.type) return false;
+  switch (type) {
+    case ValueType::kInt:
+      return static_cast<int64_t>(lo) <= static_cast<int64_t>(inner.lo) &&
+             static_cast<int64_t>(inner.hi) <= static_cast<int64_t>(hi);
+    case ValueType::kOid:
+      return lo <= inner.lo && inner.hi <= hi;
+    case ValueType::kDbl:
+      return dlo <= inner.dlo && inner.dhi <= dhi;
+    default:
+      return false;
+  }
+}
+
+bool SelectInterval::ZoneIntervals(ZoneInterval* outward,
+                                   ZoneInterval* inward) const {
+  if (empty || negate) return false;
+  switch (type) {
+    case ValueType::kInt:
+      IntegralZones(static_cast<int64_t>(lo), static_cast<int64_t>(hi),
+                    outward, inward);
+      return true;
+    case ValueType::kOid:
+      // Zone maps hold oids as int64, so an oid lower bound past its
+      // range prunes nothing.
+      if (lo > static_cast<uint64_t>(kI64Max)) return false;
+      IntegralZones(lo, hi, outward, inward);
+      return true;
+    case ValueType::kDbl:
+      *outward = *inward = ZoneInterval{dlo, dhi};
+      return true;
+    default:
+      return false;
+  }
+}
+
 Bat SelectEq(const Bat& b, const Value& v) {
-  return SelectBat(b, Bound{&v}, Bound{&v}, /*negate=*/false);
+  return SelectBat(b, SelectInterval::Cmp(b.tail().type(), CmpOp::kEq, v));
 }
 
 Bat SelectNeq(const Bat& b, const Value& v) {
-  return SelectBat(b, Bound{&v}, Bound{&v}, /*negate=*/true);
+  return SelectBat(b, SelectInterval::Cmp(b.tail().type(), CmpOp::kNeq, v));
 }
 
 Bat SelectCmp(const Bat& b, CmpOp cmp, const Value& v) {
-  auto [lo, hi] = CmpBounds(cmp, v);
-  return SelectBat(b, lo, hi, cmp == CmpOp::kNeq);
+  return SelectBat(b, SelectInterval::Cmp(b.tail().type(), cmp, v));
 }
 
 Bat SelectRange(const Bat& b, const Value& lo, const Value& hi,
                 bool lo_inclusive, bool hi_inclusive) {
-  return SelectBat(b, Bound{&lo, lo_inclusive}, Bound{&hi, hi_inclusive},
-                   /*negate=*/false);
+  return SelectBat(b, SelectInterval::Range(b.tail().type(), lo, hi,
+                                            lo_inclusive, hi_inclusive));
 }
 
-CandidateList SelectEqCand(const Bat& b, const Value& v,
-                           const CandidateList* cands, const MorselExec& mx,
-                           const ZoneMap* zones) {
-  return SelectCand(b, Bound{&v}, Bound{&v}, /*negate=*/false, cands, mx,
-                    zones);
-}
-
-CandidateList SelectNeqCand(const Bat& b, const Value& v,
-                            const CandidateList* cands, const MorselExec& mx) {
-  return SelectCand(b, Bound{&v}, Bound{&v}, /*negate=*/true, cands, mx,
-                    nullptr);
-}
-
-CandidateList SelectCmpCand(const Bat& b, CmpOp cmp, const Value& v,
-                            const CandidateList* cands, const MorselExec& mx,
-                            const ZoneMap* zones) {
-  auto [lo, hi] = CmpBounds(cmp, v);
-  return SelectCand(b, lo, hi, cmp == CmpOp::kNeq, cands, mx, zones);
-}
-
-CandidateList SelectRangeCand(const Bat& b, const Value& lo, const Value& hi,
-                              bool lo_inclusive, bool hi_inclusive,
-                              const CandidateList* cands, const MorselExec& mx,
-                              const ZoneMap* zones) {
-  return SelectCand(b, Bound{&lo, lo_inclusive}, Bound{&hi, hi_inclusive},
-                    /*negate=*/false, cands, mx, zones);
+CandidateList SelectCand(const Bat& b, const SelectInterval& interval,
+                         const CandidateList* cands, const MorselExec& mx,
+                         const ZoneMap* zones) {
+  KernelTimer timer(KernelOp::kSelect);
+  CandidateList out = RunSelect(b.tail(), interval, cands, mx, zones);
+  TrackKernelOp(KernelOp::kSelect, DomainSize(b.size(), cands), out.size());
+  TrackCandidateOp();
+  return out;
 }
 
 namespace {
@@ -2426,28 +2412,6 @@ double ScalarFold(const Bat& b, FoldOp op) {
     acc = ApplyFold(acc, tail.NumAt(i), op);
   }
   return acc;
-}
-
-Value ScalarMax(const Bat& b) {
-  TrackKernelOp(KernelOp::kScalarAgg, b.size(), 1);
-  MIRROR_CHECK(!b.empty()) << "max of empty BAT";
-  Value best = b.tail().ValueAt(0);
-  for (size_t i = 1; i < b.size(); ++i) {
-    Value v = b.tail().ValueAt(i);
-    if (best < v) best = v;
-  }
-  return best;
-}
-
-Value ScalarMin(const Bat& b) {
-  TrackKernelOp(KernelOp::kScalarAgg, b.size(), 1);
-  MIRROR_CHECK(!b.empty()) << "min of empty BAT";
-  Value best = b.tail().ValueAt(0);
-  for (size_t i = 1; i < b.size(); ++i) {
-    Value v = b.tail().ValueAt(i);
-    if (v < best) best = v;
-  }
-  return best;
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "monet/bat.h"
@@ -154,6 +157,62 @@ enum class CmpOp { kEq, kNeq, kLt, kLe, kGt, kGe };
 /// tails; ordering across int/dbl compares as double.
 Bat SelectCmp(const Bat& b, CmpOp cmp, const Value& v);
 
+/// What one selection keeps, normalized once from its bounds and the
+/// tail's type into the tail's own domain. The kernel, zone pruning and
+/// the recycler all read this one form.
+///  - int and oid (void too) tails: the closed interval [lo, hi] in the
+///    tail's own order, signed for int (bounds held as their
+///    two's-complement bits), unsigned for oid;
+///  - dbl tails: the closed interval [dlo, dhi], exclusive bounds moved
+///    one ulp inward;
+///  - str tails: the bounds as given, an absent one unbounded.
+/// It keeps the rows inside the interval, or outside it when `negate` is
+/// set (neq); `empty` keeps no row, so nothing is scanned.
+///
+/// Comparisons follow the naive oracle: an int or oid tail compares
+/// exactly with an int or oid literal and in double space with a dbl one;
+/// dbl tails compare as doubles, str tails bytewise.
+struct SelectInterval {
+  struct StrBound {
+    std::string s;
+    bool inclusive = true;
+  };
+
+  ValueType type = ValueType::kInt;  // the tail's type, void as oid
+  bool empty = false;
+  bool negate = false;
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  double dlo = -std::numeric_limits<double>::infinity();
+  double dhi = std::numeric_limits<double>::infinity();
+  std::optional<StrBound> slo;
+  std::optional<StrBound> shi;
+
+  /// `tail (cmp) v` over a tail of type `tail`.
+  static SelectInterval Cmp(ValueType tail, CmpOp cmp, const Value& v);
+  /// lo <= tail <= hi, each side exclusive when its flag is false.
+  static SelectInterval Range(ValueType tail, const Value& lo,
+                              const Value& hi, bool lo_inclusive,
+                              bool hi_inclusive);
+
+  /// Whether the recycler may cache the rows it keeps: a non-empty,
+  /// non-negated numeric interval. Neq, str and empty intervals bypass it.
+  bool cacheable() const;
+
+  /// True when every row `inner` keeps is also kept by this interval:
+  /// containment in the tail's own order (signed for int, unsigned for
+  /// oid, closed doubles for dbl). Both must be cacheable, of one type.
+  bool Contains(const SelectInterval& inner) const;
+
+  /// The zone-map intervals of the selection: `outward` holds the double
+  /// image of every kept value (a block outside it keeps no row),
+  /// `inward` only kept ones (a block inside it keeps every row); int and
+  /// oid bounds past 2^53 widen outward and narrow inward by one ulp.
+  /// False when zone maps cannot decide the selection: neq, str, empty,
+  /// or an oid lower bound past int64's range.
+  bool ZoneIntervals(ZoneInterval* outward, ZoneInterval* inward) const;
+};
+
 // ---------------------------------------------------------------------------
 // Candidate-vector forms (late materialization). Each takes an optional
 // candidate domain over `b` (nullptr = all rows) and returns the surviving
@@ -161,34 +220,18 @@ Bat SelectCmp(const Bat& b, CmpOp cmp, const Value& v);
 // `Materialize(b, XCand(b, ..., cands))` == `X(Materialize(b, *cands), ...)`.
 // The trailing MorselExec splits large domains across the worker pool
 // (results are identical; see MorselExec).
-//
-// Eq/Cmp/Range additionally accept the tail column's zone map (`zones`,
-// nullable): over dense sub-domains, blocks whose [min, max] provably
-// fails the predicate are skipped without reading a row, and blocks that
-// provably satisfy it append their positions wholesale. Positions
-// produced are identical either way; skipped blocks count into
-// KernelStats.zone_blocks_skipped.
-//
-// Comparisons follow the naive oracle: an int or oid tail compares
-// exactly with an int or oid literal and in double space with a dbl one;
-// dbl tails compare as doubles, str tails bytewise.
 
-CandidateList SelectEqCand(const Bat& b, const Value& v,
-                           const CandidateList* cands = nullptr,
-                           const MorselExec& mx = {},
-                           const ZoneMap* zones = nullptr);
-CandidateList SelectNeqCand(const Bat& b, const Value& v,
-                            const CandidateList* cands = nullptr,
-                            const MorselExec& mx = {});
-CandidateList SelectCmpCand(const Bat& b, CmpOp cmp, const Value& v,
-                            const CandidateList* cands = nullptr,
-                            const MorselExec& mx = {},
-                            const ZoneMap* zones = nullptr);
-CandidateList SelectRangeCand(const Bat& b, const Value& lo, const Value& hi,
-                              bool lo_inclusive, bool hi_inclusive,
-                              const CandidateList* cands = nullptr,
-                              const MorselExec& mx = {},
-                              const ZoneMap* zones = nullptr);
+/// The rows of `b` (within `cands`) that `interval`, normalized for
+/// `b`'s tail type, keeps. With the tail column's zone map (`zones`,
+/// nullable), blocks of dense sub-domains that ZoneIntervals proves
+/// keep no row are skipped without reading a row, and blocks it proves
+/// keep every row append their positions wholesale. Positions produced
+/// are identical either way; skipped blocks count into
+/// KernelStats.zone_blocks_skipped.
+CandidateList SelectCand(const Bat& b, const SelectInterval& interval,
+                         const CandidateList* cands = nullptr,
+                         const MorselExec& mx = {},
+                         const ZoneMap* zones = nullptr);
 
 /// Positions of `l` (within `lcands`, or all rows) whose HEAD occurs among
 /// the heads of `r`. The membership hash set over `r` is built once and
@@ -401,8 +444,6 @@ Bat CountPerTailValue(const Bat& b);
 /// list alone.
 double ScalarSum(const Bat& b);
 int64_t ScalarCount(const Bat& b, const CandidateList* cands = nullptr);
-Value ScalarMax(const Bat& b);
-Value ScalarMin(const Bat& b);
 
 /// Scalar fold combinators: each is associative and commutative, so
 /// per-morsel (and per-shard) partial folds merge with the same operator

@@ -139,9 +139,9 @@ Column Column::Gather(std::span<const size_t> positions) const {
   return GatherImpl(positions);
 }
 
-bool Column::TypeCompatible(ValueType t) const {
-  ValueType self = type_ == ValueType::kVoid ? ValueType::kOid : type_;
-  ValueType other = t == ValueType::kVoid ? ValueType::kOid : t;
+bool TypesCompatible(ValueType a, ValueType b) {
+  ValueType self = a == ValueType::kVoid ? ValueType::kOid : a;
+  ValueType other = b == ValueType::kVoid ? ValueType::kOid : b;
   if (self == other) return true;
   bool self_num = self == ValueType::kInt || self == ValueType::kDbl;
   bool other_num = other == ValueType::kInt || other == ValueType::kDbl;

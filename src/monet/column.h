@@ -12,6 +12,10 @@
 
 namespace mirror::monet {
 
+/// True if a Value of type `b` can be stored in / compared with a column
+/// of type `a` (void matches oid; int and dbl inter-compare).
+bool TypesCompatible(ValueType a, ValueType b);
+
 /// A typed, immutable column of values: one half of a BAT.
 ///
 /// Representation notes (following MonetDB):
@@ -89,9 +93,8 @@ class Column {
   Column Gather(std::span<const uint32_t> positions) const;
   Column Gather(std::span<const size_t> positions) const;
 
-  /// True if a Value of type `t` can be stored in / compared with this
-  /// column (void matches oid; int and dbl inter-compare).
-  bool TypeCompatible(ValueType t) const;
+  /// TypesCompatible with this column's type.
+  bool TypeCompatible(ValueType t) const { return TypesCompatible(type_, t); }
 
  private:
   Column() = default;

@@ -455,18 +455,19 @@ base::Status ExecAggregate(RunState& st, const Instr& i,
   return base::Status::Ok();
 }
 
-/// Recycler integration for interval selects over base BATs: an exact
-/// predicate hit replays the cached candidate list; a *subsuming* cached
-/// predicate seeds the kernel as its pre-filter domain (identical output
-/// — every qualifying row lies inside the wider interval); a miss runs
-/// the kernel and publishes its list. Returns true when it wrote the
-/// destination register; false defers to the normal select path
-/// (recycler unarmed, an upstream candidate domain already narrows the
-/// scan, or the predicate doesn't normalize).
-bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
+/// Recycler integration for selects over base BATs: an exact interval
+/// hit replays the cached candidate list; a *subsuming* cached interval
+/// seeds the kernel as its pre-filter domain (identical output — every
+/// kept row lies inside the wider interval); a miss runs the kernel and
+/// publishes its list. Returns true when it wrote the destination
+/// register; false defers to the plain select (recycler unarmed, an
+/// upstream candidate domain already narrows the scan, not a base BAT, or
+/// an interval the recycler does not cache).
+bool TryRecycledSelect(RunState& st, const Instr& i,
+                       const SelectInterval& interval, const BatPtr& base,
                        const CandidateList* domain) {
   if (st.recycler == nullptr || domain != nullptr ||
-      st.load_names == nullptr) {
+      st.load_names == nullptr || !interval.cacheable()) {
     return false;
   }
   if (i.src0 < 0 ||
@@ -475,11 +476,10 @@ bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
   }
   const std::string& name = (*st.load_names)[static_cast<size_t>(i.src0)];
   if (name.empty()) return false;
-  SelectPredicate pred;
-  if (!SelectPredicate::FromInstr(i, name, &pred)) return false;
   bool subsumed = false;
   std::optional<CandidateList> cached =
-      st.recycler->LookupCandidates(st.recycler_gen, pred, &subsumed);
+      st.recycler->LookupCandidates(st.recycler_gen, name, interval,
+                                    &subsumed);
   if (cached.has_value() && !subsumed) {
     // Exact replay: no scan at all. The decoded list is new memory, which
     // PutCand charges like a computed one.
@@ -490,23 +490,8 @@ bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
   }
   const CandidateList* seed = cached.has_value() ? &*cached : nullptr;
   const auto start = std::chrono::steady_clock::now();
-  CandidateList out;
-  switch (i.op) {
-    case OpCode::kSelectEq:
-      out = SelectEqCand(*base, i.imm0, seed, st.mx,
-                         TailZonesFor(st, base.get()));
-      break;
-    case OpCode::kSelectCmp:
-      out = SelectCmpCand(*base, i.cmp_op, i.imm0, seed, st.mx,
-                          TailZonesFor(st, base.get()));
-      break;
-    case OpCode::kSelectRange:
-      out = SelectRangeCand(*base, i.imm0, i.imm1, i.flag0, i.flag1, seed,
-                            st.mx, TailZonesFor(st, base.get()));
-      break;
-    default:
-      return false;
-  }
+  CandidateList out = SelectCand(*base, interval, seed, st.mx,
+                                 TailZonesFor(st, base.get()));
   const uint64_t micros = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
@@ -514,7 +499,8 @@ bool TryRecycledSelect(RunState& st, const Instr& i, const BatPtr& base,
   // An aborted kernel (deadline/budget) may have stopped mid-scan; its
   // partial list must never be published.
   if (!st.mx.Aborted()) {
-    st.recycler->InsertCandidates(st.recycler_gen, pred, out, micros);
+    st.recycler->InsertCandidates(st.recycler_gen, name, interval, out,
+                                  micros);
   }
   PutCand(st, i.dst, base, std::move(out));
   return true;
@@ -544,27 +530,17 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
     const CandidateList* domain = cands.get();
     switch (i.op) {
       case OpCode::kSelectEq:
-        if (TryRecycledSelect(st, i, base, domain)) return base::Status::Ok();
-        PutCand(st, i.dst, base,
-                SelectEqCand(*base, i.imm0, domain, st.mx,
-                             TailZonesFor(st, base.get())));
-        return base::Status::Ok();
       case OpCode::kSelectNeq:
-        PutCand(st, i.dst, base,
-                SelectNeqCand(*base, i.imm0, domain, st.mx));
-        return base::Status::Ok();
       case OpCode::kSelectCmp:
-        if (TryRecycledSelect(st, i, base, domain)) return base::Status::Ok();
-        PutCand(st, i.dst, base,
-                SelectCmpCand(*base, i.cmp_op, i.imm0, domain, st.mx,
-                              TailZonesFor(st, base.get())));
+      case OpCode::kSelectRange: {
+        const SelectInterval interval = i.Interval(base->tail().type());
+        if (!TryRecycledSelect(st, i, interval, base, domain)) {
+          PutCand(st, i.dst, base,
+                  SelectCand(*base, interval, domain, st.mx,
+                             TailZonesFor(st, base.get())));
+        }
         return base::Status::Ok();
-      case OpCode::kSelectRange:
-        if (TryRecycledSelect(st, i, base, domain)) return base::Status::Ok();
-        PutCand(st, i.dst, base,
-                SelectRangeCand(*base, i.imm0, i.imm1, i.flag0, i.flag1,
-                                domain, st.mx, TailZonesFor(st, base.get())));
-        return base::Status::Ok();
+      }
       case OpCode::kSemiJoinHead:
       case OpCode::kAntiJoinHead: {
         // Oid-aligned fast path: when both sides are void-headed columns
@@ -606,9 +582,11 @@ base::Status ExecInstr(RunState& st, const Instr& i) {
             out = i.op == OpCode::kSemiJoinHead ? lc.Intersect(rc)
                                                 : lc.Difference(rc);
           }
+          // A shared list touches no position: it reads nothing, as an
+          // exact recycler replay does.
           TrackKernelOp(i.op == OpCode::kSemiJoinHead ? KernelOp::kSemiJoin
                                                       : KernelOp::kAntiJoin,
-                        lc.size() + rc.size(),
+                        shared != nullptr ? 0 : lc.size() + rc.size(),
                         shared != nullptr ? shared->size() : out.size());
           TrackCandidateOp();
           if (shared != nullptr) {

@@ -91,12 +91,13 @@ struct ExecOptions {
   /// daemon exposes it as `SET exec.memory_budget_bytes`. Peak usage per
   /// query is tracked in KernelStats.peak_query_bytes either way.
   uint64_t memory_budget_bytes = 0;
-  /// When true AND `recycler` is set, base-BAT selects with normalizable
-  /// interval predicates consult the server-wide recycler: an exact match
-  /// replays the cached candidate list, a subsuming cached predicate seeds
-  /// the select as a pre-filter domain, and misses publish their list for
-  /// future queries. The daemon exposes it as `SET exec.recycle`; results
-  /// stay bit-identical either way.
+  /// When true AND `recycler` is set, base-BAT selects whose interval is
+  /// cacheable (SelectInterval::cacheable: not neq, str or empty) consult
+  /// the server-wide recycler: an exact match replays the cached candidate
+  /// list, a subsuming cached interval seeds the select as a pre-filter
+  /// domain, and misses publish their list for future queries. The
+  /// daemon exposes it as `SET exec.recycle`; results stay bit-identical
+  /// either way.
   bool recycle = true;
   /// The server-wide recycler, owned by MirrorDb; null runs without one
   /// (direct engine users, the sharded path — shard-local candidate

@@ -257,6 +257,22 @@ bool SameImmediate(const Value& a, const Value& b) {
 
 }  // namespace
 
+SelectInterval Instr::Interval(ValueType tail) const {
+  switch (op) {
+    case OpCode::kSelectEq:
+      return SelectInterval::Cmp(tail, CmpOp::kEq, imm0);
+    case OpCode::kSelectNeq:
+      return SelectInterval::Cmp(tail, CmpOp::kNeq, imm0);
+    case OpCode::kSelectCmp:
+      return SelectInterval::Cmp(tail, cmp_op, imm0);
+    case OpCode::kSelectRange:
+      return SelectInterval::Range(tail, imm0, imm1, flag0, flag1);
+    default:
+      MIRROR_UNREACHABLE();
+      return {};
+  }
+}
+
 bool Instr::SameOperation(const Instr& o) const {
   return op == o.op && src0 == o.src0 && src1 == o.src1 && src2 == o.src2 &&
          SameImmediate(imm0, o.imm0) && SameImmediate(imm1, o.imm1) &&

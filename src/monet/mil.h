@@ -103,6 +103,11 @@ struct Instr {
   /// BATs compare by identity. All MIL operators are pure, so such an
   /// instruction can reuse the earlier one's register.
   bool SameOperation(const Instr& o) const;
+
+  /// What a select.eq/neq/cmp/range instruction keeps over a tail of
+  /// type `tail`, normalized once: the interval the engine's kernel, zone
+  /// pruning and recycler all read.
+  SelectInterval Interval(ValueType tail) const;
 };
 
 /// A straight-line MIL program: SSA-ish register code whose final value is

@@ -1,39 +1,14 @@
 #include "monet/recycler.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 #include <functional>
+#include <limits>
 #include <string_view>
-
-#include "base/str_util.h"
 
 namespace mirror::monet {
 
 namespace {
-
-/// A selection bound usable for interval matching, as a double holding
-/// its exact value. An int column compares exactly with an int literal
-/// and as doubles with a dbl one (the naive oracle's order); both agree
-/// with plain real-number order when the int round-trips through double
-/// and the dbl lies within +-2^53, so interval containment is sound
-/// exactly then. Other bounds (a dbl at or past 2^53 selects the ints
-/// that round onto it) bypass the recycler.
-bool ExactDoubleBound(const Value& v, double* out) {
-  switch (v.type()) {
-    case ValueType::kInt: {
-      double d = static_cast<double>(v.i());
-      if (static_cast<int64_t>(d) != v.i()) return false;
-      *out = d;
-      return true;
-    }
-    case ValueType::kDbl:
-      if (!(std::fabs(v.d()) < 0x1p53)) return false;  // NaN and inf too
-      *out = v.d();
-      return true;
-    default:
-      return false;  // strings/oids/void: not interval-matched
-  }
-}
 
 /// Approximate resident bytes of one cached candidate list.
 uint64_t CandidateBytes(const PackedCandidates& cands) {
@@ -52,90 +27,29 @@ uint64_t ResultFreqKey(std::string_view key) {
   return std::hash<std::string_view>{}(key);
 }
 
-uint64_t CandidateFreqKey(std::string_view bat, std::string_view ikey) {
-  const uint64_t h = std::hash<std::string_view>{}(bat);
-  // boost::hash_combine's mix of the two hashes.
-  return h ^ (std::hash<std::string_view>{}(ikey) + 0x9e3779b97f4a7c15ull +
-              (h << 6) + (h >> 2));
+uint64_t CandidateFreqKey(std::string_view bat,
+                          const SelectInterval& interval) {
+  // A dbl interval hashes its bounds' bits, each plus 0.0: -0.0 + 0.0 is
+  // +0.0, and both zeros bound the same rows.
+  const bool dbl = interval.type == ValueType::kDbl;
+  uint64_t h = std::hash<std::string_view>{}(bat);
+  for (uint64_t x :
+       {static_cast<uint64_t>(interval.type),
+        dbl ? std::bit_cast<uint64_t>(interval.dlo + 0.0) : interval.lo,
+        dbl ? std::bit_cast<uint64_t>(interval.dhi + 0.0) : interval.hi}) {
+    // boost::hash_combine's mix.
+    h ^= std::hash<uint64_t>{}(x) + 0x9e3779b97f4a7c15ull + (h << 6) +
+         (h >> 2);
+  }
+  return h;
+}
+
+/// Whether two cacheable intervals of one BAT keep the same rows.
+bool SameInterval(const SelectInterval& a, const SelectInterval& b) {
+  return a.Contains(b) && b.Contains(a);
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// SelectPredicate.
-
-bool SelectPredicate::FromInstr(const mil::Instr& instr,
-                                std::string load_name, SelectPredicate* out) {
-  SelectPredicate p;
-  switch (instr.op) {
-    case mil::OpCode::kSelectEq: {
-      double v = 0;
-      if (!ExactDoubleBound(instr.imm0, &v)) return false;
-      p.lo = p.hi = v;
-      break;
-    }
-    case mil::OpCode::kSelectCmp: {
-      double v = 0;
-      if (!ExactDoubleBound(instr.imm0, &v)) return false;
-      switch (instr.cmp_op) {
-        case CmpOp::kEq:
-          p.lo = p.hi = v;
-          break;
-        case CmpOp::kLt:
-          p.hi = v;
-          p.hi_incl = false;
-          break;
-        case CmpOp::kLe:
-          p.hi = v;
-          break;
-        case CmpOp::kGt:
-          p.lo = v;
-          p.lo_incl = false;
-          break;
-        case CmpOp::kGe:
-          p.lo = v;
-          break;
-        case CmpOp::kNeq:
-          return false;  // not an interval
-      }
-      break;
-    }
-    case mil::OpCode::kSelectRange: {
-      double lo = 0;
-      double hi = 0;
-      if (!ExactDoubleBound(instr.imm0, &lo) ||
-          !ExactDoubleBound(instr.imm1, &hi)) {
-        return false;
-      }
-      p.lo = lo;
-      p.hi = hi;
-      p.lo_incl = instr.flag0;
-      p.hi_incl = instr.flag1;
-      break;
-    }
-    default:
-      return false;
-  }
-  p.bat = std::move(load_name);
-  *out = std::move(p);
-  return true;
-}
-
-bool SelectPredicate::SubsumedBy(const SelectPredicate& wider) const {
-  if (bat != wider.bat) return false;
-  // Lower end: this must start at or after the wider interval's start;
-  // at an equal bound an inclusive narrow end needs an inclusive wide one.
-  if (lo < wider.lo) return false;
-  if (lo == wider.lo && lo_incl && !wider.lo_incl) return false;
-  if (hi > wider.hi) return false;
-  if (hi == wider.hi && hi_incl && !wider.hi_incl) return false;
-  return true;
-}
-
-std::string SelectPredicate::IntervalKey() const {
-  return base::StrFormat("%c%.17g:%.17g%c", lo_incl ? '[' : '(', lo, hi,
-                         hi_incl ? ']' : ')');
-}
 
 // ---------------------------------------------------------------------------
 // Recycler.
@@ -174,16 +88,17 @@ bool Recycler::MakeRoom(uint64_t need, uint64_t incoming_score) {
     uint64_t last_used;
     uint64_t bytes;
     bool is_result;
-    std::string key;   // result key, or candidate bat name
-    std::string ikey;  // candidate interval key
+    std::string key;           // result key, or candidate bat name
+    SelectInterval interval;   // candidate interval
   };
   std::vector<Victim> victims;
   for (const auto& [key, e] : results_) {
     victims.push_back({e.score(), e.last_used, e.bytes, true, key, {}});
   }
   for (const auto& [bat, bucket] : cands_) {
-    for (const auto& [ikey, e] : bucket) {
-      victims.push_back({e.score(), e.last_used, e.bytes, false, bat, ikey});
+    for (const Entry& e : bucket) {
+      victims.push_back(
+          {e.score(), e.last_used, e.bytes, false, bat, e.interval});
     }
   }
   std::sort(victims.begin(), victims.end(), [](const Victim& a,
@@ -204,7 +119,7 @@ bool Recycler::MakeRoom(uint64_t need, uint64_t incoming_score) {
     if (victims[i].is_result) {
       EraseResult(victims[i].key);
     } else {
-      EraseCandidate(victims[i].key, victims[i].ikey);
+      EraseCandidate(victims[i].key, victims[i].interval);
     }
     ++stats_.evictions;
   }
@@ -219,14 +134,18 @@ void Recycler::EraseResult(const std::string& key) {
 }
 
 void Recycler::EraseCandidate(const std::string& bat,
-                              const std::string& ikey) {
+                              const SelectInterval& interval) {
   auto bucket = cands_.find(bat);
   if (bucket == cands_.end()) return;
-  auto it = bucket->second.find(ikey);
-  if (it == bucket->second.end()) return;
-  bytes_held_ -= it->second.bytes;
-  bucket->second.erase(it);
-  if (bucket->second.empty()) cands_.erase(bucket);
+  std::vector<Entry>& entries = bucket->second;
+  for (size_t j = 0; j < entries.size(); ++j) {
+    if (!SameInterval(entries[j].interval, interval)) continue;
+    bytes_held_ -= entries[j].bytes;
+    entries[j] = std::move(entries.back());
+    entries.pop_back();
+    break;
+  }
+  if (entries.empty()) cands_.erase(bucket);
 }
 
 std::shared_ptr<const std::vector<uint8_t>> Recycler::LookupResult(
@@ -294,12 +213,14 @@ void Recycler::InsertResult(
 }
 
 std::optional<CandidateList> Recycler::LookupCandidates(
-    uint64_t gen, const SelectPredicate& pred, bool* subsumed) {
+    uint64_t gen, const std::string& bat, const SelectInterval& interval,
+    bool* subsumed) {
   *subsumed = false;
+  if (!interval.cacheable()) return std::nullopt;
   std::shared_ptr<const PackedCandidates> found;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    found = FindCandidates(gen, pred, subsumed);
+    found = FindCandidates(gen, bat, interval, subsumed);
   }
   // Decoding is the costly part (a bitmap over a 1M-row BAT expands to a
   // 4 MB vector); the pinned pointer keeps the entry's bytes alive even
@@ -309,35 +230,33 @@ std::optional<CandidateList> Recycler::LookupCandidates(
 }
 
 std::shared_ptr<const PackedCandidates> Recycler::FindCandidates(
-    uint64_t gen, const SelectPredicate& pred, bool* subsumed) {
+    uint64_t gen, const std::string& bat, const SelectInterval& interval,
+    bool* subsumed) {
   if (gen != generation_.load(std::memory_order_relaxed)) {
     ++stats_.candidate_misses;
     return nullptr;
   }
-  const std::string ikey = pred.IntervalKey();
-  const uint64_t fkey = CandidateFreqKey(pred.bat, ikey);
-  auto bucket = cands_.find(pred.bat);
+  const uint64_t fkey = CandidateFreqKey(bat, interval);
+  auto bucket = cands_.find(bat);
   if (bucket != cands_.end()) {
-    auto exact = bucket->second.find(ikey);
-    if (exact != bucket->second.end()) {
-      Entry& e = exact->second;
-      e.freq = TouchFreq(fkey);
-      e.last_used = ++clock_;
-      ++stats_.candidate_hits;
-      return e.cands;
-    }
-    // Subsumption: the smallest cached interval containing the query's —
-    // the tightest pre-filter costs the narrow select the fewest probes.
+    // An equal interval replays; else the smallest cached interval
+    // containing the query's seeds it — the tightest pre-filter costs the
+    // narrow select the fewest probes.
     Entry* best = nullptr;
-    for (auto& [k, e] : bucket->second) {
-      if (!pred.SubsumedBy(e.pred)) continue;
+    for (Entry& e : bucket->second) {
+      if (!e.interval.Contains(interval)) continue;
+      if (interval.Contains(e.interval)) {
+        e.freq = TouchFreq(fkey);
+        e.last_used = ++clock_;
+        ++stats_.candidate_hits;
+        return e.cands;
+      }
       if (best == nullptr || e.cands->size() < best->cands->size()) {
         best = &e;
       }
     }
     if (best != nullptr) {
-      best->freq =
-          TouchFreq(CandidateFreqKey(pred.bat, best->pred.IntervalKey()));
+      best->freq = TouchFreq(CandidateFreqKey(bat, best->interval));
       best->last_used = ++clock_;
       ++stats_.candidate_subsumption_hits;
       *subsumed = true;
@@ -350,39 +269,43 @@ std::shared_ptr<const PackedCandidates> Recycler::FindCandidates(
   return nullptr;
 }
 
-void Recycler::InsertCandidates(uint64_t gen, const SelectPredicate& pred,
+void Recycler::InsertCandidates(uint64_t gen, const std::string& bat,
+                                const SelectInterval& interval,
                                 const CandidateList& list,
                                 uint64_t cost_micros) {
-  if (gen != generation()) return;  // stale: skip the packing too
+  // Stale or uncacheable: skip the packing too.
+  if (gen != generation() || !interval.cacheable()) return;
   auto cands = std::make_shared<const PackedCandidates>(list.Pack());
   std::lock_guard<std::mutex> lock(mu_);
   if (gen != generation_.load(std::memory_order_relaxed)) return;
-  const std::string ikey = pred.IntervalKey();
-  auto& bucket = cands_[pred.bat];
-  if (bucket.find(ikey) != bucket.end()) return;  // incumbent wins
+  auto bucket = cands_.find(bat);
+  if (bucket != cands_.end()) {
+    for (const Entry& e : bucket->second) {
+      if (SameInterval(e.interval, interval)) return;  // incumbent wins
+    }
+  }
   // Candidates admit on first sighting, unlike results: a cached
   // interval also serves every narrower predicate on its BAT through
   // subsumption, so an entry's worth is not its own key's repeat count
   // (the e2e rank_mix workload, whose requests never repeat, draws ~0.97
   // candidate hits per query from such entries).
   Entry e;
-  e.pred = pred;
+  e.interval = interval;
   e.bytes = CandidateBytes(*cands);
   e.cost_micros = cost_micros;
-  auto f = freq_.find(CandidateFreqKey(pred.bat, ikey));
+  auto f = freq_.find(CandidateFreqKey(bat, interval));
   e.freq = f != freq_.end() ? f->second : 1;
   e.last_used = ++clock_;
   if (!MakeRoom(e.bytes, e.score())) {
-    if (bucket.empty()) cands_.erase(pred.bat);
     ++stats_.admissions_rejected;
     return;
   }
   e.cands = std::move(cands);
   bytes_held_ += e.bytes;
-  cands_[pred.bat].emplace(ikey, std::move(e));
+  cands_[bat].push_back(std::move(e));
   stats_.bytes_held = bytes_held_;
   size_t n = 0;
-  for (const auto& [bat, b] : cands_) n += b.size();
+  for (const auto& [name, b] : cands_) n += b.size();
   stats_.candidate_entries = n;
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -11,8 +10,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "monet/bat_ops.h"
 #include "monet/candidate.h"
-#include "monet/mil.h"
 
 namespace mirror::monet {
 
@@ -31,36 +30,6 @@ struct RecyclerStats {
   uint64_t candidate_entries = 0;
 };
 
-/// A single-column selection normalized to a keep-interval in double
-/// space: the canonical form the recycler matches predicates in. Only
-/// finite numeric bounds that round-trip exactly through double are
-/// representable — the select kernels order int/dbl columns in double
-/// space, so interval containment in that space is sound iff no two
-/// distinct literals can collapse onto one double (see FromInstr).
-struct SelectPredicate {
-  std::string bat;  // the base BAT the selection scans (kLoadNamed name)
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  bool lo_incl = true;
-  bool hi_incl = true;
-
-  /// Normalizes a select instruction over the named base BAT. False when
-  /// the instruction is not an interval selection (kSelectNeq, string
-  /// bounds, ints that do not round-trip through double, dbls at or past
-  /// 2^53) — such selects bypass the recycler.
-  static bool FromInstr(const mil::Instr& instr, std::string load_name,
-                        SelectPredicate* out);
-
-  /// True when every value satisfying this predicate also satisfies
-  /// `wider` (same BAT): this interval is contained in the wider one, so
-  /// the wider predicate's cached candidates are a sound pre-filter.
-  bool SubsumedBy(const SelectPredicate& wider) const;
-
-  /// Exact-match key of the interval (bat name excluded — entries are
-  /// bucketed per BAT).
-  std::string IntervalKey() const;
-};
-
 /// The recycler: a server-wide, generation-fenced cache of finished work,
 /// shared by every session executing against one MirrorDb (the MonetDB
 /// "recycling" direction). Two sections under one memory budget:
@@ -69,14 +38,15 @@ struct SelectPredicate {
 ///    coalescing key (normalized query text + bindings), so a hot query
 ///    executes once per data version and later arrivals are answered
 ///    straight from the poll loop;
-///  - candidates: CandidateLists keyed by normalized single-column select
-///    predicates over base BATs, held packed (PackedCandidates: a bitmap
-///    or a position vector, whichever is smaller) and charged to the
-///    budget at their packed size. An exact match replays the list; a
-///    *subsuming* cached predicate (its interval contains the query's)
-///    seeds the narrower select as a pre-filter domain for the existing
-///    candidate-aware kernels. Lookups decode outside the mutex, so a
-///    large decode never stalls a concurrent LookupResult.
+///  - candidates: CandidateLists keyed by (base BAT name, SelectInterval),
+///    the interval the select kernel itself runs, held packed
+///    (PackedCandidates: a bitmap or a position vector, whichever is
+///    smaller) and charged to the budget at their packed size. An exact
+///    match replays the list; a *subsuming* cached interval (one that
+///    contains the query's in the tail's own order) seeds the narrower
+///    select as a pre-filter domain for the candidate-aware kernel.
+///    Lookups decode outside the mutex, so a large decode never stalls a
+///    concurrent LookupResult.
 ///
 /// Generation fencing: every entry belongs to the generation it was
 /// computed in. A catalog mutation calls Fence() BEFORE applying (drops
@@ -144,16 +114,21 @@ class Recycler {
 
   // -- Candidate section. -------------------------------------------------
 
-  /// The cached candidate list for `pred`, freshly decoded: an exact
-  /// interval match (*subsumed = false), else the smallest cached
-  /// interval containing it (*subsumed = true — use as a pre-filter
-  /// domain, not the answer), else nullopt.
-  std::optional<CandidateList> LookupCandidates(
-      uint64_t gen, const SelectPredicate& pred, bool* subsumed);
+  /// The cached candidate list of `interval` over the base BAT `bat`,
+  /// freshly decoded: an exact interval match (*subsumed = false), else
+  /// the smallest cached interval containing it (*subsumed = true — use
+  /// as a pre-filter domain, not the answer), else nullopt. An interval
+  /// that is not cacheable() always misses, uncounted.
+  std::optional<CandidateList> LookupCandidates(uint64_t gen,
+                                                const std::string& bat,
+                                                const SelectInterval& interval,
+                                                bool* subsumed);
 
-  /// Offers a computed candidate list for admission under `pred`; the
-  /// list is packed before the mutex is taken.
-  void InsertCandidates(uint64_t gen, const SelectPredicate& pred,
+  /// Offers a computed candidate list for admission under (`bat`,
+  /// `interval`); the list is packed before the mutex is taken. An
+  /// interval that is not cacheable() is refused.
+  void InsertCandidates(uint64_t gen, const std::string& bat,
+                        const SelectInterval& interval,
                         const CandidateList& list, uint64_t cost_micros);
 
   void set_budget_bytes(uint64_t budget);
@@ -166,7 +141,7 @@ class Recycler {
     // Exactly one of `payload` / `cands` is set.
     std::shared_ptr<const std::vector<uint8_t>> payload;
     std::shared_ptr<const PackedCandidates> cands;
-    SelectPredicate pred;  // candidate entries only
+    SelectInterval interval;  // candidate entries only
     uint64_t bytes = 0;
     uint64_t cost_micros = 0;
     uint64_t freq = 1;
@@ -187,10 +162,11 @@ class Recycler {
   /// LookupCandidates' part under `mu_` (held by the caller): the
   /// matching packed entry, counted and touched, or null.
   std::shared_ptr<const PackedCandidates> FindCandidates(
-      uint64_t gen, const SelectPredicate& pred, bool* subsumed);
+      uint64_t gen, const std::string& bat, const SelectInterval& interval,
+      bool* subsumed);
 
   void EraseResult(const std::string& key);
-  void EraseCandidate(const std::string& bat, const std::string& ikey);
+  void EraseCandidate(const std::string& bat, const SelectInterval& interval);
 
   mutable std::mutex mu_;
   std::atomic<uint64_t> generation_{0};
@@ -198,10 +174,10 @@ class Recycler {
   uint64_t clock_ = 0;  // LRU stamp source
   uint64_t bytes_held_ = 0;
   std::unordered_map<std::string, Entry> results_;
-  /// bat name -> interval key -> entry. The per-BAT bucket is scanned for
-  /// subsumption (buckets stay small: one per distinct predicate shape).
-  std::unordered_map<std::string, std::unordered_map<std::string, Entry>>
-      cands_;
+  /// bat name -> its entries, one per distinct interval. A lookup scans
+  /// the bucket for an equal interval, else for the smallest containing
+  /// one (buckets stay small: one entry per distinct predicate shape).
+  std::unordered_map<std::string, std::vector<Entry>> cands_;
   /// Popularity counts by 64-bit key hash (ResultFreqKey and
   /// CandidateFreqKey in recycler.cc), at most 8192 keys.
   std::unordered_map<uint64_t, uint64_t> freq_;

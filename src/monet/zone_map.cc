@@ -124,15 +124,11 @@ BatZones BuildBatZones(const Bat& b, size_t block_rows, WorkerPool* pool) {
   return zones;
 }
 
-ZoneMatch ClassifyZone(double bmin, double bmax, double lo, bool lo_inc,
-                       double hi, bool hi_inc) {
-  if (bmax < lo || (bmax == lo && !lo_inc) || bmin > hi ||
-      (bmin == hi && !hi_inc)) {
-    return ZoneMatch::kNone;
-  }
-  bool above_lo = lo_inc ? bmin >= lo : bmin > lo;
-  bool below_hi = hi_inc ? bmax <= hi : bmax < hi;
-  return (above_lo && below_hi) ? ZoneMatch::kAll : ZoneMatch::kSome;
+ZoneMatch ClassifyZone(double bmin, double bmax, const ZoneInterval& outward,
+                       const ZoneInterval& inward) {
+  if (bmax < outward.lo || bmin > outward.hi) return ZoneMatch::kNone;
+  if (bmin >= inward.lo && bmax <= inward.hi) return ZoneMatch::kAll;
+  return ZoneMatch::kSome;
 }
 
 void TopKThreshold::Offer(const std::vector<double>& scores) {

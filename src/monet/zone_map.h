@@ -77,15 +77,21 @@ BatZones BuildBatZones(const Bat& b, size_t block_rows = kZoneBlockRows,
 double DoubleLowerBound(int64_t v);
 double DoubleUpperBound(int64_t v);
 
-/// Classifies the block interval [bmin, bmax] against the predicate
-/// interval lo..hi with the given endpoint inclusivities. Callers encode
-/// one-sided predicates with +-infinity endpoints. For an exact int64
-/// interval [lo, hi], trust kNone only against the outward interval
-/// [DoubleLowerBound(lo), DoubleUpperBound(hi)] and kAll only against the
-/// inward one [DoubleUpperBound(lo), DoubleLowerBound(hi)]: neither then
-/// misjudges a block, past 2^53 as well.
-ZoneMatch ClassifyZone(double bmin, double bmax, double lo, bool lo_inc,
-                       double hi, bool hi_inc);
+/// A closed interval [lo, hi] in the zone maps' double space; an open
+/// side is infinite.
+struct ZoneInterval {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+};
+
+/// Classifies the block interval [bmin, bmax] against a selection's
+/// interval pair (SelectInterval::ZoneIntervals): kNone when the block
+/// lies outside `outward`, which holds every kept value; kAll when it lies
+/// inside `inward`, which holds only kept ones; kSome otherwise. Neither
+/// answer misjudges a block whose bounds come from its values by a
+/// monotone map to double, past 2^53 as well.
+ZoneMatch ClassifyZone(double bmin, double bmax, const ZoneInterval& outward,
+                       const ZoneInterval& inward);
 
 /// The shared, monotonically rising top-k score threshold of one ranking
 /// plan: the k'th best score seen so far across every morsel and shard.

@@ -602,10 +602,13 @@ TEST(StringHeapEdgeCases, ConcatOfGatheredSharedHeapColumnsStaysShared) {
   using monet::Value;
   Bat base = Bat::DenseStrs({"sun", "sea", "sky", "sun", "sea", "dune"});
   // Two candidate materializations off the same base share its heap...
-  Bat first = monet::Materialize(
-      base, monet::SelectEqCand(base, Value::MakeStr("sun")));
-  Bat second = monet::Materialize(
-      base, monet::SelectEqCand(base, Value::MakeStr("sea")));
+  auto eq = [&](const char* s) {
+    return monet::SelectCand(
+        base, monet::SelectInterval::Cmp(monet::ValueType::kStr,
+                                         monet::CmpOp::kEq, Value::MakeStr(s)));
+  };
+  Bat first = monet::Materialize(base, eq("sun"));
+  Bat second = monet::Materialize(base, eq("sea"));
   EXPECT_EQ(first.tail().heap(), base.tail().heap());
   EXPECT_EQ(second.tail().heap(), base.tail().heap());
   // ...so their concat takes the shared-heap fast path (offset append).

@@ -163,9 +163,11 @@ TEST_P(JoinModeTest, CandidateAwareJoinEqualsMaterializedJoin) {
   Bat l = Bat::DenseInts(std::move(lkeys));
   Bat r(Column::MakeInts(std::move(rkeys)),
         Column::MakeDbls(std::move(rvals)));
-  CandidateList lcands = SelectCmpCand(l, CmpOp::kLt, Value::MakeInt(45));
-  CandidateList rcands =
-      SelectCmpCand(Bat(r.head(), r.head()), CmpOp::kGe, Value::MakeInt(5));
+  CandidateList lcands = SelectCand(
+      l, SelectInterval::Cmp(ValueType::kInt, CmpOp::kLt, Value::MakeInt(45)));
+  CandidateList rcands = SelectCand(
+      Bat(r.head(), r.head()),
+      SelectInterval::Cmp(ValueType::kInt, CmpOp::kGe, Value::MakeInt(5)));
   Bat lm = Materialize(l, lcands);
   Bat rm = Materialize(r, rcands);
   ExpectBatsEqual(JoinLegacy(lm, r), JoinCand(l, &lcands, r, nullptr, Mx()),
@@ -177,7 +179,9 @@ TEST_P(JoinModeTest, CandidateAwareJoinEqualsMaterializedJoin) {
   // Candidate-restricted void-headed build side: the positional fast
   // path no longer applies and the join must hash on the surviving oids.
   Bat rv = Bat::DenseInts({100, 200, 300, 400, 500});
-  CandidateList rvc = SelectCmpCand(rv, CmpOp::kGe, Value::MakeInt(300));
+  CandidateList rvc = SelectCand(
+      rv,
+      SelectInterval::Cmp(ValueType::kInt, CmpOp::kGe, Value::MakeInt(300)));
   Bat probe = Bat::DenseOids({0, 2, 3, 4, 1});
   ExpectBatsEqual(JoinLegacy(probe, Materialize(rv, rvc)),
                   JoinCand(probe, nullptr, rv, &rvc, Mx()), "void + cands");

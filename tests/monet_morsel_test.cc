@@ -77,9 +77,10 @@ TEST(MorselBoundaryTest, SelectFragmentsMatchInlineKernel) {
     Bat b = MakeIntBat(n);
     Value lo = Value::MakeInt(20);
     Value hi = Value::MakeInt(80);
-    CandidateList inline_out = SelectRangeCand(b, lo, hi, true, true);
-    CandidateList morsel_out = SelectRangeCand(b, lo, hi, true, true,
-                                               /*cands=*/nullptr, mx);
+    const SelectInterval range =
+        SelectInterval::Range(ValueType::kInt, lo, hi, true, true);
+    CandidateList inline_out = SelectCand(b, range);
+    CandidateList morsel_out = SelectCand(b, range, /*cands=*/nullptr, mx);
     ExpectCandsEqual(inline_out, morsel_out, "select.range full domain");
 
     // Sparse domain: every third row survives a pre-selection.
@@ -89,8 +90,10 @@ TEST(MorselBoundaryTest, SelectFragmentsMatchInlineKernel) {
     }
     CandidateList domain =
         CandidateList::FromPositions({every_third.begin(), every_third.end()});
-    CandidateList inline_dom = SelectCmpCand(b, CmpOp::kGe, lo, &domain);
-    CandidateList morsel_dom = SelectCmpCand(b, CmpOp::kGe, lo, &domain, mx);
+    const SelectInterval at_least =
+        SelectInterval::Cmp(ValueType::kInt, CmpOp::kGe, lo);
+    CandidateList inline_dom = SelectCand(b, at_least, &domain);
+    CandidateList morsel_dom = SelectCand(b, at_least, &domain, mx);
     ExpectCandsEqual(inline_dom, morsel_dom, "select.cmp sparse domain");
   }
 }
@@ -123,7 +126,9 @@ TEST(MorselBoundaryTest, ParallelMaterializeMatchesSingleGather) {
   MorselExec mx{&pool, kMorselSize};
   for (size_t n : kSizes) {
     Bat b = MakeIntBat(n);
-    CandidateList cands = SelectCmpCand(b, CmpOp::kGe, Value::MakeInt(30));
+    CandidateList cands = SelectCand(
+        b,
+        SelectInterval::Cmp(ValueType::kInt, CmpOp::kGe, Value::MakeInt(30)));
     ExpectBatsEqual(Materialize(b, cands), Materialize(b, cands, mx),
                     "materialize ints");
   }
@@ -183,8 +188,10 @@ TEST(FusedAggTest, EveryAggKindOverEveryViewMatchesMaterializeThenAggregate) {
     domains.push_back({"null", std::nullopt});
     domains.push_back({"dense", CandidateList::Dense(n / 4, n / 2)});
     domains.push_back(
-        {"sparse", SelectCmpCand(heads[0].bat, CmpOp::kGe,
-                                 Value::MakeDbl(0.5))});
+        {"sparse",
+         SelectCand(heads[0].bat,
+                    SelectInterval::Cmp(heads[0].bat.tail().type(), CmpOp::kGe,
+                                        Value::MakeDbl(0.5)))});
     domains.push_back({"empty", CandidateList::FromPositions({})});
     for (const HeadCase& h : heads) {
       std::vector<std::pair<const char*, AggHints>> hints(3);
@@ -249,7 +256,8 @@ TEST(FusedAggTest, TopNOverCandidatesPreservesStableTieOrder) {
   std::vector<int64_t> vals;
   for (size_t i = 0; i < 400; ++i) vals.push_back((i * 5) % 7);
   Bat b = Bat::DenseInts(std::move(vals));
-  CandidateList cands = SelectCmpCand(b, CmpOp::kGe, Value::MakeInt(1));
+  CandidateList cands = SelectCand(
+      b, SelectInterval::Cmp(ValueType::kInt, CmpOp::kGe, Value::MakeInt(1)));
   Bat mat = Materialize(b, cands);
   for (size_t k : {0ul, 1ul, 9ul, 50ul, 1000ul}) {
     for (bool descending : {true, false}) {
@@ -607,7 +615,9 @@ TEST(MappedViewTest, KernelsMatchMaterializeThenMap) {
       domains.push_back({"all rows", CandidateList::All(n)});
       domains.push_back({"dense middle", CandidateList::Dense(n / 4, n / 2)});
       domains.push_back(
-          {"sparse", SelectCmpCand(ints, CmpOp::kGe, Value::MakeInt(30))});
+          {"sparse",
+           SelectCand(ints, SelectInterval::Cmp(ValueType::kInt, CmpOp::kGe,
+                                                Value::MakeInt(30)))});
       domains.push_back({"empty", CandidateList::FromPositions({})});
       for (const auto& [dlabel, domain] : domains) {
         const CandidateList* cands = domain ? &*domain : nullptr;
@@ -832,8 +842,9 @@ TEST(MappedViewTest, CollapsedRegisterIsSharedByItsConsumers) {
 TEST(MappedViewTest, AlignedSemijoinWithAFullColumnSharesTheList) {
   Catalog catalog = MappedViewCatalog();
   const size_t selected =
-      SelectCmpCand(*catalog.Get("t.year").value(), CmpOp::kGe,
-                    Value::MakeInt(30))
+      SelectCand(*catalog.Get("t.year").value(),
+                 SelectInterval::Cmp(ValueType::kInt, CmpOp::kGe,
+                                     Value::MakeInt(30)))
           .size();
   ASSERT_GT(selected, 0u);
   // semijoin(full rating, view) and semijoin(view, full rating): either
@@ -969,17 +980,14 @@ std::vector<SelectCase> SelectCases(const std::vector<Value>& lits,
 CandidateList RunSelectKernel(const Bat& b, const mil::Instr& sel,
                               const CandidateList* dom, const MorselExec& mx,
                               const ZoneMap* zones) {
-  switch (sel.op) {
-    case mil::OpCode::kSelectEq:
-      return SelectEqCand(b, sel.imm0, dom, mx, zones);
-    case mil::OpCode::kSelectNeq:
-      return SelectNeqCand(b, sel.imm0, dom, mx);
-    case mil::OpCode::kSelectCmp:
-      return SelectCmpCand(b, sel.cmp_op, sel.imm0, dom, mx, zones);
-    default:
-      return SelectRangeCand(b, sel.imm0, sel.imm1, sel.flag0, sel.flag1,
-                             dom, mx, zones);
-  }
+  return SelectCand(b, sel.Interval(b.tail().type()), dom, mx, zones);
+}
+
+// The candidate range select over every row.
+CandidateList SelectRangeCand(const Bat& b, const Value& lo, const Value& hi,
+                              bool lo_inclusive, bool hi_inclusive) {
+  return SelectCand(b, SelectInterval::Range(b.tail().type(), lo, hi,
+                                             lo_inclusive, hi_inclusive));
 }
 
 // Whole zone blocks of one repeating pattern each, so the zone maps see

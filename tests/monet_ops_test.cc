@@ -19,6 +19,14 @@
 namespace mirror::monet {
 namespace {
 
+// The select interval of `x (cmp) v` over an int or a str tail.
+SelectInterval IntCmp(CmpOp cmp, int64_t v) {
+  return SelectInterval::Cmp(ValueType::kInt, cmp, Value::MakeInt(v));
+}
+SelectInterval StrCmp(CmpOp cmp, const char* s) {
+  return SelectInterval::Cmp(ValueType::kStr, cmp, Value::MakeStr(s));
+}
+
 Bat RandomIntBat(size_t n, int64_t domain, base::Rng* rng, Oid base = 0) {
   std::vector<int64_t> tails(n);
   for (auto& t : tails) t = rng->UniformInt(0, domain - 1);
@@ -264,8 +272,8 @@ TEST(AggregateTest, ScalarAggregates) {
   Bat b = Bat::DenseInts({2, 4, 6});
   EXPECT_DOUBLE_EQ(ScalarSum(b), 12.0);
   EXPECT_EQ(ScalarCount(b), 3);
-  EXPECT_EQ(ScalarMax(b).i(), 6);
-  EXPECT_EQ(ScalarMin(b).i(), 2);
+  EXPECT_DOUBLE_EQ(ScalarFold(b, FoldOp::kMax), 6.0);
+  EXPECT_DOUBLE_EQ(ScalarFold(b, FoldOp::kMin), 2.0);
 }
 
 TEST(AggregateTest, HistogramOverTails) {
@@ -492,7 +500,7 @@ TEST(ProfilerTest, OpsAreCounted) {
 TEST(ProfilerTest, CandidateAndMaterializationCountersTrack) {
   ResetKernelStats();
   Bat b = Bat::DenseInts({1, 2, 3, 4, 5});
-  CandidateList c = SelectCmpCand(b, CmpOp::kGt, Value::MakeInt(2));
+  CandidateList c = SelectCand(b, IntCmp(CmpOp::kGt, 2));
   Materialize(b, c);
   KernelStats stats = SnapshotKernelStats();
   EXPECT_EQ(stats.candidate_ops, 1u);
@@ -623,9 +631,8 @@ TEST(PositionVectorTest, MappedBlocksGrowShrinkCopyMoveAndRelease) {
 TEST(CandidateOpsTest, SelectCandMatchesMaterializingSelect) {
   base::Rng rng(99);
   Bat b = RandomIntBat(500, 40, &rng);
-  Value lo = Value::MakeInt(10);
-  Bat classic = SelectCmp(b, CmpOp::kGe, lo);
-  Bat late = Materialize(b, SelectCmpCand(b, CmpOp::kGe, lo));
+  Bat classic = SelectCmp(b, CmpOp::kGe, Value::MakeInt(10));
+  Bat late = Materialize(b, SelectCand(b, IntCmp(CmpOp::kGe, 10)));
   ASSERT_EQ(classic.size(), late.size());
   for (size_t i = 0; i < classic.size(); ++i) {
     EXPECT_EQ(classic.head().OidAt(i), late.head().OidAt(i));
@@ -639,16 +646,14 @@ TEST(CandidateOpsTest, MorselSelectsCompactOneBufferAcrossThreads) {
   const MorselExec mx{&pool, 100};
   base::Rng rng(5);
   Bat b = RandomIntBat(5000, 50, &rng);
-  const Value ten = Value::MakeInt(10);
-  const CandidateList wide = SelectCmpCand(b, CmpOp::kGe, ten, nullptr, mx);
-  EXPECT_EQ(wide.ToPositions(), SelectCmpCand(b, CmpOp::kGe, ten).ToPositions());
+  const CandidateList wide = SelectCand(b, IntCmp(CmpOp::kGe, 10), nullptr, mx);
+  EXPECT_EQ(wide.ToPositions(),
+            SelectCand(b, IntCmp(CmpOp::kGe, 10)).ToPositions());
   // Over a sparse domain each morsel reads its span of `wide` in place.
-  const Value lo = Value::MakeInt(20);
-  const Value hi = Value::MakeInt(30);
-  const CandidateList narrow =
-      SelectRangeCand(b, lo, hi, true, false, &wide, mx);
-  EXPECT_EQ(narrow.ToPositions(),
-            SelectRangeCand(b, lo, hi, true, false, &wide).ToPositions());
+  const SelectInterval range = SelectInterval::Range(
+      ValueType::kInt, Value::MakeInt(20), Value::MakeInt(30), true, false);
+  const CandidateList narrow = SelectCand(b, range, &wide, mx);
+  EXPECT_EQ(narrow.ToPositions(), SelectCand(b, range, &wide).ToPositions());
   Bat keys = Bat::DenseInts({3, 7, 11, 42});
   EXPECT_EQ(SemiJoinTailCand(b, keys, &wide, mx).ToPositions(),
             SemiJoinTailCand(b, keys, &wide).ToPositions());
@@ -664,9 +669,9 @@ TEST(CandidateOpsTest, ChainedCandidatesMatchChainedSelects) {
   Bat step2 = SelectCmp(step1, CmpOp::kLe, Value::MakeInt(35));
   Bat classic = SelectNeq(step2, Value::MakeInt(20));
   // Late: one candidate pipeline, one copy.
-  CandidateList c1 = SelectCmpCand(b, CmpOp::kGe, Value::MakeInt(10));
-  CandidateList c2 = SelectCmpCand(b, CmpOp::kLe, Value::MakeInt(35), &c1);
-  CandidateList c3 = SelectNeqCand(b, Value::MakeInt(20), &c2);
+  CandidateList c1 = SelectCand(b, IntCmp(CmpOp::kGe, 10));
+  CandidateList c2 = SelectCand(b, IntCmp(CmpOp::kLe, 35), &c1);
+  CandidateList c3 = SelectCand(b, IntCmp(CmpOp::kNeq, 20), &c2);
   Bat late = Materialize(b, c3);
   ASSERT_EQ(classic.size(), late.size());
   for (size_t i = 0; i < classic.size(); ++i) {
@@ -693,7 +698,7 @@ TEST(CandidateOpsTest, SemiAndAntiJoinCandMatchMaterializing) {
     EXPECT_EQ(classic_anti.head().OidAt(i), late_anti.head().OidAt(i));
   }
   // Candidate domain composes: semijoin after a selection.
-  CandidateList sel = SelectCmpCand(l, CmpOp::kGe, Value::MakeInt(12));
+  CandidateList sel = SelectCand(l, IntCmp(CmpOp::kGe, 12));
   Bat late_chain = Materialize(l, SemiJoinHeadCand(l, r, &sel));
   Bat classic_chain = SemiJoinHead(SelectCmp(l, CmpOp::kGe, Value::MakeInt(12)), r);
   ASSERT_EQ(classic_chain.size(), late_chain.size());
@@ -705,8 +710,8 @@ TEST(CandidateOpsTest, SemiAndAntiJoinCandMatchMaterializing) {
 
 TEST(CandidateOpsTest, StringSelectionOverCandidates) {
   Bat b = Bat::DenseStrs({"sun", "sea", "sun", "sky", "sun", "sea"});
-  CandidateList c1 = SelectNeqCand(b, Value::MakeStr("sea"));
-  CandidateList c2 = SelectEqCand(b, Value::MakeStr("sun"), &c1);
+  CandidateList c1 = SelectCand(b, StrCmp(CmpOp::kNeq, "sea"));
+  CandidateList c2 = SelectCand(b, StrCmp(CmpOp::kEq, "sun"), &c1);
   Bat late = Materialize(b, c2);
   ASSERT_EQ(late.size(), 3u);
   EXPECT_EQ(late.head().OidAt(0), 0u);

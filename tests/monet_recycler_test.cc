@@ -1,10 +1,11 @@
-// The recycler's contracts in isolation: predicate normalization must
-// refuse anything whose double-space interval is unsound (kSelectNeq,
-// strings, int64 literals past 2^53, non-finite doubles), subsumption
-// must respect inclusivity at shared endpoints, generation fencing must
-// make both stale lookups and stale inserts impossible, a result must be
-// admitted only on its key's second request, and the
-// cost x frequency admission policy must hold bytes under the budget
+// The recycler's contracts: it caches the select kernel's own interval,
+// so neq, string and empty intervals bypass it while bounds past 2^53
+// replay exactly; predicates that keep the same rows share one entry;
+// containment must respect inclusivity at shared endpoints and the
+// tail's own order; generation fencing must make both stale lookups and
+// stale inserts impossible, a result must be admitted only on its key's
+// second request, and the cost x frequency admission policy must hold
+// bytes under the budget
 // while keeping hot entries over cold ones — including across a fence,
 // which drops entries but not popularity. Candidate lists are held
 // packed: every shape must unpack position for position, the budget is
@@ -26,6 +27,8 @@
 
 #include "monet/bat_ops.h"
 #include "monet/candidate.h"
+#include "monet/catalog.h"
+#include "monet/exec.h"
 #include "monet/mil.h"
 #include "monet/recycler.h"
 #include "monet/value.h"
@@ -62,15 +65,12 @@ mil::Instr SelectRange(Value lo, Value hi, bool lo_incl, bool hi_incl) {
   return i;
 }
 
-SelectPredicate Pred(const std::string& bat, double lo, double hi,
-                     bool lo_incl = true, bool hi_incl = true) {
-  SelectPredicate p;
-  p.bat = bat;
-  p.lo = lo;
-  p.hi = hi;
-  p.lo_incl = lo_incl;
-  p.hi_incl = hi_incl;
-  return p;
+/// The interval `lo <= x <= hi` over a dbl tail, each side exclusive when
+/// its flag is false (+-kInf: unbounded).
+SelectInterval Dbls(double lo, double hi, bool lo_incl = true,
+                    bool hi_incl = true) {
+  return SelectInterval::Range(ValueType::kDbl, Value::MakeDbl(lo),
+                               Value::MakeDbl(hi), lo_incl, hi_incl);
 }
 
 std::shared_ptr<const std::vector<uint8_t>> Payload(size_t n, uint8_t fill) {
@@ -96,99 +96,220 @@ CandidateList Strided(size_t n, size_t first, size_t step) {
   return Cands(std::move(p));
 }
 
-// -- Predicate normalization. ------------------------------------------------
+// -- Interval normalization. -------------------------------------------------
 
-TEST(SelectPredicateTest, NormalizesEveryIntervalShape) {
-  SelectPredicate p;
-  ASSERT_TRUE(SelectPredicate::FromInstr(SelectEq(Value::MakeInt(7)), "age", &p));
-  EXPECT_EQ(p.bat, "age");
-  EXPECT_EQ(p.lo, 7.0);
-  EXPECT_EQ(p.hi, 7.0);
-  EXPECT_TRUE(p.lo_incl);
-  EXPECT_TRUE(p.hi_incl);
+constexpr int64_t k2p53 = int64_t{1} << 53;
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
 
-  ASSERT_TRUE(SelectPredicate::FromInstr(SelectCmp(CmpOp::kLt, Value::MakeDbl(2.5)),
-                                         "score", &p));
-  EXPECT_EQ(p.lo, -kInf);
-  EXPECT_EQ(p.hi, 2.5);
-  EXPECT_FALSE(p.hi_incl);
+int64_t Lo(const SelectInterval& iv) { return static_cast<int64_t>(iv.lo); }
+int64_t Hi(const SelectInterval& iv) { return static_cast<int64_t>(iv.hi); }
 
-  ASSERT_TRUE(SelectPredicate::FromInstr(SelectCmp(CmpOp::kLe, Value::MakeInt(9)),
-                                         "score", &p));
-  EXPECT_EQ(p.hi, 9.0);
-  EXPECT_TRUE(p.hi_incl);
-
-  ASSERT_TRUE(SelectPredicate::FromInstr(SelectCmp(CmpOp::kGt, Value::MakeInt(30)),
-                                         "age", &p));
-  EXPECT_EQ(p.lo, 30.0);
-  EXPECT_FALSE(p.lo_incl);
-  EXPECT_EQ(p.hi, kInf);
-
-  ASSERT_TRUE(SelectPredicate::FromInstr(SelectCmp(CmpOp::kGe, Value::MakeInt(30)),
-                                         "age", &p));
-  EXPECT_TRUE(p.lo_incl);
-
-  ASSERT_TRUE(SelectPredicate::FromInstr(
-      SelectRange(Value::MakeInt(10), Value::MakeInt(20), true, false), "age", &p));
-  EXPECT_EQ(p.lo, 10.0);
-  EXPECT_EQ(p.hi, 20.0);
-  EXPECT_TRUE(p.lo_incl);
-  EXPECT_FALSE(p.hi_incl);
+TEST(SelectIntervalTest, NormalizesEveryIntervalShape) {
+  // Over an int tail: the closed int interval the bounds keep.
+  SelectInterval iv = SelectEq(Value::MakeInt(7)).Interval(ValueType::kInt);
+  EXPECT_EQ(iv.type, ValueType::kInt);
+  EXPECT_EQ(Lo(iv), 7);
+  EXPECT_EQ(Hi(iv), 7);
+  iv = SelectCmp(CmpOp::kLt, Value::MakeDbl(2.5)).Interval(ValueType::kInt);
+  EXPECT_EQ(Lo(iv), kI64Min);
+  EXPECT_EQ(Hi(iv), 2);
+  iv = SelectCmp(CmpOp::kLe, Value::MakeInt(9)).Interval(ValueType::kInt);
+  EXPECT_EQ(Hi(iv), 9);
+  iv = SelectCmp(CmpOp::kGt, Value::MakeInt(30)).Interval(ValueType::kInt);
+  EXPECT_EQ(Lo(iv), 31);
+  EXPECT_EQ(Hi(iv), kI64Max);
+  iv = SelectCmp(CmpOp::kGe, Value::MakeInt(30)).Interval(ValueType::kInt);
+  EXPECT_EQ(Lo(iv), 30);
+  iv = SelectRange(Value::MakeInt(10), Value::MakeInt(20), true, false)
+           .Interval(ValueType::kInt);
+  EXPECT_EQ(Lo(iv), 10);
+  EXPECT_EQ(Hi(iv), 19);
+  // Over a dbl tail: closed doubles, exclusive bounds one ulp inward.
+  iv = SelectCmp(CmpOp::kLt, Value::MakeDbl(2.5)).Interval(ValueType::kDbl);
+  EXPECT_EQ(iv.dlo, -kInf);
+  EXPECT_EQ(iv.dhi, std::nextafter(2.5, -kInf));
+  iv = SelectRange(Value::MakeInt(10), Value::MakeInt(20), false, true)
+           .Interval(ValueType::kDbl);
+  EXPECT_EQ(iv.dlo, std::nextafter(10.0, kInf));
+  EXPECT_EQ(iv.dhi, 20.0);
+  // Void tails share the oid domain, in unsigned order.
+  iv = SelectCmp(CmpOp::kGe, Value::MakeOid(5)).Interval(ValueType::kVoid);
+  EXPECT_EQ(iv.type, ValueType::kOid);
+  EXPECT_EQ(iv.lo, 5u);
+  EXPECT_EQ(iv.hi, std::numeric_limits<uint64_t>::max());
 }
 
-TEST(SelectPredicateTest, RefusesUnsoundShapes) {
-  SelectPredicate p;
-  // Not-equal is not an interval.
-  EXPECT_FALSE(SelectPredicate::FromInstr(
-      SelectCmp(CmpOp::kNeq, Value::MakeInt(5)), "age", &p));
-  // Strings are compared in string space, not double space.
+TEST(SelectIntervalTest, NeqStrNaNAndEmptyAreNotCached) {
+  // Not-equal keeps the rows outside an interval.
+  EXPECT_FALSE(SelectCmp(CmpOp::kNeq, Value::MakeInt(5))
+                   .Interval(ValueType::kInt)
+                   .cacheable());
+  // Strings compare bytewise; the recycler keeps numeric intervals only.
   EXPECT_FALSE(
-      SelectPredicate::FromInstr(SelectEq(Value::MakeStr("bob")), "name", &p));
-  // An int64 past 2^53 does not round-trip through double: two distinct
-  // literals could collapse onto one interval key.
-  const int64_t big = (int64_t{1} << 53) + 1;
-  EXPECT_FALSE(SelectPredicate::FromInstr(SelectEq(Value::MakeInt(big)), "id", &p));
-  // The exact power of two itself is fine.
-  EXPECT_TRUE(SelectPredicate::FromInstr(
-      SelectEq(Value::MakeInt(int64_t{1} << 53)), "id", &p));
-  // As a dbl it is not: over an int column it also selects 2^53 + 1,
-  // which rounds onto it, while the int literal selects exactly.
-  EXPECT_FALSE(SelectPredicate::FromInstr(
-      SelectEq(Value::MakeDbl(0x1p53)), "id", &p));
-  // Non-finite double bounds are refused.
-  EXPECT_FALSE(SelectPredicate::FromInstr(
-      SelectEq(Value::MakeDbl(std::numeric_limits<double>::quiet_NaN())), "x",
-      &p));
-  EXPECT_FALSE(
-      SelectPredicate::FromInstr(SelectEq(Value::MakeDbl(kInf)), "x", &p));
+      SelectEq(Value::MakeStr("bob")).Interval(ValueType::kStr).cacheable());
+  // A NaN bound keeps no row, over dbl and int tails alike.
+  const Value nan = Value::MakeDbl(std::numeric_limits<double>::quiet_NaN());
+  for (ValueType t : {ValueType::kDbl, ValueType::kInt}) {
+    const SelectInterval iv = SelectEq(nan).Interval(t);
+    EXPECT_TRUE(iv.empty);
+    EXPECT_FALSE(iv.cacheable());
+  }
+  EXPECT_FALSE(SelectCmp(CmpOp::kGt, Value::MakeInt(kI64Max))
+                   .Interval(ValueType::kInt)
+                   .cacheable());
+  // Bounds past 2^53 are cached in the tail's own domain: the dbl 2^53
+  // over an int tail keeps 2^53 and 2^53 + 1, which rounds onto it.
+  SelectInterval iv =
+      SelectEq(Value::MakeInt(k2p53 + 1)).Interval(ValueType::kInt);
+  EXPECT_TRUE(iv.cacheable());
+  EXPECT_EQ(Lo(iv), k2p53 + 1);
+  iv = SelectEq(Value::MakeDbl(0x1p53)).Interval(ValueType::kInt);
+  EXPECT_TRUE(iv.cacheable());
+  EXPECT_EQ(Lo(iv), k2p53);
+  EXPECT_EQ(Hi(iv), k2p53 + 1);
 }
 
-TEST(SelectPredicateTest, SubsumptionRespectsInclusivity) {
+TEST(SelectIntervalTest, ContainmentRespectsInclusivity) {
   // Strict containment.
-  EXPECT_TRUE(Pred("a", 40, kInf).SubsumedBy(Pred("a", 30, kInf)));
-  EXPECT_FALSE(Pred("a", 30, kInf).SubsumedBy(Pred("a", 40, kInf)));
-  // Same interval subsumes itself.
-  EXPECT_TRUE(Pred("a", 10, 20).SubsumedBy(Pred("a", 10, 20)));
-  // Equal endpoint: inclusive narrow end needs an inclusive wide end.
-  EXPECT_FALSE(
-      Pred("a", 10, 20, true, true).SubsumedBy(Pred("a", 10, 20, false, true)));
-  EXPECT_TRUE(
-      Pred("a", 10, 20, false, true).SubsumedBy(Pred("a", 10, 20, true, true)));
-  EXPECT_FALSE(
-      Pred("a", 10, 20, true, true).SubsumedBy(Pred("a", 10, 20, true, false)));
-  EXPECT_TRUE(
-      Pred("a", 10, 20, true, false).SubsumedBy(Pred("a", 10, 20, true, true)));
-  // Different base BATs never subsume.
-  EXPECT_FALSE(Pred("a", 40, 50).SubsumedBy(Pred("b", 0, 100)));
+  EXPECT_TRUE(Dbls(30, kInf).Contains(Dbls(40, kInf)));
+  EXPECT_FALSE(Dbls(40, kInf).Contains(Dbls(30, kInf)));
+  // Same interval contains itself.
+  EXPECT_TRUE(Dbls(10, 20).Contains(Dbls(10, 20)));
+  // Equal endpoint: an inclusive narrow end needs an inclusive wide end.
+  EXPECT_FALSE(Dbls(10, 20, false, true).Contains(Dbls(10, 20)));
+  EXPECT_TRUE(Dbls(10, 20).Contains(Dbls(10, 20, false, true)));
+  EXPECT_FALSE(Dbls(10, 20, true, false).Contains(Dbls(10, 20)));
+  EXPECT_TRUE(Dbls(10, 20).Contains(Dbls(10, 20, true, false)));
+  // Int tails order signed, oid tails unsigned.
+  auto ints = [](CmpOp op, int64_t v) {
+    return SelectCmp(op, Value::MakeInt(v)).Interval(ValueType::kInt);
+  };
+  auto oids = [](CmpOp op, Oid v) {
+    return SelectCmp(op, Value::MakeOid(v)).Interval(ValueType::kOid);
+  };
+  EXPECT_TRUE(ints(CmpOp::kGe, -5).Contains(ints(CmpOp::kGe, 3)));
+  EXPECT_FALSE(ints(CmpOp::kGe, 3).Contains(ints(CmpOp::kGe, -5)));
+  EXPECT_TRUE(oids(CmpOp::kGe, 5).Contains(oids(CmpOp::kGe, Oid{1} << 63)));
+  EXPECT_FALSE(oids(CmpOp::kLe, 5).Contains(oids(CmpOp::kGe, Oid{1} << 63)));
+  // Different tail types and uncacheable intervals never contain.
+  EXPECT_FALSE(Dbls(-kInf, kInf).Contains(ints(CmpOp::kGe, 3)));
+  EXPECT_FALSE(ints(CmpOp::kGe, kI64Min).Contains(ints(CmpOp::kNeq, 3)));
 }
 
-TEST(SelectPredicateTest, IntervalKeySeparatesInclusivity) {
-  EXPECT_NE(Pred("a", 10, 20, true, true).IntervalKey(),
-            Pred("a", 10, 20, false, true).IntervalKey());
-  EXPECT_NE(Pred("a", 10, 20, true, true).IntervalKey(),
-            Pred("a", 10, 20, true, false).IntervalKey());
-  EXPECT_EQ(Pred("a", 10, 20).IntervalKey(), Pred("b", 10, 20).IntervalKey())
-      << "bat name is bucketed separately, not part of the interval key";
+TEST(SelectIntervalTest, EndpointInclusivityAndBatSeparateEntries) {
+  Recycler r;
+  const uint64_t gen = r.generation();
+  r.InsertCandidates(gen, "a", Dbls(10, 20), Cands({1, 2, 3}), 100);
+  r.InsertCandidates(gen, "a", Dbls(10, 20, false, true), Cands({2, 3}), 100);
+  r.InsertCandidates(gen, "a", Dbls(10, 20, true, false), Cands({1, 2}), 100);
+  r.InsertCandidates(gen, "b", Dbls(10, 20), Cands({7}), 100);
+  EXPECT_EQ(r.stats().candidate_entries, 4u);
+  auto exact = [&](const std::string& bat, const SelectInterval& iv) {
+    bool subsumed = true;
+    auto hit = r.LookupCandidates(gen, bat, iv, &subsumed);
+    EXPECT_TRUE(hit.has_value());
+    EXPECT_FALSE(subsumed);
+    return hit.has_value() ? hit->ToPositions() : std::vector<size_t>{};
+  };
+  EXPECT_EQ(exact("a", Dbls(10, 20)), (std::vector<size_t>{1, 2, 3}));
+  EXPECT_EQ(exact("a", Dbls(10, 20, false, true)),
+            (std::vector<size_t>{2, 3}));
+  EXPECT_EQ(exact("a", Dbls(10, 20, true, false)),
+            (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(exact("b", Dbls(10, 20)), (std::vector<size_t>{7}));
+}
+
+// -- Engine selects through the recycler. -------------------------------------
+
+/// Runs `sel` over the base BAT "t.x" on the 1-thread engine and returns
+/// the kept rows' head oids: through `recycler`, or with recycling off.
+std::vector<Oid> RunSelect(const Catalog& catalog, mil::Instr sel,
+                           Recycler* recycler) {
+  mil::Program p;
+  mil::Instr load;
+  load.op = mil::OpCode::kLoadNamed;
+  load.name = "t.x";
+  load.dst = p.NewReg();
+  sel.src0 = p.Emit(std::move(load));
+  sel.dst = p.NewReg();
+  p.set_result_reg(p.Emit(std::move(sel)));
+  mil::ExecOptions options{.num_threads = 1, .recycle = recycler != nullptr};
+  if (recycler != nullptr) {
+    options.recycler = recycler;
+    options.recycler_generation = recycler->generation();
+  }
+  mil::ExecutionEngine engine(&catalog, options);
+  auto run = engine.Run(p);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<Oid> heads;
+  if (!run.ok()) return heads;
+  const Bat& got = *run.value().bat;
+  for (size_t i = 0; i < got.size(); ++i) heads.push_back(got.head().OidAt(i));
+  return heads;
+}
+
+TEST(RecycledSelectTest, PredicatesKeepingTheSameRowsShareOneEntry) {
+  std::vector<int64_t> years;
+  for (int64_t y = 1950; y < 2030; ++y) years.push_back(y);
+  Catalog catalog;
+  catalog.Put("t.x", Bat::DenseInts(years));
+  Recycler r;
+  const std::vector<Oid> want = RunSelect(
+      catalog, SelectCmp(CmpOp::kGt, Value::MakeInt(1990)), nullptr);
+  ASSERT_EQ(want.size(), 2029u - 1990u);
+  // year > 1990, year >= 1991 and year > 1990.5 keep the same ints.
+  for (const mil::Instr& sel :
+       {SelectCmp(CmpOp::kGt, Value::MakeInt(1990)),
+        SelectCmp(CmpOp::kGe, Value::MakeInt(1991)),
+        SelectCmp(CmpOp::kGt, Value::MakeDbl(1990.5))}) {
+    EXPECT_EQ(RunSelect(catalog, sel, &r), want) << sel.ToString();
+  }
+  RecyclerStats s = r.stats();
+  EXPECT_EQ(s.candidate_misses, 1u);
+  EXPECT_EQ(s.candidate_hits, 2u);
+  EXPECT_EQ(s.candidate_subsumption_hits, 0u);
+  EXPECT_EQ(s.candidate_entries, 1u);
+}
+
+TEST(RecycledSelectTest, BoundsPast2p53HitAndReplayExactly) {
+  // Ints around 2^53, where neighbouring ints share a double.
+  std::vector<int64_t> xs;
+  for (int64_t d = -6; d <= 6; ++d) {
+    for (int rep = 0; rep < 3; ++rep) xs.push_back(k2p53 + d);
+  }
+  xs.push_back(0);
+  xs.push_back(kI64Max);
+  Catalog catalog;
+  catalog.Put("t.x", Bat::DenseInts(xs));
+  const std::vector<mil::Instr> sels = {
+      SelectEq(Value::MakeInt(k2p53 - 1)), SelectEq(Value::MakeInt(k2p53)),
+      SelectEq(Value::MakeInt(k2p53 + 1)), SelectEq(Value::MakeDbl(0x1p53)),
+      SelectCmp(CmpOp::kGt, Value::MakeInt(k2p53)),
+      SelectRange(Value::MakeInt(k2p53 - 3), Value::MakeDbl(0x1p53), true,
+                  false)};
+  Recycler r;
+  // A wide interval first, so each later select is first seeded by a
+  // subsuming entry, then replayed from its own.
+  RunSelect(catalog, SelectCmp(CmpOp::kGe, Value::MakeInt(k2p53 - 4)), &r);
+  for (int round = 0; round < 2; ++round) {
+    for (const mil::Instr& sel : sels) {
+      SCOPED_TRACE(sel.ToString());
+      const RecyclerStats before = r.stats();
+      EXPECT_EQ(RunSelect(catalog, sel, &r), RunSelect(catalog, sel, nullptr));
+      const RecyclerStats after = r.stats();
+      if (round == 0) {
+        EXPECT_EQ(after.candidate_subsumption_hits,
+                  before.candidate_subsumption_hits + 1);
+      } else {
+        EXPECT_EQ(after.candidate_hits, before.candidate_hits + 1);
+      }
+      EXPECT_EQ(after.candidate_misses, before.candidate_misses);
+    }
+  }
+  // The int 2^53 and the dbl 2^53 keep different rows: two entries.
+  EXPECT_NE(RunSelect(catalog, SelectEq(Value::MakeInt(k2p53)), nullptr),
+            RunSelect(catalog, SelectEq(Value::MakeDbl(0x1p53)), nullptr));
 }
 
 // -- Result section. ---------------------------------------------------------
@@ -369,11 +490,11 @@ TEST(RecyclerTest, DuplicateInsertKeepsTheIncumbent) {
 TEST(RecyclerTest, CandidateExactMatchReplays) {
   Recycler r;
   const uint64_t gen = r.generation();
-  r.InsertCandidates(gen, Pred("age", 30, kInf, false, true), Cands({1, 5, 9}),
+  r.InsertCandidates(gen, "age", Dbls(30, kInf, false, true), Cands({1, 5, 9}),
                      100);
   bool subsumed = true;
   auto hit =
-      r.LookupCandidates(gen, Pred("age", 30, kInf, false, true), &subsumed);
+      r.LookupCandidates(gen, "age", Dbls(30, kInf, false, true), &subsumed);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->ToPositions(), (std::vector<size_t>{1, 5, 9}));
   EXPECT_FALSE(subsumed);
@@ -385,12 +506,12 @@ TEST(RecyclerTest, CandidateExactMatchReplays) {
 TEST(RecyclerTest, SubsumptionServesTheSmallestSuperset) {
   Recycler r;
   const uint64_t gen = r.generation();
-  r.InsertCandidates(gen, Pred("age", 0, kInf), Cands({1, 2, 3, 4, 5, 6, 7, 8}),
+  r.InsertCandidates(gen, "age", Dbls(0, kInf), Cands({1, 2, 3, 4, 5, 6, 7, 8}),
                      100);
-  r.InsertCandidates(gen, Pred("age", 30, 60), Cands({4, 5, 6}), 100);
+  r.InsertCandidates(gen, "age", Dbls(30, 60), Cands({4, 5, 6}), 100);
   bool subsumed = false;
   // [40, 50] is contained in both; the smaller list wins.
-  auto hit = r.LookupCandidates(gen, Pred("age", 40, 50), &subsumed);
+  auto hit = r.LookupCandidates(gen, "age", Dbls(40, 50), &subsumed);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(subsumed);
   EXPECT_EQ(hit->ToPositions(), (std::vector<size_t>{4, 5, 6}));
@@ -398,7 +519,7 @@ TEST(RecyclerTest, SubsumptionServesTheSmallestSuperset) {
   // A predicate contained in neither misses.
   subsumed = true;
   EXPECT_FALSE(
-      r.LookupCandidates(gen, Pred("other", 40, 50), &subsumed).has_value());
+      r.LookupCandidates(gen, "other", Dbls(40, 50), &subsumed).has_value());
   EXPECT_FALSE(subsumed);
 }
 
@@ -406,16 +527,16 @@ TEST(RecyclerTest, SubsumptionHonorsInclusivityAtTheEdge) {
   Recycler r;
   const uint64_t gen = r.generation();
   // Cached: age > 30 (exclusive lower bound).
-  r.InsertCandidates(gen, Pred("age", 30, kInf, false, true), Cands({1, 2}),
+  r.InsertCandidates(gen, "age", Dbls(30, kInf, false, true), Cands({1, 2}),
                      100);
   bool subsumed = false;
   // age >= 30 includes 30 itself, which the cached list may lack.
   EXPECT_FALSE(
-      r.LookupCandidates(gen, Pred("age", 30, kInf, true, true), &subsumed)
+      r.LookupCandidates(gen, "age", Dbls(30, kInf, true, true), &subsumed)
           .has_value());
   // age > 40 is strictly inside.
   EXPECT_TRUE(
-      r.LookupCandidates(gen, Pred("age", 40, kInf, false, true), &subsumed)
+      r.LookupCandidates(gen, "age", Dbls(40, kInf, false, true), &subsumed)
           .has_value());
   EXPECT_TRUE(subsumed);
 }
@@ -423,13 +544,13 @@ TEST(RecyclerTest, SubsumptionHonorsInclusivityAtTheEdge) {
 TEST(RecyclerTest, FenceDropsCandidatesToo) {
   Recycler r;
   const uint64_t gen = r.generation();
-  r.InsertCandidates(gen, Pred("age", 0, 10), Cands({1}), 100);
+  r.InsertCandidates(gen, "age", Dbls(0, 10), Cands({1}), 100);
   r.Fence();
   bool subsumed = false;
-  EXPECT_FALSE(r.LookupCandidates(r.generation(), Pred("age", 0, 10), &subsumed)
+  EXPECT_FALSE(r.LookupCandidates(r.generation(), "age", Dbls(0, 10), &subsumed)
                    .has_value());
   EXPECT_EQ(r.stats().candidate_entries, 0u);
-  r.InsertCandidates(gen, Pred("age", 0, 10), Cands({1}), 100);
+  r.InsertCandidates(gen, "age", Dbls(0, 10), Cands({1}), 100);
   EXPECT_EQ(r.stats().candidate_entries, 0u)
       << "stale-generation candidate insert must be refused";
 }
@@ -515,13 +636,13 @@ TEST(RecyclerTest, HalfDenseListsAreHeldAsBitmaps) {
   const uint64_t gen = r.generation();
   const CandidateList half = Strided(400000, 0, 2);
   for (int i = 0; i < 50; ++i) {
-    r.InsertCandidates(gen, Pred("year", i, kInf), half, 100);
+    r.InsertCandidates(gen, "year", Dbls(i, kInf), half, 100);
   }
   RecyclerStats s = r.stats();
   EXPECT_EQ(s.candidate_entries, 50u);
   EXPECT_LE(s.bytes_held, 3ull << 20);
   bool subsumed = true;
-  auto hit = r.LookupCandidates(gen, Pred("year", 17, kInf), &subsumed);
+  auto hit = r.LookupCandidates(gen, "year", Dbls(17, kInf), &subsumed);
   ASSERT_TRUE(hit.has_value());
   EXPECT_FALSE(subsumed);
   EXPECT_EQ(hit->ToPositions(), half.ToPositions());
@@ -539,7 +660,7 @@ TEST(RecyclerTest, AdmissionChargesThePackedSize) {
   Recycler r(budget);
   const uint64_t gen = r.generation();
   for (int i = 0; i < kLists; ++i) {
-    r.InsertCandidates(gen, Pred("year", i, kInf), half, 100);
+    r.InsertCandidates(gen, "year", Dbls(i, kInf), half, 100);
   }
   RecyclerStats s = r.stats();
   EXPECT_EQ(s.candidate_entries, static_cast<uint64_t>(kLists));
@@ -572,9 +693,9 @@ TEST(RecyclerTest, ConcurrentDecodesSurviveInsertsAndFences) {
     for (int round = 0; !stop.load(); ++round) {
       const int lo = (round % 10) * 10;
       const uint64_t gen = r.generation();
-      r.InsertCandidates(gen, Pred("v", lo, kInf), at_least(lo), 10);
-      r.InsertCandidates(gen, Pred("v", lo, lo), Strided(kRows, lo, 100), 10);
-      r.InsertCandidates(gen, Pred("v", -kInf, kInf),
+      r.InsertCandidates(gen, "v", Dbls(lo, kInf), at_least(lo), 10);
+      r.InsertCandidates(gen, "v", Dbls(lo, lo), Strided(kRows, lo, 100), 10);
+      r.InsertCandidates(gen, "v", Dbls(-kInf, kInf),
                          CandidateList::All(kRows), 10);
     }
   });
@@ -596,10 +717,9 @@ TEST(RecyclerTest, ConcurrentDecodesSurviveInsertsAndFences) {
     while (!enough()) {
       const int lo = static_cast<int>(rng() % 100);
       const bool point = rng() % 2 == 0;
-      const SelectPredicate pred =
-          point ? Pred("v", lo, lo) : Pred("v", lo, kInf);
+      const SelectInterval interval = point ? Dbls(lo, lo) : Dbls(lo, kInf);
       bool subsumed = false;
-      auto hit = r.LookupCandidates(r.generation(), pred, &subsumed);
+      auto hit = r.LookupCandidates(r.generation(), "v", interval, &subsumed);
       if (!hit.has_value()) continue;
       (subsumed ? subsumed_hits : exact_hits).fetch_add(1);
       // Every hit is exactly one of the inserted lists: `v >= m` or

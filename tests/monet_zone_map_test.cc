@@ -119,16 +119,89 @@ TEST(ZoneMapBuildTest, HugeInt64BoundsWidenOutward) {
   EXPECT_GE(z.max, static_cast<double>(v));
 }
 
+// The classification of the one-block column `c` under `interval`;
+// kSome when zone maps cannot decide the interval.
+ZoneMatch ClassifyBlock(const Column& c, const SelectInterval& interval) {
+  const ZoneMap z = BuildZoneMap(c);
+  EXPECT_TRUE(z.valid);
+  ZoneInterval outward;
+  ZoneInterval inward;
+  if (!interval.ZoneIntervals(&outward, &inward)) return ZoneMatch::kSome;
+  return ClassifyZone(z.block_min[0], z.block_max[0], outward, inward);
+}
+
 TEST(ZoneMapBuildTest, ClassifyZoneTristate) {
-  // Block [10, 20] against assorted predicate intervals.
-  EXPECT_EQ(ClassifyZone(10, 20, 25, true, kInf, true), ZoneMatch::kNone);
-  EXPECT_EQ(ClassifyZone(10, 20, -kInf, true, 5, true), ZoneMatch::kNone);
-  EXPECT_EQ(ClassifyZone(10, 20, 20, false, kInf, true), ZoneMatch::kNone);
-  EXPECT_EQ(ClassifyZone(10, 20, 15, true, kInf, true), ZoneMatch::kSome);
-  EXPECT_EQ(ClassifyZone(10, 20, 10, true, 20, true), ZoneMatch::kAll);
-  EXPECT_EQ(ClassifyZone(10, 20, 5, true, 25, true), ZoneMatch::kAll);
-  EXPECT_EQ(ClassifyZone(10, 20, 10, false, kInf, true), ZoneMatch::kSome);
-  EXPECT_EQ(ClassifyZone(10, 20, -kInf, true, 20, false), ZoneMatch::kSome);
+  // Block [10, 20] against assorted intervals over a dbl tail.
+  const Column dbls = Column::MakeDbls({10, 15, 20});
+  auto cmp = [&](CmpOp op, double v) {
+    return ClassifyBlock(
+        dbls, SelectInterval::Cmp(ValueType::kDbl, op, Value::MakeDbl(v)));
+  };
+  auto range = [&](double lo, double hi) {
+    return ClassifyBlock(
+        dbls, SelectInterval::Range(ValueType::kDbl, Value::MakeDbl(lo),
+                                    Value::MakeDbl(hi), true, true));
+  };
+  EXPECT_EQ(cmp(CmpOp::kGe, 25), ZoneMatch::kNone);
+  EXPECT_EQ(cmp(CmpOp::kLe, 5), ZoneMatch::kNone);
+  EXPECT_EQ(cmp(CmpOp::kGt, 20), ZoneMatch::kNone);
+  EXPECT_EQ(cmp(CmpOp::kGe, 15), ZoneMatch::kSome);
+  EXPECT_EQ(range(10, 20), ZoneMatch::kAll);
+  EXPECT_EQ(range(5, 25), ZoneMatch::kAll);
+  EXPECT_EQ(cmp(CmpOp::kGt, 10), ZoneMatch::kSome);
+  EXPECT_EQ(cmp(CmpOp::kLt, 20), ZoneMatch::kSome);
+  EXPECT_EQ(cmp(CmpOp::kNeq, 30), ZoneMatch::kSome) << "neq is not zoned";
+
+  // Int blocks {2^53} and {2^53 + 4}: their bounds widen one ulp outward
+  // ([2^53 - 1, 2^53 + 2] and [2^53 + 2, 2^53 + 6]), and the interval's
+  // outward and inward bounds round the same way, so kNone and kAll are
+  // only ever answered where they hold.
+  const int64_t big = int64_t{1} << 53;
+  const Column at = Column::MakeInts({big});
+  const Column above = Column::MakeInts({big + 4});
+  auto icmp = [](const Column& c, CmpOp op, int64_t v) {
+    return ClassifyBlock(
+        c, SelectInterval::Cmp(ValueType::kInt, op, Value::MakeInt(v)));
+  };
+  EXPECT_EQ(icmp(at, CmpOp::kLe, big + 4), ZoneMatch::kAll);
+  EXPECT_EQ(icmp(at, CmpOp::kGe, big + 6), ZoneMatch::kNone);
+  EXPECT_EQ(icmp(at, CmpOp::kLe, big - 3), ZoneMatch::kNone);
+  EXPECT_EQ(icmp(at, CmpOp::kEq, big), ZoneMatch::kSome);
+  EXPECT_EQ(icmp(at, CmpOp::kGe, big + 1), ZoneMatch::kSome);
+  EXPECT_EQ(icmp(above, CmpOp::kLt, big), ZoneMatch::kNone);
+  EXPECT_EQ(icmp(above, CmpOp::kLe, big), ZoneMatch::kSome);
+  EXPECT_EQ(icmp(above, CmpOp::kGe, big), ZoneMatch::kAll);
+  EXPECT_EQ(icmp(above, CmpOp::kLe, big + 8), ZoneMatch::kAll);
+  EXPECT_EQ(icmp(above, CmpOp::kGe, big + 16), ZoneMatch::kNone);
+  EXPECT_EQ(icmp(above, CmpOp::kEq, big + 4), ZoneMatch::kSome);
+  // Soundness against every int and dbl literal near 2^53: kNone only
+  // when the block's value fails, kAll only when it passes.
+  for (const int64_t x : {big, big + 4}) {
+    const Column c = Column::MakeInts({x});
+    for (int64_t d = -12; d <= 12; ++d) {
+      for (const Value& v :
+           {Value::MakeInt(big + d),
+            Value::MakeDbl(static_cast<double>(big + d))}) {
+        for (CmpOp op : {CmpOp::kEq, CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                         CmpOp::kGe}) {
+          const SelectInterval iv = SelectInterval::Cmp(ValueType::kInt, op, v);
+          // The naive oracle's order: exact for an int literal, as
+          // doubles for a dbl one.
+          const bool lt = Value::MakeInt(x) < v;
+          const bool eq = Value::MakeInt(x) == v;
+          const bool kept = op == CmpOp::kEq   ? eq
+                            : op == CmpOp::kLt ? lt
+                            : op == CmpOp::kLe ? lt || eq
+                            : op == CmpOp::kGt ? !lt && !eq
+                                               : !lt;
+          const ZoneMatch m = ClassifyBlock(c, iv);
+          SCOPED_TRACE(std::to_string(x) + " " + v.ToString());
+          if (m == ZoneMatch::kNone) EXPECT_FALSE(kept);
+          if (m == ZoneMatch::kAll) EXPECT_TRUE(kept);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
