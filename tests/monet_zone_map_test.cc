@@ -196,8 +196,12 @@ TEST(ZoneMapBuildTest, ClassifyZoneTristate) {
                                                : !lt;
           const ZoneMatch m = ClassifyBlock(c, iv);
           SCOPED_TRACE(std::to_string(x) + " " + v.ToString());
-          if (m == ZoneMatch::kNone) EXPECT_FALSE(kept);
-          if (m == ZoneMatch::kAll) EXPECT_TRUE(kept);
+          if (m == ZoneMatch::kNone) {
+            EXPECT_FALSE(kept);
+          }
+          if (m == ZoneMatch::kAll) {
+            EXPECT_TRUE(kept);
+          }
         }
       }
     }
